@@ -456,16 +456,10 @@ def _timed_cell(
     last = None
     for _ in range(reps + 1):
         t0 = time.perf_counter()
-        try:
-            plan = optimizer.plan(ra, catalog, config)
-            _, count, stats = optimizer.execute_plan(plan, catalog, workers=workers)
-            elapsed = (time.perf_counter() - t0) * 1000.0
-        finally:
-            catalog.temps.sweep()
-        times.append(elapsed)
-        overheads.append(
-            sum(d.subquery_ms + d.materialize_ms for d in plan.decisions)
-        )
+        plan = optimizer.plan(ra, catalog, config)
+        _, count, stats = optimizer.execute_plan(plan, catalog, workers=workers)
+        times.append((time.perf_counter() - t0) * 1000.0)
+        overheads.append(plan.overhead_ms)
         last = (plan, count)
     plan, count = last
     return {

@@ -9,7 +9,7 @@ which is exactly what makes it wrong on correlated data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,39 +18,11 @@ from . import expr as ex
 from .errors import (
     DuplicateFunction,
     DuplicateTable,
-    EmptySchema,
     Inestimable,
     UnknownTable,
     UnsupportedColumnKind,
 )
-from .storage import (
-    Column,
-    ColumnKind,
-    ColumnTable,
-    TempTableHandle,
-    TempTableStore,
-)
-
-
-@dataclass
-class TableStats:
-    """Exact per-table statistics (tables are immutable after load)."""
-
-    row_count: int
-    min_max: dict[str, tuple[int, int]]
-    distinct: dict[str, int]
-
-
-def collect_stats(table: ColumnTable) -> TableStats:
-    """Exact row count, per-column min/max (non-TEXT) and distinct counts."""
-    min_max = {}
-    distinct = {}
-    for col in table.columns:
-        valid = col.values[~col.null_mask]
-        distinct[col.name] = int(np.unique(valid).size)
-        if not col.kind.is_text and valid.size:
-            min_max[col.name] = (int(valid.min()), int(valid.max()))
-    return TableStats(table.row_count, min_max, distinct)
+from .storage import ColumnTable
 
 
 @dataclass
@@ -61,25 +33,14 @@ class Udf:
 
 
 class Catalog:
-    """Base tables, live temporary tables, UDFs, and cached statistics."""
+    """Base tables, UDFs, and cached histograms."""
 
     def __init__(self):
         self._tables: dict[str, ColumnTable] = {}
-        self._stats: dict[str, TableStats] = {}
         self._histograms: dict[tuple[str, str], EquiDepthHistogram] = {}
         self._udfs: dict[str, Udf] = {}
-        self.temps = TempTableStore()
 
     # -- base tables --------------------------------------------------
-
-    def create_table(self, name: str, schema: list[tuple[str, ColumnKind]]) -> ColumnTable:
-        if name in self._tables:
-            raise DuplicateTable(f"table {name!r} already exists")
-        if not schema:
-            raise EmptySchema(f"table {name!r} must have at least one column")
-        table = ColumnTable.empty(name, schema)
-        self._tables[name] = table
-        return table
 
     def register(self, table: ColumnTable):
         """Register a fully built table under its own name."""
@@ -87,43 +48,16 @@ class Catalog:
             raise DuplicateTable(f"table {table.name!r} already exists")
         self._tables[table.name] = table
 
-    def replace(self, table: ColumnTable):
-        """Swap in a rebuilt version of an existing (or new) table."""
-        self._tables[table.name] = table
-        self._stats.pop(table.name, None)
-        self._histograms = {
-            k: v for k, v in self._histograms.items() if k[0] != table.name
-        }
-
     def table(self, name: str) -> ColumnTable:
         try:
             return self._tables[name]
         except KeyError:
             raise UnknownTable(f"unknown table {name!r}") from None
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     def table_names(self) -> list[str]:
         return sorted(self._tables)
 
-    # -- temp tables ----------------------------------------------------
-
-    def materialize_temp(self, columns: list[Column]) -> TempTableHandle:
-        return self.temps.materialize(columns)
-
-    def resolve_temp(self, handle: TempTableHandle) -> ColumnTable:
-        return self.temps.resolve(handle)
-
-    def drop_temp(self, handle: TempTableHandle):
-        self.temps.drop(handle)
-
     # -- statistics ----------------------------------------------------
-
-    def stats(self, name: str) -> TableStats:
-        if name not in self._stats:
-            self._stats[name] = collect_stats(self.table(name))
-        return self._stats[name]
 
     def histogram(self, table: str, column: str, buckets: int = 64) -> "EquiDepthHistogram":
         key = (table, column)

@@ -1,8 +1,8 @@
-"""One-query-at-a-time engine: parse, analyze, plan, execute, clean up.
+"""Engine facade: parse, analyze, plan, execute.
 
-Temp tables materialized during planning never outlive the query: the
-run loop sweeps them in a ``finally`` whether the query succeeded or
-failed.
+A temp table materialized during planning belongs to its plan, which
+the returned ``QueryResult`` holds; it is freed with them, and queries
+sharing one engine never touch each other's temps.
 """
 
 from __future__ import annotations
@@ -57,23 +57,18 @@ class Engine:
         ast = frontend.parse(sql)
         ra = frontend.analyze(ast, self.catalog)
         t0 = time.perf_counter()
-        try:
-            plan = optimizer.plan(ra, self.catalog, self.config)
-            rows, count, stats = optimizer.execute_plan(
-                plan, self.catalog, workers=self.workers
-            )
-            elapsed = (time.perf_counter() - t0) * 1000.0
-        finally:
-            # nothing planner-made may survive the query, error or not
-            self.catalog.temps.sweep()
-        overhead = sum(d.subquery_ms + d.materialize_ms for d in plan.decisions)
+        plan = optimizer.plan(ra, self.catalog, self.config)
+        rows, count, stats = optimizer.execute_plan(
+            plan, self.catalog, workers=self.workers
+        )
+        elapsed = (time.perf_counter() - t0) * 1000.0
         return QueryResult(
             count=count,
             rows=rows,
             plan=plan,
             stats=stats,
             time_ms=elapsed,
-            overhead_ms=overhead,
+            overhead_ms=plan.overhead_ms,
         )
 
 

@@ -38,10 +38,6 @@ class LengthMismatch(StorageError):
     pass
 
 
-class DeadHandle(StorageError):
-    pass
-
-
 class CsvError(StorageError):
     pass
 
@@ -93,10 +89,6 @@ class UnsupportedPredicate(AnalysisError):
 
 class PlanError(EscdbError):
     phase = "plan"
-
-
-class NoPredicate(PlanError):
-    pass
 
 
 class CartesianProductRequired(PlanError):

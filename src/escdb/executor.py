@@ -17,7 +17,6 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ExecutionError
-from .frontend import RaAggregate, RaProject, RaScan, RaSelect, RaTempScan
 from .storage import Column, ColumnTable
 
 # ---------------------------------------------------------------------------
@@ -222,32 +221,6 @@ def count_star(table: ColumnTable, pred: ex.Expr | None) -> int:
         return table.row_count
     mask = _eval_mask(pred, _ColumnSlices(table, None))
     return int(np.count_nonzero(mask))
-
-
-# ---------------------------------------------------------------------------
-# Count sub-query interpreter (single-table RA trees)
-# ---------------------------------------------------------------------------
-
-
-def execute_count(ra, catalog) -> int:
-    """Run a single-table COUNT tree: Aggregate over optional Select over
-    optional Project over a Scan."""
-    node = ra
-    if isinstance(node, RaAggregate):
-        node = node.child
-    pred = None
-    if isinstance(node, RaSelect):
-        pred = node.predicate
-        node = node.child
-    if isinstance(node, RaProject):
-        node = node.child
-    if isinstance(node, RaScan):
-        table = catalog.table(node.table)
-    elif isinstance(node, RaTempScan):
-        table = catalog.resolve_temp(node.handle)
-    else:
-        raise ExecutionError(f"cannot count over node {type(node).__name__}")
-    return count_star(table, pred)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +499,6 @@ def probe_joins(
         out_columns.append(
             Column(name, col.kind, col.values, col.null_mask, col.dictionary)
         )
-    result = ColumnTable("result", out_columns, is_temporary=True)
+    result = ColumnTable("result", out_columns)
     stats.materialized_rows = result.row_count
     return result, stats

@@ -15,17 +15,7 @@ AND/OR/NOT combine the resulting two-valued masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator
-
-COMPARISON_OPS = ("<", "<=", ">", ">=", "<>")
-
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-
-
-def flip_op(op: str) -> str:
-    return _FLIP[op]
-
 
 @dataclass(frozen=True)
 class ColumnRef:
@@ -37,23 +27,6 @@ class ColumnRef:
 
     def __str__(self):
         return f"{self.table}.{self.name}" if self.table else self.name
-
-
-@dataclass(frozen=True)
-class Const:
-    """Literal constant; ``text`` preserves the source spelling for printing."""
-
-    value: int | Fraction | str
-    text: str = field(compare=False, default="")
-    is_date: bool = False
-
-    def render(self) -> str:
-        if self.text:
-            return self.text
-        if isinstance(self.value, str):
-            quoted = "'" + self.value.replace("'", "''") + "'"
-            return f"DATE {quoted}" if self.is_date else quoted
-        return str(self.value)
 
 
 class Expr:
@@ -68,7 +41,7 @@ class Equality(Expr):
     value: object
 
     def __str__(self):
-        return f"{self.col} = {_render(self.value)}"
+        return f"{self.col} = {self.value}"
 
 
 @dataclass(frozen=True)
@@ -78,7 +51,7 @@ class Comparison(Expr):
     value: object
 
     def __str__(self):
-        return f"{self.col} {self.op} {_render(self.value)}"
+        return f"{self.col} {self.op} {self.value}"
 
 
 @dataclass(frozen=True)
@@ -90,7 +63,7 @@ class Range(Expr):
     hi: object
 
     def __str__(self):
-        return f"{self.col} BETWEEN {_render(self.lo)} AND {_render(self.hi)}"
+        return f"{self.col} BETWEEN {self.lo} AND {self.hi}"
 
 
 @dataclass(frozen=True)
@@ -115,7 +88,7 @@ class FnCall(Expr):
 
     def __str__(self):
         args = ", ".join(str(a) for a in self.args)
-        return f"{self.name}({args}) {self.op} {_render(self.value)}"
+        return f"{self.name}({args}) {self.op} {self.value}"
 
 
 @dataclass(frozen=True)
@@ -158,10 +131,6 @@ class Not(Expr):
 
 
 ATOM_TYPES = (Equality, Comparison, Range, ColumnCompare, FnCall, FoldedAtom)
-
-
-def _render(value) -> str:
-    return value.render() if isinstance(value, Const) else str(value)
 
 
 def _paren(e: Expr) -> str:

@@ -36,7 +36,6 @@ from .storage import (
     KIND_INT64,
     ColumnKind,
     ColumnTable,
-    TempTableHandle,
     date_to_days,
 )
 
@@ -516,16 +515,6 @@ class RaScan:
 
 
 @dataclass(frozen=True)
-class RaTempScan:
-    """Scan of an optimizer-materialized temp table, keeping the alias of
-    the base table it replaced."""
-
-    handle: TempTableHandle
-    alias: str
-    schema: Schema
-
-
-@dataclass(frozen=True)
 class RaSelect:
     child: object
     predicate: ex.Expr
@@ -543,7 +532,6 @@ class RaProject:
 class RaJoin:
     left: object
     right: object
-    pairs: tuple  # tuple[(ex.ColumnRef, ex.ColumnRef), ...]
     schema: Schema
 
 
@@ -757,7 +745,7 @@ def analyze(ast: AstQuery, catalog) -> object:
         if node is None:
             node = scan
         else:
-            node = RaJoin(node, scan, (), node.schema + scan.schema)
+            node = RaJoin(node, scan, node.schema + scan.schema)
 
     if ast.where is not None:
         pred = _analyze_predicate(ast.where, scope, catalog)
@@ -845,7 +833,7 @@ def build_join_graph(ra) -> JoinGraph:
     scans, pred = _walk_to_parts(ra)
     aliases = tuple(s.alias for s in scans)
     source = {s.alias: s.table for s in scans}
-    edges = []
+    edges: dict[frozenset, JoinEdge] = {}  # a = b and b = a are one edge
     residuals: dict[str, list[ex.Expr]] = {}
     if pred is not None:
         for conj in ex.conjuncts(pred):
@@ -855,7 +843,8 @@ def build_join_graph(ra) -> JoinGraph:
                 and conj.op == "="
                 and conj.left.table != conj.right.table
             ):
-                edges.append(JoinEdge(conj.left, conj.right))
+                key = frozenset((conj.left, conj.right))
+                edges.setdefault(key, JoinEdge(conj.left, conj.right))
             elif len(touched) == 1:
                 residuals.setdefault(touched.pop(), []).append(conj)
             else:
@@ -866,6 +855,6 @@ def build_join_graph(ra) -> JoinGraph:
     return JoinGraph(
         aliases,
         source,
-        tuple(edges),
+        tuple(edges.values()),
         {t: ex.conjoin(items) for t, items in residuals.items()},
     )

@@ -23,20 +23,11 @@ from .errors import (
     EscdbError,
     ExecutionError,
     Inestimable,
-    NoPredicate,
     PlanError,
     UnsupportedColumnKind,
 )
-from .frontend import (
-    COUNT_COLUMN,
-    JoinGraph,
-    RaAggregate,
-    RaProject,
-    RaScan,
-    RaSelect,
-    build_join_graph,
-)
-from .storage import TempTableHandle
+from .frontend import JoinGraph, RaAggregate, RaProject, build_join_graph
+from .storage import ColumnTable
 
 ESTIMATOR_MODES = ("none", "histogram")
 
@@ -75,7 +66,6 @@ class EscDecision:
     selectivity: Fraction  # exact_count / row_count, exact
     qualified: bool  # passed the two-threshold policy
     pushed_down: bool  # actually materialized (qualified and enabled)
-    temp: TempTableHandle | None
     subquery_ms: float
     materialize_ms: float = 0.0
 
@@ -83,7 +73,7 @@ class EscDecision:
 @dataclass
 class PlanBuild:
     alias: str
-    source: str | TempTableHandle  # base table name or pushed-down temp
+    source: str | ColumnTable  # base table name or the pushed-down temp
     build_key: ex.ColumnRef
     probe_key: ex.ColumnRef  # column on the probe table or an earlier build
     residual: ex.Expr | None  # fused filter; None when pre-materialized
@@ -111,9 +101,14 @@ class PhysicalPlan:
     def build_order(self) -> list[str]:
         return [b.alias for b in self.builds]
 
+    @property
+    def overhead_ms(self) -> float:
+        """Planning-time sub-query plus materialization cost."""
+        return sum(d.subquery_ms + d.materialize_ms for d in self.decisions)
+
 
 # ---------------------------------------------------------------------------
-# Sub-query generation and execution
+# Sub-queries and materialization
 # ---------------------------------------------------------------------------
 
 
@@ -121,46 +116,18 @@ def _is_trivially_true(pred: ex.Expr) -> bool:
     return isinstance(pred, ex.FoldedAtom) and pred.result
 
 
-def build_count_subquery(
-    catalog: Catalog,
-    table: str,
-    predicate: ex.Expr | None,
-    needed_columns=(),
-    alias: str | None = None,
-):
-    """COUNT(*) tree over one table: Aggregate(Select(Project(Scan))).
-
-    The projection restricts column access to the columns the plan needs
-    plus the predicate's own columns.
-    """
-    if predicate is None or _is_trivially_true(predicate):
-        raise NoPredicate(f"table {alias or table!r} has no filtering predicate")
-    alias = alias or table
-    base = catalog.table(table)
-    wanted = set(needed_columns) | {c.name for c in ex.columns(predicate)}
-    proj = tuple(
-        ex.ColumnRef(alias, c.name, kind=c.kind)
-        for c in base.columns
-        if c.name in wanted
-    )
-    schema = tuple(ex.ColumnRef(alias, c.name, kind=c.kind) for c in base.columns)
-    scan = RaScan(base.name, alias, schema)
-    tree = RaSelect(RaProject(scan, proj, proj), predicate, proj)
-    return RaAggregate(tree, "count_star", (COUNT_COLUMN,))
-
-
 def compute_exact_selectivity(
     catalog: Catalog,
     table: str,
     predicate: ex.Expr,
-    needed_columns=(),
     alias: str | None = None,
 ) -> tuple[int, float]:
-    """Execute the COUNT sub-query; returns (exact_count, duration_ms)."""
-    ra = build_count_subquery(catalog, table, predicate, needed_columns, alias)
+    """Run ``SELECT COUNT(*) FROM table WHERE predicate``; returns
+    (exact_count, duration_ms)."""
+    base = catalog.table(table)
     t0 = time.perf_counter()
     try:
-        count = executor.execute_count(ra, catalog)
+        count = executor.count_star(base, predicate)
     except EscdbError as exc:
         raise ExecutionError(
             f"count sub-query on {alias or table!r} failed: {exc}"
@@ -183,15 +150,15 @@ def materialize_pushdown(
     predicate: ex.Expr,
     needed_columns,
     alias: str | None = None,
-) -> tuple[TempTableHandle, float]:
-    """Filter the table and register the qualifying rows (projected to
-    ``needed_columns``) as a temp table."""
+) -> tuple[ColumnTable, float]:
+    """Filter the table down to the qualifying rows, projected to
+    ``needed_columns``; the plan that reads the temp table owns it."""
     base = catalog.table(table)
     t0 = time.perf_counter()
     rows = executor.eval_predicate(base, predicate).to_indices()
     columns = [base.column(name).take(rows) for name in needed_columns]
-    handle = catalog.materialize_temp(columns)
-    return handle, (time.perf_counter() - t0) * 1000.0
+    temp = ColumnTable(base.name, columns)
+    return temp, (time.perf_counter() - t0) * 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +267,7 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     probe = choose_probe(graph, row_counts)
     effective: dict[str, float | int] = dict(row_counts)
     decisions: list[EscDecision] = []
+    temps: dict[str, ColumnTable] = {}
 
     if config.enabled:
         for alias in graph.tables:
@@ -311,21 +279,19 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             rc = row_counts[alias]
             if rc < config.min_table_size or rc == 0:
                 continue  # size test gates the sub-query itself
-            needed = _needed_columns(
-                graph, projection, alias, catalog.table(graph.source[alias])
-            )
             count, sub_ms = compute_exact_selectivity(
-                catalog, graph.source[alias], residual, needed, alias
+                catalog, graph.source[alias], residual, alias
             )
             qualified = decide_pushdown(rc, count, config)
-            temp = None
+            pushed = qualified and config.materialize
             mat_ms = 0.0
-            pushed = False
-            if qualified and config.materialize:
-                temp, mat_ms = materialize_pushdown(
+            if pushed:
+                needed = _needed_columns(
+                    graph, projection, alias, catalog.table(graph.source[alias])
+                )
+                temps[alias], mat_ms = materialize_pushdown(
                     catalog, graph.source[alias], residual, needed, alias
                 )
-                pushed = True
                 effective[alias] = count
             decisions.append(
                 EscDecision(
@@ -336,7 +302,6 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
                     selectivity=Fraction(count, rc),
                     qualified=qualified,
                     pushed_down=pushed,
-                    temp=temp,
                     subquery_ms=sub_ms,
                     materialize_ms=mat_ms,
                 )
@@ -350,18 +315,16 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             )
 
     order = order_builds(graph, probe, effective)
-    pushed_temp = {d.table: d for d in decisions if d.pushed_down}
     builds = []
     connected = {probe}
     for alias in order:
         edge = _connecting_edge(graph, alias, connected)
         build_key = edge.key_for(alias)
         probe_key = edge.left if edge.right.table == alias else edge.right
-        decision = pushed_temp.get(alias)
-        if decision is not None:
-            source: str | TempTableHandle = decision.temp
+        if alias in temps:
+            source: str | ColumnTable = temps[alias]
             residual = None
-            input_rows = decision.temp.row_count
+            input_rows = source.row_count
         else:
             source = graph.source[alias]
             residual = graph.residual(alias)
@@ -383,14 +346,6 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     )
 
 
-def drop_plan_temps(plan_: PhysicalPlan, catalog: Catalog):
-    """Release every temp table the plan materialized (idempotent per
-    plan object: handles are cleared as they are dropped)."""
-    for decision in plan_.decisions:
-        if decision.temp is not None and catalog.temps.is_live(decision.temp):
-            catalog.drop_temp(decision.temp)
-
-
 # ---------------------------------------------------------------------------
 # Plan execution
 # ---------------------------------------------------------------------------
@@ -405,8 +360,8 @@ def execute_plan(
     steps = []
     build_ms = []
     for b in plan_.builds:
-        if isinstance(b.source, TempTableHandle):
-            table = catalog.resolve_temp(b.source)
+        if isinstance(b.source, ColumnTable):
+            table = b.source
         else:
             table = catalog.table(b.source)
         t0 = time.perf_counter()
@@ -432,7 +387,7 @@ def execute_plan(
 
 
 def _fmt_source(source) -> str:
-    if isinstance(source, TempTableHandle):
+    if isinstance(source, ColumnTable):
         return f"temp(rows={source.row_count})"
     return source
 
@@ -480,7 +435,7 @@ def decision_json(d: EscDecision) -> dict:
         "selectivity": float(d.selectivity),
         "qualified": d.qualified,
         "pushdown": d.pushed_down,
-        "temp_rows": d.temp.row_count if d.temp is not None else None,
+        "temp_rows": d.exact_count if d.pushed_down else None,
         "subquery_ms": d.subquery_ms,
         "materialize_ms": d.materialize_ms,
     }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as _date
 from typing import Iterable, Sequence
 
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     CsvError,
-    DeadHandle,
     EmptySchema,
     LengthMismatch,
     StorageError,
@@ -206,7 +205,7 @@ def _empty_column(name: str, kind: ColumnKind) -> Column:
 class ColumnTable:
     """Immutable columnar relation: named, typed columns of equal length."""
 
-    def __init__(self, name: str, columns: Sequence[Column], is_temporary=False):
+    def __init__(self, name: str, columns: Sequence[Column]):
         if not columns:
             raise EmptySchema(f"table {name!r} must have at least one column")
         lengths = {len(c) for c in columns}
@@ -221,7 +220,6 @@ class ColumnTable:
         self.name = name
         self.columns = list(columns)
         self.row_count = lengths.pop()
-        self.is_temporary = is_temporary
         self._by_name = {c.name: c for c in self.columns}
 
     @classmethod
@@ -242,6 +240,9 @@ class ColumnTable:
 
     def row(self, i: int) -> tuple:
         return tuple(c.decode_value(i) for c in self.columns)
+
+
+_INT64 = np.iinfo(np.int64)
 
 
 def _convert_cell(raw, kind: ColumnKind, dictionary: Dictionary) -> tuple[int, bool]:
@@ -302,6 +303,10 @@ def append_rows(
         for cix, col in enumerate(table.columns):
             try:
                 value, is_null = _convert_cell(row[cix], col.kind, col.dictionary)
+                if not _INT64.min <= value <= _INT64.max:
+                    raise TypeMismatch(
+                        f"{col.kind} value {row[cix]!r} does not fit in int64"
+                    )
             except TypeMismatch as exc:
                 raise TypeMismatch(
                     f"table {table.name!r}: row {first_row_number + rix}, "
@@ -319,60 +324,7 @@ def append_rows(
         )
         for i, c in enumerate(table.columns)
     ]
-    return ColumnTable(table.name, merged, table.is_temporary)
-
-
-@dataclass(frozen=True)
-class TempTableHandle:
-    """Opaque reference to an optimizer-created temporary table."""
-
-    id: int
-    schema: tuple = field(compare=False)
-    row_count: int = field(compare=False, default=0)
-
-    def __str__(self):
-        return f"temp#{self.id}"
-
-
-class TempTableStore:
-    """Registry of live temporary tables, keyed by handle id."""
-
-    def __init__(self):
-        self._next_id = 1
-        self._live: dict[int, ColumnTable] = {}
-
-    def materialize(self, columns: Sequence[Column]) -> TempTableHandle:
-        """Register computed columns as a temp table; all lengths must agree."""
-        tid = self._next_id
-        self._next_id += 1
-        table = ColumnTable(f"$temp{tid}", columns, is_temporary=True)
-        self._live[tid] = table
-        return TempTableHandle(
-            tid, tuple((c.name, c.kind) for c in columns), table.row_count
-        )
-
-    def resolve(self, handle: TempTableHandle) -> ColumnTable:
-        table = self._live.get(handle.id)
-        if table is None:
-            raise DeadHandle(f"{handle} is not live")
-        return table
-
-    def drop(self, handle: TempTableHandle):
-        if handle.id not in self._live:
-            raise DeadHandle(f"{handle} is not live")
-        del self._live[handle.id]
-
-    def is_live(self, handle: TempTableHandle) -> bool:
-        return handle.id in self._live
-
-    def live_handles(self) -> list[int]:
-        return sorted(self._live)
-
-    def sweep(self) -> int:
-        """Drop every live temp table; returns how many were dropped."""
-        n = len(self._live)
-        self._live.clear()
-        return n
+    return ColumnTable(table.name, merged)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,6 @@ def test_criterion_8_runs_are_deterministic():
             fe.analyze(fe.parse(sql), cat), cat, EscConfig(min_table_size=1)
         )
         texts.append(re.sub(r"time_ms=\S+", "time_ms=*", explain_text(p)))
-        cat.temps.sweep()
     assert texts[0] == texts[1]
 
     # (c) worker count changes neither content nor row order
@@ -194,18 +193,13 @@ def test_criterion_8_runs_are_deterministic():
         "AND o_channel < 200 AND p_class < 500"
     )
     p = plan(fe.analyze(fe.parse(sql), cat), cat, EscConfig(min_table_size=1))
-    try:
-        rows_by_workers = []
-        for workers in (1, 8):
-            result, count, _ = execute_plan(p, cat, workers=workers)
-            assert count > 0
-            rows_by_workers.append(
-                [result.row(i) for i in range(result.row_count)]
-            )
-        assert rows_by_workers[0] == rows_by_workers[1]
-        assert table_multiset(result) == table_multiset(result)
-    finally:
-        cat.temps.sweep()
+    rows_by_workers = []
+    for workers in (1, 8):
+        result, count, _ = execute_plan(p, cat, workers=workers)
+        assert count > 0
+        rows_by_workers.append([result.row(i) for i in range(result.row_count)])
+    assert rows_by_workers[0] == rows_by_workers[1]
+    assert table_multiset(result) == table_multiset(result)
 
 
 def test_criterion_9_histogram_arm_changes_plans_not_results():
@@ -217,7 +211,6 @@ def test_criterion_9_histogram_arm_changes_plans_not_results():
         ra = fe.analyze(fe.parse(sql), cat)
         esc_plan = plan(ra, cat, esc_cfg)
         esc_order, esc_sum = esc_plan.build_order, esc_plan.build_card_sum
-        cat.temps.sweep()
         hist_plan = plan(ra, cat, hist_cfg)
         assert hist_plan.decisions == []  # estimates, never sub-queries
         assert hist_plan.build_card_sum >= esc_sum, label
@@ -231,9 +224,5 @@ def test_criterion_9_histogram_arm_changes_plans_not_results():
     ra = fe.analyze(fe.parse(sql), cat)
     counts = []
     for cfg in (esc_cfg, hist_cfg):
-        p = plan(ra, cat, cfg)
-        try:
-            counts.append(execute_plan(p, cat)[1])
-        finally:
-            cat.temps.sweep()
+        counts.append(execute_plan(plan(ra, cat, cfg), cat)[1])
     assert counts[0] == counts[1]

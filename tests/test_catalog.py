@@ -5,7 +5,6 @@ from escdb import expr as ex
 from escdb.catalog import (
     Catalog,
     build_histogram,
-    collect_stats,
     estimate_selectivity,
 )
 from escdb.errors import (
@@ -39,44 +38,12 @@ def _int_table(name, values, extra_text=None):
     return append_rows(ColumnTable.empty(name, schema), rows)
 
 
-class TestStats:
-    def test_exact_values(self):
-        t = _int_table("t", [5, 1, 9, 1, None], extra_text=["a", "b"])
-        s = collect_stats(t)
-        assert s.row_count == 5
-        assert s.min_max["v"] == (1, 9)
-        assert s.distinct["v"] == 3  # nulls excluded
-        assert "t" not in s.min_max  # TEXT has no numeric range
-        assert s.distinct["t"] == 2
-
-    def test_all_null_column(self):
-        t = _int_table("t", [None, None])
-        s = collect_stats(t)
-        assert s.distinct["v"] == 0 and "v" not in s.min_max
-
-    def test_catalog_caches_stats(self):
-        cat = Catalog()
-        cat.register(_int_table("t", [1, 2]))
-        assert cat.stats("t") is cat.stats("t")
-
-    def test_replace_invalidates(self):
-        cat = Catalog()
-        cat.register(_int_table("t", [1, 2]))
-        cat.stats("t")
-        cat.histogram("t", "v")
-        cat.replace(_int_table("t", [1, 2, 3]))
-        assert cat.stats("t").row_count == 3
-        assert cat.histogram("t", "v").row_count == 3
-
-
 class TestCatalogRegistry:
     def test_duplicate_table(self):
         cat = Catalog()
         cat.register(_int_table("t", [1]))
         with pytest.raises(DuplicateTable):
             cat.register(_int_table("t", [2]))
-        with pytest.raises(DuplicateTable):
-            cat.create_table("t", [("x", KIND_INT64)])
 
     def test_unknown_table(self):
         with pytest.raises(UnknownTable):
@@ -84,7 +51,7 @@ class TestCatalogRegistry:
 
     def test_empty_schema(self):
         with pytest.raises(EmptySchema):
-            Catalog().create_table("t", [])
+            Catalog().register(ColumnTable("t", []))
 
     def test_table_names_sorted(self):
         cat = Catalog()

@@ -76,6 +76,20 @@ class TestLoad:
         assert rc == 1
         assert "error [storage]" in capsys.readouterr().err
 
+    def test_int64_overflow_is_storage_error(self, tmp_path, capsys):
+        p = tmp_path / "big.csv"
+        p.write_text("1,2\n3,99999999999999999999\n")
+        rc = main(
+            [
+                "sql", "SELECT COUNT(*) FROM t",
+                "--load", f"t:{p}:a:int64,b:int64",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [storage]: ")
+        assert "row 2, column 'b'" in err and "Traceback" not in err
+
 
 class TestSql:
     def _argv(self, csv_t, query, *extra):

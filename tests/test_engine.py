@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import pytest
 
+from escdb import frontend, optimizer
 from escdb.engine import Engine, parse_schema_spec
 from escdb.errors import ExecutionError, UnknownColumn
-from escdb.optimizer import EscConfig
-from escdb.storage import KIND_DATE, KIND_INT64, KIND_TEXT
+from escdb.optimizer import EscConfig, materialize_pushdown
+from escdb.storage import KIND_DATE, KIND_INT64, KIND_TEXT, ColumnTable
 
 
 class TestSchemaSpec:
@@ -38,6 +42,10 @@ def engine(tmp_path):
     return eng
 
 
+# small (s_v = i % 3 over 7 rows) qualifies for push-down for v in 0..2
+PUSHDOWN_SQL = "SELECT COUNT(*) FROM big, small WHERE b_id = s_k AND s_v = {v}"
+
+
 class TestRun:
     def test_count_query_result_shape(self, engine):
         res = engine.run("SELECT COUNT(*) FROM big WHERE b_k = 0")
@@ -59,21 +67,45 @@ class TestRun:
         assert res.overhead_ms > 0.0
         assert res.count == 2  # s_k in {3, 6} both <= 100
 
-    def test_temps_swept_after_success(self, engine):
-        res = engine.run(
-            "SELECT COUNT(*) FROM big, small WHERE b_id = s_k AND s_v = 0"
-        )
-        assert any(d.pushed_down for d in res.plan.decisions)
-        assert not engine.catalog.temps.live_handles()
+    def test_temp_freed_with_result(self, engine):
+        res = engine.run(PUSHDOWN_SQL.format(v=0))
+        (temp,) = [
+            b.source for b in res.plan.builds if isinstance(b.source, ColumnTable)
+        ]
+        ref = weakref.ref(temp)
+        del temp
+        gc.collect()
+        assert ref() is not None  # the result's plan owns it
+        del res
+        gc.collect()
+        assert ref() is None
 
-    def test_temps_swept_after_failure(self, engine):
+    def test_temp_freed_after_failure(self, engine, monkeypatch):
+        refs = []
+
+        def spy(*args, **kwargs):
+            temp, ms = materialize_pushdown(*args, **kwargs)
+            refs.append(weakref.ref(temp))
+            return temp, ms
+
+        monkeypatch.setattr(optimizer, "materialize_pushdown", spy)
         engine.register_udf("boom", 1, lambda a: 1 / 0)
+        # no ``as excinfo``: its traceback would hold Engine.run's frame
         with pytest.raises(ExecutionError):
-            engine.run(
-                "SELECT COUNT(*) FROM big, small "
-                "WHERE b_id = s_k AND s_v = 0 AND boom(b_k) < 1"
-            )
-        assert not engine.catalog.temps.live_handles()
+            engine.run(PUSHDOWN_SQL.format(v=0) + " AND boom(b_k) < 1")
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
+
+    def test_query_leaves_other_plans_temps_alone(self, engine):
+        sql = PUSHDOWN_SQL.format(v=0)
+        ra = frontend.analyze(frontend.parse(sql), engine.catalog)
+        first = optimizer.plan(ra, engine.catalog, engine.config)
+        assert any(d.pushed_down for d in first.decisions)
+        second = engine.run(PUSHDOWN_SQL.format(v=1))
+        assert any(d.pushed_down for d in second.plan.decisions)
+        assert second.count == 3  # s_k in {1, 4, 7}
+        _, count, _ = optimizer.execute_plan(first, engine.catalog)
+        assert count == 2
 
     def test_analysis_errors_propagate(self, engine):
         with pytest.raises(UnknownColumn):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from escdb import expr as ex
-from escdb import frontend as fe
-from escdb.catalog import Catalog
 from escdb.errors import ExecutionError
 from escdb.executor import (
     BuildStep,
@@ -14,12 +12,11 @@ from escdb.executor import (
     build_hash,
     count_star,
     eval_predicate,
-    execute_count,
     probe_joins,
 )
 from escdb.storage import ColumnTable, KIND_INT64, KIND_TEXT, append_rows
 
-from oracles import oracle_count, oracle_join, oracle_select, table_multiset
+from oracles import oracle_join, oracle_select, table_multiset
 
 
 class PredGen:
@@ -146,22 +143,6 @@ class TestCountStar:
 
     def test_none_pred(self, custom_nulls):
         assert count_star(custom_nulls, None) == custom_nulls.row_count
-
-    def test_execute_count_over_analyzed_tree(self, custom_nulls):
-        cat = Catalog()
-        cat.register(custom_nulls)
-        ra = fe.analyze(fe.parse("SELECT COUNT(*) FROM data WHERE a < 500"), cat)
-        want = oracle_count(
-            custom_nulls,
-            ex.Comparison(ex.ColumnRef("data", "a"), "<", 500),
-        )
-        assert execute_count(ra, cat) == want
-
-    def test_execute_count_no_predicate(self, custom_nulls):
-        cat = Catalog()
-        cat.register(custom_nulls)
-        ra = fe.analyze(fe.parse("SELECT COUNT(*) FROM data"), cat)
-        assert execute_count(ra, cat) == custom_nulls.row_count
 
 
 def _int_col_table(name, **columns):

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,17 +10,14 @@ from escdb import frontend as fe
 from escdb.catalog import Catalog
 from escdb.errors import (
     CartesianProductRequired,
-    NoPredicate,
     PlanError,
 )
 from escdb.optimizer import (
     EscConfig,
-    build_count_subquery,
     choose_probe,
     compute_exact_selectivity,
     decide_pushdown,
     decision_json,
-    drop_plan_temps,
     execute_plan,
     explain_json,
     explain_text,
@@ -26,7 +25,7 @@ from escdb.optimizer import (
     order_builds,
     plan,
 )
-from escdb.storage import ColumnTable, KIND_INT64, TempTableHandle, append_rows
+from escdb.storage import ColumnTable, KIND_INT64, append_rows
 
 from oracles import oracle_count, oracle_join, table_multiset
 
@@ -77,36 +76,7 @@ def _plan_sql(cat, sql, config):
     return plan(fe.analyze(fe.parse(sql), cat), cat, config)
 
 
-@pytest.fixture(autouse=True)
-def _sweep_temps(request):
-    yield
-    for name in ("shop", "micro"):
-        if name in request.fixturenames:
-            request.getfixturevalue(name).temps.sweep()
-
-
 class TestSubquery:
-    def test_tree_shape(self, shop):
-        pred = ex.Comparison(ex.ColumnRef("cust", "c_band"), "<", 5)
-        ra = build_count_subquery(shop, "cust", pred, ("c_id",))
-        assert isinstance(ra, fe.RaAggregate)
-        sel = ra.child
-        assert isinstance(sel, fe.RaSelect) and sel.predicate is pred
-        proj = sel.child
-        assert isinstance(proj, fe.RaProject)
-        assert isinstance(proj.child, fe.RaScan)
-        # projection = needed columns + predicate columns, base order
-        assert [c.name for c in proj.columns] == ["c_id", "c_band"]
-
-    def test_no_predicate_raises(self, shop):
-        with pytest.raises(NoPredicate):
-            build_count_subquery(shop, "cust", None)
-
-    def test_trivially_true_raises(self, shop):
-        folded = ex.FoldedAtom(ex.ColumnRef("cust", "c_band"), True)
-        with pytest.raises(NoPredicate):
-            build_count_subquery(shop, "cust", folded)
-
     def test_exact_selectivity_matches_oracle(self, shop):
         pred = ex.Equality(ex.ColumnRef("cust", "c_band"), 3)
         count, ms = compute_exact_selectivity(shop, "cust", pred)
@@ -147,7 +117,6 @@ class TestPolicy:
         by_table = {d.table: d for d in p.decisions}
         assert by_table["cust"].selectivity == Fraction(1, 10)
         assert by_table["prod"].selectivity == Fraction(1, 3)
-        drop_plan_temps(p, shop)
 
     def test_monotone_in_max_selectivity(self, shop):
         prev: set = set()
@@ -165,20 +134,17 @@ class TestPolicy:
         assert p.decisions == []
         p = _plan_sql(shop, SHOP_SQL, EscConfig(min_table_size=1))
         assert {d.table for d in p.decisions} == {"cust", "prod", "tiny"}
-        drop_plan_temps(p, shop)
 
 
 class TestMaterialize:
     def test_temp_contents_and_schema(self, shop):
         pred = ex.Equality(ex.ColumnRef("cust", "c_band"), 3)
-        handle, ms = materialize_pushdown(shop, "cust", pred, ["c_id"])
+        temp, ms = materialize_pushdown(shop, "cust", pred, ["c_id"])
         assert ms >= 0.0
-        temp = shop.resolve_temp(handle)
-        assert handle.row_count == temp.row_count == 200
+        assert temp.row_count == 200
         assert [c.name for c in temp.columns] == ["c_id"]
         ids = temp.column("c_id").values
         assert all(v % 10 == 3 for v in ids.tolist())
-        shop.drop_temp(handle)
 
 
 class TestOrdering:
@@ -207,6 +173,20 @@ class TestOrdering:
         sql = "SELECT COUNT(*) FROM cust, prod WHERE c_band = 3 AND p_cls = 0"
         with pytest.raises(CartesianProductRequired):
             _plan_sql(shop, sql, EscConfig(enabled=False))
+
+    @pytest.mark.parametrize(
+        "edges",
+        ["k1 = j1", "k1 = j1 AND k1 = j1", "k1 = j1 AND j1 = k1"],
+    )
+    def test_repeated_join_conjunct_is_one_edge(self, edges):
+        cat = Catalog()
+        cat.register(_int_table("a", 10, k1=lambda i: i, k2=lambda i: i))
+        cat.register(_int_table("b", 20, j1=lambda i: i % 10, j2=lambda i: i % 10))
+        p = _plan_sql(
+            cat, f"SELECT COUNT(*) FROM a, b WHERE {edges}", EscConfig(enabled=False)
+        )
+        assert len(p.graph.edges) == 1
+        assert execute_plan(p, cat)[1] == 18  # j1 in 1..9, twice each
 
     def test_composite_join_key_rejected(self):
         cat = Catalog()
@@ -237,38 +217,36 @@ class TestPlanArms:
         by_table = {d.table: d for d in p.decisions}
         cust, prod = by_table["cust"], by_table["prod"]
         assert cust.qualified and cust.pushed_down
-        assert isinstance(cust.temp, TempTableHandle)
-        assert cust.exact_count == cust.temp.row_count == 200
-        assert not prod.qualified and not prod.pushed_down and prod.temp is None
+        assert not prod.qualified and not prod.pushed_down
         # exact counts reorder the builds: 80, 200, 1200
         assert p.build_order == ["tiny", "cust", "prod"]
         builds = {b.alias: b for b in p.builds}
-        assert isinstance(builds["cust"].source, TempTableHandle)
+        assert isinstance(builds["cust"].source, ColumnTable)
+        assert cust.exact_count == builds["cust"].source.row_count == 200
         assert builds["cust"].residual is None
         assert builds["cust"].input_rows == 200
         assert builds["prod"].source == "prod"
         assert builds["prod"].residual is not None
         assert builds["prod"].input_rows == 1200
         assert p.build_card_sum == 80 + 200 + 1200
-        drop_plan_temps(p, shop)
 
     def test_baseline_plan_shape(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig(enabled=False))
         assert p.decisions == []
         assert p.build_order == ["tiny", "prod", "cust"]
-        assert all(not isinstance(b.source, TempTableHandle) for b in p.builds)
+        assert all(isinstance(b.source, str) for b in p.builds)
         assert p.build_card_sum == 80 + 1200 + 2000
 
     def test_verdicts_without_materialization(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig(materialize=False))
         assert {d.table for d in p.decisions} == {"cust", "prod"}
         assert any(d.qualified for d in p.decisions)
-        assert all(not d.pushed_down and d.temp is None for d in p.decisions)
+        assert not any(d.pushed_down for d in p.decisions)
+        assert all(isinstance(b.source, str) for b in p.builds)
         # plan stays identical to baseline
         base = _plan_sql(shop, SHOP_SQL, EscConfig(enabled=False))
         assert p.build_order == base.build_order
         assert p.build_card_sum == base.build_card_sum
-        assert not shop.temps.live_handles()
 
     def test_histogram_arm_runs_no_subqueries(self, shop):
         p = _plan_sql(
@@ -293,10 +271,14 @@ class TestPlanArms:
 
     def test_temps_live_until_dropped(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
-        assert len(shop.temps.live_handles()) == 1
-        drop_plan_temps(p, shop)
-        assert not shop.temps.live_handles()
-        drop_plan_temps(p, shop)  # idempotent
+        (temp,) = [b.source for b in p.builds if isinstance(b.source, ColumnTable)]
+        ref = weakref.ref(temp)
+        del temp
+        gc.collect()
+        assert ref() is not None  # the plan owns it
+        del p
+        gc.collect()
+        assert ref() is None
 
 
 @pytest.fixture(scope="module")
@@ -349,10 +331,7 @@ class TestExecutePlan:
     def test_count_matches_oracle_every_arm(self, micro, arm, config):
         sql = f"SELECT COUNT(*) FROM mfact, ma, mb {MICRO_WHERE}"
         p = _plan_sql(micro, sql, config)
-        try:
-            result, count, stats = execute_plan(p, micro)
-        finally:
-            drop_plan_temps(p, micro)
+        result, count, stats = execute_plan(p, micro)
         want, _ = oracle_join(
             {n: micro.table(n) for n in ("mfact", "ma", "mb")}, _micro_pred()
         )
@@ -363,10 +342,7 @@ class TestExecutePlan:
     def test_rows_match_oracle_every_arm(self, micro, arm, config):
         sql = f"SELECT mf_q, a_v, b_w FROM mfact, ma, mb {MICRO_WHERE}"
         p = _plan_sql(micro, sql, config)
-        try:
-            result, count, _ = execute_plan(p, micro)
-        finally:
-            drop_plan_temps(p, micro)
+        result, count, _ = execute_plan(p, micro)
         projection = tuple(
             ex.ColumnRef(t, c)
             for t, c in (("mfact", "mf_q"), ("ma", "a_v"), ("mb", "b_w"))
@@ -382,10 +358,7 @@ class TestExecutePlan:
     def test_stats_reflect_plan_inputs(self, micro):
         sql = f"SELECT COUNT(*) FROM mfact, ma, mb {MICRO_WHERE}"
         p = _plan_sql(micro, sql, EscConfig(min_table_size=1))
-        try:
-            _, _, stats = execute_plan(p, micro)
-        finally:
-            drop_plan_temps(p, micro)
+        _, _, stats = execute_plan(p, micro)
         assert stats.build_cards == [b.input_rows for b in p.builds]
         assert len(stats.build_ms) == len(p.builds)
 
@@ -412,7 +385,6 @@ class TestExplain:
         assert "cust=temp(rows=200) rows=200" in cust and "filter" not in cust
         prod = [l for l in lines if "Build prod=" in l][0]
         assert "prod=prod rows=1200" in prod and "filter=(prod.p_cls = 0)" in prod
-        drop_plan_temps(p, shop)
 
     def test_json_schema(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
@@ -434,7 +406,6 @@ class TestExplain:
         assert by_table["cust"]["selectivity"] == 0.1
         assert by_table["cust"]["temp_rows"] == 200
         assert by_table["prod"]["temp_rows"] is None
-        drop_plan_temps(p, shop)
 
     def test_decision_json_roundtrips_through_json(self, shop):
         import json
@@ -442,4 +413,3 @@ class TestExplain:
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
         for d in p.decisions:
             json.dumps(decision_json(d))  # all values JSON-serializable
-        drop_plan_temps(p, shop)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from escdb import storage
 from escdb.errors import (
     ArityMismatch,
     CsvError,
-    DeadHandle,
     EmptySchema,
     LengthMismatch,
     TypeMismatch,
@@ -154,37 +152,6 @@ class TestTableBuild:
         assert [taken.decode_value(i) for i in range(2)] == ["oak", "oak"]
 
 
-class TestTempStore:
-    def _col(self, n=3):
-        return Column("x", KIND_INT64, np.arange(n, dtype=np.int64), np.zeros(n, bool))
-
-    def test_materialize_resolve_drop(self):
-        s = storage.TempTableStore()
-        h = s.materialize([self._col()])
-        assert h.row_count == 3
-        assert s.resolve(h).row_count == 3
-        assert s.is_live(h)
-        s.drop(h)
-        assert not s.is_live(h)
-        with pytest.raises(DeadHandle):
-            s.resolve(h)
-        with pytest.raises(DeadHandle):
-            s.drop(h)
-
-    def test_ids_unique_and_str(self):
-        s = storage.TempTableStore()
-        h1, h2 = s.materialize([self._col()]), s.materialize([self._col()])
-        assert h1.id != h2.id
-        assert str(h1) == f"temp#{h1.id}"
-
-    def test_sweep(self):
-        s = storage.TempTableStore()
-        s.materialize([self._col()])
-        s.materialize([self._col()])
-        assert s.sweep() == 2
-        assert s.live_handles() == []
-
-
 CSV = "1,2024-01-05,alpha,10.50\n2,2024-02-11,beta,-3.25\n3,\\N,alpha,\\N\n"
 
 
@@ -208,6 +175,24 @@ class TestCsv:
     def test_malformed_cites_line(self):
         with pytest.raises(CsvError, match="row 2"):
             load_csv("1,2024-01-05,a,1.00\n2,nonsense,b,2.00\n", "t", self.SCHEMA)
+
+    @pytest.mark.parametrize(
+        "id_cell,amt_cell,column",
+        [
+            ("9223372036854775808", "1.00", "id"),
+            ("-9223372036854775809", "1.00", "id"),
+            ("1", "92233720368547758.08", "amt"),  # scaled by 100: past int64
+        ],
+    )
+    def test_out_of_int64_range_cites_row_and_column(self, id_cell, amt_cell, column):
+        text = f"1,2024-01-05,a,1.00\n{id_cell},2024-01-05,b,{amt_cell}\n"
+        with pytest.raises(CsvError, match=f"row 2, column '{column}'.*int64"):
+            load_csv(text, "t", self.SCHEMA)
+
+    def test_int64_extremes_load(self):
+        text = "9223372036854775807,\\N,a,\\N\n-9223372036854775808,\\N,b,\\N\n"
+        t = load_csv(text, "t", self.SCHEMA)
+        assert [t.row(i)[0] for i in range(2)] == [2**63 - 1, -(2**63)]
 
     def test_dump_header(self):
         t = load_csv(CSV, "t", self.SCHEMA)

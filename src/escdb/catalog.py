@@ -24,6 +24,8 @@ from .errors import (
 )
 from .storage import ColumnTable
 
+HISTOGRAM_BUCKETS = 64
+
 
 @dataclass
 class Udf:
@@ -59,11 +61,11 @@ class Catalog:
 
     # -- statistics ----------------------------------------------------
 
-    def histogram(self, table: str, column: str, buckets: int = 64) -> "EquiDepthHistogram":
+    def histogram(self, table: str, column: str) -> "EquiDepthHistogram":
         key = (table, column)
         if key not in self._histograms:
             self._histograms[key] = build_histogram(
-                self.table(table), column, buckets
+                self.table(table), column, HISTOGRAM_BUCKETS
             )
         return self._histograms[key]
 

@@ -1,10 +1,10 @@
 """Columnar execution: filtered scans, COUNT, hash-join build and probe.
 
 Everything is vectorized over int64 column vectors.  The probe pipeline
-is a single fused pass: probe-side predicate, every hash-table lookup,
+is a single fused pass: probe-side predicate, every join-index lookup,
 and the output gather happen without materializing intermediate tuples.
-Hash tables use open addressing (splitmix64, load factor 0.7) with
-duplicate keys chained through per-key row groups.
+A join index sorts the build keys once; a probe is one ``np.searchsorted``
+over the distinct keys, and duplicate keys share a contiguous row group.
 """
 
 from __future__ import annotations
@@ -224,32 +224,16 @@ def count_star(table: ColumnTable, pred: ex.Expr | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hash tables
+# Join indexes
 # ---------------------------------------------------------------------------
-
-_LOAD_FACTOR = 0.7
-
-
-def _hash64(keys: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over the raw key bits."""
-    z = keys.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _capacity_for(n: int) -> int:
-    cap = 8
-    while cap * _LOAD_FACTOR < n:
-        cap *= 2
-    return cap
 
 
 class HashTableIndex:
-    """Open-addressed index from join-key value to build-row indices.
+    """Sorted-key index from join-key value to build-row indices.
 
-    Slots hold ids of key groups; duplicate keys share a group whose row
-    indices sit contiguously in ``group_rows``.
+    ``unique_keys`` is sorted and a probe binary-searches it.  Group ``g``
+    holds the rows whose key is ``unique_keys[g]``; they sit contiguously
+    in ``group_rows``, in ascending row order.
     """
 
     def __init__(self, table: ColumnTable, key: str, rows: np.ndarray):
@@ -262,67 +246,29 @@ class HashTableIndex:
         key_vals = key_vals[non_null]
         self.n_entries = int(rows.size)
 
-        self.unique_keys, inverse = np.unique(key_vals, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
+        order = np.argsort(key_vals, kind="stable")
+        sorted_keys = key_vals[order]
         self.group_rows = rows[order]
-        counts = np.bincount(inverse, minlength=self.unique_keys.size).astype(np.int64)
-        self.group_start = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(counts))
-        )
-        self.group_counts = counts
-
-        cap = _capacity_for(self.unique_keys.size)
-        self._mask = np.uint64(cap - 1)
-        self.slots = np.full(cap, -1, dtype=np.int64)
-        self._insert_all()
+        first = np.ones(sorted_keys.size, dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        starts = np.flatnonzero(first)
+        self.unique_keys = sorted_keys[starts]
+        self.group_start = np.append(starts, sorted_keys.size)
+        self.group_counts = np.diff(self.group_start)
 
     @property
     def distinct_keys(self) -> int:
         return int(self.unique_keys.size)
 
-    def _insert_all(self):
-        n = self.unique_keys.size
-        if n == 0:
-            return
-        pos = (_hash64(self.unique_keys) & self._mask).astype(np.int64)
-        pending = np.arange(n, dtype=np.int64)
-        while pending.size:
-            pos_p = pos[pending]
-            order = np.argsort(pos_p, kind="stable")
-            sorted_pos = pos_p[order]
-            first = np.ones(sorted_pos.size, dtype=bool)
-            first[1:] = sorted_pos[1:] != sorted_pos[:-1]
-            # one writer per distinct empty slot this round
-            winner = first & (self.slots[sorted_pos] == -1)
-            winners = pending[order[winner]]
-            self.slots[pos[winners]] = winners
-            keep = np.ones(pending.size, dtype=bool)
-            keep[order[winner]] = False
-            pending = pending[keep]
-            pos[pending] = ((pos[pending] + 1).astype(np.uint64) & self._mask).astype(
-                np.int64
-            )
-
     def probe_groups(self, keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
         """Group id per key (-1 when absent or the key slot is invalid)."""
-        out = np.full(keys.shape, -1, dtype=np.int64)
-        active = np.flatnonzero(valid)
-        if active.size == 0 or self.unique_keys.size == 0:
-            return out
-        pos = (_hash64(keys[active]) & self._mask).astype(np.int64)
-        want = keys[active]
-        while active.size:
-            slot = self.slots[pos]
-            hit = slot >= 0
-            match = np.zeros(active.size, dtype=bool)
-            if hit.any():
-                match[hit] = self.unique_keys[slot[hit]] == want[hit]
-            out[active[match]] = slot[match]
-            cont = hit & ~match
-            active = active[cont]
-            want = want[cont]
-            pos = ((pos[cont] + 1).astype(np.uint64) & self._mask).astype(np.int64)
-        return out
+        n = self.unique_keys.size
+        if n == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
+        # a key above every build key lands on n; clamp it so it misses
+        pos = np.minimum(np.searchsorted(self.unique_keys, keys), n - 1)
+        hit = valid & (self.unique_keys[pos] == keys)
+        return np.where(hit, pos, -1)
 
     def lookup(self, key: int) -> np.ndarray:
         """Build-row indices matching ``key`` (test/debug convenience)."""
@@ -337,7 +283,7 @@ class HashTableIndex:
 def build_hash(
     table: ColumnTable, key: str, residual: ex.Expr | None = None
 ) -> HashTableIndex:
-    """Hash index over rows passing ``residual`` (NULL keys excluded)."""
+    """Join index over rows passing ``residual`` (NULL keys excluded)."""
     rows = eval_predicate(table, residual).to_indices()
     return HashTableIndex(table, key, rows)
 
@@ -359,18 +305,12 @@ class BuildStep:
 
 @dataclass
 class ExecStats:
-    build_cards: list[int] = field(default_factory=list)
+    build_cards: list[int] = field(default_factory=list)  # index entries per build
     build_distinct: list[int] = field(default_factory=list)
     build_ms: list[float] = field(default_factory=list)
     probe_out: list[int] = field(default_factory=list)
-    probe_in: int = 0
     result_rows: int = 0
     probe_ms: float = 0.0
-    materialized_rows: int = 0
-
-    @property
-    def build_card_sum(self) -> int:
-        return sum(self.build_cards)
 
 
 def _expand_matches(index: HashTableIndex, groups: np.ndarray):
@@ -448,7 +388,6 @@ def probe_joins(
     for step in steps:
         stats.build_cards.append(step.index.n_entries)
         stats.build_distinct.append(step.index.distinct_keys)
-    stats.probe_in = probe.row_count
 
     t0 = time.perf_counter()
     n = probe.row_count
@@ -499,6 +438,4 @@ def probe_joins(
         out_columns.append(
             Column(name, col.kind, col.values, col.null_mask, col.dictionary)
         )
-    result = ColumnTable("result", out_columns)
-    stats.materialized_rows = result.row_count
-    return result, stats
+    return ColumnTable("result", out_columns), stats

@@ -30,6 +30,8 @@ from .frontend import JoinGraph, RaAggregate, RaProject, build_join_graph
 from .storage import ColumnTable
 
 ESTIMATOR_MODES = ("none", "histogram")
+# selectivity the histogram arm assumes for a predicate it cannot estimate
+DEFAULT_GUESS = 0.1
 
 
 @dataclass
@@ -43,8 +45,6 @@ class EscConfig:
     max_selectivity: float = 0.2
     estimator_mode: str = "none"
     materialize: bool = True
-    default_guess: float = 0.1
-    histogram_buckets: int = 64
 
     def __post_init__(self):
         if not 0.0 <= self.max_selectivity <= 1.0:
@@ -231,16 +231,14 @@ def _projection_of(ra) -> tuple | None:
     raise PlanError(f"query root must be Project or Aggregate, got {type(ra).__name__}")
 
 
-def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str, config) -> float:
+def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str) -> float:
     def hist_for(ref: ex.ColumnRef):
-        return catalog.histogram(
-            graph.source[ref.table], ref.name, config.histogram_buckets
-        )
+        return catalog.histogram(graph.source[ref.table], ref.name)
 
     try:
         return estimate_selectivity(hist_for, graph.residual(alias))
     except (Inestimable, UnsupportedColumnKind):
-        return config.default_guess
+        return DEFAULT_GUESS
 
 
 def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
@@ -310,9 +308,8 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
         for alias in graph.tables:
             if alias == probe or graph.residual(alias) is None:
                 continue
-            effective[alias] = row_counts[alias] * _estimated_fraction(
-                catalog, graph, alias, config
-            )
+            fraction = _estimated_fraction(catalog, graph, alias)
+            effective[alias] = row_counts[alias] * fraction
 
     order = order_builds(graph, probe, effective)
     builds = []
@@ -377,7 +374,6 @@ def execute_plan(
         workers=workers,
     )
     stats.build_ms = build_ms
-    stats.build_cards = [b.input_rows for b in plan_.builds]
     return result, stats.result_rows, stats
 
 

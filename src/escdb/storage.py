@@ -55,7 +55,16 @@ class ColumnKind:
         return self.name == "DECIMAL"
 
 
+# the largest precision whose values, scaled, always fit in int64
+MAX_DECIMAL_PRECISION = 18
+
+
 def decimal(precision: int, scale: int) -> ColumnKind:
+    if not (1 <= precision <= MAX_DECIMAL_PRECISION and 0 <= scale <= precision):
+        raise TypeMismatch(
+            f"DECIMAL({precision},{scale}): need 1 <= precision <= "
+            f"{MAX_DECIMAL_PRECISION} and 0 <= scale <= precision"
+        )
     return ColumnKind("DECIMAL", precision, scale)
 
 
@@ -283,9 +292,10 @@ def append_rows(
     """Return a new table with ``rows`` appended.
 
     TEXT values are dictionary-encoded on insert; strings parse per the
-    column kind. Raises ArityMismatch/TypeMismatch on bad input, citing
-    the offending row number (``first_row_number`` labels the first row,
-    so loaders can report file line numbers).
+    column kind, and a DECIMAL may hold at most ``precision`` digits.
+    Raises ArityMismatch/TypeMismatch on bad input, citing the offending
+    row number (``first_row_number`` labels the first row, so loaders can
+    report file line numbers).
     """
     rows = list(rows)
     width = len(table.columns)
@@ -314,6 +324,18 @@ def append_rows(
                 ) from None
             fresh[cix][0][rix] = value
             fresh[cix][1][rix] = is_null
+    for cix, col in enumerate(table.columns):
+        if col.kind.is_decimal:
+            limit = 10**col.kind.precision  # NULL cells hold 0
+            values = fresh[cix][0]
+            bad = np.flatnonzero((values >= limit) | (values <= -limit))
+            if bad.size:
+                rix = int(bad[0])
+                raise TypeMismatch(
+                    f"table {table.name!r}: row {first_row_number + rix}, "
+                    f"column {col.name!r}: {col.kind} value {rows[rix][cix]!r} "
+                    f"has more than {col.kind.precision} digits"
+                )
     merged = [
         Column(
             c.name,

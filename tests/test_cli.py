@@ -62,6 +62,28 @@ class TestLoad:
         assert rc == 1
         assert "error [storage]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["decimal(2,5)", "decimal(40,2)"])
+    def test_bad_decimal_kind_is_storage_error(self, csv_t, capsys, kind):
+        rc = main(["load", csv_t, "--table", "t", "--schema", f"id:{kind}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [storage]: ") and "precision" in err
+
+    def test_decimal_over_precision_is_storage_error(self, tmp_path, capsys):
+        p = tmp_path / "wide.csv"
+        p.write_text("1,1.50\n2,123456.78\n")
+        rc = main(
+            [
+                "sql", "SELECT COUNT(*) FROM t",
+                "--load", f"t:{p}:a:int64,b:decimal(3,2)",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [storage]: ")
+        assert "row 2, column 'b'" in err and "more than 3 digits" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         rc = main(
             ["load", str(tmp_path / "no.csv"), "--table", "t", "--schema", "a:int64"]

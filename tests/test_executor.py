@@ -164,16 +164,37 @@ class TestHashIndex:
                 out.setdefault(k, []).append(i)
         return out
 
+    # (build-key pool, probe keys absent from it)
+    ORACLE_CASES = [
+        (range(50), [-1, 50, 10**9]),
+        # negatives; probes below the smallest and above the largest key
+        (range(-30, 30, 3), [-31, -(2**63), -1, 31, 2**63 - 1]),
+        # the int64 extremes are build keys themselves
+        ([-(2**63), -7, 0, 2**63 - 1], [-(2**63) + 1, 1, 2**63 - 2]),
+    ]
+
     def test_lookup_matches_dict_oracle(self):
         rng = random.Random(9)
-        keys = [rng.randrange(50) if rng.random() > 0.1 else None for _ in range(2000)]
-        t = _int_col_table("t", k=keys)
-        idx = build_hash(t, "k")
-        want = self._oracle_map(keys)
-        assert idx.n_entries == sum(len(v) for v in want.values())
-        assert idx.distinct_keys == len(want)
-        for k in list(want) + [-1, 50, 10**9]:
-            assert sorted(idx.lookup(k).tolist()) == want.get(k, [])
+        for pool, absent in self.ORACLE_CASES:
+            pool = list(pool)
+            keys = [
+                rng.choice(pool) if rng.random() > 0.1 else None for _ in range(2000)
+            ]
+            t = _int_col_table("t", k=keys)
+            idx = build_hash(t, "k")
+            want = self._oracle_map(keys)
+            assert idx.n_entries == sum(len(v) for v in want.values())
+            assert idx.distinct_keys == len(want)
+            probes = list(want) + absent
+            for k in probes:
+                assert idx.lookup(k).tolist() == want.get(k, [])
+            # one vectorized call: a hit names its key's group, a miss is -1
+            groups = idx.probe_groups(
+                np.asarray(probes, dtype=np.int64), np.ones(len(probes), dtype=bool)
+            )
+            for k, g in zip(probes, groups.tolist()):
+                got = idx.group_rows[idx.group_start[g] : idx.group_start[g + 1]]
+                assert (got.tolist() if g >= 0 else []) == want.get(k, [])
 
     def test_probe_groups_vectorized(self):
         keys = [5, 5, 7, None, 9]
@@ -343,7 +364,7 @@ class TestProbeJoins:
             self._steps(join_data), projection,
         )
         want_count, want_bag = oracle_join(join_data, self._full_pred(), projection)
-        assert stats.materialized_rows == result.row_count == want_count
+        assert result.row_count == want_count
         assert table_multiset(result) == want_bag
 
     def test_probe_key_from_earlier_build(self, join_data):
@@ -421,13 +442,11 @@ class TestProbeJoins:
             join_data["lines"], "lines", probe_pred, steps,
             (_ref("lines", "l_qty"),),
         )
-        assert stats.probe_in == join_data["lines"].row_count
         assert stats.build_cards == [s.index.n_entries for s in steps]
         assert stats.build_distinct == [s.index.distinct_keys for s in steps]
         assert len(stats.probe_out) == len(steps) + 1
         assert stats.probe_out[0] == count_star(join_data["lines"], probe_pred)
         assert stats.probe_out[-1] == stats.result_rows == result.row_count
-        assert stats.build_card_sum == sum(stats.build_cards)
 
     def test_duplicate_column_names_requalified(self, join_data):
         projection = (_ref("lines", "l_qty"), _ref("lines", "l_qty"))

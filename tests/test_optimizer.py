@@ -12,6 +12,7 @@ from escdb.errors import (
     CartesianProductRequired,
     PlanError,
 )
+from escdb.executor import count_star
 from escdb.optimizer import (
     EscConfig,
     choose_probe,
@@ -359,7 +360,12 @@ class TestExecutePlan:
         sql = f"SELECT COUNT(*) FROM mfact, ma, mb {MICRO_WHERE}"
         p = _plan_sql(micro, sql, EscConfig(min_table_size=1))
         _, _, stats = execute_plan(p, micro)
-        assert stats.build_cards == [b.input_rows for b in p.builds]
+        # no join key is NULL, so each index holds the rows passing its
+        # residual: the actual build size, not the planned input_rows
+        assert [b.residual is not None for b in p.builds] == [True, True]
+        want = [count_star(micro.table(b.source), b.residual) for b in p.builds]
+        assert stats.build_cards == want
+        assert sum(want) < p.build_card_sum
         assert len(stats.build_ms) == len(p.builds)
 
 

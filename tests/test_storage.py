@@ -33,7 +33,10 @@ def _empty(name, schema):
 
 class TestKinds:
     def test_parse_kind_round_trip(self):
-        for spec in ["INT64", "DATE", "TEXT", "DECIMAL(15,2)", "DECIMAL(9,0)"]:
+        for spec in [
+            "INT64", "DATE", "TEXT", "DECIMAL(15,2)", "DECIMAL(9,0)",
+            "DECIMAL(1,0)", "DECIMAL(18,18)",
+        ]:
             assert str(parse_kind(spec)) == spec
 
     def test_parse_kind_case_insensitive(self):
@@ -43,6 +46,17 @@ class TestKinds:
     def test_unknown_kind(self):
         with pytest.raises(TypeMismatch):
             parse_kind("varchar(10)")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "decimal(5,-1)", "decimal(2,5)", "decimal(40,2)", "decimal(0,0)",
+            "decimal(19,0)",
+        ],
+    )
+    def test_decimal_precision_and_scale_bounds(self, spec):
+        with pytest.raises(TypeMismatch, match="precision"):
+            parse_kind(spec)
 
     def test_decimal_flags(self):
         k = decimal(15, 2)
@@ -188,6 +202,20 @@ class TestCsv:
         text = f"1,2024-01-05,a,1.00\n{id_cell},2024-01-05,b,{amt_cell}\n"
         with pytest.raises(CsvError, match=f"row 2, column '{column}'.*int64"):
             load_csv(text, "t", self.SCHEMA)
+
+    @pytest.mark.parametrize("amt_cell", ["123456.78", "-1000.00", "10000"])
+    def test_decimal_over_precision_cites_row_and_column(self, amt_cell):
+        schema = [("id", KIND_INT64), ("amt", decimal(3, 2))]
+        text = f"1,9.99\n2,\\N\n3,{amt_cell}\n"
+        with pytest.raises(CsvError, match="row 3, column 'amt'.*more than 3 digits"):
+            load_csv(text, "t", schema)
+
+    def test_decimal_at_precision_loads(self):
+        schema = [("amt", decimal(3, 2))]
+        t = load_csv("9.99\n-9.99\n\\N\n", "t", schema)
+        assert [t.row(i)[0] for i in range(3)] == ["9.99", "-9.99", None]
+        t = load_csv("999999999999999999\n", "t", [("amt", decimal(18, 0))])
+        assert t.row(0)[0] == "999999999999999999"
 
     def test_int64_extremes_load(self):
         text = "9223372036854775807,\\N,a,\\N\n-9223372036854775808,\\N,b,\\N\n"

@@ -15,25 +15,25 @@ parent order's channel, so conjunctions over the pairs defeat any
 estimator that multiplies per-column selectivities.  ``zipf`` skews the
 custom table's value column.
 
-Suites time plan+execute with a monotonic clock: each cell runs
-``reps + 1`` times, the first (cache-warming) run is discarded, the
-median of the rest is reported.  Overhead suites run with
-materialization disabled and the size gate lowered to 1 row so every
-cell measures a sub-query; plan-quality runs a baseline arm (ESC off)
-against the full ESC arm.
+Suites time each cell through ``Engine.run``, whose clock covers plan
+and execute: each cell runs ``reps + 1`` times, the first
+(cache-warming) run is discarded, the median of the rest is reported.
+Overhead suites run the ``esc-unmaterialized`` arm with the size gate
+lowered to 1 row so every cell measures a sub-query; plan-quality runs
+the ``baseline`` arm against the ``esc`` arm.
 """
 
 from __future__ import annotations
 
 import json
 import statistics
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import frontend, optimizer
+from . import optimizer
 from .catalog import Catalog
+from .engine import Engine
 from .errors import ScaleTooSmall
 from .optimizer import EscConfig
 from .storage import (
@@ -428,56 +428,40 @@ class BenchReport:
 # ---------------------------------------------------------------------------
 
 
-def _catalog_of(tables: dict[str, ColumnTable]) -> Catalog:
-    cat = Catalog()
-    for t in tables.values():
-        cat.register(t)
-    return cat
-
-
 def _timed_cell(
-    catalog: Catalog,
-    sql: str,
-    config: EscConfig,
-    reps: int,
-    workers: int,
-    query_label: str,
-    arm: str,
+    engine: Engine, sql: str, reps: int, query_label: str, arm: str
 ) -> dict:
     """Median-of-reps timing for one (query, arm) cell.
 
-    Runs ``reps + 1`` times and discards the first (warm-up) run.  Every
-    run re-plans, so ESC sub-query and materialization time lands inside
-    ``time_ms``; ``overhead_ms`` reports the sub-query share separately.
+    Runs ``engine.run(sql)`` ``reps + 1`` times and discards the first
+    (warm-up) run.  Every run re-plans, so ESC sub-query and
+    materialization time lands inside ``time_ms``; ``overhead_ms``
+    reports the sub-query share separately.
     """
-    ast = frontend.parse(sql)
-    ra = frontend.analyze(ast, catalog)
     times, overheads = [], []
-    last = None
     for _ in range(reps + 1):
-        t0 = time.perf_counter()
-        plan = optimizer.plan(ra, catalog, config)
-        _, count, stats = optimizer.execute_plan(plan, catalog, workers=workers)
-        times.append((time.perf_counter() - t0) * 1000.0)
-        overheads.append(plan.overhead_ms)
-        last = (plan, count)
-    plan, count = last
+        result = engine.run(sql)
+        times.append(result.time_ms)
+        overheads.append(result.overhead_ms)
     return {
         "query": query_label,
         "arm": arm,
         "time_ms": statistics.median(times[1:]),
         "overhead_ms": statistics.median(overheads[1:]),
-        "build_card_sum": plan.build_card_sum,
-        "result_count": count,
-        "decisions": [optimizer.decision_json(d) for d in plan.decisions],
+        "build_card_sum": result.plan.build_card_sum,
+        "result_count": result.count,
+        "decisions": [optimizer.decision_json(d) for d in result.plan.decisions],
     }
 
 
-def _overhead_config() -> EscConfig:
-    # materialization off keeps plans identical to baseline; the size
+def _overhead_engine(tables: dict[str, ColumnTable], workers: int) -> Engine:
+    # esc-unmaterialized keeps plans identical to baseline; the size
     # gate drops to 1 so every cell actually measures a sub-query even
     # for desk-scaled small dimensions
-    return EscConfig(enabled=True, min_table_size=1, materialize=False)
+    engine = Engine(EscConfig(arm="esc-unmaterialized", min_table_size=1), workers)
+    for t in tables.values():
+        engine.catalog.register(t)
+    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +481,12 @@ def overhead_suite_scale(
     """3 scales x 3 joined tables, sub-query overhead per cell."""
     report = BenchReport("overhead-scale", "tpch_subset", list(scales), seed)
     for scale in scales:
-        catalog = _catalog_of(generate(GenSpec("tpch_subset", scale, seed)))
+        tables = generate(GenSpec("tpch_subset", scale, seed))
+        engine = _overhead_engine(tables, workers)
         for table, join, pred in _SCALE_TABLES:
             sql = f"SELECT COUNT(*) FROM lineitem, {table} WHERE {join} AND {pred}"
             report.rows.append(
-                _timed_cell(
-                    catalog,
-                    sql,
-                    _overhead_config(),
-                    reps,
-                    workers,
-                    f"scale={scale} table={table}",
-                    "esc",
-                )
+                _timed_cell(engine, sql, reps, f"scale={scale} table={table}", "esc")
             )
     return report
 
@@ -528,7 +505,7 @@ def overhead_suite_selectivity(
     """
     report = BenchReport("overhead-selectivity", "tpch_subset", scale, seed)
     tables = generate(GenSpec("tpch_subset", scale, seed))
-    catalog = _catalog_of(tables)
+    engine = _overhead_engine(tables, workers)
     n = tables["orders"].row_count
     for f in fractions:
         u = max(round(n * f), 1) + 1
@@ -536,17 +513,7 @@ def overhead_suite_selectivity(
             "SELECT COUNT(*) FROM lineitem, orders "
             f"WHERE l_orderkey = o_orderkey AND o_orderkey < {u}"
         )
-        report.rows.append(
-            _timed_cell(
-                catalog,
-                sql,
-                _overhead_config(),
-                reps,
-                workers,
-                f"fraction={f}",
-                "esc",
-            )
-        )
+        report.rows.append(_timed_cell(engine, sql, reps, f"fraction={f}", "esc"))
     return report
 
 
@@ -562,7 +529,7 @@ def overhead_suite_attributes(
     """
     report = BenchReport("overhead-attributes", "tpch_subset", scale, seed)
     tables = generate(GenSpec("tpch_subset", scale, seed))
-    catalog = _catalog_of(tables)
+    engine = _overhead_engine(tables, workers)
     orders = tables["orders"]
     row = orders.row(orders.row_count // 3)
     vals = dict(zip([c.name for c in orders.columns], row))
@@ -578,17 +545,7 @@ def overhead_suite_attributes(
             "SELECT COUNT(*) FROM lineitem, orders "
             f"WHERE l_orderkey = o_orderkey AND {pred}"
         )
-        report.rows.append(
-            _timed_cell(
-                catalog,
-                sql,
-                _overhead_config(),
-                reps,
-                workers,
-                f"attrs={k}",
-                "esc",
-            )
-        )
+        report.rows.append(_timed_cell(engine, sql, reps, f"attrs={k}", "esc"))
     return report
 
 
@@ -724,7 +681,9 @@ def ssb_queries() -> list[tuple[str, str]]:
 
 def plan_quality_catalog(which: str, scale: float, seed: int) -> Catalog:
     benchmark = "tpch_subset" if which == "tpch4" else "ssb_subset"
-    catalog = _catalog_of(generate(GenSpec(benchmark, scale, seed)))
+    catalog = Catalog()
+    for t in generate(GenSpec(benchmark, scale, seed)).values():
+        catalog.register(t)
     if which == "tpch4":
         catalog.register_udf("mix200", 2, _mix200)
     return catalog
@@ -737,22 +696,18 @@ def plan_quality_suite(
     reps: int = 5,
     workers: int = 1,
 ) -> BenchReport:
-    """Baseline (ESC off) vs ESC (materialization on) per query."""
+    """The ``baseline`` arm vs the ``esc`` arm per query."""
     if which not in ("tpch4", "ssb"):
         raise ValueError("which must be 'tpch4' or 'ssb'")
     queries = tpch4_queries() if which == "tpch4" else ssb_queries()
     benchmark = "tpch_subset" if which == "tpch4" else "ssb_subset"
-    catalog = plan_quality_catalog(which, scale, seed)
+    engine = Engine(workers=workers)
+    engine.catalog = plan_quality_catalog(which, scale, seed)
     report = BenchReport(which, benchmark, scale, seed)
-    arms = [
-        ("baseline", EscConfig(enabled=False)),
-        ("esc", EscConfig(enabled=True)),
-    ]
     for label, sql in queries:
-        for arm, config in arms:
-            report.rows.append(
-                _timed_cell(catalog, sql, config, reps, workers, label, arm)
-            )
+        for arm in ("baseline", "esc"):
+            engine.config = EscConfig(arm=arm)
+            report.rows.append(_timed_cell(engine, sql, reps, label, arm))
     return report
 
 

@@ -56,9 +56,6 @@ class Catalog:
         except KeyError:
             raise UnknownTable(f"unknown table {name!r}") from None
 
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
-
     # -- statistics ----------------------------------------------------
 
     def histogram(self, table: str, column: str) -> "EquiDepthHistogram":

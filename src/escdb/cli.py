@@ -59,7 +59,8 @@ def _add_query_flags(p: argparse.ArgumentParser):
         "--estimator",
         choices=("none", "histogram"),
         default="none",
-        help="fallback estimator when ESC is off (default: none)",
+        help="histogram plans by histogram estimates, overriding --esc "
+        "(default: none)",
     )
     p.add_argument(
         "--workers",
@@ -117,11 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_from_args(args) -> Engine:
+    if args.estimator == "histogram":
+        arm = "histogram"
+    else:
+        arm = "esc" if args.esc == "on" else "baseline"
     config = EscConfig(
-        enabled=args.esc == "on" and args.estimator == "none",
+        arm=arm,
         min_table_size=args.min_table_size,
         max_selectivity=args.max_selectivity,
-        estimator_mode=args.estimator,
     )
     engine = Engine(config=config, workers=args.workers)
     for item in args.load:

@@ -55,9 +55,9 @@ class Engine:
 
     def run(self, sql: str) -> QueryResult:
         ast = frontend.parse(sql)
-        ra = frontend.analyze(ast, self.catalog)
+        graph = frontend.analyze(ast, self.catalog)
         t0 = time.perf_counter()
-        plan = optimizer.plan(ra, self.catalog, self.config)
+        plan = optimizer.plan(graph, self.catalog, self.config)
         rows, count, stats = optimizer.execute_plan(
             plan, self.catalog, workers=self.workers
         )

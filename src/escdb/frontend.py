@@ -1,4 +1,4 @@
-"""SQL subset frontend: tokenize, parse, analyze, lower to relational algebra.
+"""SQL subset frontend: tokenize, parse, analyze into a join graph.
 
 Supported grammar (one statement, optional trailing semicolon):
 
@@ -33,7 +33,6 @@ from .errors import (
 )
 from .storage import (
     KIND_DATE,
-    KIND_INT64,
     ColumnKind,
     ColumnTable,
     date_to_days,
@@ -501,51 +500,6 @@ def parse(sql: str) -> AstQuery:
 
 
 # ---------------------------------------------------------------------------
-# Relational algebra
-# ---------------------------------------------------------------------------
-
-Schema = tuple  # tuple[ex.ColumnRef, ...]
-
-
-@dataclass(frozen=True)
-class RaScan:
-    table: str
-    alias: str
-    schema: Schema
-
-
-@dataclass(frozen=True)
-class RaSelect:
-    child: object
-    predicate: ex.Expr
-    schema: Schema
-
-
-@dataclass(frozen=True)
-class RaProject:
-    child: object
-    columns: Schema
-    schema: Schema
-
-
-@dataclass(frozen=True)
-class RaJoin:
-    left: object
-    right: object
-    schema: Schema
-
-
-@dataclass(frozen=True)
-class RaAggregate:
-    child: object
-    agg: str  # only "count_star"
-    schema: Schema
-
-
-COUNT_COLUMN = ex.ColumnRef(None, "count", kind=KIND_INT64)
-
-
-# ---------------------------------------------------------------------------
 # Analysis: resolution, type checks, constant normalization
 # ---------------------------------------------------------------------------
 
@@ -717,49 +671,6 @@ def _analyze_predicate(node, scope: _Scope, catalog) -> ex.Expr:
     raise AnalysisError(f"unexpected predicate node {node!r}")
 
 
-def _scan_schema(alias: str, table: ColumnTable) -> Schema:
-    return tuple(
-        ex.ColumnRef(alias, c.name, kind=c.kind) for c in table.columns
-    )
-
-
-def analyze(ast: AstQuery, catalog) -> object:
-    """Resolve names and types; return the canonical RA tree.
-
-    Shape: Scans joined left-deep in FROM order (join pairs still inside
-    the WHERE predicate at this stage), one Select on top when a WHERE
-    is present, then Project or Aggregate(COUNT).
-    """
-    seen = set()
-    resolved: list[tuple[str, ColumnTable]] = []
-    for ref in ast.tables:
-        if ref.alias in seen:
-            raise AnalysisError(f"duplicate table alias {ref.alias!r}")
-        seen.add(ref.alias)
-        resolved.append((ref.alias, catalog.table(ref.name)))
-    scope = _Scope(resolved)
-
-    node = None
-    for (alias, table), ref in zip(resolved, ast.tables):
-        scan = RaScan(ref.name, alias, _scan_schema(alias, table))
-        if node is None:
-            node = scan
-        else:
-            node = RaJoin(node, scan, node.schema + scan.schema)
-
-    if ast.where is not None:
-        pred = _analyze_predicate(ast.where, scope, catalog)
-        node = RaSelect(node, pred, node.schema)
-
-    if ast.select_kind == COUNT_STAR:
-        return RaAggregate(node, "count_star", (COUNT_COLUMN,))
-    if ast.select_kind == STAR:
-        cols = node.schema
-    else:
-        cols = tuple(scope.resolve(c) for c in ast.select)
-    return RaProject(node, cols, cols)
-
-
 # ---------------------------------------------------------------------------
 # Join graph
 # ---------------------------------------------------------------------------
@@ -793,68 +704,72 @@ class JoinEdge:
 
 @dataclass
 class JoinGraph:
-    """Tables, equi-join edges, and per-table residual predicates."""
+    """Tables, equi-join edges, per-table residual predicates, and the
+    output columns."""
 
     tables: tuple[str, ...]  # aliases in FROM order
     source: dict  # alias -> base table name
     edges: tuple  # tuple[JoinEdge, ...]
     residuals: dict  # alias -> ex.Expr (absent when no residual)
+    projection: tuple | None  # tuple[ex.ColumnRef, ...]; None = COUNT(*)
 
     def residual(self, alias: str) -> ex.Expr | None:
         return self.residuals.get(alias)
 
 
-def _walk_to_parts(ra) -> tuple[list[RaScan], ex.Expr | None]:
-    node = ra
-    if isinstance(node, (RaProject, RaAggregate)):
-        node = node.child
-    pred = None
-    if isinstance(node, RaSelect):
-        pred = node.predicate
-        node = node.child
-    scans = []
+def analyze(ast: AstQuery, catalog) -> JoinGraph:
+    """Resolve names and types; return the query's join graph.
 
-    def collect(n):
-        if isinstance(n, RaJoin):
-            collect(n.left)
-            collect(n.right)
-        elif isinstance(n, RaScan):
-            scans.append(n)
-        else:
-            raise AnalysisError(f"unexpected node below Select: {type(n).__name__}")
+    Every WHERE conjunct becomes a join edge or a one-table residual;
+    anything cross-table that is not an equi-join is rejected.  The
+    projection expands ``*`` in FROM order and is None for COUNT(*).
+    """
+    seen = set()
+    resolved: list[tuple[str, ColumnTable]] = []
+    for ref in ast.tables:
+        if ref.alias in seen:
+            raise AnalysisError(f"duplicate table alias {ref.alias!r}")
+        seen.add(ref.alias)
+        resolved.append((ref.alias, catalog.table(ref.name)))
+    scope = _Scope(resolved)
 
-    collect(node)
-    return scans, pred
+    conjuncts = []
+    if ast.where is not None:
+        conjuncts = ex.conjuncts(_analyze_predicate(ast.where, scope, catalog))
 
+    if ast.select_kind == COUNT_STAR:
+        projection = None
+    elif ast.select_kind == STAR:
+        projection = tuple(
+            ex.ColumnRef(alias, c.name, kind=c.kind)
+            for alias, table in resolved
+            for c in table.columns
+        )
+    else:
+        projection = tuple(scope.resolve(c) for c in ast.select)
 
-def build_join_graph(ra) -> JoinGraph:
-    """Classify every WHERE conjunct as a join edge or a one-table
-    residual; anything cross-table that is not an equi-join is rejected."""
-    scans, pred = _walk_to_parts(ra)
-    aliases = tuple(s.alias for s in scans)
-    source = {s.alias: s.table for s in scans}
     edges: dict[frozenset, JoinEdge] = {}  # a = b and b = a are one edge
     residuals: dict[str, list[ex.Expr]] = {}
-    if pred is not None:
-        for conj in ex.conjuncts(pred):
-            touched = ex.tables(conj)
-            if (
-                isinstance(conj, ex.ColumnCompare)
-                and conj.op == "="
-                and conj.left.table != conj.right.table
-            ):
-                key = frozenset((conj.left, conj.right))
-                edges.setdefault(key, JoinEdge(conj.left, conj.right))
-            elif len(touched) == 1:
-                residuals.setdefault(touched.pop(), []).append(conj)
-            else:
-                raise UnsupportedPredicate(
-                    f"predicate spans tables {sorted(touched)} and is not an "
-                    f"equi-join: {conj}"
-                )
+    for conj in conjuncts:
+        touched = ex.tables(conj)
+        if (
+            isinstance(conj, ex.ColumnCompare)
+            and conj.op == "="
+            and conj.left.table != conj.right.table
+        ):
+            key = frozenset((conj.left, conj.right))
+            edges.setdefault(key, JoinEdge(conj.left, conj.right))
+        elif len(touched) == 1:
+            residuals.setdefault(touched.pop(), []).append(conj)
+        else:
+            raise UnsupportedPredicate(
+                f"predicate spans tables {sorted(touched)} and is not an "
+                f"equi-join: {conj}"
+            )
     return JoinGraph(
-        aliases,
-        source,
-        tuple(edges.values()),
-        {t: ex.conjoin(items) for t, items in residuals.items()},
+        tables=tuple(alias for alias, _ in resolved),
+        source={ref.alias: ref.name for ref in ast.tables},
+        edges=tuple(edges.values()),
+        residuals={t: ex.conjoin(items) for t, items in residuals.items()},
+        projection=projection,
     )

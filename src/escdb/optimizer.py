@@ -26,33 +26,37 @@ from .errors import (
     PlanError,
     UnsupportedColumnKind,
 )
-from .frontend import JoinGraph, RaAggregate, RaProject, build_join_graph
+from .frontend import JoinGraph
 from .storage import ColumnTable
 
-ESTIMATOR_MODES = ("none", "histogram")
+ARMS = ("esc", "esc-unmaterialized", "baseline", "histogram")
 # selectivity the histogram arm assumes for a predicate it cannot estimate
 DEFAULT_GUESS = 0.1
 
 
 @dataclass
 class EscConfig:
-    """Planner knobs; ``materialize=False`` keeps the verdicts and
-    overhead measurements but leaves every plan identical to baseline
-    (used by the overhead experiments)."""
+    """Planner knobs.  ``arm`` picks how build tables are ordered:
 
-    enabled: bool = True
+    * ``esc``: by exact counts, materializing the qualifying tables;
+    * ``esc-unmaterialized``: runs the same sub-queries and records the
+      verdicts, but plans exactly as ``baseline`` (the overhead
+      experiments use it);
+    * ``baseline``: by base cardinalities, no sub-queries;
+    * ``histogram``: by histogram estimates, no sub-queries.
+    """
+
+    arm: str = "esc"
     min_table_size: int = 1000
     max_selectivity: float = 0.2
-    estimator_mode: str = "none"
-    materialize: bool = True
 
     def __post_init__(self):
+        if self.arm not in ARMS:
+            raise ValueError(f"arm must be one of {ARMS}")
         if not 0.0 <= self.max_selectivity <= 1.0:
             raise ValueError("max_selectivity must be in [0, 1]")
         if self.min_table_size < 0:
             raise ValueError("min_table_size must be >= 0")
-        if self.estimator_mode not in ESTIMATOR_MODES:
-            raise ValueError(f"estimator_mode must be one of {ESTIMATOR_MODES}")
 
 
 @dataclass
@@ -65,7 +69,7 @@ class EscDecision:
     row_count: int
     selectivity: Fraction  # exact_count / row_count, exact
     qualified: bool  # passed the two-threshold policy
-    pushed_down: bool  # actually materialized (qualified and enabled)
+    pushed_down: bool  # actually materialized (qualified, arm "esc")
     subquery_ms: float
     materialize_ms: float = 0.0
 
@@ -91,7 +95,6 @@ class PhysicalPlan:
     builds: list[PlanBuild]
     projection: tuple | None  # None = COUNT(*)
     decisions: list[EscDecision]
-    graph: JoinGraph
 
     @property
     def build_card_sum(self) -> int:
@@ -207,10 +210,10 @@ def _connecting_edge(graph: JoinGraph, alias: str, connected: set):
     return edges[0]
 
 
-def _needed_columns(graph: JoinGraph, projection, alias: str, table) -> list[str]:
+def _needed_columns(graph: JoinGraph, alias: str, table) -> list[str]:
     """Columns a pushed-down temp must keep: projected columns plus every
     join key on this table, in base column order."""
-    names = {ref.name for ref in (projection or ()) if ref.table == alias}
+    names = {ref.name for ref in (graph.projection or ()) if ref.table == alias}
     for edge in graph.edges:
         for side in (edge.left, edge.right):
             if side.table == alias:
@@ -223,14 +226,6 @@ def _needed_columns(graph: JoinGraph, projection, alias: str, table) -> list[str
 # ---------------------------------------------------------------------------
 
 
-def _projection_of(ra) -> tuple | None:
-    if isinstance(ra, RaAggregate):
-        return None
-    if isinstance(ra, RaProject):
-        return ra.columns
-    raise PlanError(f"query root must be Project or Aggregate, got {type(ra).__name__}")
-
-
 def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str) -> float:
     def hist_for(ref: ex.ColumnRef):
         return catalog.histogram(graph.source[ref.table], ref.name)
@@ -241,12 +236,10 @@ def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str) -> float
         return DEFAULT_GUESS
 
 
-def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
-    """Produce the physical plan; with ESC enabled this runs COUNT
-    sub-queries for every non-probe table that has a predicate and
+def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
+    """Produce the physical plan; the ESC arms run COUNT sub-queries for
+    every non-probe table that has a predicate, and arm ``esc``
     materializes the qualifying ones."""
-    graph = build_join_graph(ra)
-    projection = _projection_of(ra)
     row_counts = {a: catalog.table(graph.source[a]).row_count for a in graph.tables}
 
     if len(graph.tables) == 1:
@@ -257,9 +250,8 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             probe_rows=row_counts[alias],
             probe_pred=graph.residual(alias),
             builds=[],
-            projection=projection,
+            projection=graph.projection,
             decisions=[],
-            graph=graph,
         )
 
     probe = choose_probe(graph, row_counts)
@@ -267,7 +259,7 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     decisions: list[EscDecision] = []
     temps: dict[str, ColumnTable] = {}
 
-    if config.enabled:
+    if config.arm in ("esc", "esc-unmaterialized"):
         for alias in graph.tables:
             if alias == probe:
                 continue  # the probing side is never pushed down
@@ -281,11 +273,11 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
                 catalog, graph.source[alias], residual, alias
             )
             qualified = decide_pushdown(rc, count, config)
-            pushed = qualified and config.materialize
+            pushed = qualified and config.arm == "esc"
             mat_ms = 0.0
             if pushed:
                 needed = _needed_columns(
-                    graph, projection, alias, catalog.table(graph.source[alias])
+                    graph, alias, catalog.table(graph.source[alias])
                 )
                 temps[alias], mat_ms = materialize_pushdown(
                     catalog, graph.source[alias], residual, needed, alias
@@ -304,7 +296,7 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
                     materialize_ms=mat_ms,
                 )
             )
-    elif config.estimator_mode == "histogram":
+    elif config.arm == "histogram":
         for alias in graph.tables:
             if alias == probe or graph.residual(alias) is None:
                 continue
@@ -337,9 +329,8 @@ def plan(ra, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
         probe_rows=row_counts[probe],
         probe_pred=graph.residual(probe),
         builds=builds,
-        projection=projection,
+        projection=graph.projection,
         decisions=decisions,
-        graph=graph,
     )
 
 

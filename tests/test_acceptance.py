@@ -140,14 +140,14 @@ def test_criterion_7_pushdown_policy_monotone_and_size_gated(tpch_catalog):
         "WHERE l_orderkey = o_orderkey AND l_partkey = p_partkey "
         "AND o_channel < 100 AND p_class < 200"
     )
-    ra = fe.analyze(fe.parse(sql), tpch_catalog)
+    graph = fe.analyze(fe.parse(sql), tpch_catalog)
     prev: set = set()
     for threshold in (0.0, 0.05, 0.1, 0.21, 0.5, 1.0):
         p = plan(
-            ra,
+            graph,
             tpch_catalog,
             EscConfig(
-                min_table_size=1, max_selectivity=threshold, materialize=False
+                arm="esc-unmaterialized", min_table_size=1, max_selectivity=threshold
             ),
         )
         qualified = {d.table for d in p.decisions if d.qualified}
@@ -155,13 +155,15 @@ def test_criterion_7_pushdown_policy_monotone_and_size_gated(tpch_catalog):
         prev = qualified
     assert prev == {"orders", "part"}
 
-    gated = plan(ra, tpch_catalog, EscConfig(min_table_size=10**9))
+    gated = plan(graph, tpch_catalog, EscConfig(min_table_size=10**9))
     assert gated.decisions == []  # size gate skips the sub-query entirely
 
     partial = plan(
-        ra,
+        graph,
         tpch_catalog,
-        EscConfig(min_table_size=1000, max_selectivity=1.0, materialize=False),
+        EscConfig(
+            arm="esc-unmaterialized", min_table_size=1000, max_selectivity=1.0
+        ),
     )
     assert {d.table for d in partial.decisions} == {"orders"}  # part is 200 rows
 
@@ -205,13 +207,13 @@ def test_criterion_8_runs_are_deterministic():
 def test_criterion_9_histogram_arm_changes_plans_not_results():
     cat = plan_quality_catalog("tpch4", 0.01, 42)
     esc_cfg = EscConfig()
-    hist_cfg = EscConfig(enabled=False, estimator_mode="histogram")
+    hist_cfg = EscConfig(arm="histogram")
     order_differs = []
     for label, sql in tpch4_queries():
-        ra = fe.analyze(fe.parse(sql), cat)
-        esc_plan = plan(ra, cat, esc_cfg)
+        graph = fe.analyze(fe.parse(sql), cat)
+        esc_plan = plan(graph, cat, esc_cfg)
         esc_order, esc_sum = esc_plan.build_order, esc_plan.build_card_sum
-        hist_plan = plan(ra, cat, hist_cfg)
+        hist_plan = plan(graph, cat, hist_cfg)
         assert hist_plan.decisions == []  # estimates, never sub-queries
         assert hist_plan.build_card_sum >= esc_sum, label
         if hist_plan.build_order != esc_order:
@@ -221,8 +223,8 @@ def test_criterion_9_histogram_arm_changes_plans_not_results():
     # on a query where they disagree, results still match
     label = order_differs[0]
     sql = dict(tpch4_queries())[label]
-    ra = fe.analyze(fe.parse(sql), cat)
+    graph = fe.analyze(fe.parse(sql), cat)
     counts = []
     for cfg in (esc_cfg, hist_cfg):
-        counts.append(execute_plan(plan(ra, cat, cfg), cat)[1])
+        counts.append(execute_plan(plan(graph, cat, cfg), cat)[1])
     assert counts[0] == counts[1]

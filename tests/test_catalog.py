@@ -53,12 +53,6 @@ class TestCatalogRegistry:
         with pytest.raises(EmptySchema):
             Catalog().register(ColumnTable("t", []))
 
-    def test_table_names_sorted(self):
-        cat = Catalog()
-        cat.register(_int_table("zz", [1]))
-        cat.register(_int_table("aa", [1]))
-        assert cat.table_names() == ["aa", "zz"]
-
     def test_udf_duplicate_case_insensitive(self):
         cat = Catalog()
         cat.register_udf("Fn", 1, lambda a: a)

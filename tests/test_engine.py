@@ -117,7 +117,7 @@ class TestRun:
         assert res.count == 14  # b_k == 6
 
     def test_baseline_engine_runs_no_subqueries(self, tmp_path, engine):
-        base = Engine(config=EscConfig(enabled=False))
+        base = Engine(config=EscConfig(arm="baseline"))
         base.catalog = engine.catalog
         res = base.run(
             "SELECT COUNT(*) FROM big, small WHERE b_id = s_k AND s_v = 0"

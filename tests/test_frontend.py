@@ -215,32 +215,33 @@ class TestRenderRoundTrip:
 
 
 class TestAnalyze:
-    def _ra(self, catalog, sql):
+    def _graph(self, catalog, sql):
         return fe.analyze(fe.parse(sql), catalog)
 
     def _pred(self, catalog, sql):
-        ra = self._ra(catalog, sql)
-        node = ra.child if isinstance(ra, (fe.RaProject, fe.RaAggregate)) else ra
-        assert isinstance(node, fe.RaSelect)
-        return node.predicate
+        """The WHERE predicate of a one-table query over items."""
+        g = self._graph(catalog, sql)
+        assert g.tables == ("items",) and g.edges == ()
+        return g.residual("items")
 
     def test_shape_and_projection(self, catalog):
-        ra = self._ra(catalog, "SELECT qty, tag FROM items WHERE qty > 15")
-        assert isinstance(ra, fe.RaProject)
-        assert [c.name for c in ra.columns] == ["qty", "tag"]
-        assert isinstance(ra.child, fe.RaSelect)
-        assert isinstance(ra.child.child, fe.RaScan)
+        g = self._graph(catalog, "SELECT qty, tag FROM items WHERE qty > 15")
+        assert isinstance(g, fe.JoinGraph)
+        assert [c.name for c in g.projection] == ["qty", "tag"]
+        assert g.residual("items") == ex.Comparison(
+            ex.ColumnRef("items", "qty"), ">", 15
+        )
 
     def test_star_expands_in_from_order(self, catalog):
-        ra = self._ra(catalog, "SELECT * FROM boxes, items")
-        names = [f"{c.table}.{c.name}" for c in ra.columns]
+        g = self._graph(catalog, "SELECT * FROM boxes, items")
+        names = [f"{c.table}.{c.name}" for c in g.projection]
         assert names[:3] == ["boxes.id", "boxes.item_id", "boxes.weight"]
         assert names[3] == "items.id"
+        assert [c.kind for c in g.projection[3:5]] == [KIND_INT64, KIND_INT64]
 
-    def test_count_star_schema(self, catalog):
-        ra = self._ra(catalog, "SELECT COUNT(*) FROM items")
-        assert isinstance(ra, fe.RaAggregate)
-        assert ra.schema[0].name == "count"
+    def test_count_star_has_no_projection(self, catalog):
+        g = self._graph(catalog, "SELECT COUNT(*) FROM items")
+        assert g.projection is None
 
     def test_int_compare_resolved(self, catalog):
         p = self._pred(catalog, "SELECT * FROM items WHERE qty >= 20")
@@ -324,37 +325,36 @@ class TestAnalyze:
 
     def test_unknown_table(self, catalog):
         with pytest.raises(UnknownTable):
-            self._ra(catalog, "SELECT * FROM nowhere")
+            self._graph(catalog, "SELECT * FROM nowhere")
 
     def test_unknown_column(self, catalog):
         with pytest.raises(UnknownColumn):
-            self._ra(catalog, "SELECT zz FROM items")
+            self._graph(catalog, "SELECT zz FROM items")
 
     def test_ambiguous_column(self, catalog):
         with pytest.raises(AmbiguousColumn):
-            self._ra(catalog, "SELECT id FROM items, boxes")
+            self._graph(catalog, "SELECT id FROM items, boxes")
 
     def test_qualified_disambiguates(self, catalog):
-        ra = self._ra(catalog, "SELECT items.id FROM items, boxes")
-        assert ra.columns[0].table == "items"
+        g = self._graph(catalog, "SELECT items.id FROM items, boxes")
+        assert g.projection[0].table == "items"
 
     def test_duplicate_alias(self, catalog):
         with pytest.raises(AnalysisError, match="duplicate"):
-            self._ra(catalog, "SELECT * FROM items, items")
+            self._graph(catalog, "SELECT * FROM items, items")
 
     def test_self_join_via_aliases(self, catalog):
-        ra = self._ra(
+        g = self._graph(
             catalog,
             "SELECT COUNT(*) FROM items a, items b WHERE a.id = b.qty",
         )
-        g = fe.build_join_graph(ra)
         assert g.tables == ("a", "b")
         assert g.source == {"a": "items", "b": "items"}
 
 
 class TestJoinGraph:
     def _graph(self, catalog, sql):
-        return fe.build_join_graph(fe.analyze(fe.parse(sql), catalog))
+        return fe.analyze(fe.parse(sql), catalog)
 
     def test_edges_and_residuals(self, catalog):
         g = self._graph(
@@ -381,8 +381,7 @@ class TestJoinGraph:
             "SELECT COUNT(*) FROM items, boxes "
             "WHERE items.id = boxes.item_id AND qty > 5 AND (weight < 9 OR weight = 12)"
         )
-        ra = fe.analyze(fe.parse(sql), catalog)
-        g = fe.build_join_graph(ra)
+        g = self._graph(catalog, sql)
         n_residual = sum(
             len(ex.conjuncts(g.residual(t)))
             for t in g.tables

@@ -113,6 +113,20 @@ class TestPolicy:
     def test_zero_count_qualifies(self):
         assert decide_pushdown(1000, 0, self.CFG)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"arm": "none"},
+            {"arm": "ESC"},
+            {"max_selectivity": 1.5},
+            {"max_selectivity": -0.1},
+            {"min_table_size": -1},
+        ],
+    )
+    def test_config_validation(self, kwargs):
+        with pytest.raises(ValueError):
+            EscConfig(**kwargs)
+
     def test_selectivity_is_exact_fraction(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
         by_table = {d.table: d for d in p.decisions}
@@ -123,7 +137,7 @@ class TestPolicy:
         prev: set = set()
         for t in (0.0, 0.05, 0.1, 0.34, 1.0):
             p = _plan_sql(
-                shop, SHOP_SQL, EscConfig(max_selectivity=t, materialize=False)
+                shop, SHOP_SQL, EscConfig(arm="esc-unmaterialized", max_selectivity=t)
             )
             qualified = {d.table for d in p.decisions if d.qualified}
             assert prev <= qualified
@@ -150,7 +164,7 @@ class TestMaterialize:
 
 class TestOrdering:
     def test_probe_is_largest(self, shop):
-        g = fe.build_join_graph(fe.analyze(fe.parse(SHOP_SQL), shop))
+        g = fe.analyze(fe.parse(SHOP_SQL), shop)
         counts = {a: shop.table(g.source[a]).row_count for a in g.tables}
         assert choose_probe(g, counts) == "fact"
 
@@ -158,13 +172,11 @@ class TestOrdering:
         cat = Catalog()
         cat.register(_int_table("bb", 10, x=lambda i: i))
         cat.register(_int_table("aa", 10, y=lambda i: i))
-        g = fe.build_join_graph(
-            fe.analyze(fe.parse("SELECT COUNT(*) FROM aa, bb WHERE y = x"), cat)
-        )
+        g = fe.analyze(fe.parse("SELECT COUNT(*) FROM aa, bb WHERE y = x"), cat)
         assert choose_probe(g, {"aa": 10, "bb": 10}) == "aa"
 
     def test_greedy_order(self, shop):
-        g = fe.build_join_graph(fe.analyze(fe.parse(SHOP_SQL), shop))
+        g = fe.analyze(fe.parse(SHOP_SQL), shop)
         order = order_builds(
             g, "fact", {"cust": 200, "prod": 1200, "tiny": 80}
         )
@@ -173,7 +185,7 @@ class TestOrdering:
     def test_cartesian_product_rejected(self, shop):
         sql = "SELECT COUNT(*) FROM cust, prod WHERE c_band = 3 AND p_cls = 0"
         with pytest.raises(CartesianProductRequired):
-            _plan_sql(shop, sql, EscConfig(enabled=False))
+            _plan_sql(shop, sql, EscConfig(arm="baseline"))
 
     @pytest.mark.parametrize(
         "edges",
@@ -183,10 +195,9 @@ class TestOrdering:
         cat = Catalog()
         cat.register(_int_table("a", 10, k1=lambda i: i, k2=lambda i: i))
         cat.register(_int_table("b", 20, j1=lambda i: i % 10, j2=lambda i: i % 10))
-        p = _plan_sql(
-            cat, f"SELECT COUNT(*) FROM a, b WHERE {edges}", EscConfig(enabled=False)
-        )
-        assert len(p.graph.edges) == 1
+        sql = f"SELECT COUNT(*) FROM a, b WHERE {edges}"
+        assert len(fe.analyze(fe.parse(sql), cat).edges) == 1
+        p = _plan_sql(cat, sql, EscConfig(arm="baseline"))
         assert execute_plan(p, cat)[1] == 18  # j1 in 1..9, twice each
 
     def test_composite_join_key_rejected(self):
@@ -197,7 +208,7 @@ class TestOrdering:
             _plan_sql(
                 cat,
                 "SELECT COUNT(*) FROM a, b WHERE k1 = j1 AND k2 = j2",
-                EscConfig(enabled=False),
+                EscConfig(arm="baseline"),
             )
 
 
@@ -232,26 +243,26 @@ class TestPlanArms:
         assert p.build_card_sum == 80 + 200 + 1200
 
     def test_baseline_plan_shape(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig(enabled=False))
+        p = _plan_sql(shop, SHOP_SQL, EscConfig(arm="baseline"))
         assert p.decisions == []
         assert p.build_order == ["tiny", "prod", "cust"]
         assert all(isinstance(b.source, str) for b in p.builds)
         assert p.build_card_sum == 80 + 1200 + 2000
 
     def test_verdicts_without_materialization(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig(materialize=False))
+        p = _plan_sql(shop, SHOP_SQL, EscConfig(arm="esc-unmaterialized"))
         assert {d.table for d in p.decisions} == {"cust", "prod"}
         assert any(d.qualified for d in p.decisions)
         assert not any(d.pushed_down for d in p.decisions)
         assert all(isinstance(b.source, str) for b in p.builds)
         # plan stays identical to baseline
-        base = _plan_sql(shop, SHOP_SQL, EscConfig(enabled=False))
+        base = _plan_sql(shop, SHOP_SQL, EscConfig(arm="baseline"))
         assert p.build_order == base.build_order
         assert p.build_card_sum == base.build_card_sum
 
     def test_histogram_arm_runs_no_subqueries(self, shop):
         p = _plan_sql(
-            shop, SHOP_SQL, EscConfig(enabled=False, estimator_mode="histogram")
+            shop, SHOP_SQL, EscConfig(arm="histogram")
         )
         assert p.decisions == []
         # estimates steer the order like the exact counts do here
@@ -265,7 +276,7 @@ class TestPlanArms:
             "AND h(c_band) < 1"
         )
         p = _plan_sql(
-            shop, sql, EscConfig(enabled=False, estimator_mode="histogram")
+            shop, sql, EscConfig(arm="histogram")
         )
         # cust effective = 2000 * 0.1 = 200 < prod's unfiltered 1200
         assert p.build_order == ["tiny", "cust", "prod"]
@@ -321,9 +332,9 @@ def _micro_pred():
 
 ARMS = [
     ("esc", EscConfig(min_table_size=1)),
-    ("esc-unmaterialized", EscConfig(min_table_size=1, materialize=False)),
-    ("baseline", EscConfig(enabled=False)),
-    ("histogram", EscConfig(enabled=False, estimator_mode="histogram")),
+    ("esc-unmaterialized", EscConfig(arm="esc-unmaterialized", min_table_size=1)),
+    ("baseline", EscConfig(arm="baseline")),
+    ("histogram", EscConfig(arm="histogram")),
 ]
 
 

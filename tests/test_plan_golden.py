@@ -4,7 +4,8 @@
 ``ssb_queries()`` at scale 0.01, seed 42, in both the ``COUNT(*)`` and the
 ``SELECT *`` form, under each of the four planner arms: the build order,
 each build's ``input_rows``, each ESC decision's ``(table, count,
-pushdown)``, and the result count.
+pushdown)``, the distinct keys of each built index, the tuples each probe
+stage produced, and the result count.
 
 This is a regression pin, not an oracle. The file holds what the planner
 chose when it was written, not what it should choose; correctness is
@@ -34,13 +35,16 @@ def plan_pins() -> dict:
                 graph = fe.analyze(fe.parse(text), catalog)
                 for arm in ARMS:
                     p = plan(graph, catalog, EscConfig(arm=arm))
+                    _, count, stats = execute_plan(p, catalog)
                     pins[f"{label}/{form}/{arm}"] = {
                         "builds": [[b.alias, int(b.input_rows)] for b in p.builds],
                         "decisions": [
                             [d.table, int(d.exact_count), d.pushed_down]
                             for d in p.decisions
                         ],
-                        "count": int(execute_plan(p, catalog)[1]),
+                        "build_distinct": [int(n) for n in stats.build_distinct],
+                        "probe_out": [int(n) for n in stats.probe_out],
+                        "count": int(count),
                     }
     return pins
 

@@ -3,8 +3,10 @@
 Everything is vectorized over int64 column vectors.  The probe pipeline
 is a single fused pass: probe-side predicate, every join-index lookup,
 and the output gather happen without materializing intermediate tuples.
-A join index sorts the build keys once; a probe is one ``np.searchsorted``
-over the distinct keys, and duplicate keys share a contiguous row group.
+A join index sorts the build keys once, and duplicate keys share a
+contiguous row group.  When the distinct keys are dense, a probe is one
+gather from a direct-address slot table; otherwise it is one
+``np.searchsorted`` over the distinct keys.
 """
 
 from __future__ import annotations
@@ -228,12 +230,26 @@ def count_star(table: ColumnTable, pred: ex.Expr | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The distinct build keys are dense when their span ``hi - lo + 1`` is at
+# most _DENSE_RATIO times their count plus _DENSE_PAD.  A dense index's
+# slot table of ``span`` int64 group ids is then no larger than its other
+# four arrays plus 1 MiB, and a probe is one gather, not a binary search.
+# The pad lets a selective build, whose few keys spread over the whole key
+# range of its table, be dense too: filling 128Ki slots took 62 us on a
+# 2-core x86 box, where a binary search cost about 80 ns per probe key.
+_DENSE_RATIO = 4
+_DENSE_PAD = 1 << 17
+
+
 class HashTableIndex:
     """Sorted-key index from join-key value to build-row indices.
 
-    ``unique_keys`` is sorted and a probe binary-searches it.  Group ``g``
-    holds the rows whose key is ``unique_keys[g]``; they sit contiguously
-    in ``group_rows``, in ascending row order.
+    Group ``g`` holds the rows whose key is ``unique_keys[g]`` (sorted);
+    they sit contiguously in ``group_rows``, in ascending row order.
+    When the distinct keys are dense, ``slots[k - lo]`` is the group of
+    key ``k`` (-1 for a key in ``lo..hi`` that no build row has) and a
+    probe is one gather; otherwise ``slots`` is None and a probe
+    binary-searches ``unique_keys``.
     """
 
     def __init__(self, table: ColumnTable, key: str, rows: np.ndarray):
@@ -256,6 +272,16 @@ class HashTableIndex:
         self.group_start = np.append(starts, sorted_keys.size)
         self.group_counts = np.diff(self.group_start)
 
+        self.slots = None
+        n = self.unique_keys.size
+        if n:
+            # Python ints: the span of two int64 extremes overflows int64
+            self.lo, self.hi = int(self.unique_keys[0]), int(self.unique_keys[-1])
+            span = self.hi - self.lo + 1
+            if span <= _DENSE_RATIO * n + _DENSE_PAD:
+                self.slots = np.full(span, -1, dtype=np.int64)
+                self.slots[self.unique_keys - self.lo] = np.arange(n)
+
     @property
     def distinct_keys(self) -> int:
         return int(self.unique_keys.size)
@@ -265,6 +291,12 @@ class HashTableIndex:
         n = self.unique_keys.size
         if n == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
+        if self.slots is not None:
+            inside = valid & (keys >= self.lo) & (keys <= self.hi)
+            # clamp before subtracting, so no key's offset wraps
+            groups = self.slots[np.clip(keys, self.lo, self.hi) - self.lo]
+            groups[~inside] = -1
+            return groups
         # a key above every build key lands on n; clamp it so it misses
         pos = np.minimum(np.searchsorted(self.unique_keys, keys), n - 1)
         hit = valid & (self.unique_keys[pos] == keys)
@@ -314,12 +346,15 @@ class ExecStats:
 
 
 def _expand_matches(index: HashTableIndex, groups: np.ndarray):
-    """Per-tuple match groups -> (repeat counts, matched build rows)."""
+    """Per-tuple match groups -> (repeat counts, matched build rows).
+
+    The counts are None when every matched group holds one row: then each
+    tuple matches exactly one build row and nothing needs repeating."""
     counts = index.group_counts[groups]
     starts = index.group_start[groups]
     total = int(counts.sum())
-    if total == 0:
-        return counts, np.empty(0, dtype=np.int64)
+    if total == groups.size:
+        return None, index.group_rows[starts]
     offsets = np.zeros(groups.size, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     flat = np.arange(total, dtype=np.int64)
@@ -360,10 +395,10 @@ def _probe_chunk(
         for a in brows:
             brows[a] = brows[a][hit]
         counts, matched = _expand_matches(step.index, groups[hit])
-        rep = counts
-        prow = np.repeat(prow, rep)
-        for a in brows:
-            brows[a] = np.repeat(brows[a], rep)
+        if counts is not None:
+            prow = np.repeat(prow, counts)
+            for a in brows:
+                brows[a] = np.repeat(brows[a], counts)
         brows[step.alias] = matched
         tables[step.alias] = step.index.table
         stage_out[si + 1] = int(prow.size)

@@ -195,13 +195,16 @@ def test_criterion_8_runs_are_deterministic():
         "AND o_channel < 200 AND p_class < 500"
     )
     p = plan(fe.analyze(fe.parse(sql), cat), cat, EscConfig(min_table_size=1))
-    rows_by_workers = []
+    results = []
     for workers in (1, 8):
         result, count, _ = execute_plan(p, cat, workers=workers)
         assert count > 0
-        rows_by_workers.append([result.row(i) for i in range(result.row_count)])
-    assert rows_by_workers[0] == rows_by_workers[1]
-    assert table_multiset(result) == table_multiset(result)
+        results.append(result)
+    one, eight = results
+    assert [one.row(i) for i in range(one.row_count)] == [
+        eight.row(i) for i in range(eight.row_count)
+    ]
+    assert table_multiset(one) == table_multiset(eight)
 
 
 def test_criterion_9_histogram_arm_changes_plans_not_results():

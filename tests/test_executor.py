@@ -6,6 +6,8 @@ import pytest
 from escdb import expr as ex
 from escdb.errors import ExecutionError
 from escdb.executor import (
+    _DENSE_PAD,
+    _DENSE_RATIO,
     BuildStep,
     HashTableIndex,
     RowSelection,
@@ -164,24 +166,42 @@ class TestHashIndex:
                 out.setdefault(k, []).append(i)
         return out
 
-    # (build-key pool, probe keys absent from it)
+    # the widest key span that 50 distinct keys may have and be dense
+    DENSE_SPAN_50 = _DENSE_RATIO * 50 + _DENSE_PAD
+
+    # (build-key pool, probe keys absent from it, dense)
     ORACLE_CASES = [
-        (range(50), [-1, 50, 10**9]),
+        (range(50), [-1, 50, 10**9], True),
         # negatives; probes below the smallest and above the largest key
-        (range(-30, 30, 3), [-31, -(2**63), -1, 31, 2**63 - 1]),
+        (range(-30, 30, 3), [-31, -(2**63), -1, 31, 2**63 - 1], True),
         # the int64 extremes are build keys themselves
-        ([-(2**63), -7, 0, 2**63 - 1], [-(2**63) + 1, 1, 2**63 - 2]),
+        ([-(2**63), -7, 0, 2**63 - 1], [-(2**63) + 1, 1, 2**63 - 2], False),
+        # sparse without extremes
+        (range(-20 * 10**6, 30 * 10**6, 10**6), [-(2**63), -1, 5, 10**6 + 1], False),
+        # span just inside the density bound, then just outside it
+        (
+            [*range(49), DENSE_SPAN_50 - 1],
+            [-(2**63), -1, 49, DENSE_SPAN_50 - 2, DENSE_SPAN_50, 2**63 - 1],
+            True,
+        ),
+        (
+            [*range(49), DENSE_SPAN_50],
+            [-(2**63), -1, 49, DENSE_SPAN_50 - 1, DENSE_SPAN_50 + 1, 2**63 - 1],
+            False,
+        ),
     ]
 
     def test_lookup_matches_dict_oracle(self):
         rng = random.Random(9)
-        for pool, absent in self.ORACLE_CASES:
+        for pool, absent, dense in self.ORACLE_CASES:
             pool = list(pool)
-            keys = [
+            # every pool key is a build key, so the pool sets the key span
+            keys = pool + [
                 rng.choice(pool) if rng.random() > 0.1 else None for _ in range(2000)
             ]
             t = _int_col_table("t", k=keys)
             idx = build_hash(t, "k")
+            assert (idx.slots is not None) == dense
             want = self._oracle_map(keys)
             assert idx.n_entries == sum(len(v) for v in want.values())
             assert idx.distinct_keys == len(want)

@@ -236,7 +236,7 @@ def count_star(table: ColumnTable, pred: ex.Expr | None) -> int:
 # four arrays plus 1 MiB, and a probe is one gather, not a binary search.
 # The pad lets a selective build, whose few keys spread over the whole key
 # range of its table, be dense too: filling 128Ki slots took 62 us on a
-# 2-core x86 box, where a binary search cost about 80 ns per probe key.
+# 2-core x86 box, where a binary search cost 80-130 ns per probe key.
 _DENSE_RATIO = 4
 _DENSE_PAD = 1 << 17
 

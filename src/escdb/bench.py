@@ -449,6 +449,7 @@ def _timed_cell(
         "time_ms": statistics.median(times[1:]),
         "overhead_ms": statistics.median(overheads[1:]),
         "build_card_sum": result.plan.build_card_sum,
+        "probe_tuples": sum(result.stats.probe_out),
         "result_count": result.count,
         "decisions": [optimizer.decision_json(d) for d in result.plan.decisions],
     }

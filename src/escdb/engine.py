@@ -1,8 +1,9 @@
 """Engine facade: parse, analyze, plan, execute.
 
-A temp table materialized during planning belongs to its plan, which
-the returned ``QueryResult`` holds; it is freed with them, and queries
-sharing one engine never touch each other's temps.
+The row ids a planning sub-query selects, which stand for a pushed-down
+temp table, belong to the plan that the returned ``QueryResult`` holds;
+they are freed with them, and queries sharing one engine never touch
+each other's row ids.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class QueryResult:
     plan: PhysicalPlan
     stats: object
     time_ms: float  # plan + execute, sub-queries included
-    overhead_ms: float  # planning-time sub-query + materialization cost
+    overhead_ms: float  # planning-time sub-query + push-down cost
 
     @property
     def is_count(self) -> bool:

@@ -178,26 +178,40 @@ def _eval_atom(atom: ex.Expr, slices: _ColumnSlices) -> np.ndarray:
     raise ExecutionError(f"unknown atom {atom!r}")
 
 
-def _eval_mask(pred: ex.Expr, slices: _ColumnSlices) -> np.ndarray:
-    """Boolean mask over the current slice; atoms are false on NULL, the
-    connectives are plain two-valued AND/OR/NOT."""
-    if isinstance(pred, ex.And):
-        mask = _eval_mask(pred.items[0], slices)
-        for item in pred.items[1:]:
-            if not mask.any():
-                break
-            mask = mask & _eval_mask(item, slices)
-        return mask
-    if isinstance(pred, ex.Or):
-        mask = _eval_mask(pred.items[0], slices)
-        for item in pred.items[1:]:
-            if mask.all():
-                break
-            mask = mask | _eval_mask(item, slices)
-        return mask
+def _known(atom: ex.Expr, slices: _ColumnSlices) -> np.ndarray:
+    """Rows where none of the atom's operands is NULL."""
+    known = np.ones(slices.size, dtype=bool)
+    for ref in ex.columns(atom):
+        known &= ~slices.get(ref.name)[1]
+    return known
+
+
+def _eval_mask(
+    pred: ex.Expr, slices: _ColumnSlices, negate: bool = False
+) -> np.ndarray:
+    """Boolean mask over the current slice: the rows where ``pred`` is
+    true, or with ``negate`` the rows where it is false.  An atom with a
+    NULL operand is neither (SQL's unknown).  NOT flips ``negate``, and
+    under it AND and OR swap, so a predicate without NOT is one pass."""
     if isinstance(pred, ex.Not):
-        return ~_eval_mask(pred.child, slices)
-    return _eval_atom(pred, slices)
+        return _eval_mask(pred.child, slices, not negate)
+    if isinstance(pred, (ex.And, ex.Or)):
+        conjunction = isinstance(pred, ex.And) != negate
+        mask = _eval_mask(pred.items[0], slices, negate)
+        for item in pred.items[1:]:
+            if conjunction:
+                if not mask.any():
+                    break
+                mask = mask & _eval_mask(item, slices, negate)
+            else:
+                if mask.all():
+                    break
+                mask = mask | _eval_mask(item, slices, negate)
+        return mask
+    mask = _eval_atom(pred, slices)
+    if negate:
+        return _known(pred, slices) & ~mask
+    return mask
 
 
 def eval_predicate(
@@ -216,13 +230,16 @@ def eval_predicate(
     return RowSelection(table, selection.indices[mask])
 
 
-def count_star(table: ColumnTable, pred: ex.Expr | None) -> int:
-    """Rows satisfying ``pred``; nothing is materialized (not even the
-    matching row indices — cost depends on table size, not match count)."""
+def count_star(
+    table: ColumnTable, pred: ex.Expr | None
+) -> tuple[int, np.ndarray | None]:
+    """Rows satisfying ``pred``, and the boolean mask they were counted
+    from (None without a predicate).  No row indices are materialized, so
+    the cost depends on table size, not match count."""
     if pred is None:
-        return table.row_count
+        return table.row_count, None
     mask = _eval_mask(pred, _ColumnSlices(table, None))
-    return int(np.count_nonzero(mask))
+    return int(np.count_nonzero(mask)), mask
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +330,16 @@ class HashTableIndex:
 
 
 def build_hash(
-    table: ColumnTable, key: str, residual: ex.Expr | None = None
+    table: ColumnTable,
+    key: str,
+    residual: ex.Expr | None = None,
+    rows: np.ndarray | None = None,
 ) -> HashTableIndex:
-    """Join index over rows passing ``residual`` (NULL keys excluded)."""
-    rows = eval_predicate(table, residual).to_indices()
+    """Join index over ``rows``, or by default over the rows passing
+    ``residual`` (NULL keys excluded).  Given ``rows``, already filtered
+    at planning time, the residual is not evaluated again."""
+    if rows is None:
+        rows = eval_predicate(table, residual).to_indices()
     return HashTableIndex(table, key, rows)
 
 

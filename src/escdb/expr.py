@@ -8,8 +8,9 @@ days, TEXT equality constants to dictionary codes).  Atoms that can be
 decided at analysis time collapse to FoldedAtom, which keeps its column
 anchor so predicate classification still knows which table it belongs to.
 
-NULL semantics: every atom evaluates to false when any operand is NULL;
-AND/OR/NOT combine the resulting two-valued masks.
+NULL semantics: an atom with a NULL operand is unknown, neither true nor
+false; AND/OR/NOT follow SQL's three-valued logic, and a row qualifies
+only where the predicate is true.
 """
 
 from __future__ import annotations

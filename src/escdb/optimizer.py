@@ -2,11 +2,13 @@
 
 Instead of estimating predicate selectivities from synopses, the planner
 runs a generated COUNT sub-query per filtered build table at planning
-time.  Qualifying selections (table large enough, selectivity low
-enough) are materialized into temp tables that replace their base scans;
-the exact counts then drive the greedy left-deep join order.  A baseline
-arm (no sub-queries, base cardinalities) and a histogram-estimate arm
-exist for comparison experiments.
+time.  In arm ``esc`` every counted build indexes its base table at the
+row ids of the sub-query's mask, so no filter runs twice.  Qualifying
+selections (table large enough, selectivity low enough) are pushed down:
+their row ids stand for a temp table, and the exact counts drive the
+greedy left-deep join order.  A baseline arm (no sub-queries, base
+cardinalities) and a histogram-estimate arm exist for comparison
+experiments.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import executor
 from . import expr as ex
@@ -27,7 +31,6 @@ from .errors import (
     UnsupportedColumnKind,
 )
 from .frontend import JoinGraph
-from .storage import ColumnTable
 
 ARMS = ("esc", "esc-unmaterialized", "baseline", "histogram")
 # selectivity the histogram arm assumes for a predicate it cannot estimate
@@ -38,10 +41,10 @@ DEFAULT_GUESS = 0.1
 class EscConfig:
     """Planner knobs.  ``arm`` picks how build tables are ordered:
 
-    * ``esc``: by exact counts, materializing the qualifying tables;
+    * ``esc``: by exact counts, pushing down the qualifying tables;
     * ``esc-unmaterialized``: runs the same sub-queries and records the
-      verdicts, but plans exactly as ``baseline`` (the overhead
-      experiments use it);
+      verdicts, but plans and executes exactly as ``baseline`` (the
+      overhead experiments use it);
     * ``baseline``: by base cardinalities, no sub-queries;
     * ``histogram``: by histogram estimates, no sub-queries.
     """
@@ -69,7 +72,7 @@ class EscDecision:
     row_count: int
     selectivity: Fraction  # exact_count / row_count, exact
     qualified: bool  # passed the two-threshold policy
-    pushed_down: bool  # actually materialized (qualified, arm "esc")
+    pushed_down: bool  # row ids replace the scan (qualified, arm "esc")
     subquery_ms: float
     materialize_ms: float = 0.0
 
@@ -77,11 +80,14 @@ class EscDecision:
 @dataclass
 class PlanBuild:
     alias: str
-    source: str | ColumnTable  # base table name or the pushed-down temp
+    source: str  # base table name
     build_key: ex.ColumnRef
     probe_key: ex.ColumnRef  # column on the probe table or an earlier build
-    residual: ex.Expr | None  # fused filter; None when pre-materialized
+    residual: ex.Expr | None  # fused filter; None when pushed down
     input_rows: int
+    # row ids of a counted table (arm "esc"), which the build indexes
+    # instead of re-applying the residual; pushed down when residual is None
+    rows: np.ndarray | None = None
 
 
 @dataclass
@@ -106,7 +112,7 @@ class PhysicalPlan:
 
     @property
     def overhead_ms(self) -> float:
-        """Planning-time sub-query plus materialization cost."""
+        """Planning-time sub-query plus push-down cost."""
         return sum(d.subquery_ms + d.materialize_ms for d in self.decisions)
 
 
@@ -124,18 +130,18 @@ def compute_exact_selectivity(
     table: str,
     predicate: ex.Expr,
     alias: str | None = None,
-) -> tuple[int, float]:
+) -> tuple[int, np.ndarray, float]:
     """Run ``SELECT COUNT(*) FROM table WHERE predicate``; returns
-    (exact_count, duration_ms)."""
+    (exact_count, the boolean mask it counted, duration_ms)."""
     base = catalog.table(table)
     t0 = time.perf_counter()
     try:
-        count = executor.count_star(base, predicate)
+        count, mask = executor.count_star(base, predicate)
     except EscdbError as exc:
         raise ExecutionError(
             f"count sub-query on {alias or table!r} failed: {exc}"
         ) from exc
-    return count, (time.perf_counter() - t0) * 1000.0
+    return count, mask, (time.perf_counter() - t0) * 1000.0
 
 
 def decide_pushdown(row_count: int, exact_count: int, config: EscConfig) -> bool:
@@ -147,21 +153,12 @@ def decide_pushdown(row_count: int, exact_count: int, config: EscConfig) -> bool
     return Fraction(exact_count, row_count) <= config.max_selectivity
 
 
-def materialize_pushdown(
-    catalog: Catalog,
-    table: str,
-    predicate: ex.Expr,
-    needed_columns,
-    alias: str | None = None,
-) -> tuple[ColumnTable, float]:
-    """Filter the table down to the qualifying rows, projected to
-    ``needed_columns``; the plan that reads the temp table owns it."""
-    base = catalog.table(table)
+def materialize_pushdown(mask: np.ndarray) -> tuple[np.ndarray, float]:
+    """Row ids of a pushed-down selection, standing for its temp table:
+    the build indexes the base table at them, and the plan owns them."""
     t0 = time.perf_counter()
-    rows = executor.eval_predicate(base, predicate).to_indices()
-    columns = [base.column(name).take(rows) for name in needed_columns]
-    temp = ColumnTable(base.name, columns)
-    return temp, (time.perf_counter() - t0) * 1000.0
+    rows = np.flatnonzero(mask)
+    return rows, (time.perf_counter() - t0) * 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +207,6 @@ def _connecting_edge(graph: JoinGraph, alias: str, connected: set):
     return edges[0]
 
 
-def _needed_columns(graph: JoinGraph, alias: str, table) -> list[str]:
-    """Columns a pushed-down temp must keep: projected columns plus every
-    join key on this table, in base column order."""
-    names = {ref.name for ref in (graph.projection or ()) if ref.table == alias}
-    for edge in graph.edges:
-        for side in (edge.left, edge.right):
-            if side.table == alias:
-                names.add(side.name)
-    return [c.name for c in table.columns if c.name in names]
-
-
 # ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------
@@ -238,8 +224,9 @@ def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str) -> float
 
 def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     """Produce the physical plan; the ESC arms run COUNT sub-queries for
-    every non-probe table that has a predicate, and arm ``esc``
-    materializes the qualifying ones."""
+    every non-probe table that has a predicate, and arm ``esc`` builds
+    every counted table from its sub-query's rows and pushes down the
+    qualifying ones."""
     row_counts = {a: catalog.table(graph.source[a]).row_count for a in graph.tables}
 
     if len(graph.tables) == 1:
@@ -257,7 +244,7 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     probe = choose_probe(graph, row_counts)
     effective: dict[str, float | int] = dict(row_counts)
     decisions: list[EscDecision] = []
-    temps: dict[str, ColumnTable] = {}
+    counted_rows: dict[str, np.ndarray] = {}
 
     if config.arm in ("esc", "esc-unmaterialized"):
         for alias in graph.tables:
@@ -269,20 +256,17 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             rc = row_counts[alias]
             if rc < config.min_table_size or rc == 0:
                 continue  # size test gates the sub-query itself
-            count, sub_ms = compute_exact_selectivity(
+            count, mask, sub_ms = compute_exact_selectivity(
                 catalog, graph.source[alias], residual, alias
             )
             qualified = decide_pushdown(rc, count, config)
             pushed = qualified and config.arm == "esc"
             mat_ms = 0.0
             if pushed:
-                needed = _needed_columns(
-                    graph, alias, catalog.table(graph.source[alias])
-                )
-                temps[alias], mat_ms = materialize_pushdown(
-                    catalog, graph.source[alias], residual, needed, alias
-                )
+                counted_rows[alias], mat_ms = materialize_pushdown(mask)
                 effective[alias] = count
+            elif config.arm == "esc":
+                counted_rows[alias] = np.flatnonzero(mask)
             decisions.append(
                 EscDecision(
                     table=alias,
@@ -304,22 +288,21 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             effective[alias] = row_counts[alias] * fraction
 
     order = order_builds(graph, probe, effective)
+    pushed_down = {d.table for d in decisions if d.pushed_down}
     builds = []
     connected = {probe}
     for alias in order:
         edge = _connecting_edge(graph, alias, connected)
         build_key = edge.key_for(alias)
         probe_key = edge.left if edge.right.table == alias else edge.right
-        if alias in temps:
-            source: str | ColumnTable = temps[alias]
-            residual = None
-            input_rows = source.row_count
+        rows = counted_rows.get(alias)
+        if alias in pushed_down:
+            residual, input_rows = None, rows.size
         else:
-            source = graph.source[alias]
-            residual = graph.residual(alias)
-            input_rows = row_counts[alias]
+            residual, input_rows = graph.residual(alias), row_counts[alias]
+        source = graph.source[alias]
         builds.append(
-            PlanBuild(alias, source, build_key, probe_key, residual, input_rows)
+            PlanBuild(alias, source, build_key, probe_key, residual, input_rows, rows)
         )
         connected.add(alias)
 
@@ -348,12 +331,9 @@ def execute_plan(
     steps = []
     build_ms = []
     for b in plan_.builds:
-        if isinstance(b.source, ColumnTable):
-            table = b.source
-        else:
-            table = catalog.table(b.source)
+        table = catalog.table(b.source)
         t0 = time.perf_counter()
-        index = executor.build_hash(table, b.build_key.name, b.residual)
+        index = executor.build_hash(table, b.build_key.name, b.residual, b.rows)
         build_ms.append((time.perf_counter() - t0) * 1000.0)
         steps.append(executor.BuildStep(b.alias, index, b.probe_key))
     result, stats = executor.probe_joins(
@@ -373,10 +353,10 @@ def execute_plan(
 # ---------------------------------------------------------------------------
 
 
-def _fmt_source(source) -> str:
-    if isinstance(source, ColumnTable):
-        return f"temp(rows={source.row_count})"
-    return source
+def _fmt_source(b: PlanBuild) -> str:
+    if b.rows is not None and b.residual is None:
+        return f"temp(rows={b.rows.size})"
+    return b.source
 
 
 def explain_text(plan_: PhysicalPlan) -> str:
@@ -408,7 +388,7 @@ def explain_text(plan_: PhysicalPlan) -> str:
         pad = "  " * (depth - i)
         fil = f" filter=({b.residual})" if b.residual is not None else ""
         lines.append(
-            f"{pad}Build {b.alias}={_fmt_source(b.source)} rows={b.input_rows}{fil}"
+            f"{pad}Build {b.alias}={_fmt_source(b)} rows={b.input_rows}{fil}"
         )
     return "\n".join(lines)
 
@@ -439,7 +419,7 @@ def explain_json(plan_: PhysicalPlan) -> dict:
         "builds": [
             {
                 "alias": b.alias,
-                "source": _fmt_source(b.source),
+                "source": _fmt_source(b),
                 "rows": b.input_rows,
                 "key": str(b.build_key),
                 "probe_key": str(b.probe_key),

@@ -251,7 +251,9 @@ class ColumnTable:
         return tuple(c.decode_value(i) for c in self.columns)
 
 
-_INT64 = np.iinfo(np.int64)
+# Python ints: np.iinfo's min/max are properties, too slow to read per cell
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _convert_cell(raw, kind: ColumnKind, dictionary: Dictionary) -> tuple[int, bool]:
@@ -313,7 +315,7 @@ def append_rows(
         for cix, col in enumerate(table.columns):
             try:
                 value, is_null = _convert_cell(row[cix], col.kind, col.dictionary)
-                if not _INT64.min <= value <= _INT64.max:
+                if not _INT64_MIN <= value <= _INT64_MAX:
                     raise TypeMismatch(
                         f"{col.kind} value {row[cix]!r} does not fit in int64"
                     )

@@ -4,8 +4,10 @@ These interpret resolved predicates row by row over plain Python
 values — no numpy, no shared code with the executor beyond the storage
 containers themselves.  Semantics mirrored deliberately:
 
-* an atom is false when any operand is NULL,
-* AND/OR/NOT are ordinary two-valued connectives above that floor,
+* an atom is unknown (None) when any operand is NULL,
+* AND/OR/NOT are SQL's three-valued connectives over True/False/None,
+  written out per value (the engine derives them from a negated pass),
+  and a row qualifies only where the predicate is True,
 * TEXT equality/ranges compare decoded strings (the engine compares
   dictionary codes / uses lookup tables — bijection makes them agree),
 * UDFs receive float arguments: DECIMAL descaled by 10**-scale, DATE as
@@ -67,16 +69,17 @@ _OPS = {
 }
 
 
-def _atom(pred, cols, i) -> bool:
-    """One atom over row ``i``; ``cols`` maps column name -> _Col."""
+def _atom(pred, cols, i) -> bool | None:
+    """One atom over row ``i``; ``cols`` maps column name -> _Col.  None
+    (unknown) when an operand is NULL."""
     if isinstance(pred, ex.FoldedAtom):
         if cols[pred.col.name].nulls[i]:
-            return False
+            return None
         return pred.result
     if isinstance(pred, ex.Equality):
         c = cols[pred.col.name]
         if c.nulls[i]:
-            return False
+            return None
         if c.strs is not None:
             # constant is a dictionary code; compare as strings
             return c.text(i) == c.dict.decode(pred.value)
@@ -84,14 +87,14 @@ def _atom(pred, cols, i) -> bool:
     if isinstance(pred, ex.Comparison):
         c = cols[pred.col.name]
         if c.nulls[i]:
-            return False
+            return None
         if isinstance(pred.value, str):
             return _OPS[pred.op](c.text(i), pred.value)
         return _OPS[pred.op](c.vals[i], pred.value)
     if isinstance(pred, ex.Range):
         c = cols[pred.col.name]
         if c.nulls[i]:
-            return False
+            return None
         if isinstance(pred.lo, str):
             v = c.text(i)
         else:
@@ -101,26 +104,44 @@ def _atom(pred, cols, i) -> bool:
         a = cols[pred.left.name]
         b = cols[pred.right.name]
         if a.nulls[i] or b.nulls[i]:
-            return False
+            return None
         return _OPS[pred.op](a.vals[i], b.vals[i])
     if isinstance(pred, ex.FnCall):
         args = []
         for ref in pred.args:
             v = cols[ref.name].as_float(i)
             if v is None:
-                return False
+                return None
             args.append(v)
         return _OPS[pred.op](pred.fn(*args), pred.value)
     raise TypeError(f"oracle cannot evaluate {type(pred).__name__}")
 
 
-def _eval(pred, cols, i) -> bool:
+def _and(values) -> bool | None:
+    values = list(values)
+    if False in values:
+        return False
+    return None if None in values else True
+
+
+def _or(values) -> bool | None:
+    values = list(values)
+    if True in values:
+        return True
+    return None if None in values else False
+
+
+def _not(value: bool | None) -> bool | None:
+    return None if value is None else not value
+
+
+def _eval(pred, cols, i) -> bool | None:
     if isinstance(pred, ex.And):
-        return all(_eval(p, cols, i) for p in pred.items)
+        return _and(_eval(p, cols, i) for p in pred.items)
     if isinstance(pred, ex.Or):
-        return any(_eval(p, cols, i) for p in pred.items)
+        return _or(_eval(p, cols, i) for p in pred.items)
     if isinstance(pred, ex.Not):
-        return not _eval(pred.child, cols, i)
+        return _not(_eval(pred.child, cols, i))
     return _atom(pred, cols, i)
 
 
@@ -129,12 +150,12 @@ def oracle_count(table: ColumnTable, pred) -> int:
     t = _Table(table)
     if pred is None:
         return t.n
-    return sum(1 for i in range(t.n) if _eval(pred, t.cols, i))
+    return sum(1 for i in range(t.n) if _eval(pred, t.cols, i) is True)
 
 
 def oracle_select(table: ColumnTable, pred) -> list[int]:
     t = _Table(table)
-    return [i for i in range(t.n) if _eval(pred, t.cols, i)]
+    return [i for i in range(t.n) if _eval(pred, t.cols, i) is True]
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +163,20 @@ def oracle_select(table: ColumnTable, pred) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _eval_multi(pred, envs: dict[str, dict], rows: dict[str, int]) -> bool:
+def _eval_multi(pred, envs: dict[str, dict], rows: dict[str, int]) -> bool | None:
     """Predicate over one assignment of (alias -> row index)."""
     if isinstance(pred, ex.And):
-        return all(_eval_multi(p, envs, rows) for p in pred.items)
+        return _and(_eval_multi(p, envs, rows) for p in pred.items)
     if isinstance(pred, ex.Or):
-        return any(_eval_multi(p, envs, rows) for p in pred.items)
+        return _or(_eval_multi(p, envs, rows) for p in pred.items)
     if isinstance(pred, ex.Not):
-        return not _eval_multi(pred.child, envs, rows)
+        return _not(_eval_multi(pred.child, envs, rows))
     if isinstance(pred, ex.ColumnCompare):
         a = envs[pred.left.table][pred.left.name]
         b = envs[pred.right.table][pred.right.name]
         i, j = rows[pred.left.table], rows[pred.right.table]
         if a.nulls[i] or b.nulls[j]:
-            return False
+            return None
         return _OPS[pred.op](a.vals[i], b.vals[j])
     # single-table atom: dispatch on whichever table it references
     alias = next(iter(ex.tables(pred)))
@@ -191,7 +212,7 @@ def oracle_join(
     def rec(k: int, rows: dict[str, int]):
         nonlocal count
         if k == len(aliases):
-            if _eval_multi(pred, envs, rows):
+            if _eval_multi(pred, envs, rows) is True:
                 count += 1
                 if bag is not None:
                     bag[

@@ -18,7 +18,7 @@ from escdb.storage import dump_csv
 
 ROW_KEYS = {
     "query", "arm", "time_ms", "overhead_ms",
-    "build_card_sum", "result_count", "decisions",
+    "build_card_sum", "probe_tuples", "result_count", "decisions",
 }
 
 
@@ -140,7 +140,8 @@ class TestReport:
         def row(q, arm, t, ov=0.0):
             return {
                 "query": q, "arm": arm, "time_ms": t, "overhead_ms": ov,
-                "build_card_sum": 10, "result_count": 3, "decisions": [],
+                "build_card_sum": 10, "probe_tuples": 30, "result_count": 3,
+                "decisions": [],
             }
 
         return [

@@ -1,4 +1,5 @@
 import gc
+import sqlite3
 import weakref
 
 import pytest
@@ -7,7 +8,9 @@ from escdb import frontend, optimizer
 from escdb.engine import Engine, parse_schema_spec
 from escdb.errors import ExecutionError, UnknownColumn
 from escdb.optimizer import EscConfig, materialize_pushdown
-from escdb.storage import KIND_DATE, KIND_INT64, KIND_TEXT, ColumnTable
+from escdb.storage import KIND_DATE, KIND_INT64, KIND_TEXT, ColumnTable, append_rows
+
+from oracles import oracle_count
 
 
 class TestSchemaSpec:
@@ -69,9 +72,8 @@ class TestRun:
 
     def test_temp_freed_with_result(self, engine):
         res = engine.run(PUSHDOWN_SQL.format(v=0))
-        (temp,) = [
-            b.source for b in res.plan.builds if isinstance(b.source, ColumnTable)
-        ]
+        # a pushed-down build's temp is the row-id array its plan holds
+        (temp,) = [b.rows for b in res.plan.builds if b.residual is None]
         ref = weakref.ref(temp)
         del temp
         gc.collect()
@@ -84,9 +86,9 @@ class TestRun:
         refs = []
 
         def spy(*args, **kwargs):
-            temp, ms = materialize_pushdown(*args, **kwargs)
-            refs.append(weakref.ref(temp))
-            return temp, ms
+            rows, ms = materialize_pushdown(*args, **kwargs)
+            refs.append(weakref.ref(rows))
+            return rows, ms
 
         monkeypatch.setattr(optimizer, "materialize_pushdown", spy)
         engine.register_udf("boom", 1, lambda a: 1 / 0)
@@ -101,9 +103,13 @@ class TestRun:
         ra = frontend.analyze(frontend.parse(sql), engine.catalog)
         first = optimizer.plan(ra, engine.catalog, engine.config)
         assert any(d.pushed_down for d in first.decisions)
+        (temp,) = [b.rows for b in first.builds if b.residual is None]
         second = engine.run(PUSHDOWN_SQL.format(v=1))
         assert any(d.pushed_down for d in second.plan.decisions)
         assert second.count == 3  # s_k in {1, 4, 7}
+        del second
+        gc.collect()
+        assert temp.tolist() == [2, 5]  # the rows of s_k 3 and 6
         _, count, _ = optimizer.execute_plan(first, engine.catalog)
         assert count == 2
 
@@ -124,3 +130,42 @@ class TestRun:
         )
         assert res.plan.decisions == [] and res.overhead_ms == 0.0
         assert res.count == 2
+
+
+class TestNullsUnderNot:
+    """SQL's three-valued logic, checked against stdlib sqlite3: an atom
+    over a NULL is unknown, NOT keeps it unknown, and only rows where the
+    predicate is true qualify."""
+
+    ROWS = [(1, 5), (2, None), (3, 6)]
+    PREDICATES = [
+        ("NOT (b = 5)", 1),
+        ("NOT (b <> 5)", 1),
+        ("NOT (b = 5 AND a > 0)", 1),
+        ("NOT (b = 5 OR a > 5)", 1),
+        ("NOT (b = 5) OR a = 2", 2),
+    ]
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        eng = Engine()
+        schema = [("a", KIND_INT64), ("b", KIND_INT64)]
+        eng.catalog.register(append_rows(ColumnTable.empty("t", schema), self.ROWS))
+        lite = sqlite3.connect(":memory:")
+        lite.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        lite.executemany("INSERT INTO t VALUES (?, ?)", self.ROWS)
+        yield eng, lite
+        lite.close()
+
+    @pytest.mark.parametrize("pred,want", PREDICATES)
+    def test_matches_sqlite(self, engines, pred, want):
+        eng, lite = engines
+        (count,) = lite.execute(f"SELECT COUNT(*) FROM t WHERE {pred}").fetchone()
+        assert eng.run(f"SELECT COUNT(*) FROM t WHERE {pred}").count == count == want
+        graph = frontend.analyze(
+            frontend.parse(f"SELECT COUNT(*) FROM t WHERE {pred}"), eng.catalog
+        )
+        assert oracle_count(eng.catalog.table("t"), graph.residual("t")) == want
+        got = eng.run(f"SELECT a FROM t WHERE {pred}").rows.column("a").values
+        rows = lite.execute(f"SELECT a FROM t WHERE {pred} ORDER BY a").fetchall()
+        assert got.tolist() == [a for (a,) in rows]

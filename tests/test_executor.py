@@ -124,14 +124,15 @@ class TestEvalPredicate:
             custom_nulls.row_count - n_null
         )
 
-    def test_not_readmits_null_rows(self, custom_nulls):
-        """Two-valued NOT: rows where the atom was false-by-NULL flip to
-        true under NOT, matching the oracle's semantics."""
+    def test_not_leaves_null_rows_out(self, custom_nulls):
+        """SQL NOT: an atom over a NULL is unknown, and NOT of unknown is
+        unknown, so NULL rows pass neither the atom nor its negation."""
         col = custom_nulls.column("a")
         ref = ex.ColumnRef("data", "a", col.kind)
-        atom = ex.Comparison(ref, "<", 10**9)  # true on every non-null row
+        atom = ex.Comparison(ref, ">=", 10**9)  # false on every non-null row
         sel = eval_predicate(custom_nulls, ex.Not(atom))
-        assert sel.count == int(col.null_mask.sum())
+        assert sel.count == custom_nulls.row_count - int(col.null_mask.sum())
+        assert eval_predicate(custom_nulls, ex.Not(ex.Not(atom))).count == 0
 
 
 class TestCountStar:
@@ -139,12 +140,13 @@ class TestCountStar:
         gen = PredGen(custom_nulls, random.Random(55))
         for _ in range(20):
             pred = gen.pred()
-            assert count_star(custom_nulls, pred) == eval_predicate(
-                custom_nulls, pred
-            ).count
+            count, mask = count_star(custom_nulls, pred)
+            sel = eval_predicate(custom_nulls, pred)
+            assert count == sel.count
+            assert np.array_equal(np.flatnonzero(mask), sel.to_indices())
 
     def test_none_pred(self, custom_nulls):
-        assert count_star(custom_nulls, None) == custom_nulls.row_count
+        assert count_star(custom_nulls, None) == (custom_nulls.row_count, None)
 
 
 def _int_col_table(name, **columns):
@@ -465,7 +467,7 @@ class TestProbeJoins:
         assert stats.build_cards == [s.index.n_entries for s in steps]
         assert stats.build_distinct == [s.index.distinct_keys for s in steps]
         assert len(stats.probe_out) == len(steps) + 1
-        assert stats.probe_out[0] == count_star(join_data["lines"], probe_pred)
+        assert stats.probe_out[0] == count_star(join_data["lines"], probe_pred)[0]
         assert stats.probe_out[-1] == stats.result_rows == result.row_count
 
     def test_duplicate_column_names_requalified(self, join_data):

@@ -3,10 +3,12 @@ import re
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from escdb import expr as ex
 from escdb import frontend as fe
+from escdb.bench import GenSpec, generate, tpch4_queries
 from escdb.catalog import Catalog
 from escdb.errors import (
     CartesianProductRequired,
@@ -28,7 +30,7 @@ from escdb.optimizer import (
 )
 from escdb.storage import ColumnTable, KIND_INT64, append_rows
 
-from oracles import oracle_count, oracle_join, table_multiset
+from oracles import oracle_count, oracle_join, oracle_select, table_multiset
 
 
 def _int_table(name, n, **cols):
@@ -80,13 +82,14 @@ def _plan_sql(cat, sql, config):
 class TestSubquery:
     def test_exact_selectivity_matches_oracle(self, shop):
         pred = ex.Equality(ex.ColumnRef("cust", "c_band"), 3)
-        count, ms = compute_exact_selectivity(shop, "cust", pred)
+        count, mask, ms = compute_exact_selectivity(shop, "cust", pred)
         assert count == oracle_count(shop.table("cust"), pred) == 200
+        assert int(mask.sum()) == count and mask.size == 2000
         assert ms >= 0.0
 
     def test_alias_differs_from_source(self, shop):
         pred = ex.Equality(ex.ColumnRef("c2", "c_band"), 3)
-        count, _ = compute_exact_selectivity(
+        count, _, _ = compute_exact_selectivity(
             shop, "cust", pred, alias="c2"
         )
         assert count == 200
@@ -153,12 +156,16 @@ class TestPolicy:
 
 class TestMaterialize:
     def test_temp_contents_and_schema(self, shop):
+        """The temp is the base table's row ids, ascending, one per row
+        the sub-query's mask selected."""
         pred = ex.Equality(ex.ColumnRef("cust", "c_band"), 3)
-        temp, ms = materialize_pushdown(shop, "cust", pred, ["c_id"])
+        _, mask, _ = compute_exact_selectivity(shop, "cust", pred)
+        rows, ms = materialize_pushdown(mask)
         assert ms >= 0.0
-        assert temp.row_count == 200
-        assert [c.name for c in temp.columns] == ["c_id"]
-        ids = temp.column("c_id").values
+        assert rows.dtype == np.int64 and rows.size == 200
+        assert (np.diff(rows) > 0).all()
+        assert rows.tolist() == oracle_select(shop.table("cust"), pred)
+        ids = shop.table("cust").column("c_id").values[rows]
         assert all(v % 10 == 3 for v in ids.tolist())
 
 
@@ -233,20 +240,26 @@ class TestPlanArms:
         # exact counts reorder the builds: 80, 200, 1200
         assert p.build_order == ["tiny", "cust", "prod"]
         builds = {b.alias: b for b in p.builds}
-        assert isinstance(builds["cust"].source, ColumnTable)
-        assert cust.exact_count == builds["cust"].source.row_count == 200
+        # a pushed-down build is its base table plus the counted row ids
+        assert builds["cust"].source == "cust"
+        assert cust.exact_count == builds["cust"].rows.size == 200
         assert builds["cust"].residual is None
         assert builds["cust"].input_rows == 200
+        # a counted build that does not qualify keeps its filter for
+        # EXPLAIN but indexes the counted rows too
         assert builds["prod"].source == "prod"
         assert builds["prod"].residual is not None
+        assert builds["prod"].rows.size == prod.exact_count
         assert builds["prod"].input_rows == 1200
+        # tiny is under min_table_size, so uncounted: filtered in the build
+        assert builds["tiny"].rows is None
         assert p.build_card_sum == 80 + 200 + 1200
 
     def test_baseline_plan_shape(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig(arm="baseline"))
         assert p.decisions == []
         assert p.build_order == ["tiny", "prod", "cust"]
-        assert all(isinstance(b.source, str) for b in p.builds)
+        assert all(b.rows is None for b in p.builds)
         assert p.build_card_sum == 80 + 1200 + 2000
 
     def test_verdicts_without_materialization(self, shop):
@@ -254,7 +267,8 @@ class TestPlanArms:
         assert {d.table for d in p.decisions} == {"cust", "prod"}
         assert any(d.qualified for d in p.decisions)
         assert not any(d.pushed_down for d in p.decisions)
-        assert all(isinstance(b.source, str) for b in p.builds)
+        # the verdicts' masks are dropped: every build re-filters
+        assert all(b.rows is None for b in p.builds)
         # plan stays identical to baseline
         base = _plan_sql(shop, SHOP_SQL, EscConfig(arm="baseline"))
         assert p.build_order == base.build_order
@@ -283,7 +297,7 @@ class TestPlanArms:
 
     def test_temps_live_until_dropped(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
-        (temp,) = [b.source for b in p.builds if isinstance(b.source, ColumnTable)]
+        (temp,) = [b.rows for b in p.builds if b.residual is None]
         ref = weakref.ref(temp)
         del temp
         gc.collect()
@@ -374,10 +388,38 @@ class TestExecutePlan:
         # no join key is NULL, so each index holds the rows passing its
         # residual: the actual build size, not the planned input_rows
         assert [b.residual is not None for b in p.builds] == [True, True]
-        want = [count_star(micro.table(b.source), b.residual) for b in p.builds]
+        want = [count_star(micro.table(b.source), b.residual)[0] for b in p.builds]
         assert stats.build_cards == want
         assert sum(want) < p.build_card_sum
         assert len(stats.build_ms) == len(p.builds)
+
+    @pytest.mark.parametrize(
+        "arm,passes", [("esc", 1), ("baseline", 1), ("esc-unmaterialized", 2)]
+    )
+    def test_udf_runs_once_per_orders_row(self, arm, passes):
+        """tpch4.4 filters orders through a row-by-row UDF.  Arm esc
+        builds orders from the sub-query's mask, so the UDF sees each row
+        once, as in the baseline; esc-unmaterialized re-filters."""
+        calls = []
+
+        def mix200(a, b):
+            calls.append(None)
+            return (a * 31.0 + b) % 200.0
+
+        cat = Catalog()
+        for t in generate(GenSpec("tpch_subset", 0.01, 42)).values():
+            cat.register(t)
+        cat.register_udf("mix200", 2, mix200)
+        sql = dict(tpch4_queries())["tpch4.4"]
+        star = sql.replace("SELECT COUNT(*)", "SELECT *", 1)
+        for text in (sql, star):
+            calls.clear()
+            p = _plan_sql(cat, text, EscConfig(arm=arm))
+            execute_plan(p, cat)
+            assert len(calls) == passes * cat.table("orders").row_count, text
+        if arm == "esc":
+            (orders,) = [d for d in p.decisions if d.table == "orders"]
+            assert not orders.pushed_down  # counted, built from the mask
 
 
 class TestExplain:

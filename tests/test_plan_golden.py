@@ -5,7 +5,9 @@
 ``SELECT *`` form, under each of the four planner arms: the build order,
 each build's ``input_rows``, each ESC decision's ``(table, count,
 pushdown)``, the distinct keys of each built index, the tuples each probe
-stage produced, and the result count.
+stage produced, the result count, and for ``SELECT *`` a SHA-256 of the
+result in row order.  Every plan runs with one and with two probe
+workers, and both runs must match the same pins.
 
 This is a regression pin, not an oracle. The file holds what the planner
 chose when it was written, not what it should choose; correctness is
@@ -15,6 +17,7 @@ rewrites the file and says why:
     PYTHONPATH=src python tests/test_plan_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,7 +28,17 @@ from escdb.optimizer import ARMS, EscConfig, execute_plan, plan
 GOLDEN = Path(__file__).with_name("plan_golden.json")
 
 
-def plan_pins() -> dict:
+def result_digest(table) -> str:
+    """SHA-256 over every column's name, values and null mask, in row order."""
+    h = hashlib.sha256()
+    for col in table.columns:
+        h.update(col.name.encode())
+        h.update(col.values.tobytes())
+        h.update(col.null_mask.tobytes())
+    return h.hexdigest()
+
+
+def plan_pins(workers: int = 1) -> dict:
     pins = {}
     for which, queries in (("tpch4", tpch4_queries()), ("ssb", ssb_queries())):
         catalog = plan_quality_catalog(which, 0.01, 42)
@@ -35,8 +48,8 @@ def plan_pins() -> dict:
                 graph = fe.analyze(fe.parse(text), catalog)
                 for arm in ARMS:
                     p = plan(graph, catalog, EscConfig(arm=arm))
-                    _, count, stats = execute_plan(p, catalog)
-                    pins[f"{label}/{form}/{arm}"] = {
+                    result, count, stats = execute_plan(p, catalog, workers=workers)
+                    pin = {
                         "builds": [[b.alias, int(b.input_rows)] for b in p.builds],
                         "decisions": [
                             [d.table, int(d.exact_count), d.pushed_down]
@@ -46,15 +59,26 @@ def plan_pins() -> dict:
                         "probe_out": [int(n) for n in stats.probe_out],
                         "count": int(count),
                     }
+                    if result is not None:
+                        pin["digest"] = result_digest(result)
+                    pins[f"{label}/{form}/{arm}"] = pin
     return pins
 
 
-def test_plans_match_golden():
+def _assert_pins(got: dict):
     want = json.loads(GOLDEN.read_text())
-    got = plan_pins()
     assert sorted(got) == sorted(want)
     changed = [key for key in want if got[key] != want[key]]
     assert not changed, {key: (want[key], got[key]) for key in changed}
+
+
+def test_plans_match_golden():
+    _assert_pins(plan_pins())
+
+
+def test_two_workers_match_golden():
+    """Chunked probing changes no stage count and no output row or order."""
+    _assert_pins(plan_pins(workers=2))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,14 @@
 """Columnar execution: filtered scans, COUNT, hash-join build and probe.
 
-Everything is vectorized over int64 column vectors.  The probe pipeline
-is a single fused pass: probe-side predicate, every join-index lookup,
-and the output gather happen without materializing intermediate tuples.
+Everything is vectorized over int64 column vectors.  A set of rows is an
+ascending int64 array of row ids, except a probe chunk, which is a
+contiguous ``slice`` of rows: predicates read column views over it, so
+no column is gathered to filter.  The probe pipeline is a single fused
+pass: probe-side predicate, every join-index lookup, and the output
+gather happen without materializing intermediate tuples; one row-id
+array per table alias carries the matches from stage to stage.  With
+``workers`` threads, each probes one chunk, and the output row order is
+the probe row order whatever ``workers`` is.
 A join index sorts the build keys once, and duplicate keys share a
 contiguous row group.  When the distinct keys are dense, a probe is one
 gather from a direct-address slot table; otherwise it is one
@@ -11,6 +17,7 @@ gather from a direct-address slot table; otherwise it is one
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,70 +29,14 @@ from .errors import ExecutionError
 from .storage import Column, ColumnTable
 
 # ---------------------------------------------------------------------------
-# Row selections and predicate evaluation
+# Predicate evaluation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RowSelection:
-    """Subset of a table's rows: explicit sorted indices, or all rows."""
-
-    table: ColumnTable
-    indices: np.ndarray | None = None  # None = every row
-
-    @property
-    def count(self) -> int:
-        if self.indices is None:
-            return self.table.row_count
-        return int(self.indices.size)
-
-    def to_indices(self) -> np.ndarray:
-        if self.indices is None:
-            return np.arange(self.table.row_count, dtype=np.int64)
-        return self.indices
-
-
-class _ColumnSlices:
-    """Per-evaluation cache of gathered (values, null_mask) slices."""
-
-    def __init__(self, table: ColumnTable, rows: np.ndarray | None):
-        self.table = table
-        self.rows = rows
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    def get(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._cache.get(name)
-        if hit is None:
-            col = self.table.column(name)
-            if self.rows is None:
-                hit = (col.values, col.null_mask)
-            else:
-                hit = (col.values[self.rows], col.null_mask[self.rows])
-            self._cache[name] = hit
-        return hit
-
-    @property
-    def size(self) -> int:
-        if self.rows is None:
-            return self.table.row_count
-        return int(self.rows.size)
 
 
 def _text_lut(col: Column, op: str, value: str) -> np.ndarray:
     """Boolean lookup table over dictionary codes for a decoded-string
     comparison; TEXT ranges compare strings, not codes."""
-    strings = np.asarray(col.dictionary.strings(), dtype=object)
-    if strings.size == 0:
-        return np.zeros(0, dtype=bool)
-    if op == "<":
-        return strings < value
-    if op == "<=":
-        return strings <= value
-    if op == ">":
-        return strings > value
-    if op == ">=":
-        return strings >= value
-    raise ExecutionError(f"unsupported TEXT comparison operator {op!r}")
+    return _compare(np.asarray(col.dictionary.strings(), dtype=object), op, value)
 
 
 def _apply_lut(lut: np.ndarray, codes: np.ndarray, nulls: np.ndarray) -> np.ndarray:
@@ -95,47 +46,45 @@ def _apply_lut(lut: np.ndarray, codes: np.ndarray, nulls: np.ndarray) -> np.ndar
     return lut[safe] & ~nulls
 
 
+_COMPARE = {
+    "=": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<>": operator.ne,
+}
+
+
 def _compare(values: np.ndarray, op: str, const) -> np.ndarray:
-    if op == "=":
-        return values == const
-    if op == "<":
-        return values < const
-    if op == "<=":
-        return values <= const
-    if op == ">":
-        return values > const
-    if op == ">=":
-        return values >= const
-    if op == "<>":
-        return values != const
-    raise ExecutionError(f"unknown comparison operator {op!r}")
+    if op not in _COMPARE:
+        raise ExecutionError(f"unknown comparison operator {op!r}")
+    return _COMPARE[op](values, const)
 
 
-def _udf_inputs(slices: _ColumnSlices, args) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gather UDF argument vectors as float64 (DECIMAL descaled, DATE as
-    epoch days) plus the union of their null masks."""
+def _span(table: ColumnTable, rows: slice) -> range:
+    return range(table.row_count)[rows]
+
+
+def _eval_fncall(atom: ex.FnCall, table: ColumnTable, rows: slice) -> np.ndarray:
+    if atom.fn is None:
+        raise ExecutionError(f"function {atom.name!r} has no bound implementation")
+    # arguments as float64 (DECIMAL descaled, DATE as epoch days)
     arrays = []
-    any_null = np.zeros(slices.size, dtype=bool)
-    for ref in args:
-        vals, nulls = slices.get(ref.name)
-        out = vals.astype(np.float64)
+    any_null = np.zeros(len(_span(table, rows)), dtype=bool)
+    for ref in atom.args:
+        col = table.column(ref.name)
+        out = col.values[rows].astype(np.float64)
         if ref.kind is not None and ref.kind.is_decimal:
             out = out / float(10 ** ref.kind.scale)
         arrays.append(out)
-        any_null |= nulls
-    return arrays, any_null
-
-
-def _eval_fncall(atom: ex.FnCall, slices: _ColumnSlices) -> np.ndarray:
-    if atom.fn is None:
-        raise ExecutionError(f"function {atom.name!r} has no bound implementation")
-    arrays, any_null = _udf_inputs(slices, atom.args)
+        any_null |= col.null_mask[rows]
     ufunc = np.frompyfunc(atom.fn, len(arrays), 1)
     try:
         raw = ufunc(*arrays)
     except Exception as exc:
         # re-run row by row to report the first offending row
-        for i in range(slices.size):
+        for i in range(any_null.size):
             try:
                 atom.fn(*(float(a[i]) for a in arrays))
             except Exception:
@@ -147,87 +96,82 @@ def _eval_fncall(atom: ex.FnCall, slices: _ColumnSlices) -> np.ndarray:
     return _compare(results, atom.op, atom.value) & ~any_null
 
 
-def _eval_atom(atom: ex.Expr, slices: _ColumnSlices) -> np.ndarray:
+def _eval_atom(atom: ex.Expr, table: ColumnTable, rows: slice) -> np.ndarray:
+    if isinstance(atom, ex.FnCall):
+        return _eval_fncall(atom, table, rows)
+    if isinstance(atom, ex.ColumnCompare):
+        left = table.column(atom.left.name)
+        right = table.column(atom.right.name)
+        return (
+            _compare(left.values[rows], atom.op, right.values[rows])
+            & ~left.null_mask[rows]
+            & ~right.null_mask[rows]
+        )
+    col = table.column(atom.col.name)
+    vals, nulls = col.values[rows], col.null_mask[rows]
     if isinstance(atom, ex.Equality):
-        vals, nulls = slices.get(atom.col.name)
         return (vals == atom.value) & ~nulls
     if isinstance(atom, ex.Comparison):
-        vals, nulls = slices.get(atom.col.name)
         if isinstance(atom.value, str):
-            lut = _text_lut(slices.table.column(atom.col.name), atom.op, atom.value)
-            return _apply_lut(lut, vals, nulls)
+            return _apply_lut(_text_lut(col, atom.op, atom.value), vals, nulls)
         return _compare(vals, atom.op, atom.value) & ~nulls
     if isinstance(atom, ex.Range):
-        vals, nulls = slices.get(atom.col.name)
         if isinstance(atom.lo, str):
-            col = slices.table.column(atom.col.name)
             lut = _text_lut(col, ">=", atom.lo) & _text_lut(col, "<=", atom.hi)
             return _apply_lut(lut, vals, nulls)
         return (vals >= atom.lo) & (vals <= atom.hi) & ~nulls
-    if isinstance(atom, ex.ColumnCompare):
-        lv, ln = slices.get(atom.left.name)
-        rv, rn = slices.get(atom.right.name)
-        return _compare(lv, atom.op, rv) & ~ln & ~rn
-    if isinstance(atom, ex.FnCall):
-        return _eval_fncall(atom, slices)
     if isinstance(atom, ex.FoldedAtom):
-        _, nulls = slices.get(atom.col.name)
-        if atom.result:
-            return ~nulls
-        return np.zeros(slices.size, dtype=bool)
+        return ~nulls if atom.result else np.zeros(nulls.size, dtype=bool)
     raise ExecutionError(f"unknown atom {atom!r}")
 
 
-def _known(atom: ex.Expr, slices: _ColumnSlices) -> np.ndarray:
+def _known(atom: ex.Expr, table: ColumnTable, rows: slice) -> np.ndarray:
     """Rows where none of the atom's operands is NULL."""
-    known = np.ones(slices.size, dtype=bool)
+    known = np.ones(len(_span(table, rows)), dtype=bool)
     for ref in ex.columns(atom):
-        known &= ~slices.get(ref.name)[1]
+        known &= ~table.column(ref.name).null_mask[rows]
     return known
 
 
 def _eval_mask(
-    pred: ex.Expr, slices: _ColumnSlices, negate: bool = False
+    pred: ex.Expr, table: ColumnTable, rows: slice, negate: bool = False
 ) -> np.ndarray:
-    """Boolean mask over the current slice: the rows where ``pred`` is
-    true, or with ``negate`` the rows where it is false.  An atom with a
-    NULL operand is neither (SQL's unknown).  NOT flips ``negate``, and
-    under it AND and OR swap, so a predicate without NOT is one pass."""
+    """Boolean mask over ``rows``: the rows where ``pred`` is true, or
+    with ``negate`` the rows where it is false.  An atom with a NULL
+    operand is neither (SQL's unknown).  NOT flips ``negate``, and under
+    it AND and OR swap, so a predicate without NOT is one pass."""
     if isinstance(pred, ex.Not):
-        return _eval_mask(pred.child, slices, not negate)
+        return _eval_mask(pred.child, table, rows, not negate)
     if isinstance(pred, (ex.And, ex.Or)):
         conjunction = isinstance(pred, ex.And) != negate
-        mask = _eval_mask(pred.items[0], slices, negate)
+        mask = _eval_mask(pred.items[0], table, rows, negate)
         for item in pred.items[1:]:
             if conjunction:
                 if not mask.any():
                     break
-                mask = mask & _eval_mask(item, slices, negate)
+                mask = mask & _eval_mask(item, table, rows, negate)
             else:
                 if mask.all():
                     break
-                mask = mask | _eval_mask(item, slices, negate)
+                mask = mask | _eval_mask(item, table, rows, negate)
         return mask
-    mask = _eval_atom(pred, slices)
+    mask = _eval_atom(pred, table, rows)
     if negate:
-        return _known(pred, slices) & ~mask
+        return _known(pred, table, rows) & ~mask
     return mask
 
 
 def eval_predicate(
-    table: ColumnTable, pred: ex.Expr | None, selection: RowSelection | None = None
-) -> RowSelection:
-    """Filter ``selection`` (default all rows) down to rows satisfying
+    table: ColumnTable, pred: ex.Expr | None, rows: slice = slice(None)
+) -> np.ndarray:
+    """Ascending ids of the rows in ``rows`` (default all) that satisfy
     ``pred``; vectorized, column at a time."""
-    if selection is None:
-        selection = RowSelection(table)
+    span = _span(table, rows)
     if pred is None:
-        return selection
-    slices = _ColumnSlices(table, selection.indices)
-    mask = _eval_mask(pred, slices)
-    if selection.indices is None:
-        return RowSelection(table, np.flatnonzero(mask).astype(np.int64))
-    return RowSelection(table, selection.indices[mask])
+        return np.arange(span.start, span.stop, dtype=np.int64)
+    ids = np.flatnonzero(_eval_mask(pred, table, rows))
+    ids += span.start
+    return ids
 
 
 def count_star(
@@ -238,7 +182,7 @@ def count_star(
     the cost depends on table size, not match count."""
     if pred is None:
         return table.row_count, None
-    mask = _eval_mask(pred, _ColumnSlices(table, None))
+    mask = _eval_mask(pred, table, slice(None))
     return int(np.count_nonzero(mask)), mask
 
 
@@ -339,7 +283,7 @@ def build_hash(
     ``residual`` (NULL keys excluded).  Given ``rows``, already filtered
     at planning time, the residual is not evaluated again."""
     if rows is None:
-        rows = eval_predicate(table, residual).to_indices()
+        rows = eval_predicate(table, residual)
     return HashTableIndex(table, key, rows)
 
 
@@ -387,45 +331,29 @@ def _expand_matches(index: HashTableIndex, groups: np.ndarray):
 
 
 def _probe_chunk(
-    probe: ColumnTable,
+    tables: dict[str, ColumnTable],
     probe_alias: str,
     probe_pred: ex.Expr | None,
     steps: list[BuildStep],
-    chunk: RowSelection,
+    rows: slice,
 ):
-    """Run the fused pipeline over one probe-row range; returns the probe
-    row vector, per-build matched row vectors, and per-stage tuple counts."""
-    stage_out = [0] * (len(steps) + 1)
-    sel = eval_predicate(probe, probe_pred, chunk)
-    prow = sel.to_indices()
-    stage_out[0] = int(prow.size)
-    brows: dict[str, np.ndarray] = {}
-    tables: dict[str, ColumnTable] = {probe_alias: probe}
-    for si, step in enumerate(steps):
-        src = step.probe_key.table
-        if src == probe_alias:
-            col = probe.column(step.probe_key.name)
-            keys = col.values[prow]
-            valid = ~col.null_mask[prow]
-        else:
-            src_table = tables[src]
-            col = src_table.column(step.probe_key.name)
-            keys = col.values[brows[src]]
-            valid = ~col.null_mask[brows[src]]
-        groups = step.index.probe_groups(keys, valid)
+    """Run the fused pipeline over one range of probe rows; returns the
+    matched row ids per alias and the tuples each stage produced."""
+    rows_of = {probe_alias: eval_predicate(tables[probe_alias], probe_pred, rows)}
+    stage_out = [rows_of[probe_alias].size]
+    for step in steps:
+        ref = step.probe_key
+        col = tables[ref.table].column(ref.name)
+        ids = rows_of[ref.table]
+        groups = step.index.probe_groups(col.values[ids], ~col.null_mask[ids])
         hit = groups >= 0
-        prow = prow[hit]
-        for a in brows:
-            brows[a] = brows[a][hit]
         counts, matched = _expand_matches(step.index, groups[hit])
-        if counts is not None:
-            prow = np.repeat(prow, counts)
-            for a in brows:
-                brows[a] = np.repeat(brows[a], counts)
-        brows[step.alias] = matched
-        tables[step.alias] = step.index.table
-        stage_out[si + 1] = int(prow.size)
-    return prow, brows, stage_out
+        for alias, kept in rows_of.items():
+            kept = kept[hit]
+            rows_of[alias] = kept if counts is None else np.repeat(kept, counts)
+        rows_of[step.alias] = matched
+        stage_out.append(matched.size)
+    return rows_of, stage_out
 
 
 def probe_joins(
@@ -443,23 +371,22 @@ def probe_joins(
     order regardless of ``workers``.
     """
     stats = ExecStats()
+    tables = {probe_alias: probe}
     for step in steps:
         stats.build_cards.append(step.index.n_entries)
         stats.build_distinct.append(step.index.distinct_keys)
+        tables[step.alias] = step.index.table
 
     t0 = time.perf_counter()
     n = probe.row_count
     if workers <= 1 or n < 2 * workers:
-        chunks = [RowSelection(probe)]
+        chunks = [slice(None)]
     else:
-        bounds = np.linspace(0, n, workers + 1, dtype=np.int64)
-        chunks = [
-            RowSelection(probe, np.arange(bounds[i], bounds[i + 1], dtype=np.int64))
-            for i in range(workers)
-        ]
+        bounds = np.linspace(0, n, workers + 1, dtype=np.int64).tolist()
+        chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
-    def run(chunk):
-        return _probe_chunk(probe, probe_alias, probe_pred, steps, chunk)
+    def run(rows):
+        return _probe_chunk(tables, probe_alias, probe_pred, steps, rows)
 
     if len(chunks) == 1:
         fragments = [run(chunks[0])]
@@ -467,30 +394,20 @@ def probe_joins(
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             fragments = list(pool.map(run, chunks))
 
-    prow = np.concatenate([f[0] for f in fragments])
-    brows = {
-        step.alias: np.concatenate([f[1][step.alias] for f in fragments])
-        for step in steps
-    }
-    stats.probe_out = [
-        sum(f[2][i] for f in fragments) for i in range(len(steps) + 1)
-    ]
-    stats.result_rows = int(prow.size)
+    stats.probe_out = [sum(stage) for stage in zip(*(f[1] for f in fragments))]
+    stats.result_rows = stats.probe_out[-1]
     stats.probe_ms = (time.perf_counter() - t0) * 1000.0
 
     if projection is None:
         return None, stats
 
-    tables = {probe_alias: probe}
-    rows_of = {probe_alias: prow}
-    for step in steps:
-        tables[step.alias] = step.index.table
-        rows_of[step.alias] = brows[step.alias]
+    rows_of = {
+        alias: np.concatenate([f[0][alias] for f in fragments]) for alias in tables
+    }
     out_columns = []
     used = set()
     for ref in projection:
-        src = tables[ref.table]
-        col = src.column(ref.name).take(rows_of[ref.table])
+        col = tables[ref.table].column(ref.name).take(rows_of[ref.table])
         name = ref.name if ref.name not in used else f"{ref.table}.{ref.name}"
         used.add(name)
         out_columns.append(

@@ -229,18 +229,6 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     qualifying ones."""
     row_counts = {a: catalog.table(graph.source[a]).row_count for a in graph.tables}
 
-    if len(graph.tables) == 1:
-        alias = graph.tables[0]
-        return PhysicalPlan(
-            probe_alias=alias,
-            probe_source=graph.source[alias],
-            probe_rows=row_counts[alias],
-            probe_pred=graph.residual(alias),
-            builds=[],
-            projection=graph.projection,
-            decisions=[],
-        )
-
     probe = choose_probe(graph, row_counts)
     effective: dict[str, float | int] = dict(row_counts)
     decisions: list[EscDecision] = []

@@ -10,7 +10,6 @@ from escdb.executor import (
     _DENSE_RATIO,
     BuildStep,
     HashTableIndex,
-    RowSelection,
     build_hash,
     count_star,
     eval_predicate,
@@ -93,34 +92,38 @@ class TestEvalPredicate:
         gen = PredGen(custom_nulls, random.Random(101))
         for _ in range(60):
             pred = gen.pred()
-            got = eval_predicate(custom_nulls, pred).to_indices().tolist()
+            got = eval_predicate(custom_nulls, pred).tolist()
             assert got == oracle_select(custom_nulls, pred), str(pred)
 
     def test_none_pred_selects_all(self, custom_nulls):
-        sel = eval_predicate(custom_nulls, None)
-        assert sel.count == custom_nulls.row_count
+        rows = eval_predicate(custom_nulls, None)
+        assert rows.tolist() == list(range(custom_nulls.row_count))
 
-    def test_chaining_equals_conjunction(self, custom_nulls):
-        gen = PredGen(custom_nulls, random.Random(77))
+    def test_row_range_restricts_full_result(self, custom_nulls):
+        """Over ``slice(lo, hi)`` the result is the full result's row ids
+        in ``lo <= r < hi``, absolute, not offset from ``lo``."""
+        rng = random.Random(77)
+        gen = PredGen(custom_nulls, rng)
+        n = custom_nulls.row_count
         for _ in range(15):
-            a, b = gen.pred(), gen.pred()
-            chained = eval_predicate(
-                custom_nulls, b, eval_predicate(custom_nulls, a)
-            )
-            fused = eval_predicate(custom_nulls, ex.And((a, b)))
-            assert chained.to_indices().tolist() == fused.to_indices().tolist()
+            pred = gen.pred()
+            full = eval_predicate(custom_nulls, pred)
+            lo, hi = sorted((rng.randrange(n + 1), rng.randrange(n + 1)))
+            got = eval_predicate(custom_nulls, pred, slice(lo, hi))
+            assert got.tolist() == full[(full >= lo) & (full < hi)].tolist()
+        assert eval_predicate(custom_nulls, None, slice(5, 9)).tolist() == [5, 6, 7, 8]
 
     def test_folded_false_excludes_everything(self, custom_nulls):
         col = custom_nulls.column("a")
         pred = ex.FoldedAtom(ex.ColumnRef("data", "a", col.kind), False)
-        assert eval_predicate(custom_nulls, pred).count == 0
+        assert eval_predicate(custom_nulls, pred).size == 0
 
     def test_folded_true_excludes_only_nulls(self, custom_nulls):
         col = custom_nulls.column("a")
         pred = ex.FoldedAtom(ex.ColumnRef("data", "a", col.kind), True)
         n_null = int(col.null_mask.sum())
         assert n_null > 0  # fixture has nulls by construction
-        assert eval_predicate(custom_nulls, pred).count == (
+        assert eval_predicate(custom_nulls, pred).size == (
             custom_nulls.row_count - n_null
         )
 
@@ -130,9 +133,9 @@ class TestEvalPredicate:
         col = custom_nulls.column("a")
         ref = ex.ColumnRef("data", "a", col.kind)
         atom = ex.Comparison(ref, ">=", 10**9)  # false on every non-null row
-        sel = eval_predicate(custom_nulls, ex.Not(atom))
-        assert sel.count == custom_nulls.row_count - int(col.null_mask.sum())
-        assert eval_predicate(custom_nulls, ex.Not(ex.Not(atom))).count == 0
+        rows = eval_predicate(custom_nulls, ex.Not(atom))
+        assert rows.size == custom_nulls.row_count - int(col.null_mask.sum())
+        assert eval_predicate(custom_nulls, ex.Not(ex.Not(atom))).size == 0
 
 
 class TestCountStar:
@@ -141,9 +144,9 @@ class TestCountStar:
         for _ in range(20):
             pred = gen.pred()
             count, mask = count_star(custom_nulls, pred)
-            sel = eval_predicate(custom_nulls, pred)
-            assert count == sel.count
-            assert np.array_equal(np.flatnonzero(mask), sel.to_indices())
+            rows = eval_predicate(custom_nulls, pred)
+            assert count == rows.size
+            assert np.array_equal(np.flatnonzero(mask), rows)
 
     def test_none_pred(self, custom_nulls):
         assert count_star(custom_nulls, None) == (custom_nulls.row_count, None)
@@ -439,6 +442,19 @@ class TestProbeJoins:
         _, stats = probe_joins(lines, "lines", None, steps, None)
         assert stats.result_rows == 2
 
+    def _same_across_workers(self, lines, probe_pred, steps, projection):
+        """Output rows in order, per-stage tuple counts and result count
+        are the same with 1, 3 and 8 probe workers."""
+        runs = []
+        for w in (1, 3, 8):
+            result, stats = probe_joins(
+                lines, "lines", probe_pred, steps, projection, workers=w
+            )
+            rows = [result.row(i) for i in range(result.row_count)]
+            runs.append((rows, stats.probe_out, stats.result_rows))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][2] == len(runs[0][0]) > 0  # non-degenerate scenario
+
     def test_workers_preserve_order_and_rows(self, join_data):
         projection = (
             _ref("lines", "l_qty"),
@@ -446,16 +462,31 @@ class TestProbeJoins:
             _ref("parts", "p_cls"),
         )
         probe_pred = ex.Comparison(_ref("lines", "l_qty"), ">", 5)
-        results = []
-        for w in (1, 3, 8):
-            result, _ = probe_joins(
-                join_data["lines"], "lines", probe_pred,
-                self._steps(join_data), projection, workers=w,
-            )
-            results.append(
-                [result.row(i) for i in range(result.row_count)]
-            )
-        assert results[0] == results[1] == results[2]
+        self._same_across_workers(
+            join_data["lines"], probe_pred, self._steps(join_data), projection
+        )
+
+    def test_workers_with_probe_key_from_earlier_build(self, join_data):
+        steps = [
+            BuildStep(
+                "orders", build_hash(join_data["orders"], "o_id"),
+                _ref("lines", "l_oid"),
+            ),
+            BuildStep(
+                "parts", build_hash(join_data["parts"], "p_id"),
+                _ref("orders", "o_pid"),
+            ),
+        ]
+        projection = (_ref("lines", "l_oid"), _ref("parts", "p_cls"))
+        self._same_across_workers(join_data["lines"], None, steps, projection)
+
+    def test_workers_with_negated_nullable_probe_predicate(self, join_data):
+        # l_oid is NULL on about a tenth of the lines; NOT leaves those out
+        probe_pred = ex.Not(ex.Comparison(_ref("lines", "l_oid"), "<", 8))
+        projection = (_ref("lines", "l_oid"), _ref("orders", "o_ch"))
+        self._same_across_workers(
+            join_data["lines"], probe_pred, self._steps(join_data), projection
+        )
 
     def test_stats_shape(self, join_data):
         probe_pred = ex.Comparison(_ref("lines", "l_qty"), ">", 5)

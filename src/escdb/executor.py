@@ -70,8 +70,9 @@ def _eval_fncall(atom: ex.FnCall, table: ColumnTable, rows: slice) -> np.ndarray
     if atom.fn is None:
         raise ExecutionError(f"function {atom.name!r} has no bound implementation")
     # arguments as float64 (DECIMAL descaled, DATE as epoch days)
+    span = _span(table, rows)
     arrays = []
-    any_null = np.zeros(len(_span(table, rows)), dtype=bool)
+    any_null = np.zeros(len(span), dtype=bool)
     for ref in atom.args:
         col = table.column(ref.name)
         out = col.values[rows].astype(np.float64)
@@ -83,13 +84,13 @@ def _eval_fncall(atom: ex.FnCall, table: ColumnTable, rows: slice) -> np.ndarray
     try:
         raw = ufunc(*arrays)
     except Exception as exc:
-        # re-run row by row to report the first offending row
-        for i in range(any_null.size):
+        # re-run row by row to report the first offending row of the table
+        for i, row in enumerate(span):
             try:
                 atom.fn(*(float(a[i]) for a in arrays))
             except Exception:
                 raise ExecutionError(
-                    f"UDF {atom.name!r} failed at row {i}: {exc}"
+                    f"UDF {atom.name!r} failed at row {row}: {exc}"
                 ) from exc
         raise ExecutionError(f"UDF {atom.name!r} failed: {exc}") from exc
     results = raw.astype(np.float64) if raw.size else np.zeros(0, dtype=np.float64)

@@ -122,6 +122,24 @@ class TestRun:
         res = engine.run("SELECT COUNT(*) FROM big WHERE double(b_k) >= 12")
         assert res.count == 14  # b_k == 6
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_udf_error_names_table_row_under_workers(self, tmp_path, workers):
+        """The failing row is counted from the table's first row, not from
+        the start of the worker's chunk."""
+        csv = tmp_path / "f.csv"
+        csv.write_text("".join(f"{i}\n" for i in range(100)))
+        eng = Engine(workers=workers)
+        eng.load_csv_file(str(csv), "f", "f_id:int64")
+
+        def fails_on_80(x):
+            if x == 80:
+                raise ValueError("bad input")
+            return x
+
+        eng.register_udf("fails_on_80", 1, fails_on_80)
+        with pytest.raises(ExecutionError, match="failed at row 80: "):
+            eng.run("SELECT COUNT(*) FROM f WHERE fails_on_80(f_id) >= 0")
+
     def test_baseline_engine_runs_no_subqueries(self, tmp_path, engine):
         base = Engine(config=EscConfig(arm="baseline"))
         base.catalog = engine.catalog

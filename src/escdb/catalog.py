@@ -107,6 +107,10 @@ class EquiDepthHistogram:
     def non_null(self) -> int:
         return self.row_count - self.null_count
 
+    @property
+    def non_null_fraction(self) -> float:
+        return self.non_null / max(1, self.row_count)
+
 
 def build_histogram(table: ColumnTable, column: str, buckets: int) -> EquiDepthHistogram:
     col = table.column(column)
@@ -222,38 +226,43 @@ def _atom_selectivity(hist_for, atom: ex.Expr) -> float:
         if atom.op == "<":
             return _estimate_le(h, v - 1)
         if atom.op == ">":
-            return max(0.0, (h.non_null / max(1, h.row_count)) - _estimate_le(h, v))
+            return max(0.0, h.non_null_fraction - _estimate_le(h, v))
         if atom.op == ">=":
-            return max(
-                0.0, (h.non_null / max(1, h.row_count)) - _estimate_le(h, v - 1)
-            )
+            return max(0.0, h.non_null_fraction - _estimate_le(h, v - 1))
         if atom.op == "<>":
-            return max(
-                0.0,
-                (h.non_null / max(1, h.row_count)) - _estimate_equality(h, v),
-            )
+            return max(0.0, h.non_null_fraction - _estimate_equality(h, v))
     raise Inestimable(f"cannot estimate {atom!r}")
 
 
-def estimate_selectivity(hist_for, pred: ex.Expr) -> float:
-    """Estimated fraction of rows satisfying ``pred``, clamped to [0, 1].
+def estimate_selectivity(hist_for, pred: ex.Expr, negate: bool = False) -> float:
+    """Estimated fraction of rows satisfying ``pred`` (with ``negate``,
+    of rows where it is false), clamped to [0, 1].
 
     ``hist_for`` maps a ColumnRef to its EquiDepthHistogram.  Conjuncts
-    multiply (independence), disjuncts combine by inclusion-exclusion,
-    NOT complements.  Raises Inestimable for atoms outside the synopsis
-    model (UDF calls, TEXT columns, column-to-column comparisons); the
-    caller substitutes its configured guess.
+    multiply (independence), disjuncts combine by inclusion-exclusion.
+    NOT is pushed down as the executor evaluates it: it flips ``negate``,
+    AND and OR swap under it, and a negated atom is its column's non-NULL
+    fraction minus the atom's estimate, so NULL rows pass neither.  A
+    folded atom complements.  Raises Inestimable for atoms outside the
+    synopsis model (UDF calls, TEXT columns, column-to-column
+    comparisons); the caller substitutes its configured guess.
     """
-    if isinstance(pred, ex.And):
-        s = 1.0
-        for item in pred.items:
-            s *= estimate_selectivity(hist_for, item)
-        return min(1.0, max(0.0, s))
-    if isinstance(pred, ex.Or):
+    if isinstance(pred, ex.Not):
+        return estimate_selectivity(hist_for, pred.child, not negate)
+    if isinstance(pred, (ex.And, ex.Or)):
+        if isinstance(pred, ex.And) != negate:
+            s = 1.0
+            for item in pred.items:
+                s *= estimate_selectivity(hist_for, item, negate)
+            return min(1.0, max(0.0, s))
         miss = 1.0
         for item in pred.items:
-            miss *= 1.0 - estimate_selectivity(hist_for, item)
+            miss *= 1.0 - estimate_selectivity(hist_for, item, negate)
         return min(1.0, max(0.0, 1.0 - miss))
-    if isinstance(pred, ex.Not):
-        return min(1.0, max(0.0, 1.0 - estimate_selectivity(hist_for, pred.child)))
-    return min(1.0, max(0.0, _atom_selectivity(hist_for, pred)))
+    s = _atom_selectivity(hist_for, pred)
+    if negate:
+        if isinstance(pred, ex.FoldedAtom):
+            s = 1.0 - s
+        else:
+            s = hist_for(pred.col).non_null_fraction - s
+    return min(1.0, max(0.0, s))

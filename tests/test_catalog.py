@@ -193,6 +193,34 @@ class TestEstimates:
             1.0 - estimate_selectivity(hist_for, a)
         )
 
+    def test_not_leaves_null_rows_out(self):
+        """NOT p is estimated over the rows where p is false, as the
+        executor evaluates it, so NULL rows count for neither."""
+        t = _int_table("t", [None if i % 2 else (i // 2) % 5 for i in range(2000)])
+        h = build_histogram(t, "v", 64)
+        hist_for = lambda ref: h
+        eq = ex.Equality(_col(), 4)
+        assert estimate_selectivity(hist_for, eq) == pytest.approx(0.1)
+        got = estimate_selectivity(hist_for, ex.Not(eq))
+        assert got == pytest.approx(0.4)
+        assert got == pytest.approx(oracle_count(t, ex.Not(eq)) / t.row_count)
+
+    def test_not_swaps_and_or(self):
+        t = _int_table("t", [None if i % 3 == 0 else i % 50 for i in range(3000)])
+        h = build_histogram(t, "v", 64)
+        hist_for = lambda ref: h
+        a = ex.Comparison(_col(), "<", 20)
+        b = ex.Equality(_col(), 7)
+        for inner, outer in ((ex.And((a, b)), ex.Or), (ex.Or((a, b)), ex.And)):
+            pushed = outer((ex.Not(a), ex.Not(b)))
+            assert estimate_selectivity(hist_for, ex.Not(inner)) == pytest.approx(
+                estimate_selectivity(hist_for, pushed)
+            )
+        # a double negation is the predicate itself
+        assert estimate_selectivity(hist_for, ex.Not(ex.Not(a))) == pytest.approx(
+            estimate_selectivity(hist_for, a)
+        )
+
     def test_folded_atoms(self, uniform):
         _, hist_for = uniform
         assert estimate_selectivity(hist_for, ex.FoldedAtom(_col(), True)) == 1.0

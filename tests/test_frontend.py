@@ -352,6 +352,94 @@ class TestAnalyze:
         assert g.source == {"a": "items", "b": "items"}
 
 
+# Exact text and type of every frontend error class, so a refactor of the
+# parser or the analyzer cannot change what a user sees.
+ERROR_CASES = [
+    ("SELECT * WHERE qty = 1", ParseError,
+     "expected FROM, found 'WHERE' (line 1, column 10)"),
+    ("SELECT * FROM items WHERE", ParseError,
+     "expected a column or function call, found 'end of input' (line 1, column 26)"),
+    ("SELECT * FROM items WHERE qty", ParseError,
+     "expected a comparison operator or BETWEEN, found 'end of input' "
+     "(line 1, column 30)"),
+    ("SELECT * FROM items WHERE half(qty) BETWEEN 1 AND 2", ParseError,
+     "BETWEEN requires a column on the left, found 'BETWEEN' (line 1, column 37)"),
+    ("SELECT * FROM items WHERE half(1) < 2", ParseError,
+     "function arguments must be column references, found '1' (line 1, column 32)"),
+    ("SELECT * FROM items WHERE 1 = qty", ParseError,
+     "expected a column or function call, found '1' (line 1, column 27)"),
+    ("SELECT * FROM items WHERE qty = (SELECT id FROM boxes)", ParseError,
+     "expected a constant, found '(' (line 1, column 33)"),
+    ("SELECT * FROM items WHERE qty = - x", ParseError,
+     "expected a number after '-', found 'x' (line 1, column 35)"),
+    ("SELECT * FROM items WHERE shipped = DATE 5", ParseError,
+     "unexpected trailing input, found '5' (line 1, column 42)"),
+    ("SELECT * FROM items WHERE qty BETWEEN 1 OR 2", ParseError,
+     "expected AND, found 'OR' (line 1, column 41)"),
+    ("SELECT * FROM items WHERE (qty = 1", ParseError,
+     "expected ')', found 'end of input' (line 1, column 35)"),
+    ("SELECT * FROM items AS 5", ParseError,
+     "expected alias name, found '5' (line 1, column 24)"),
+    ("SELECT * FROM items WHERE qty = 'it''s", ParseError,
+     "unterminated string literal (line 1, column 37)"),
+    ("SELECT * FROM (SELECT * FROM items)", UnsupportedConstruct,
+     "unsupported construct: subquery (line 1, column 16)"),
+    ("SELECT * FROM items GROUP BY qty", UnsupportedConstruct,
+     "unsupported construct: GROUP BY (line 1, column 21)"),
+    ("SELECT * FROM items WHERE half(qty) < id", AnalysisError,
+     "function comparison half(...) < requires a numeric constant"),
+    ("SELECT * FROM items WHERE half(qty) = 'x'", AnalysisError,
+     "function comparison half(...) = requires a numeric constant"),
+    ("SELECT * FROM items WHERE half(zz) < 1", UnknownColumn,
+     "unknown column 'zz'"),
+    ("SELECT * FROM items WHERE nope(qty) < 8", UnknownFunction,
+     "unknown function 'nope'"),
+    ("SELECT * FROM items WHERE half(qty, id) < 8", ArityMismatch,
+     "function 'half' takes 1 arguments, got 2"),
+    ("SELECT * FROM items WHERE half(tag) < 8", AnalysisError,
+     "type mismatch: TEXT column items.tag passed to half()"),
+    ("SELECT zz FROM items", UnknownColumn, "unknown column 'zz'"),
+    ("SELECT * FROM items WHERE items.zz = 1", UnknownColumn,
+     "table 'items' has no column 'zz'"),
+    ("SELECT * FROM items WHERE nowhere.qty = 1", UnknownTable,
+     "unknown table or alias 'nowhere' in nowhere.qty"),
+    ("SELECT * FROM nowhere", UnknownTable, "unknown table 'nowhere'"),
+    ("SELECT * FROM items, boxes WHERE id = 1", AmbiguousColumn,
+     "column 'id' is ambiguous (in tables items, boxes)"),
+    ("SELECT * FROM items a, items b WHERE a.tag = b.tag", UnsupportedPredicate,
+     "column-to-column comparison over TEXT: a.tag = b.tag"),
+    ("SELECT * FROM items WHERE qty < shipped", AnalysisError,
+     "type mismatch: cannot compare items.qty (INT64) to items.shipped (DATE)"),
+    ("SELECT * FROM items WHERE shipped = DATE '2024-13-01'", AnalysisError,
+     "bad date literal '2024-13-01' (expected YYYY-MM-DD)"),
+    ("SELECT * FROM items WHERE shipped < 20240101", AnalysisError,
+     "type mismatch: DATE column items.shipped compared to a number"),
+    ("SELECT * FROM items WHERE tag = 5", AnalysisError,
+     "type mismatch: TEXT column items.tag compared to 5"),
+    ("SELECT * FROM items WHERE price BETWEEN 1 AND DATE '2024-01-01'",
+     AnalysisError,
+     "type mismatch: column items.price compared to DATE '2024-01-01'"),
+    ("SELECT * FROM items a, boxes a", AnalysisError,
+     "duplicate table alias 'a'"),
+    ("SELECT COUNT(*) FROM items, boxes WHERE items.id < boxes.item_id",
+     UnsupportedPredicate,
+     "predicate spans tables ['boxes', 'items'] and is not an equi-join: "
+     "items.id < boxes.item_id"),
+    ("SELECT COUNT(*) FROM items, boxes "
+     "WHERE items.id = boxes.item_id OR qty > 5", UnsupportedPredicate,
+     "predicate spans tables ['boxes', 'items'] and is not an equi-join: "
+     "items.id = boxes.item_id OR items.qty > 5"),
+]
+
+
+@pytest.mark.parametrize("sql, error, message", ERROR_CASES)
+def test_error_message_pinned(catalog, sql, error, message):
+    with pytest.raises(error) as info:
+        fe.analyze(fe.parse(sql), catalog)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestJoinGraph:
     def _graph(self, catalog, sql):
         return fe.analyze(fe.parse(sql), catalog)

@@ -1,10 +1,13 @@
 """Boolean predicate expressions over one or more tables' columns.
 
-The parser builds these with raw constants; the analyzer rewrites them
-into *resolved* form: every ColumnRef carries its table alias and kind,
-and constants are normalized to the column's storage representation
-(DECIMAL constants rescaled to the column scale, DATE literals to epoch
-days, TEXT equality constants to dictionary codes).  Atoms that can be
+The parser builds these in *parsed* form: a ColumnRef's table is the
+qualifier as written (None if unqualified) and its kind is None, every
+constant is the literal (``frontend.AstConst``), and ``=`` is a
+Comparison.  The analyzer rewrites them into *resolved* form: every
+ColumnRef carries its table alias and kind, ``=`` against a constant
+becomes Equality, and constants are normalized to the column's storage
+representation (DECIMAL constants rescaled to the column scale, DATE
+literals to epoch days, TEXT equality constants to dictionary codes).  Atoms that can be
 decided at analysis time collapse to FoldedAtom, which keeps its column
 anchor so predicate classification still knows which table it belongs to.
 

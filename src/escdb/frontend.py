@@ -1,5 +1,9 @@
 """SQL subset frontend: tokenize, parse, analyze into a join graph.
 
+``parse`` returns an ``AstQuery`` whose WHERE clause is an ``expr`` tree in
+parsed form (unresolved column refs, ``AstConst`` literals); ``analyze``
+rewrites that tree into resolved form and splits it into a join graph.
+
 Supported grammar (one statement, optional trailing semicolon):
 
     SELECT { * | COUNT(*) | col [, col ...] }
@@ -15,7 +19,7 @@ offending construct named explicitly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -97,24 +101,11 @@ def tokenize(sql: str) -> list[Token]:
 
 
 @dataclass(frozen=True)
-class AstColumn:
-    table: str | None
-    name: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-    def __str__(self):
-        return f"{self.table}.{self.name}" if self.table else self.name
-
-
-@dataclass(frozen=True)
 class AstConst:
     """Literal; ``kind`` is number/string/date, ``text`` the unquoted lexeme."""
 
     kind: str
     text: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
     def __str__(self):
         if self.kind == "number":
@@ -124,72 +115,9 @@ class AstConst:
 
 
 @dataclass(frozen=True)
-class AstFnCall:
-    name: str
-    args: tuple[AstColumn, ...]
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-    def __str__(self):
-        return f"{self.name}({', '.join(str(a) for a in self.args)})"
-
-
-@dataclass(frozen=True)
-class AstCompare:
-    left: AstColumn | AstFnCall
-    op: str
-    right: AstConst | AstColumn
-
-    def __str__(self):
-        return f"{self.left} {self.op} {self.right}"
-
-
-@dataclass(frozen=True)
-class AstBetween:
-    col: AstColumn
-    lo: AstConst
-    hi: AstConst
-
-    def __str__(self):
-        return f"{self.col} BETWEEN {self.lo} AND {self.hi}"
-
-
-@dataclass(frozen=True)
-class AstAnd:
-    items: tuple
-
-    def __str__(self):
-        return " AND ".join(_pp(i) for i in self.items)
-
-
-@dataclass(frozen=True)
-class AstOr:
-    items: tuple
-
-    def __str__(self):
-        return " OR ".join(_pp(i) for i in self.items)
-
-
-@dataclass(frozen=True)
-class AstNot:
-    child: object
-
-    def __str__(self):
-        return f"NOT {_pp(self.child)}"
-
-
-def _pp(node) -> str:
-    if isinstance(node, (AstAnd, AstOr)):
-        return f"({node})"
-    return str(node)
-
-
-@dataclass(frozen=True)
 class AstTableRef:
     name: str
     alias: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
 
     def __str__(self):
         return self.name if self.alias == self.name else f"{self.name} AS {self.alias}"
@@ -203,9 +131,9 @@ COUNT_STAR = "count_star"
 @dataclass(frozen=True)
 class AstQuery:
     select_kind: str  # columns | star | count_star
-    select: tuple[AstColumn, ...]
+    select: tuple[ex.ColumnRef, ...]
     tables: tuple[AstTableRef, ...]
-    where: object | None
+    where: ex.Expr | None
 
 
 def render_query(q: AstQuery) -> str:
@@ -360,13 +288,13 @@ class _Parser:
             alias = alias_tok.text
         elif self.peek().type == "ident" and not self._ident_is_clause_start():
             alias = self.advance().text
-        return AstTableRef(tok.text, alias, tok.line, tok.column)
+        return AstTableRef(tok.text, alias)
 
     def _ident_is_clause_start(self) -> bool:
         word = self.peek().text.upper()
         return word in ("WHERE", "FROM") or word in _UNSUPPORTED
 
-    def column_ref(self) -> AstColumn:
+    def column_ref(self) -> ex.ColumnRef:
         tok = self.peek()
         if tok.type != "ident":
             self.fail("expected column name")
@@ -376,24 +304,24 @@ class _Parser:
             if name_tok.type != "ident":
                 self.fail("expected column name after '.'")
             self.advance()
-            return AstColumn(tok.text, name_tok.text, tok.line, tok.column)
-        return AstColumn(None, tok.text, tok.line, tok.column)
+            return ex.ColumnRef(tok.text, name_tok.text)
+        return ex.ColumnRef(None, tok.text)
 
     def or_expr(self):
         items = [self.and_expr()]
         while self.eat_kw("OR"):
             items.append(self.and_expr())
-        return items[0] if len(items) == 1 else AstOr(tuple(items))
+        return items[0] if len(items) == 1 else ex.Or(tuple(items))
 
     def and_expr(self):
         items = [self.not_expr()]
         while self.eat_kw("AND"):
             items.append(self.not_expr())
-        return items[0] if len(items) == 1 else AstAnd(tuple(items))
+        return items[0] if len(items) == 1 else ex.And(tuple(items))
 
     def not_expr(self):
         if self.eat_kw("NOT"):
-            return AstNot(self.not_expr())
+            return ex.Not(self.not_expr())
         return self.primary()
 
     def primary(self):
@@ -409,31 +337,7 @@ class _Parser:
             return inner
         return self.atom()
 
-    def atom(self):
-        left = self.operand()
-        if self.at_kw("BETWEEN"):
-            if not isinstance(left, AstColumn):
-                self.fail("BETWEEN requires a column on the left")
-            self.advance()
-            if self.eat_symbol("("):
-                lo = self.constant()
-                self.expect_symbol(",")
-                hi = self.constant()
-                self.expect_symbol(")")
-            else:
-                lo = self.constant()
-                self.expect_kw("AND")
-                hi = self.constant()
-            return AstBetween(left, lo, hi)
-        op_tok = self.peek()
-        if op_tok.type != "symbol" or op_tok.text not in _COMPARE_OPS:
-            self.fail("expected a comparison operator or BETWEEN")
-        self.advance()
-        right = self.comparand()
-        return AstCompare(left, op_tok.text, right)
-
-    def operand(self):
-        """Left side of an atom: a column reference or a function call."""
+    def atom(self) -> ex.Expr:
         tok = self.peek()
         if tok.type != "ident":
             self.fail("expected a column or function call")
@@ -444,10 +348,35 @@ class _Parser:
             while self.eat_symbol(","):
                 args.append(self.fn_arg())
             self.expect_symbol(")")
-            return AstFnCall(tok.text.lower(), tuple(args), tok.line, tok.column)
-        return self.column_ref()
+            if self.at_kw("BETWEEN"):
+                self.fail("BETWEEN requires a column on the left")
+            op = self.compare_op()
+            return ex.FnCall(tok.text.lower(), tuple(args), op, self.comparand())
+        col = self.column_ref()
+        if self.eat_kw("BETWEEN"):
+            if self.eat_symbol("("):
+                lo = self.constant()
+                self.expect_symbol(",")
+                hi = self.constant()
+                self.expect_symbol(")")
+            else:
+                lo = self.constant()
+                self.expect_kw("AND")
+                hi = self.constant()
+            return ex.Range(col, lo, hi)
+        op = self.compare_op()
+        right = self.comparand()
+        if isinstance(right, ex.ColumnRef):
+            return ex.ColumnCompare(col, op, right)
+        return ex.Comparison(col, op, right)
 
-    def fn_arg(self) -> AstColumn:
+    def compare_op(self) -> str:
+        tok = self.peek()
+        if tok.type != "symbol" or tok.text not in _COMPARE_OPS:
+            self.fail("expected a comparison operator or BETWEEN")
+        return self.advance().text
+
+    def fn_arg(self) -> ex.ColumnRef:
         tok = self.peek()
         if tok.type != "ident":
             self.fail("function arguments must be column references")
@@ -470,24 +399,21 @@ class _Parser:
             if num.type != "number":
                 self.fail("expected a number after '-'")
             self.advance()
-            return AstConst("number", "-" + num.text, tok.line, tok.column)
+            return AstConst("number", "-" + num.text)
         if tok.type == "number":
             self.advance()
-            return AstConst("number", tok.text, tok.line, tok.column)
+            return AstConst("number", tok.text)
         if tok.type == "string":
             self.advance()
-            return AstConst("string", _unquote(tok.text), tok.line, tok.column)
+            return AstConst("string", _unquote(tok.text))
         if tok.type == "ident" and tok.text.upper() == "DATE":
             self.advance()
             s = self.peek()
             if s.type != "string":
                 self.fail("expected a quoted date after DATE")
             self.advance()
-            return AstConst("date", _unquote(s.text), tok.line, tok.column)
+            return AstConst("date", _unquote(s.text))
         self.fail("expected a constant")
-
-    # fail() raises; silence "missing return" linters
-    # (no code path reaches here)
 
 
 def _unquote(lexeme: str) -> str:
@@ -509,7 +435,7 @@ class _Scope:
         self.tables = tables
         self.by_alias = dict(tables)
 
-    def resolve(self, col: AstColumn) -> ex.ColumnRef:
+    def resolve(self, col: ex.ColumnRef) -> ex.ColumnRef:
         if col.table is not None:
             table = self.by_alias.get(col.table)
             if table is None:
@@ -552,7 +478,7 @@ def _scaled_constant(value: Fraction, kind: ColumnKind) -> int | float:
     return float(scaled)
 
 
-def _const_for_column(col: ex.ColumnRef, const: AstConst, scope: _Scope):
+def _const_for_column(col: ex.ColumnRef, const: AstConst):
     """Normalized comparison constant in the column's storage units.
 
     Returns (value, exact) where exact=False means the literal fell
@@ -587,23 +513,24 @@ def _text_code(col: ex.ColumnRef, text: str, scope: _Scope) -> int | None:
     return dictionary.lookup(text)
 
 
-def _analyze_compare(node: AstCompare, scope: _Scope, catalog) -> ex.Expr:
-    if isinstance(node.left, AstFnCall):
-        return _analyze_fncall(node, scope, catalog)
+def _analyze_column_compare(node: ex.ColumnCompare, scope: _Scope) -> ex.Expr:
     left = scope.resolve(node.left)
-    if isinstance(node.right, AstColumn):
-        right = scope.resolve(node.right)
-        if left.kind != right.kind:
-            raise AnalysisError(
-                f"type mismatch: cannot compare {left} ({left.kind}) "
-                f"to {right} ({right.kind})"
-            )
-        if left.kind.is_text:
-            raise UnsupportedPredicate(
-                f"column-to-column comparison over TEXT: {left} {node.op} {right}"
-            )
-        return ex.ColumnCompare(left, node.op, right)
-    value, exact = _const_for_column(left, node.right, scope)
+    right = scope.resolve(node.right)
+    if left.kind != right.kind:
+        raise AnalysisError(
+            f"type mismatch: cannot compare {left} ({left.kind}) "
+            f"to {right} ({right.kind})"
+        )
+    if left.kind.is_text:
+        raise UnsupportedPredicate(
+            f"column-to-column comparison over TEXT: {left} {node.op} {right}"
+        )
+    return ex.ColumnCompare(left, node.op, right)
+
+
+def _analyze_compare(node: ex.Comparison, scope: _Scope) -> ex.Expr:
+    left = scope.resolve(node.col)
+    value, exact = _const_for_column(left, node.value)
     if left.kind.is_text:
         if node.op in ("=", "<>"):
             code = _text_code(left, value, scope)
@@ -623,8 +550,7 @@ def _analyze_compare(node: AstCompare, scope: _Scope, catalog) -> ex.Expr:
     return ex.Comparison(left, node.op, value)
 
 
-def _analyze_fncall(node: AstCompare, scope: _Scope, catalog) -> ex.Expr:
-    call: AstFnCall = node.left
+def _analyze_fncall(call: ex.FnCall, scope: _Scope, catalog) -> ex.Expr:
     udf = catalog.udf(call.name)
     if udf is None:
         raise UnknownFunction(f"unknown function {call.name!r}")
@@ -640,33 +566,38 @@ def _analyze_fncall(node: AstCompare, scope: _Scope, catalog) -> ex.Expr:
                 f"type mismatch: TEXT column {ref} passed to {call.name}()"
             )
         args.append(ref)
-    if not isinstance(node.right, AstConst) or node.right.kind != "number":
+    if not isinstance(call.value, AstConst) or call.value.kind != "number":
         raise AnalysisError(
-            f"function comparison {call.name}(...) {node.op} requires a numeric constant"
+            f"function comparison {call.name}(...) {call.op} requires a numeric constant"
         )
-    value = float(_number_value(node.right))
-    return ex.FnCall(call.name, tuple(args), node.op, value, fn=udf.fn)
+    value = float(_number_value(call.value))
+    return ex.FnCall(call.name, tuple(args), call.op, value, fn=udf.fn)
 
 
-def _analyze_between(node: AstBetween, scope: _Scope) -> ex.Expr:
+def _analyze_between(node: ex.Range, scope: _Scope) -> ex.Expr:
     col = scope.resolve(node.col)
-    lo, _ = _const_for_column(col, node.lo, scope)
-    hi, _ = _const_for_column(col, node.hi, scope)
+    lo, _ = _const_for_column(col, node.lo)
+    hi, _ = _const_for_column(col, node.hi)
     if lo > hi:
         return ex.FoldedAtom(col, False)
     return ex.Range(col, lo, hi)
 
 
-def _analyze_predicate(node, scope: _Scope, catalog) -> ex.Expr:
-    if isinstance(node, AstAnd):
-        return ex.And(tuple(_analyze_predicate(i, scope, catalog) for i in node.items))
-    if isinstance(node, AstOr):
-        return ex.Or(tuple(_analyze_predicate(i, scope, catalog) for i in node.items))
-    if isinstance(node, AstNot):
+def _analyze_predicate(node: ex.Expr, scope: _Scope, catalog) -> ex.Expr:
+    """Rewrite a parsed predicate into resolved form."""
+    if isinstance(node, (ex.And, ex.Or)):
+        return type(node)(
+            tuple(_analyze_predicate(i, scope, catalog) for i in node.items)
+        )
+    if isinstance(node, ex.Not):
         return ex.Not(_analyze_predicate(node.child, scope, catalog))
-    if isinstance(node, AstCompare):
-        return _analyze_compare(node, scope, catalog)
-    if isinstance(node, AstBetween):
+    if isinstance(node, ex.Comparison):
+        return _analyze_compare(node, scope)
+    if isinstance(node, ex.ColumnCompare):
+        return _analyze_column_compare(node, scope)
+    if isinstance(node, ex.FnCall):
+        return _analyze_fncall(node, scope, catalog)
+    if isinstance(node, ex.Range):
         return _analyze_between(node, scope)
     raise AnalysisError(f"unexpected predicate node {node!r}")
 

@@ -94,7 +94,7 @@ class TestParser:
         )
         assert q.select_kind == fe.COLUMNS
         assert [t.alias for t in q.tables] == ["a", "b", "tc"]
-        assert len(ex_conjuncts(q.where)) == 3
+        assert len(ex.conjuncts(q.where)) == 3
 
     def test_count_star(self):
         q = fe.parse("SELECT COUNT(*) FROM t")
@@ -111,10 +111,10 @@ class TestParser:
     def test_or_not_precedence(self):
         q = fe.parse("SELECT * FROM t WHERE NOT a = 1 AND b = 2 OR c = 3")
         # OR binds loosest, NOT tightest: ((NOT a=1) AND b=2) OR c=3
-        assert isinstance(q.where, fe.AstOr)
+        assert isinstance(q.where, ex.Or)
         left = q.where.items[0]
-        assert isinstance(left, fe.AstAnd)
-        assert isinstance(left.items[0], fe.AstNot)
+        assert isinstance(left, ex.And)
+        assert isinstance(left.items[0], ex.Not)
 
     def test_trailing_semicolon_ok(self):
         fe.parse("SELECT * FROM t;")
@@ -148,17 +148,8 @@ class TestParser:
 
     def test_date_literal(self):
         q = fe.parse("SELECT * FROM t WHERE d = DATE '2024-01-05'")
-        const = q.where.right
+        const = q.where.value
         assert const.kind == "date" and const.text == "2024-01-05"
-
-
-def ex_conjuncts(node):
-    if isinstance(node, fe.AstAnd):
-        out = []
-        for i in node.items:
-            out.extend(ex_conjuncts(i))
-        return out
-    return [node]
 
 
 class TestRenderRoundTrip:
@@ -167,34 +158,43 @@ class TestRenderRoundTrip:
     OPS = ["=", "<", "<=", ">", ">=", "<>"]
 
     def _random_pred(self, rng, depth=0):
-        kind = rng.randrange(6 if depth < 2 else 4)
-        col = fe.AstColumn(rng.choice([None, "t"]), rng.choice("abcd"))
+        kind = rng.randrange(8 if depth < 2 else 5)
+        col = ex.ColumnRef(rng.choice([None, "t"]), rng.choice("abcd"))
         if kind == 0:
-            return fe.AstCompare(col, rng.choice(self.OPS),
-                                 fe.AstConst("number", str(rng.randrange(100))))
+            return ex.Comparison(col, rng.choice(self.OPS),
+                                 fe.AstConst("number", str(rng.randrange(-9, 100))))
         if kind == 1:
-            return fe.AstCompare(col, rng.choice(self.OPS),
+            return ex.Comparison(col, rng.choice(self.OPS),
                                  fe.AstConst("string", "x'y"))
         if kind == 2:
-            return fe.AstBetween(col, fe.AstConst("number", "1"),
-                                 fe.AstConst("number", "9"))
+            return ex.Range(col, fe.AstConst("date", "2024-01-05"),
+                            fe.AstConst("number", "9.5"))
         if kind == 3:
-            return fe.AstCompare(
-                fe.AstFnCall("f", (col,)), "<", fe.AstConst("number", "3")
+            return ex.FnCall(
+                "f", (col, ex.ColumnRef("v", "e")), "<", fe.AstConst("number", "3")
             )
         if kind == 4:
-            return fe.AstAnd(tuple(self._random_pred(rng, depth + 1)
-                                   for _ in range(2)))
-        return fe.AstOr(tuple(self._random_pred(rng, depth + 1)
-                              for _ in range(2)))
+            other = ex.ColumnRef(rng.choice([None, "v"]), rng.choice("abcd"))
+            return ex.ColumnCompare(col, rng.choice(self.OPS), other)
+        if kind == 5:
+            return ex.Not(self._random_pred(rng, depth + 1))
+        if kind == 6:
+            return ex.And(tuple(self._random_pred(rng, depth + 1)
+                                for _ in range(2)))
+        return ex.Or(tuple(self._random_pred(rng, depth + 1)
+                           for _ in range(2)))
 
     def test_round_trip_corpus(self):
         rng = random.Random(11)
         for _ in range(150):
             where = self._random_pred(rng) if rng.random() < 0.9 else None
+            select_kind = rng.choice([fe.COUNT_STAR, fe.STAR, fe.COLUMNS])
+            select = ()
+            if select_kind == fe.COLUMNS:
+                select = (ex.ColumnRef(None, "a"), ex.ColumnRef("v", "b"))
             q = fe.AstQuery(
-                fe.COUNT_STAR if rng.random() < 0.3 else fe.STAR,
-                (),
+                select_kind,
+                select,
                 (fe.AstTableRef("t", "t"), fe.AstTableRef("u", "v"))[
                     : rng.randrange(1, 3)
                 ],

@@ -122,11 +122,14 @@ def _engine_from_args(args) -> Engine:
         arm = "histogram"
     else:
         arm = "esc" if args.esc == "on" else "baseline"
-    config = EscConfig(
-        arm=arm,
-        min_table_size=args.min_table_size,
-        max_selectivity=args.max_selectivity,
-    )
+    try:
+        config = EscConfig(
+            arm=arm,
+            min_table_size=args.min_table_size,
+            max_selectivity=args.max_selectivity,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     engine = Engine(config=config, workers=args.workers)
     for item in args.load:
         parts = item.split(":", 2)
@@ -135,13 +138,19 @@ def _engine_from_args(args) -> Engine:
                 f"--load expects TABLE:PATH:SCHEMA, got {item!r}"
             )
         table, path, schema = parts
-        try:
-            engine.load_csv_file(path, table, schema, has_header=args.header)
-        except OSError as e:
-            raise UsageError(f"cannot read {path!r}: {e}") from e
-        except ValueError as e:
-            raise UsageError(str(e)) from e
+        _load_table(engine, table, path, schema, args.header)
     return engine
+
+
+def _load_table(engine: Engine, table, path, schema, has_header):
+    """Load one CSV for ``--load`` or the REPL's ``\\load``; an unreadable
+    path or a malformed schema spec is a usage error."""
+    try:
+        return engine.load_csv_file(path, table, schema, has_header=has_header)
+    except OSError as e:
+        raise UsageError(f"cannot read {path!r}: {e}") from e
+    except ValueError as e:
+        raise UsageError(str(e)) from e
 
 
 def _result_payload(result, explain: bool) -> dict:
@@ -260,9 +269,7 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
                 if len(parts) != 4:
                     raise UsageError("usage: \\load TABLE PATH SCHEMA")
                 _, table, path, schema = parts
-                loaded = engine.load_csv_file(
-                    path, table, schema, has_header=args.header
-                )
+                loaded = _load_table(engine, table, path, schema, args.header)
                 stdout.write(f"loaded {table}: {loaded.row_count} rows\n")
                 continue
             result = engine.run(line.rstrip(";"))
@@ -274,6 +281,8 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     fn = bench_mod.SUITES[args.suite]
     kwargs = dict(seed=args.seed, reps=args.reps, workers=args.workers)
     if args.suite != "overhead-scale":

@@ -177,6 +177,27 @@ class TestSql:
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["sql", "SELECT 1"], ["batch", "q.sql"], ["repl"]],
+        ids=["sql", "batch", "repl"],
+    )
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--min-table-size", "-1"], "min_table_size must be >= 0"),
+            (["--max-selectivity", "2"], "max_selectivity must be in [0, 1]"),
+        ],
+        ids=["min-table-size", "max-selectivity"],
+    )
+    def test_out_of_range_planner_flag_exits_2(
+        self, capsys, monkeypatch, command, flag, message
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        rc = main([*command, *flag])
+        assert rc == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
 
 class TestJoinFlags:
     def _argv(self, csv_t, csv_u, *extra):
@@ -299,6 +320,28 @@ class TestRepl:
             capsys.readouterr().out
         )
 
+    def test_bad_load_is_one_error_line_and_continues(
+        self, tmp_path, csv_t, capsys, monkeypatch
+    ):
+        missing = tmp_path / "missing.csv"
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO(
+                f"\\load t {csv_t} a\n"
+                f"\\load t {missing} a:int64\n"
+                f"\\load t {csv_t} {SCHEMA_T}\n"
+                "SELECT COUNT(*) FROM t\n"
+            ),
+        )
+        rc = main(["repl", "--header"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()[1:]
+        assert lines[0] == "error [cli]: bad schema item 'a' (expected name:kind)"
+        assert lines[1].startswith(f"error [cli]: cannot read '{missing}': ")
+        assert lines[2:4] == ["loaded t: 3 rows", "count: 3"]
+        assert captured.err == ""
+
 
 class TestBench:
     def test_tpch4_json_report(self, tmp_path, capsys):
@@ -327,6 +370,12 @@ class TestBench:
         out = capsys.readouterr().out
         assert out.startswith("suite: overhead-attributes")
         assert "overhead max/min ratio:" in out
+
+    def test_zero_reps_is_usage_error(self, capsys):
+        rc = main(["bench", "tpch4", "--scale", "0.002", "--reps", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: --reps must be at least 1, got 0\n"
 
     def test_unknown_suite_is_argparse_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

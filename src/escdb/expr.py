@@ -23,7 +23,9 @@ from typing import Callable, Iterator
 
 @dataclass(frozen=True)
 class ColumnRef:
-    """``alias.name`` column reference; ``table`` is None until resolved."""
+    """``alias.name`` column reference.  Parsed, ``table`` is the qualifier
+    as written (None if unqualified) and ``kind`` is None; resolved, they
+    are the table alias and the column kind."""
 
     table: str | None
     name: str

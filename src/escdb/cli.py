@@ -4,13 +4,15 @@ Subcommands: ``load`` (validate a CSV against a schema), ``sql`` (run one
 query), ``batch`` (run a ``.sql`` file), ``repl`` (interactive), and
 ``bench`` (run a benchmark suite and write its JSON report).
 
-Exit codes: 0 success, 1 runtime failure (storage/parse/analysis/
-planning/execution errors), 2 usage errors (bad flags, unknown suite).
+Exit codes: 0 success, 1 runtime failure (a missing or unreadable file,
+storage/parse/analysis/planning/execution errors), 2 usage errors (bad
+flags, unknown suite).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -80,7 +82,10 @@ def _add_query_flags(p: argparse.ArgumentParser):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``escdb`` argument parser, built once per process: ``parse_args``
+    leaves it unchanged, and ``--load``'s append action copies its default."""
     parser = argparse.ArgumentParser(
         prog="escdb",
         description="In-memory columnar SQL engine with exact "
@@ -143,12 +148,11 @@ def _engine_from_args(args) -> Engine:
 
 
 def _load_table(engine: Engine, table, path, schema, has_header):
-    """Load one CSV for ``--load`` or the REPL's ``\\load``; an unreadable
-    path or a malformed schema spec is a usage error."""
+    """Load one CSV for ``--load`` or the REPL's ``\\load``.  A malformed
+    schema spec is a usage error; an unreadable path raises OSError, a
+    runtime failure reported as ``error [io]`` as ``escdb load`` does."""
     try:
         return engine.load_csv_file(path, table, schema, has_header=has_header)
-    except OSError as e:
-        raise UsageError(f"cannot read {path!r}: {e}") from e
     except ValueError as e:
         raise UsageError(str(e)) from e
 
@@ -277,6 +281,8 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
             stdout.write(f"({result.time_ms:.3f} ms)\n")
         except EscdbError as e:
             stdout.write(f"error [{e.phase}]: {e}\n")
+        except OSError as e:
+            stdout.write(f"error [io]: {e}\n")
     return 0
 
 

@@ -5,12 +5,19 @@ DECIMAL(p, s) is stored as the value scaled by 10**s, DATE as days since
 1970-01-01, and TEXT as codes into a per-column dictionary.  Tables are
 immutable once loaded; "appending" returns a grown copy so loaders can
 batch without mutating anything a reader might hold.
+
+Loading and dumping go a column at a time: ``append_rows`` (and so
+``load_csv``) converts each column with one operation per kind and checks
+int64 range and DECIMAL precision per column.  Any failure sends the whole
+batch through the per-cell path, ``_append_cells``, whose error names the
+first bad row and column.  ``dump_csv`` decodes each column to strings once.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import date as _date
 from typing import Iterable, Sequence
@@ -93,11 +100,24 @@ def parse_kind(text: str) -> ColumnKind:
     raise TypeMismatch(f"unknown column kind {text!r}")
 
 
+# The one DATE form.  date.fromisoformat alone also reads 20200101 and
+# 2020-W01-1 from Python 3.11 on, and numpy's datetime64 parser reads 2020-01
+# as a date and 20200101 as the year 20200101.
+_ISO_DATE = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_ISO_DATE_RE = re.compile(_ISO_DATE)
+
+
 def date_to_days(text: str) -> int:
+    """Days since 1970-01-01 of a ``YYYY-MM-DD`` date."""
     try:
-        return (_date.fromisoformat(text) - EPOCH).days
+        day = _date.fromisoformat(text)
     except ValueError as exc:
         raise TypeMismatch(f"bad DATE literal {text!r}: {exc}") from None
+    if not _ISO_DATE_RE.fullmatch(text):
+        raise TypeMismatch(
+            f"bad DATE literal {text!r}: Invalid isoformat string: {text!r}"
+        )
+    return (day - EPOCH).days
 
 
 def days_to_date(days: int) -> str:
@@ -115,7 +135,7 @@ def parse_decimal_scaled(text: str, scale: int) -> int:
     if neg or t.startswith("+"):
         t = t[1:]
     whole, _, frac = t.partition(".")
-    if not (whole or frac) or not (whole + frac).isdigit():
+    if not (whole or frac) or not (whole + frac).isdecimal():
         raise TypeMismatch(f"bad DECIMAL literal {text!r}")
     if len(frac) > scale:
         raise TypeMismatch(f"DECIMAL literal {text!r} exceeds scale {scale}")
@@ -149,6 +169,17 @@ class Dictionary:
             self._code_of[s] = code
             self._strings.append(s)
         return code
+
+    def encode_all(self, strings: Sequence[str]) -> np.ndarray:
+        """Codes for ``strings``, as ``encode`` gives them one by one: new
+        strings get the next codes in order of first appearance."""
+        new = [s for s in dict.fromkeys(strings) if s not in self._code_of]
+        first = len(self._strings)
+        self._code_of.update(zip(new, range(first, first + len(new))))
+        self._strings.extend(new)
+        return np.fromiter(
+            map(self._code_of.__getitem__, strings), np.int64, len(strings)
+        )
 
     def lookup(self, s: str) -> int | None:
         """Code for ``s`` if already present, else None (never inserts)."""
@@ -251,6 +282,7 @@ class ColumnTable:
         return tuple(c.decode_value(i) for c in self.columns)
 
 
+_EPOCH_ORDINAL = EPOCH.toordinal()
 # Python ints: np.iinfo's min/max are properties, too slow to read per cell
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -288,18 +320,11 @@ def _convert_cell(raw, kind: ColumnKind, dictionary: Dictionary) -> tuple[int, b
     raise TypeMismatch(f"expected INT64 value, got {raw!r}")
 
 
-def append_rows(
-    table: ColumnTable, rows: Iterable[Sequence], first_row_number: int = 1
+def _append_cells(
+    table: ColumnTable, rows: list[Sequence], first_row_number: int
 ) -> ColumnTable:
-    """Return a new table with ``rows`` appended.
-
-    TEXT values are dictionary-encoded on insert; strings parse per the
-    column kind, and a DECIMAL may hold at most ``precision`` digits.
-    Raises ArityMismatch/TypeMismatch on bad input, citing the offending
-    row number (``first_row_number`` labels the first row, so loaders can
-    report file line numbers).
-    """
-    rows = list(rows)
+    """``append_rows`` one cell at a time: the reference path, and the one
+    whose errors name the first bad row and column."""
     width = len(table.columns)
     fresh = []
     for col in table.columns:
@@ -338,17 +363,139 @@ def append_rows(
                     f"column {col.name!r}: {col.kind} value {rows[rix][cix]!r} "
                     f"has more than {col.kind.precision} digits"
                 )
-    merged = [
-        Column(
-            c.name,
-            c.kind,
-            np.concatenate([c.values, fresh[i][0]]),
-            np.concatenate([c.null_mask, fresh[i][1]]),
-            c.dictionary,
-        )
-        for i, c in enumerate(table.columns)
-    ]
-    return ColumnTable(table.name, merged)
+    return _grown(table, fresh)
+
+
+def _grown(
+    table: ColumnTable, fresh: list[tuple[np.ndarray, np.ndarray]]
+) -> ColumnTable:
+    """``table`` with each column's new (values, null mask) appended."""
+    return ColumnTable(
+        table.name,
+        [
+            Column(
+                c.name,
+                c.kind,
+                np.concatenate([c.values, values]),
+                np.concatenate([c.null_mask, nulls]),
+                c.dictionary,
+            )
+            for c, (values, nulls) in zip(table.columns, fresh)
+        ],
+    )
+
+
+def _column_text(value: str, cells: list[str]) -> str | None:
+    """``cells`` joined by newlines if each one is a full match of the
+    regex ``value`` (which matches no newline), else None: one regex pass
+    checks the whole column."""
+    text = "\n".join(cells)
+    if text.count("\n") != len(cells) - 1:
+        return None  # a cell holds a newline
+    if re.fullmatch(f"{value}(?:\n{value})*", text) is None:
+        return None
+    return text
+
+
+def _decimal_form(scale: int) -> str:
+    """The form ``format_decimal`` writes, so ``dump_csv`` output takes the
+    fast path: an optional minus, digits, and exactly ``scale`` decimals."""
+    return f"-?[0-9]+\\.[0-9]{{{scale}}}" if scale else "-?[0-9]+"
+
+
+_NONE = type(None)
+
+
+def _convert_column(cells: Sequence, kind: ColumnKind):
+    """One column's cells converted at once: (values, null mask), where
+    TEXT values are the strings still to encode.  Returns None for a cell
+    type that only the per-cell path handles; raises for a cell that path
+    would reject."""
+    types = set(map(type, cells))
+    nulls = np.zeros(len(cells), dtype=bool)
+    if _NONE in types:
+        types.discard(_NONE)
+        nulls = np.array([c is None for c in cells], dtype=bool)
+        cells = [c for c in cells if c is not None]
+    if not cells or kind.is_text:
+        return (cells, nulls) if types <= {str} else None
+    if types == {int} or (kind.name == INT64 and types <= {int, str}):
+        # int() strips what the per-cell path's strip() strips, except
+        # \x1c-\x1f: there it raises, and the batch goes per cell
+        values = np.fromiter(map(int, cells), np.int64, len(cells))
+    elif types != {str}:
+        return None
+    elif kind.name == DATE:
+        if _column_text(_ISO_DATE, cells) is None:
+            return None
+        days = map(_date.toordinal, map(_date.fromisoformat, cells))
+        values = np.fromiter(days, np.int64, len(cells)) - _EPOCH_ORDINAL
+    else:
+        text = _column_text(_decimal_form(kind.scale), cells)
+        if text is None:
+            scaled = [parse_decimal_scaled(c, kind.scale) for c in cells]
+        else:
+            scaled = map(int, text.replace(".", "").split("\n"))
+        values = np.fromiter(scaled, np.int64, len(cells))
+    if kind.is_decimal:
+        limit = 10**kind.precision
+        if ((values >= limit) | (values <= -limit)).any():
+            return None
+    return values, nulls
+
+
+def _append_columns(
+    table: ColumnTable, cols: list[Sequence], first_row_number: int
+) -> ColumnTable:
+    """``append_rows`` over a transposed batch, a column at a time.  Any
+    failure sends the batch through ``_append_cells``, which raises the
+    error; np.fromiter raising OverflowError is the int64 range check."""
+    dictionaries = [c.dictionary for c in table.columns if c.kind.is_text]
+    # TEXT columns that share a dictionary are encoded row by row
+    if len(set(map(id, dictionaries))) == len(dictionaries):
+        try:
+            converted = [
+                _convert_column(cells, col.kind)
+                for col, cells in zip(table.columns, cols)
+            ]
+        except (TypeMismatch, ValueError, OverflowError):
+            converted = None
+        if converted is not None and None not in converted:
+            # encoded last, so a failed batch adds nothing to a dictionary
+            return _grown(table, [
+                _spread(col, values, nulls)
+                for col, (values, nulls) in zip(table.columns, converted)
+            ])
+    return _append_cells(table, list(zip(*cols)), first_row_number)
+
+
+def _spread(col: Column, values, nulls: np.ndarray) -> tuple:
+    """``col``'s new (values, null mask): the non-NULL ``values``, TEXT
+    encoded first, placed around 0s at the NULLs."""
+    if col.kind.is_text:
+        values = col.dictionary.encode_all(values)
+    full = np.zeros(len(nulls), dtype=np.int64)
+    full[~nulls] = values
+    return full, nulls
+
+
+def append_rows(
+    table: ColumnTable, rows: Iterable[Sequence], first_row_number: int = 1
+) -> ColumnTable:
+    """Return a new table with ``rows`` appended.
+
+    TEXT values are dictionary-encoded on insert; strings parse per the
+    column kind, and a DECIMAL may hold at most ``precision`` digits.
+    Raises ArityMismatch/TypeMismatch on bad input, citing the offending
+    row number (``first_row_number`` labels the first row, so loaders can
+    report file line numbers).
+    """
+    rows = list(rows)
+    width = len(table.columns)
+    if set(map(len, rows)) <= {width}:
+        cols = list(zip(*rows)) if rows else [()] * width
+        return _append_columns(table, cols, first_row_number)
+    return _append_cells(table, rows, first_row_number)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +518,7 @@ def load_csv(
         stream = text_or_file
     reader = csv.reader(stream)
     table = ColumnTable.empty(name, schema)
-    rows = []
+    records = []
     for lineno, record in enumerate(reader, start=1):
         if has_header and lineno == 1:
             continue
@@ -379,11 +526,37 @@ def load_csv(
             raise CsvError(
                 f"{name}: row {lineno}: expected {len(schema)} fields, got {len(record)}"
             )
-        rows.append([None if cell == NULL_TOKEN else cell for cell in record])
+        records.append(record)
+    cols = [
+        [None if cell == NULL_TOKEN else cell for cell in col]
+        if NULL_TOKEN in col
+        else col
+        for col in zip(*records)
+    ] or [()] * len(schema)
     try:
-        return append_rows(table, rows, first_row_number=2 if has_header else 1)
+        return _append_columns(table, cols, 2 if has_header else 1)
     except TypeMismatch as exc:
         raise CsvError(str(exc)) from exc
+
+
+def _column_strings(col: Column) -> list[str]:
+    """The column's cells as ``dump_csv`` writes them, NULL as ``\\N``."""
+    nulls = col.null_mask
+    has_null = bool(nulls.any())
+    items = (col.values[~nulls] if has_null else col.values).tolist()
+    if col.kind.is_text:
+        strings = list(map(col.dictionary.strings().__getitem__, items))
+    elif col.kind.name == DATE:
+        ordinals = map(_EPOCH_ORDINAL.__add__, items)
+        strings = list(map(_date.isoformat, map(_date.fromordinal, ordinals)))
+    elif col.kind.is_decimal:
+        strings = [format_decimal(v, col.kind.scale) for v in items]
+    else:
+        strings = list(map(str, items))
+    if not has_null:
+        return strings
+    present = iter(strings)
+    return [NULL_TOKEN if null else next(present) for null in nulls.tolist()]
 
 
 def dump_csv(table: ColumnTable, include_header: bool = False) -> str:
@@ -392,10 +565,5 @@ def dump_csv(table: ColumnTable, include_header: bool = False) -> str:
     writer = csv.writer(out, lineterminator="\n")
     if include_header:
         writer.writerow([c.name for c in table.columns])
-    for i in range(table.row_count):
-        row = []
-        for c in table.columns:
-            v = c.decode_value(i)
-            row.append(NULL_TOKEN if v is None else str(v))
-        writer.writerow(row)
+    writer.writerows(zip(*map(_column_strings, table.columns)))
     return out.getvalue()

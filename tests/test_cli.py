@@ -91,6 +91,14 @@ class TestLoad:
         assert rc == 1
         assert "error [io]" in capsys.readouterr().err
 
+    def test_missing_load_file_is_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "no.csv"
+        rc = main(["sql", "SELECT COUNT(*) FROM t", "--load", f"t:{missing}:a:int64"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error [io]: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
     def test_malformed_rows_fail(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1,two\n")
@@ -171,6 +179,14 @@ class TestSql:
         rc = main(self._argv(csv_t, "SELECT COUNT(*) FROM ghost"))
         assert rc == 1
         assert "error [analyze]" in capsys.readouterr().err
+
+    def test_parser_reused_without_carrying_loads(self, csv_t, csv_u, capsys):
+        rc = main(self._argv(csv_t, "SELECT COUNT(*) FROM t"))
+        assert rc == 0 and capsys.readouterr().out == "count: 3\n"
+        # the second call's --load list must not still hold the first's t
+        rc = main(["sql", "SELECT COUNT(*) FROM t", "--load", f"u:{csv_u}:{SCHEMA_U}"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error [analyze]: unknown table 't'\n"
 
     def test_bad_load_spec_exits_2(self, capsys):
         rc = main(["sql", "SELECT COUNT(*) FROM t", "--load", "t-no-colons"])
@@ -338,7 +354,9 @@ class TestRepl:
         captured = capsys.readouterr()
         lines = captured.out.splitlines()[1:]
         assert lines[0] == "error [cli]: bad schema item 'a' (expected name:kind)"
-        assert lines[1].startswith(f"error [cli]: cannot read '{missing}': ")
+        assert lines[1] == (
+            f"error [io]: [Errno 2] No such file or directory: '{missing}'"
+        )
         assert lines[2:4] == ["loaded t: 3 rows", "count: 3"]
         assert captured.err == ""
 

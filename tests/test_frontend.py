@@ -412,6 +412,8 @@ ERROR_CASES = [
      "type mismatch: cannot compare items.qty (INT64) to items.shipped (DATE)"),
     ("SELECT * FROM items WHERE shipped = DATE '2024-13-01'", AnalysisError,
      "bad date literal '2024-13-01' (expected YYYY-MM-DD)"),
+    ("SELECT * FROM items WHERE shipped = DATE '20240105'", AnalysisError,
+     "bad date literal '20240105' (expected YYYY-MM-DD)"),
     ("SELECT * FROM items WHERE shipped < 20240101", AnalysisError,
      "type mismatch: DATE column items.shipped compared to a number"),
     ("SELECT * FROM items WHERE tag = 5", AnalysisError,

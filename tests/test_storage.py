@@ -1,14 +1,21 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escdb.errors import (
     ArityMismatch,
     CsvError,
     EmptySchema,
     LengthMismatch,
+    StorageError,
     TypeMismatch,
 )
 from escdb.storage import (
+    NULL_TOKEN,
     Column,
     ColumnTable,
     Dictionary,
@@ -24,6 +31,7 @@ from escdb.storage import (
     load_csv,
     parse_decimal_scaled,
     parse_kind,
+    _append_cells,
 )
 
 
@@ -73,6 +81,11 @@ class TestScalars:
     def test_bad_date(self):
         with pytest.raises(TypeMismatch):
             date_to_days("1998-13-40")
+
+    @pytest.mark.parametrize("text", ["20200101", "2020-W01-1", "2020-01", " 2020-01-01"])
+    def test_date_only_in_yyyy_mm_dd_form(self, text):
+        with pytest.raises(TypeMismatch, match="bad DATE literal"):
+            date_to_days(text)
 
     def test_decimal_parse(self):
         assert parse_decimal_scaled("12.34", 2) == 1234
@@ -222,6 +235,239 @@ class TestCsv:
         t = load_csv(text, "t", self.SCHEMA)
         assert [t.row(i)[0] for i in range(2)] == [2**63 - 1, -(2**63)]
 
+    @pytest.mark.parametrize("day", ["20240105", "2024-W01-5"])
+    def test_date_only_in_yyyy_mm_dd_form(self, day):
+        with pytest.raises(CsvError) as exc:
+            load_csv(f"1,2024-01-05,a,1.00\n2,{day},b,1.00\n", "t", self.SCHEMA)
+        assert str(exc.value) == (
+            f"table 't': row 2, column 'when': bad DATE literal '{day}': "
+            f"Invalid isoformat string: '{day}'"
+        )
+
+    def test_decimal_digit_that_int_rejects(self):
+        # '\u00b2' (superscript two) is a digit to str.isdigit, not to int()
+        with pytest.raises(CsvError, match="row 1, column 'amt': bad DECIMAL"):
+            load_csv("1,2024-01-05,a,1.\u00b2\n", "t", self.SCHEMA)
+
     def test_dump_header(self):
         t = load_csv(CSV, "t", self.SCHEMA)
         assert dump_csv(t, include_header=True).splitlines()[0] == "id,when,tag,amt"
+
+
+# ---------------------------------------------------------------------------
+# Column-at-a-time loading against the per-cell path
+# ---------------------------------------------------------------------------
+
+INT64_MAX = 2**63 - 1
+# whitespace that str.strip() removes; int() does not strip \x1c-\x1f
+PAD = st.text(alphabet=" \t\x1c\x1f\xa0\u2003", max_size=2)
+
+
+def _padded(cells):
+    return st.tuples(PAD, cells, PAD).map("".join)
+
+
+# Each kind's cells as three strategies: the form dump_csv writes, other
+# forms the loader accepts (or None), and forms it may reject (or None).
+
+
+def _int64_cells(kind):
+    return (
+        st.one_of(
+            st.integers(-(2**63), INT64_MAX).map(str),
+            st.integers(-50, 50).map(str),
+            st.sampled_from([str(INT64_MAX), str(-(2**63))]),
+        ),
+        st.one_of(
+            _padded(st.integers(-50, 50).map(str)),
+            st.sampled_from(["+7", "-0", "٣"]),
+        ),
+        st.sampled_from([
+            str(2**63), str(-(2**63) - 1), "", "x", "1.5", "1_000", "²", "1\n2",
+        ]),
+    )
+
+
+def _decimal_cells(kind):
+    top, scale = 10**kind.precision, kind.scale
+    whole = st.integers(0, 10 ** (kind.precision - scale) - 1)
+    return (
+        st.integers(-top + 1, top - 1).map(lambda v: format_decimal(v, scale)),
+        st.one_of(
+            whole.map(lambda v: f"+{v}"),
+            whole.map(lambda v: f"{v}."),
+            whole.map(lambda v: f"-{v}.{'5' * (scale - 1)}"),
+            _padded(whole.map(str)),
+            st.just("٠"),
+        ),
+        st.one_of(
+            # over-precision, and past int64 once scaled
+            st.integers(top, 10 * top).map(lambda v: format_decimal(v, scale)),
+            st.just(f"92233720368547758.{'0' * scale}08"),
+            # surplus fractional digits, in the dumped form
+            st.integers(-999, 999).map(lambda v: format_decimal(v, scale + 1)),
+            st.sampled_from(["", ".", "-", "1..2", "1e3", "1.²", "1\n2"]),
+        ),
+    )
+
+
+def _date_cells(kind):
+    return (
+        st.dates().map(lambda d: d.isoformat()),
+        None,
+        st.sampled_from([
+            "20200101", "2020-W01-1", "2020-01", "2020-1-1", "2020-13-01",
+            "2020-02-30", " 2020-01-01", "0000-01-01", "\uff12020-01-01",
+            "2020-01-01\n2020-01-02",
+        ]),
+    )
+
+
+def _text_cells(kind):
+    # every string is a TEXT value
+    return (
+        st.sampled_from(["oak", "elm", "fir", ""]),
+        st.text(alphabet='ab,"\n \\N', max_size=3),
+        None,
+    )
+
+
+CELLS = {"INT64": _int64_cells, "DATE": _date_cells, "TEXT": _text_cells,
+         "DECIMAL": _decimal_cells}
+
+
+@st.composite
+def kinds(draw):
+    name = draw(st.sampled_from(sorted(CELLS)))
+    if name != "DECIMAL":
+        return parse_kind(name)
+    precision = draw(st.integers(1, 18))
+    return decimal(precision, draw(st.integers(0, precision)))
+
+
+@st.composite
+def batches(draw, null=NULL_TOKEN):
+    """(schema, rows): rows of cells the loader accepts, in some columns
+    only in the form dump_csv writes, with up to two cells it may reject
+    put in, and now and then a row one cell short or long.  One bad cell
+    among good ones is what the column checks must catch on their own."""
+    schema = [
+        (f"c{i}", k)
+        for i, k in enumerate(draw(st.lists(kinds(), min_size=1, max_size=4)))
+    ]
+    cells = [CELLS[kind.name](kind) for _, kind in schema]
+    good = [
+        st.one_of(plain, st.just(null))
+        if other is None or draw(st.booleans())
+        else st.one_of(plain, other, st.just(null))
+        for plain, other, _ in cells
+    ]
+    rows = draw(st.lists(st.tuples(*good).map(list), max_size=12))
+    checked = [cix for cix, (_, _, bad) in enumerate(cells) if bad is not None]
+    if rows and checked:
+        for _ in range(draw(st.integers(0, 2))):
+            cix = draw(st.sampled_from(checked))
+            rows[draw(st.integers(0, len(rows) - 1))][cix] = draw(cells[cix][2])
+    if rows and draw(st.integers(0, 7)) == 0:
+        row = draw(st.sampled_from(rows))
+        row.append("1") if draw(st.booleans()) else row.pop()
+    return schema, rows
+
+
+def _outcome(fn, *args, **kwargs):
+    """The table ``fn`` builds, or the type and text of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (StorageError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _table_state(t):
+    if isinstance(t, tuple):
+        return t
+    return [
+        (c.name, c.kind, c.values.tolist(), c.null_mask.tolist(),
+         c.dictionary.strings() if c.kind.is_text else None)
+        for c in t.columns
+    ]
+
+
+def _load_per_cell(text, name, schema, has_header=False):
+    """``load_csv`` one cell at a time: the reference for the loader."""
+    rows = []
+    for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if has_header and lineno == 1:
+            continue
+        if len(record) != len(schema):
+            raise CsvError(
+                f"{name}: row {lineno}: expected {len(schema)} fields, got {len(record)}"
+            )
+        rows.append([None if cell == NULL_TOKEN else cell for cell in record])
+    try:
+        return _append_cells(
+            ColumnTable.empty(name, schema), rows, 2 if has_header else 1
+        )
+    except TypeMismatch as exc:
+        raise CsvError(str(exc)) from exc
+
+
+def _dump_per_cell(table):
+    """``dump_csv`` one cell at a time: the reference for the dumper."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for i in range(table.row_count):
+        writer.writerow(
+            [NULL_TOKEN if v is None else str(v) for v in table.row(i)]
+        )
+    return out.getvalue()
+
+
+def _csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+class TestColumnarLoad:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(batch=batches(), has_header=st.booleans())
+    def test_load_csv_matches_per_cell(self, batch, has_header):
+        schema, rows = batch
+        text = _csv_text(([[n for n, _ in schema]] if has_header else []) + rows)
+        got = _outcome(load_csv, text, "t", schema, has_header=has_header)
+        want = _outcome(_load_per_cell, text, "t", schema, has_header=has_header)
+        assert _table_state(got) == _table_state(want)
+        if isinstance(got, ColumnTable):
+            dumped = dump_csv(got)
+            assert dumped == _dump_per_cell(got)
+            again = load_csv(dumped, "t", schema)
+            assert _table_state(again) == _table_state(got)
+            assert dump_csv(again) == dumped
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        batch=batches(null=None),
+        seed_rows=st.integers(0, 3),
+        typed=st.sampled_from([None, 5, True, np.int64(5)]),
+    )
+    def test_append_rows_matches_per_cell(self, batch, seed_rows, typed):
+        """Python cells, appended to a table that already holds rows, so
+        TEXT codes continue an existing dictionary."""
+        schema, rows = batch
+        seed = [["oak" if k.is_text else 0 for _, k in schema]] * seed_rows
+        if rows and typed is not None:
+            rows[0][:1] = [typed]
+        base, ref_base = (
+            _append_cells(ColumnTable.empty("t", schema), seed, 1) for _ in range(2)
+        )
+        got = _outcome(append_rows, base, rows, seed_rows + 1)
+        want = _outcome(_append_cells, ref_base, rows, seed_rows + 1)
+        assert _table_state(got) == _table_state(want)
+        assert _table_state(base) == _table_state(ref_base)
+
+    def test_dump_matches_per_cell(self, tpch_small, custom_nulls):
+        for t in [*tpch_small.values(), custom_nulls]:
+            dumped = dump_csv(t)
+            assert dumped == _dump_per_cell(t)
+            # the generator's dictionaries need not be in first-appearance order
+            assert dump_csv(load_csv(dumped, t.name, t.schema)) == dumped

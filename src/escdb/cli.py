@@ -222,6 +222,13 @@ def _split_statements(text: str) -> list[str]:
     return [s.strip() for s in stmts if s.strip()]
 
 
+def _error_line(e: EscdbError | OSError) -> str:
+    """A runtime failure as one ``error [phase]: ...`` line; a missing or
+    unreadable file is phase ``io``."""
+    phase = "io" if isinstance(e, OSError) else e.phase
+    return f"error [{phase}]: {e}"
+
+
 def cmd_load(args) -> int:
     try:
         schema = parse_schema_spec(args.schema)
@@ -279,10 +286,8 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
             result = engine.run(line.rstrip(";"))
             _print_result(result, args, out=stdout)
             stdout.write(f"({result.time_ms:.3f} ms)\n")
-        except EscdbError as e:
-            stdout.write(f"error [{e.phase}]: {e}\n")
-        except OSError as e:
-            stdout.write(f"error [io]: {e}\n")
+        except (EscdbError, OSError) as e:
+            stdout.write(_error_line(e) + "\n")
     return 0
 
 
@@ -322,11 +327,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error [io]: {e}", file=sys.stderr)
-        return 1
-    except EscdbError as e:
-        print(f"error [{e.phase}]: {e}", file=sys.stderr)
+    except (EscdbError, OSError) as e:
+        print(_error_line(e), file=sys.stderr)
         return 1
 
 

@@ -6,11 +6,12 @@ DECIMAL(p, s) is stored as the value scaled by 10**s, DATE as days since
 immutable once loaded; "appending" returns a grown copy so loaders can
 batch without mutating anything a reader might hold.
 
-Loading and dumping go a column at a time: ``append_rows`` (and so
-``load_csv``) converts each column with one operation per kind and checks
-int64 range and DECIMAL precision per column.  Any failure sends the whole
-batch through the per-cell path, ``_append_cells``, whose error names the
-first bad row and column.  ``dump_csv`` decodes each column to strings once.
+CSV loads and dumps go a column at a time: ``load_csv`` converts each
+column with one operation per kind and checks int64 range and DECIMAL
+precision per column.  A cell in any other form, or any failure, sends the
+whole batch through ``append_rows``, the per-cell path, whose error names
+the first bad row and column.  ``dump_csv`` decodes each column to strings
+once.
 """
 
 from __future__ import annotations
@@ -320,11 +321,18 @@ def _convert_cell(raw, kind: ColumnKind, dictionary: Dictionary) -> tuple[int, b
     raise TypeMismatch(f"expected INT64 value, got {raw!r}")
 
 
-def _append_cells(
-    table: ColumnTable, rows: list[Sequence], first_row_number: int
+def append_rows(
+    table: ColumnTable, rows: Iterable[Sequence], first_row_number: int = 1
 ) -> ColumnTable:
-    """``append_rows`` one cell at a time: the reference path, and the one
-    whose errors name the first bad row and column."""
+    """Return a new table with ``rows`` appended.
+
+    TEXT values are dictionary-encoded on insert; strings parse per the
+    column kind, and a DECIMAL may hold at most ``precision`` digits.
+    Raises ArityMismatch/TypeMismatch on bad input, citing the offending
+    row number (``first_row_number`` labels the first row, so loaders can
+    report file line numbers).
+    """
+    rows = list(rows)
     width = len(table.columns)
     fresh = []
     for col in table.columns:
@@ -363,26 +371,17 @@ def _append_cells(
                     f"column {col.name!r}: {col.kind} value {rows[rix][cix]!r} "
                     f"has more than {col.kind.precision} digits"
                 )
-    return _grown(table, fresh)
-
-
-def _grown(
-    table: ColumnTable, fresh: list[tuple[np.ndarray, np.ndarray]]
-) -> ColumnTable:
-    """``table`` with each column's new (values, null mask) appended."""
-    return ColumnTable(
-        table.name,
-        [
-            Column(
-                c.name,
-                c.kind,
-                np.concatenate([c.values, values]),
-                np.concatenate([c.null_mask, nulls]),
-                c.dictionary,
-            )
-            for c, (values, nulls) in zip(table.columns, fresh)
-        ],
-    )
+    merged = [
+        Column(
+            c.name,
+            c.kind,
+            np.concatenate([c.values, fresh[i][0]]),
+            np.concatenate([c.null_mask, fresh[i][1]]),
+            c.dictionary,
+        )
+        for i, c in enumerate(table.columns)
+    ]
+    return ColumnTable(table.name, merged)
 
 
 def _column_text(value: str, cells: list[str]) -> str | None:
@@ -398,33 +397,28 @@ def _column_text(value: str, cells: list[str]) -> str | None:
 
 
 def _decimal_form(scale: int) -> str:
-    """The form ``format_decimal`` writes, so ``dump_csv`` output takes the
-    fast path: an optional minus, digits, and exactly ``scale`` decimals."""
+    """The form ``format_decimal`` writes, the one DECIMAL form read a
+    column at a time: an optional minus, digits, and exactly ``scale``
+    decimals."""
     return f"-?[0-9]+\\.[0-9]{{{scale}}}" if scale else "-?[0-9]+"
 
 
-_NONE = type(None)
-
-
-def _convert_column(cells: Sequence, kind: ColumnKind):
-    """One column's cells converted at once: (values, null mask), where
-    TEXT values are the strings still to encode.  Returns None for a cell
-    type that only the per-cell path handles; raises for a cell that path
-    would reject."""
-    types = set(map(type, cells))
+def _convert_column(cells: Sequence[str | None], kind: ColumnKind):
+    """One CSV column's cells (None for NULL) converted at once: (values,
+    null mask), where TEXT values are the strings still to encode and the
+    other values leave out the NULLs.  Returns None, or raises ValueError
+    or OverflowError, when some cell needs the per-cell path: a form read
+    only there, or a value past int64 or the DECIMAL precision."""
     nulls = np.zeros(len(cells), dtype=bool)
-    if _NONE in types:
-        types.discard(_NONE)
+    if None in cells:
         nulls = np.array([c is None for c in cells], dtype=bool)
         cells = [c for c in cells if c is not None]
     if not cells or kind.is_text:
-        return (cells, nulls) if types <= {str} else None
-    if types == {int} or (kind.name == INT64 and types <= {int, str}):
+        return cells, nulls
+    if kind.name == INT64:
         # int() strips what the per-cell path's strip() strips, except
         # \x1c-\x1f: there it raises, and the batch goes per cell
         values = np.fromiter(map(int, cells), np.int64, len(cells))
-    elif types != {str}:
-        return None
     elif kind.name == DATE:
         if _column_text(_ISO_DATE, cells) is None:
             return None
@@ -433,69 +427,41 @@ def _convert_column(cells: Sequence, kind: ColumnKind):
     else:
         text = _column_text(_decimal_form(kind.scale), cells)
         if text is None:
-            scaled = [parse_decimal_scaled(c, kind.scale) for c in cells]
-        else:
-            scaled = map(int, text.replace(".", "").split("\n"))
+            return None
+        scaled = map(int, text.replace(".", "").split("\n"))
         values = np.fromiter(scaled, np.int64, len(cells))
-    if kind.is_decimal:
         limit = 10**kind.precision
         if ((values >= limit) | (values <= -limit)).any():
             return None
     return values, nulls
 
 
-def _append_columns(
-    table: ColumnTable, cols: list[Sequence], first_row_number: int
+def _load_columns(
+    table: ColumnTable, cols: list[Sequence[str | None]], first_row_number: int
 ) -> ColumnTable:
-    """``append_rows`` over a transposed batch, a column at a time.  Any
-    failure sends the batch through ``_append_cells``, which raises the
-    error; np.fromiter raising OverflowError is the int64 range check."""
-    dictionaries = [c.dictionary for c in table.columns if c.kind.is_text]
-    # TEXT columns that share a dictionary are encoded row by row
-    if len(set(map(id, dictionaries))) == len(dictionaries):
-        try:
-            converted = [
-                _convert_column(cells, col.kind)
-                for col, cells in zip(table.columns, cols)
-            ]
-        except (TypeMismatch, ValueError, OverflowError):
-            converted = None
-        if converted is not None and None not in converted:
-            # encoded last, so a failed batch adds nothing to a dictionary
-            return _grown(table, [
-                _spread(col, values, nulls)
-                for col, (values, nulls) in zip(table.columns, converted)
-            ])
-    return _append_cells(table, list(zip(*cols)), first_row_number)
-
-
-def _spread(col: Column, values, nulls: np.ndarray) -> tuple:
-    """``col``'s new (values, null mask): the non-NULL ``values``, TEXT
-    encoded first, placed around 0s at the NULLs."""
-    if col.kind.is_text:
-        values = col.dictionary.encode_all(values)
-    full = np.zeros(len(nulls), dtype=np.int64)
-    full[~nulls] = values
-    return full, nulls
-
-
-def append_rows(
-    table: ColumnTable, rows: Iterable[Sequence], first_row_number: int = 1
-) -> ColumnTable:
-    """Return a new table with ``rows`` appended.
-
-    TEXT values are dictionary-encoded on insert; strings parse per the
-    column kind, and a DECIMAL may hold at most ``precision`` digits.
-    Raises ArityMismatch/TypeMismatch on bad input, citing the offending
-    row number (``first_row_number`` labels the first row, so loaders can
-    report file line numbers).
-    """
-    rows = list(rows)
-    width = len(table.columns)
-    if set(map(len, rows)) <= {width}:
-        cols = list(zip(*rows)) if rows else [()] * width
-        return _append_columns(table, cols, first_row_number)
-    return _append_cells(table, rows, first_row_number)
+    """The empty ``table`` with the transposed CSV cells ``cols`` appended a
+    column at a time.  Any failure sends the batch through ``append_rows``,
+    which raises the error; np.fromiter raising OverflowError is the int64
+    range check."""
+    try:
+        converted = [
+            _convert_column(cells, col.kind)
+            for col, cells in zip(table.columns, cols)
+        ]
+    except (ValueError, OverflowError):
+        converted = [None]
+    if None in converted:
+        return append_rows(table, zip(*cols), first_row_number)
+    # encoded once every column converted, so a batch that falls back to
+    # append_rows finds its dictionaries empty
+    columns = []
+    for col, (values, nulls) in zip(table.columns, converted):
+        if col.kind.is_text:
+            values = col.dictionary.encode_all(values)
+        full = np.zeros(len(nulls), dtype=np.int64)
+        full[~nulls] = values
+        columns.append(Column(col.name, col.kind, full, nulls, col.dictionary))
+    return ColumnTable(table.name, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +500,7 @@ def load_csv(
         for col in zip(*records)
     ] or [()] * len(schema)
     try:
-        return _append_columns(table, cols, 2 if has_header else 1)
+        return _load_columns(table, cols, 2 if has_header else 1)
     except TypeMismatch as exc:
         raise CsvError(str(exc)) from exc
 
@@ -545,7 +511,7 @@ def _column_strings(col: Column) -> list[str]:
     has_null = bool(nulls.any())
     items = (col.values[~nulls] if has_null else col.values).tolist()
     if col.kind.is_text:
-        strings = list(map(col.dictionary.strings().__getitem__, items))
+        strings = list(map(col.dictionary.decode, items))
     elif col.kind.name == DATE:
         ordinals = map(_EPOCH_ORDINAL.__add__, items)
         strings = list(map(_date.isoformat, map(_date.fromordinal, ordinals)))

@@ -31,7 +31,6 @@ from escdb.storage import (
     load_csv,
     parse_decimal_scaled,
     parse_kind,
-    _append_cells,
 )
 
 
@@ -346,7 +345,7 @@ def kinds(draw):
 
 
 @st.composite
-def batches(draw, null=NULL_TOKEN):
+def batches(draw):
     """(schema, rows): rows of cells the loader accepts, in some columns
     only in the form dump_csv writes, with up to two cells it may reject
     put in, and now and then a row one cell short or long.  One bad cell
@@ -357,9 +356,9 @@ def batches(draw, null=NULL_TOKEN):
     ]
     cells = [CELLS[kind.name](kind) for _, kind in schema]
     good = [
-        st.one_of(plain, st.just(null))
+        st.one_of(plain, st.just(NULL_TOKEN))
         if other is None or draw(st.booleans())
-        else st.one_of(plain, other, st.just(null))
+        else st.one_of(plain, other, st.just(NULL_TOKEN))
         for plain, other, _ in cells
     ]
     rows = draw(st.lists(st.tuples(*good).map(list), max_size=12))
@@ -404,7 +403,7 @@ def _load_per_cell(text, name, schema, has_header=False):
             )
         rows.append([None if cell == NULL_TOKEN else cell for cell in record])
     try:
-        return _append_cells(
+        return append_rows(
             ColumnTable.empty(name, schema), rows, 2 if has_header else 1
         )
     except TypeMismatch as exc:
@@ -443,27 +442,6 @@ class TestColumnarLoad:
             again = load_csv(dumped, "t", schema)
             assert _table_state(again) == _table_state(got)
             assert dump_csv(again) == dumped
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(
-        batch=batches(null=None),
-        seed_rows=st.integers(0, 3),
-        typed=st.sampled_from([None, 5, True, np.int64(5)]),
-    )
-    def test_append_rows_matches_per_cell(self, batch, seed_rows, typed):
-        """Python cells, appended to a table that already holds rows, so
-        TEXT codes continue an existing dictionary."""
-        schema, rows = batch
-        seed = [["oak" if k.is_text else 0 for _, k in schema]] * seed_rows
-        if rows and typed is not None:
-            rows[0][:1] = [typed]
-        base, ref_base = (
-            _append_cells(ColumnTable.empty("t", schema), seed, 1) for _ in range(2)
-        )
-        got = _outcome(append_rows, base, rows, seed_rows + 1)
-        want = _outcome(_append_cells, ref_base, rows, seed_rows + 1)
-        assert _table_state(got) == _table_state(want)
-        assert _table_state(base) == _table_state(ref_base)
 
     def test_dump_matches_per_cell(self, tpch_small, custom_nulls):
         for t in [*tpch_small.values(), custom_nulls]:

@@ -3,16 +3,22 @@
 Everything is vectorized over int64 column vectors.  A set of rows is an
 ascending int64 array of row ids, except a probe chunk, which is a
 contiguous ``slice`` of rows: predicates read column views over it, so
-no column is gathered to filter.  The probe pipeline is a single fused
-pass: probe-side predicate, every join-index lookup, and the output
-gather happen without materializing intermediate tuples; one row-id
-array per table alias carries the matches from stage to stage.  With
-``workers`` threads, each probes one chunk, and the output row order is
-the probe row order whatever ``workers`` is.
+no column is gathered to filter, and without a probe filter the probe
+alias's rows stay that slice until the first join stage compacts them.
+The probe pipeline is a single fused pass: probe-side predicate, every
+join-index lookup, and the output gather happen without materializing
+intermediate tuples.  Row ids are carried late: after each stage only
+the aliases that a later stage probes with, or the projection reads,
+keep a row-id array, and a stage that nothing reads after it (the last
+stage of a ``COUNT(*)``) only counts its matches.  With ``workers``
+threads, each probes one chunk, and the output row order is the probe
+row order whatever ``workers`` is.
 A join index sorts the build keys once, and duplicate keys share a
-contiguous row group.  When the distinct keys are dense, a probe is one
-gather from a direct-address slot table; otherwise it is one
-``np.searchsorted`` over the distinct keys.
+contiguous row group.  A stage over an index whose keys are all unique
+never expands matches: each hit is one build row.  When the distinct
+keys are dense, a probe is one gather from a direct-address slot table;
+otherwise it is one ``np.searchsorted`` over the distinct keys.  A probe
+key column without NULLs skips the null mask.
 """
 
 from __future__ import annotations
@@ -208,10 +214,12 @@ class HashTableIndex:
 
     Group ``g`` holds the rows whose key is ``unique_keys[g]`` (sorted);
     they sit contiguously in ``group_rows``, in ascending row order.
-    When the distinct keys are dense, ``slots[k - lo]`` is the group of
-    key ``k`` (-1 for a key in ``lo..hi`` that no build row has) and a
-    probe is one gather; otherwise ``slots`` is None and a probe
-    binary-searches ``unique_keys``.
+    ``unique`` says that every group holds one row.  When the distinct
+    keys are dense, ``slots[k - lo]`` is the group of key ``k`` (-1 for a
+    key in ``lo..hi`` that no build row has, and in one trailing slot
+    that every key outside ``lo..hi`` lands on) and a probe is one
+    gather; otherwise ``slots`` is None and a probe binary-searches
+    ``unique_keys``.
     """
 
     def __init__(self, table: ColumnTable, key: str, rows: np.ndarray):
@@ -233,6 +241,7 @@ class HashTableIndex:
         self.unique_keys = sorted_keys[starts]
         self.group_start = np.append(starts, sorted_keys.size)
         self.group_counts = np.diff(self.group_start)
+        self.unique = self.distinct_keys == self.n_entries
 
         self.slots = None
         n = self.unique_keys.size
@@ -241,37 +250,40 @@ class HashTableIndex:
             self.lo, self.hi = int(self.unique_keys[0]), int(self.unique_keys[-1])
             span = self.hi - self.lo + 1
             if span <= _DENSE_RATIO * n + _DENSE_PAD:
-                self.slots = np.full(span, -1, dtype=np.int64)
+                self.span = np.uint64(span)
+                self.slots = np.full(span + 1, -1, dtype=np.int64)
                 self.slots[self.unique_keys - self.lo] = np.arange(n)
 
     @property
     def distinct_keys(self) -> int:
         return int(self.unique_keys.size)
 
-    def probe_groups(self, keys: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        """Group id per key (-1 when absent or the key slot is invalid)."""
+    def probe_groups(
+        self, keys: np.ndarray, valid: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Group id per key; -1 when the key is absent or, given ``valid``,
+        where ``valid`` is False."""
         n = self.unique_keys.size
         if n == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
         if self.slots is not None:
-            inside = valid & (keys >= self.lo) & (keys <= self.hi)
-            # clamp before subtracting, so no key's offset wraps
-            groups = self.slots[np.clip(keys, self.lo, self.hi) - self.lo]
-            groups[~inside] = -1
-            return groups
-        # a key above every build key lands on n; clamp it so it misses
-        pos = np.minimum(np.searchsorted(self.unique_keys, keys), n - 1)
-        hit = valid & (self.unique_keys[pos] == keys)
-        return np.where(hit, pos, -1)
-
-    def lookup(self, key: int) -> np.ndarray:
-        """Build-row indices matching ``key`` (test/debug convenience)."""
-        g = self.probe_groups(
-            np.asarray([key], dtype=np.int64), np.ones(1, dtype=bool)
-        )[0]
-        if g < 0:
-            return np.empty(0, dtype=np.int64)
-        return self.group_rows[self.group_start[g] : self.group_start[g + 1]]
+            # ``keys - lo`` wraps in int64, and read as uint64 it is the
+            # offset modulo 2**64.  A key above hi has an offset in
+            # [span, 2**64), unwrapped.  A key below lo wraps to
+            # ``key - lo + 2**64 >= 2**63 - lo > hi - lo``, so it is at
+            # least span too.  Only keys in lo..hi land below span; every
+            # other key is clamped onto the trailing -1 slot.  The clamped
+            # offsets fit int64 again, and numpy gathers faster by int64.
+            off = keys - self.lo
+            np.minimum(off.view(np.uint64), self.span, out=off.view(np.uint64))
+            groups = self.slots[off]
+        else:
+            # a key above every build key lands on n; clamp it so it misses
+            pos = np.minimum(np.searchsorted(self.unique_keys, keys), n - 1)
+            groups = np.where(self.unique_keys[pos] == keys, pos, -1)
+        if valid is not None:
+            groups[~valid] = -1
+        return groups
 
 
 def build_hash(
@@ -313,22 +325,32 @@ class ExecStats:
     probe_ms: float = 0.0
 
 
-def _expand_matches(index: HashTableIndex, groups: np.ndarray):
-    """Per-tuple match groups -> (repeat counts, matched build rows).
+def _expand_matches(
+    index: HashTableIndex, groups: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The build rows of each tuple's match group, in tuple order; tuple
+    ``i`` matches ``counts[i]`` rows (``index.group_counts[groups]``)."""
+    # output slot j of tuple i reads group_rows[start_i + j - first_i],
+    # where first_i is the tuple's first output slot
+    firsts = np.cumsum(counts) - counts
+    flat = np.repeat(index.group_start[groups] - firsts, counts)
+    flat += np.arange(flat.size)
+    return index.group_rows[flat]
 
-    The counts are None when every matched group holds one row: then each
-    tuple matches exactly one build row and nothing needs repeating."""
-    counts = index.group_counts[groups]
-    starts = index.group_start[groups]
-    total = int(counts.sum())
-    if total == groups.size:
-        return None, index.group_rows[starts]
-    offsets = np.zeros(groups.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    flat = np.arange(total, dtype=np.int64)
-    flat -= np.repeat(offsets, counts)
-    flat += np.repeat(starts, counts)
-    return counts, index.group_rows[flat]
+
+def _compact(ids: np.ndarray | slice, hit: np.ndarray) -> np.ndarray:
+    """The row ids of ``ids`` at the positions where ``hit`` is True."""
+    if isinstance(ids, slice):
+        kept = np.flatnonzero(hit)
+        kept += ids.start
+        return kept
+    return ids[hit]
+
+
+def _row_ids(ids: np.ndarray | slice) -> np.ndarray:
+    if isinstance(ids, slice):
+        return np.arange(ids.start, ids.stop, dtype=np.int64)
+    return ids
 
 
 def _probe_chunk(
@@ -336,24 +358,51 @@ def _probe_chunk(
     probe_alias: str,
     probe_pred: ex.Expr | None,
     steps: list[BuildStep],
+    live: list[frozenset[str]],
     rows: slice,
 ):
     """Run the fused pipeline over one range of probe rows; returns the
-    matched row ids per alias and the tuples each stage produced."""
-    rows_of = {probe_alias: eval_predicate(tables[probe_alias], probe_pred, rows)}
-    stage_out = [rows_of[probe_alias].size]
-    for step in steps:
+    carried row ids per alias, which cover ``live[-1]`` (the probe
+    alias's are a ``slice`` when no stage and no filter ran), and the
+    tuples each stage produced.
+
+    ``live[k]`` holds the aliases whose row ids are read after stage
+    ``k`` (stage 0 is the probe filter); no other alias is carried."""
+    probe = tables[probe_alias]
+    if probe_pred is None:
+        span = _span(probe, rows)
+        ids = slice(span.start, span.stop)
+        size = len(span)
+    else:
+        ids = eval_predicate(probe, probe_pred, rows)
+        size = ids.size
+    rows_of = {probe_alias: ids}
+    stage_out = [size]
+    for step, alive in zip(steps, live[1:]):
+        index = step.index
         ref = step.probe_key
         col = tables[ref.table].column(ref.name)
         ids = rows_of[ref.table]
-        groups = step.index.probe_groups(col.values[ids], ~col.null_mask[ids])
+        valid = ~col.null_mask[ids] if col.has_nulls else None
+        groups = index.probe_groups(col.values[ids], valid)
         hit = groups >= 0
-        counts, matched = _expand_matches(step.index, groups[hit])
-        for alias, kept in rows_of.items():
-            kept = kept[hit]
-            rows_of[alias] = kept if counts is None else np.repeat(kept, counts)
-        rows_of[step.alias] = matched
-        stage_out.append(matched.size)
+        # a unique stage whose rows nothing reads only counts its hits
+        matched = groups[hit] if step.alias in alive or not index.unique else None
+        counts = None if index.unique else index.group_counts[matched]
+        stage_out.append(
+            int(np.count_nonzero(hit)) if counts is None else int(counts.sum())
+        )
+        carried = {}
+        for alias in alive - {step.alias}:
+            kept = _compact(rows_of[alias], hit)
+            carried[alias] = kept if counts is None else np.repeat(kept, counts)
+        if step.alias in alive:
+            carried[step.alias] = (
+                index.group_rows[matched]
+                if counts is None
+                else _expand_matches(index, matched, counts)
+            )
+        rows_of = carried
     return rows_of, stage_out
 
 
@@ -378,6 +427,15 @@ def probe_joins(
         stats.build_distinct.append(step.index.distinct_keys)
         tables[step.alias] = step.index.table
 
+    # live[k]: the aliases whose row ids are read after stage k, by a
+    # later stage's probe key or by the projection
+    needed = frozenset(ref.table for ref in projection or ())
+    live = [needed]
+    for step in reversed(steps):
+        needed = (needed - {step.alias}) | {step.probe_key.table}
+        live.append(needed)
+    live.reverse()
+
     t0 = time.perf_counter()
     n = probe.row_count
     if workers <= 1 or n < 2 * workers:
@@ -387,7 +445,7 @@ def probe_joins(
         chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     def run(rows):
-        return _probe_chunk(tables, probe_alias, probe_pred, steps, rows)
+        return _probe_chunk(tables, probe_alias, probe_pred, steps, live, rows)
 
     if len(chunks) == 1:
         fragments = [run(chunks[0])]
@@ -403,7 +461,8 @@ def probe_joins(
         return None, stats
 
     rows_of = {
-        alias: np.concatenate([f[0][alias] for f in fragments]) for alias in tables
+        alias: np.concatenate([_row_ids(f[0][alias]) for f in fragments])
+        for alias in live[-1]
     }
     out_columns = []
     used = set()

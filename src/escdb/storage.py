@@ -21,6 +21,7 @@ import io
 import re
 from dataclasses import dataclass
 from datetime import date as _date
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -212,6 +213,11 @@ class Column:
 
     def __len__(self):
         return len(self.values)
+
+    @cached_property
+    def has_nulls(self) -> bool:
+        """Whether any row is NULL; cached, as a loaded column never changes."""
+        return bool(self.null_mask.any())
 
     def take(self, indices: np.ndarray) -> "Column":
         """Gather by row index; TEXT shares the source dictionary by reference."""
@@ -485,14 +491,18 @@ def load_csv(
     reader = csv.reader(stream)
     table = ColumnTable.empty(name, schema)
     records = []
-    for lineno, record in enumerate(reader, start=1):
-        if has_header and lineno == 1:
-            continue
-        if len(record) != len(schema):
-            raise CsvError(
-                f"{name}: row {lineno}: expected {len(schema)} fields, got {len(record)}"
-            )
-        records.append(record)
+    try:
+        for lineno, record in enumerate(reader, start=1):
+            if has_header and lineno == 1:
+                continue
+            if len(record) != len(schema):
+                raise CsvError(
+                    f"{name}: row {lineno}: expected {len(schema)} fields, "
+                    f"got {len(record)}"
+                )
+            records.append(record)
+    except csv.Error as exc:
+        raise CsvError(f"{name}: line {reader.line_num}: {exc}") from exc
     cols = [
         [None if cell == NULL_TOKEN else cell for cell in col]
         if NULL_TOKEN in col
@@ -508,7 +518,7 @@ def load_csv(
 def _column_strings(col: Column) -> list[str]:
     """The column's cells as ``dump_csv`` writes them, NULL as ``\\N``."""
     nulls = col.null_mask
-    has_null = bool(nulls.any())
+    has_null = col.has_nulls
     items = (col.values[~nulls] if has_null else col.values).tolist()
     if col.kind.is_text:
         strings = list(map(col.dictionary.decode, items))

@@ -106,6 +106,16 @@ class TestLoad:
         assert rc == 1
         assert "error [storage]" in capsys.readouterr().err
 
+    def test_oversized_field_is_storage_error(self, tmp_path, capsys):
+        # csv.reader refuses a field over 131,072 characters
+        p = tmp_path / "wide.csv"
+        p.write_text("1," + "x" * 131_073 + "\n")
+        rc = main(["load", str(p), "--table", "t", "--schema", "a:int64,b:text"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [storage]: t: line 1: field larger than")
+        assert "Traceback" not in err
+
     def test_int64_overflow_is_storage_error(self, tmp_path, capsys):
         p = tmp_path / "big.csv"
         p.write_text("1,2\n3,99999999999999999999\n")

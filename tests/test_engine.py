@@ -187,3 +187,84 @@ class TestNullsUnderNot:
         got = eng.run(f"SELECT a FROM t WHERE {pred}").rows.column("a").values
         rows = lite.execute(f"SELECT a FROM t WHERE {pred} ORDER BY a").fetchall()
         assert got.tolist() == [a for (a,) in rows]
+
+
+class TestProbeEdgeCases:
+    """Probe shapes that carry, drop or expand row ids differently, each
+    checked against stdlib sqlite3 as COUNT(*) and as SELECT, with one
+    probe chunk and with two."""
+
+    LO, HI = -(2**63), 2**63 - 1
+    SCHEMAS = {
+        # probe table: f_d is NULL on every seventh row, f_x holds the
+        # int64 extremes, NULL (stored as 0, itself an x key) and x keys
+        "f": "f_id f_d f_m f_x",
+        "d": "d_id d_e",  # unique keys 1..8, d_e a key of e
+        "e": "e_id e_v",  # unique keys 1..4
+        "m": "m_k m_v",  # keys 1..4, each on three rows
+        "x": "x_k x_v",  # dense unique keys 0..9
+    }
+
+    @classmethod
+    def _rows(cls):
+        xs = [cls.LO, cls.HI, None, 0, 9, 5, cls.LO + 1, cls.HI - 1]
+        return {
+            "f": [
+                (i, None if i % 7 == 0 else i % 10, i % 6, xs[i % len(xs)])
+                for i in range(60)
+            ],
+            "d": [(i, i % 4 + 1) for i in range(1, 9)],
+            "e": [(i, 10 * i) for i in range(1, 5)],
+            "m": [(i % 4 + 1, i) for i in range(12)],
+            "x": [(i, -i) for i in range(10)],
+        }
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        lite = sqlite3.connect(":memory:")
+        engines = {w: Engine(workers=w) for w in (1, 2)}
+        for name, rows in self._rows().items():
+            cols = self.SCHEMAS[name].split()
+            schema = [(c, KIND_INT64) for c in cols]
+            table = append_rows(ColumnTable.empty(name, schema), rows)
+            for eng in engines.values():
+                eng.catalog.register(table)
+            lite.execute(f"CREATE TABLE {name} ({', '.join(cols)})")
+            marks = ", ".join("?" * len(cols))
+            lite.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
+        yield engines, lite
+        lite.close()
+
+    QUERIES = {
+        "single table, no WHERE": ("f_id, f_x", "f", None),
+        "chain: e probed with d's column": (
+            "f_id, e_v", "f, d, e", "f_d = d_id AND d_e = e_id"
+        ),
+        "non-unique build key": ("f_id, m_v", "f, m", "f_m = m_k"),
+        "NULL probe keys": ("f_id, d_e", "f, d", "f_d = d_id"),
+        "int64 extremes against a dense index": (
+            "f_id, f_x, x_v", "f, x", "f_x = x_k"
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("form", ["count", "select"])
+    @pytest.mark.parametrize("case", list(QUERIES))
+    def test_matches_sqlite(self, engines, case, form, workers):
+        engines, lite = engines
+        cols, tables, where = self.QUERIES[case]
+        tail = f"FROM {tables}" + (f" WHERE {where}" if where else "")
+        if form == "count":
+            (want,) = lite.execute(f"SELECT COUNT(*) {tail}").fetchone()
+            res = engines[workers].run(f"SELECT COUNT(*) {tail}")
+            assert res.count == want > 0
+        else:
+            want = sorted(lite.execute(f"SELECT {cols} {tail}").fetchall())
+            res = engines[workers].run(f"SELECT {cols} {tail}")
+            got = sorted(res.rows.row(i) for i in range(res.rows.row_count))
+            assert got == want and res.count == len(want) > 0
+        assert res.plan.probe_alias == "f"
+        if case == "non-unique build key":
+            assert res.stats.build_cards == [12] and res.stats.build_distinct == [4]
+        if case.startswith("chain"):
+            assert [b.probe_key.table for b in res.plan.builds] == ["f", "d"]

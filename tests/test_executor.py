@@ -163,6 +163,14 @@ def _int_col_table(name, **columns):
     )
 
 
+def _rows_of_key(idx, key):
+    """The build rows of ``key``'s group, read through ``probe_groups``."""
+    (g,) = idx.probe_groups(np.asarray([key], dtype=np.int64)).tolist()
+    if g < 0:
+        return []
+    return idx.group_rows[idx.group_start[g] : idx.group_start[g + 1]].tolist()
+
+
 class TestHashIndex:
     def _oracle_map(self, keys):
         out = {}
@@ -212,7 +220,7 @@ class TestHashIndex:
             assert idx.distinct_keys == len(want)
             probes = list(want) + absent
             for k in probes:
-                assert idx.lookup(k).tolist() == want.get(k, [])
+                assert _rows_of_key(idx, k) == want.get(k, [])
             # one vectorized call: a hit names its key's group, a miss is -1
             groups = idx.probe_groups(
                 np.asarray(probes, dtype=np.int64), np.ones(len(probes), dtype=bool)
@@ -220,6 +228,26 @@ class TestHashIndex:
             for k, g in zip(probes, groups.tolist()):
                 got = idx.group_rows[idx.group_start[g] : idx.group_start[g + 1]]
                 assert (got.tolist() if g >= 0 else []) == want.get(k, [])
+
+    @pytest.mark.parametrize(
+        "pool",
+        [range(2**63 - 5, 2**63), range(-(2**63), -(2**63) + 5), range(-2, 3)],
+    )
+    def test_dense_probe_at_int64_extremes(self, pool):
+        """A key outside lo..hi wraps to an offset of at least the span,
+        so it lands on the trailing -1 slot; with lo = 2**63 - 5, the key
+        -2**63 wraps to exactly the span."""
+        t = _int_col_table("t", k=list(pool))
+        idx = build_hash(t, "k")
+        assert idx.slots is not None and idx.unique
+        lo, hi = -(2**63), 2**63 - 1
+        probes = [lo, lo + 1, *pool, hi - 1, hi]
+        want = [pool.index(k) if k in pool else -1 for k in probes]
+        keys = np.asarray(probes, dtype=np.int64)
+        assert idx.probe_groups(keys).tolist() == want
+        valid = np.arange(len(probes)) % 2 == 0
+        got = idx.probe_groups(keys, valid).tolist()
+        assert got == [g if v else -1 for g, v in zip(want, valid)]
 
     def test_probe_groups_vectorized(self):
         keys = [5, 5, 7, None, 9]
@@ -243,7 +271,7 @@ class TestHashIndex:
         t = _int_col_table("t", k=[])
         idx = build_hash(t, "k")
         assert idx.n_entries == 0 and idx.distinct_keys == 0
-        assert idx.lookup(5).size == 0
+        assert _rows_of_key(idx, 5) == []
         g = idx.probe_groups(np.asarray([5], dtype=np.int64), np.ones(1, dtype=bool))
         assert g.tolist() == [-1]
 
@@ -257,16 +285,17 @@ class TestHashIndex:
             t, "k", ex.Comparison(ex.ColumnRef("t", "v"), ">=", 20)
         )
         assert idx.n_entries == 3
-        assert sorted(idx.lookup(1).tolist()) == [1]
+        assert _rows_of_key(idx, 1) == [1]
 
     def test_heavy_duplicates(self):
         rng = random.Random(4)
         keys = [rng.randrange(3) for _ in range(5000)]
         t = _int_col_table("t", k=keys)
         idx = build_hash(t, "k")
+        assert not idx.unique
         want = self._oracle_map(keys)
         for k in range(3):
-            assert sorted(idx.lookup(k).tolist()) == want[k]
+            assert _rows_of_key(idx, k) == want[k]
 
 
 @pytest.fixture(scope="module")

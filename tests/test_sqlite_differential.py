@@ -1,10 +1,13 @@
-"""Random single-table WHERE clauses, counted by escdb and by stdlib sqlite3.
+"""Random WHERE clauses, counted by escdb and by stdlib sqlite3.
 
-The table is the generator's ``custom`` table with NULLs in every value
-column: INT64 ``a``/``b``, DECIMAL(15,2) ``val``, DATE ``when`` and TEXT
-``tag``.  perfbench's ``_sqlite`` loads it into sqlite3 as scaled integers
-(DECIMAL) and epoch days (DATE), so each predicate is drawn once and
-rendered twice: as escdb SQL, and over that storage.
+The tables are the generator's ``custom`` table with NULLs in every value
+column: unique INT64 ``id``, INT64 ``a``/``b`` in 0..999, DECIMAL(15,2)
+``val``, DATE ``when`` and TEXT ``tag``.  perfbench's ``_sqlite`` loads
+them into sqlite3 as scaled integers (DECIMAL) and epoch days (DATE), so
+each predicate is drawn once and rendered twice: as escdb SQL, and over
+that storage.  Single-table clauses run over one table; join queries
+join two or three of its kind, of 2000, 500 and 200 rows, in star and
+chain shapes with a residual per table.
 """
 
 import dataclasses
@@ -30,20 +33,22 @@ EPOCH = date(1970, 1, 1)
 LITE_NAMES = {"when": "day"}
 
 
+def _renamed(table: ColumnTable, name: str, lite: bool) -> ColumnTable:
+    """``table`` under ``name``; for sqlite3 with ``when`` renamed too."""
+    names = LITE_NAMES if lite else {}
+    return ColumnTable(
+        name,
+        [dataclasses.replace(c, name=names.get(c.name, c.name)) for c in table.columns],
+    )
+
+
 @pytest.fixture(scope="module")
 def engines():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         workloads = importlib.import_module("workloads")
     data = generate(GenSpec("custom", 0.002, 5, null_fraction=0.15))["data"]
-    lite_copy = ColumnTable(
-        "data",
-        [
-            dataclasses.replace(c, name=LITE_NAMES.get(c.name, c.name))
-            for c in data.columns
-        ],
-    )
-    lite = workloads._sqlite({"data": lite_copy})
+    lite = workloads._sqlite({"data": _renamed(data, "data", lite=True)})
     arms = {}
     for arm in ARMS:
         arms[arm] = Engine(config=EscConfig(arm=arm))
@@ -60,8 +65,8 @@ def _atom(esc: str, lite: str | None = None):
     return ("atom", esc, esc if lite is None else lite)
 
 
-def _int_atom(draw):
-    col = draw(st.sampled_from(("id", "a", "b")))
+def _int_atom(draw, q):
+    col = q + draw(st.sampled_from(("id", "a", "b")))
     if draw(st.booleans()):
         lo, hi = draw(st.integers(-5, 1005)), draw(st.integers(-5, 1005))
         if draw(st.booleans()):
@@ -78,15 +83,16 @@ def _decimal(draw) -> tuple[str, str]:
     return format(value, "f"), format(value.scaleb(2), "f")
 
 
-def _decimal_atom(draw):
+def _decimal_atom(draw, q):
     esc, lite = _decimal(draw)
     if draw(st.booleans()):
         esc_hi, lite_hi = _decimal(draw)
         return _atom(
-            f"val BETWEEN {esc} AND {esc_hi}", f"val BETWEEN {lite} AND {lite_hi}"
+            f"{q}val BETWEEN {esc} AND {esc_hi}",
+            f"{q}val BETWEEN {lite} AND {lite_hi}",
         )
     op = draw(st.sampled_from(OPS))
-    return _atom(f"val {op} {esc}", f"val {op} {lite}")
+    return _atom(f"{q}val {op} {esc}", f"{q}val {op} {lite}")
 
 
 def _date(draw) -> tuple[str, str]:
@@ -96,28 +102,29 @@ def _date(draw) -> tuple[str, str]:
     return (f"DATE {text}" if draw(st.booleans()) else text), str(day)
 
 
-def _date_atom(draw):
+def _date_atom(draw, q):
     esc, lite = _date(draw)
     if draw(st.booleans()):
         esc_hi, lite_hi = _date(draw)
         return _atom(
-            f"when BETWEEN {esc} AND {esc_hi}", f"day BETWEEN {lite} AND {lite_hi}"
+            f"{q}when BETWEEN {esc} AND {esc_hi}",
+            f"{q}day BETWEEN {lite} AND {lite_hi}",
         )
     op = draw(st.sampled_from(OPS))
-    return _atom(f"when {op} {esc}", f"day {op} {lite}")
+    return _atom(f"{q}when {op} {esc}", f"{q}day {op} {lite}")
 
 
 WORDS = ("alder", "elm", "oak", "pine", "", "aaa", "oak2", "Oak", "zzz", "it''s")
 
 
-def _text_atom(draw):
+def _text_atom(draw, q):
     word = f"'{draw(st.sampled_from(WORDS))}'"
     if draw(st.booleans()):
-        return _atom(f"tag BETWEEN {word} AND '{draw(st.sampled_from(WORDS))}'")
-    return _atom(f"tag {draw(st.sampled_from(OPS))} {word}")
+        return _atom(f"{q}tag BETWEEN {word} AND '{draw(st.sampled_from(WORDS))}'")
+    return _atom(f"{q}tag {draw(st.sampled_from(OPS))} {word}")
 
 
-def _column_atom(draw):
+def _column_atom(draw, q):
     left, right = draw(
         st.sampled_from(
             [("a", "b"), ("b", "a"), ("id", "a"), ("b", "id"), ("val", "val"),
@@ -125,18 +132,20 @@ def _column_atom(draw):
         )
     )
     op = draw(st.sampled_from(OPS))
-    lite = f"{LITE_NAMES.get(left, left)} {op} {LITE_NAMES.get(right, right)}"
-    return _atom(f"{left} {op} {right}", lite)
+    lite = f"{q}{LITE_NAMES.get(left, left)} {op} {q}{LITE_NAMES.get(right, right)}"
+    return _atom(f"{q}{left} {op} {q}{right}", lite)
 
 
 @st.composite
-def atoms(draw):
+def atoms(draw, q: str = ""):
+    """One atom over the columns of one table; ``q`` is its qualifier
+    (``"r."``) or empty."""
     make = draw(
         st.sampled_from(
             [_int_atom, _decimal_atom, _date_atom, _text_atom, _column_atom]
         )
     )
-    return make(draw)
+    return make(draw, q)
 
 
 def _paren(node, inside: str) -> tuple[str, str]:
@@ -164,22 +173,94 @@ def _join(op: str):
     return join
 
 
-predicates = st.recursive(
-    atoms(),
-    lambda children: st.one_of(
-        children.map(_negate),
-        st.lists(children, min_size=2, max_size=3).map(_join("AND")),
-        st.lists(children, min_size=2, max_size=3).map(_join("OR")),
-    ),
-    max_leaves=6,
-)
+def predicates(q: str = "", max_leaves: int = 6):
+    return st.recursive(
+        atoms(q),
+        lambda children: st.one_of(
+            children.map(_negate),
+            st.lists(children, min_size=2, max_size=3).map(_join("AND")),
+            st.lists(children, min_size=2, max_size=3).map(_join("OR")),
+        ),
+        max_leaves=max_leaves,
+    )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(pred=predicates, arm=st.sampled_from(ARMS))
+@given(pred=predicates(), arm=st.sampled_from(ARMS))
 def test_count_matches_sqlite(engines, pred, arm):
     arms, lite = engines
     _, esc, lite_sql = pred
     (want,) = lite.execute(f"SELECT COUNT(*) FROM data WHERE {lite_sql}").fetchone()
     got = arms[arm].run(f"SELECT COUNT(*) FROM data WHERE {esc}").count
     assert got == want, (esc, lite_sql)
+
+
+JOIN_TABLES = {"r": (0.002, 5), "s": (0.0005, 6), "t": (0.0002, 7)}
+JOIN_KEYS = ("id", "a", "b")
+
+
+@pytest.fixture(scope="module")
+def join_engines():
+    """An engine per arm and ``workers`` 1 and 2, with every table
+    large enough to be counted, and the sqlite3 copy."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+    tables = {
+        name: generate(GenSpec("custom", scale, seed, null_fraction=0.15))["data"]
+        for name, (scale, seed) in JOIN_TABLES.items()
+    }
+    lite = workloads._sqlite(
+        {name: _renamed(t, name, lite=True) for name, t in tables.items()}
+    )
+    engines = []
+    for arm in ARMS:
+        for workers in (1, 2):
+            eng = Engine(config=EscConfig(arm=arm, min_table_size=100), workers=workers)
+            for name, t in tables.items():
+                eng.catalog.register(_renamed(t, name, lite=False))
+            engines.append(eng)
+    yield engines, lite
+    lite.close()
+
+
+@st.composite
+def join_queries(draw):
+    """(FROM list, escdb WHERE, sqlite WHERE) of a two-table join, or a
+    three-table star or chain, with equi-join edges over the INT64
+    columns and an optional residual per table."""
+    shape = draw(st.sampled_from(("two", "star", "chain")))
+    x, y, z = draw(st.permutations(tuple(JOIN_TABLES)))
+    tables, edges = [x, y], [(x, y)]
+    if shape != "two":
+        tables.append(z)
+        edges.append((x if shape == "star" else y, z))
+    nodes = []
+    for left, right in edges:
+        lcol, rcol = draw(st.sampled_from(JOIN_KEYS)), draw(st.sampled_from(JOIN_KEYS))
+        nodes.append(_atom(f"{left}.{lcol} = {right}.{rcol}"))
+    for name in tables:
+        residual = draw(st.none() | predicates(f"{name}.", max_leaves=3))
+        if residual is not None:
+            nodes.append(residual)
+    _, esc, lite = _join("AND")(nodes)
+    return ", ".join(tables), esc, lite
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(query=join_queries())
+def test_join_matches_sqlite(join_engines, query):
+    """COUNT(*) under every arm and ``workers``, and the joined ``id``s of
+    a SELECT under one engine per ``workers``, as sqlite3 gives them."""
+    engines, lite = join_engines
+    tables, esc, lite_sql = query
+    (want,) = lite.execute(f"SELECT COUNT(*) FROM {tables} WHERE {lite_sql}").fetchone()
+    for eng in engines:
+        got = eng.run(f"SELECT COUNT(*) FROM {tables} WHERE {esc}").count
+        assert got == want, (eng.config.arm, eng.workers, esc, lite_sql)
+    ids = ", ".join(f"{name}.id" for name in tables.split(", "))
+    want_rows = sorted(lite.execute(f"SELECT {ids} FROM {tables} WHERE {lite_sql}"))
+    for eng in engines[:2]:
+        rows = eng.run(f"SELECT {ids} FROM {tables} WHERE {esc}").rows
+        got_rows = sorted(rows.row(i) for i in range(rows.row_count))
+        assert got_rows == want_rows, (eng.workers, esc, lite_sql)

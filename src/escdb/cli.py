@@ -17,8 +17,8 @@ import json
 import sys
 
 from . import bench as bench_mod
-from . import optimizer
-from .engine import Engine, parse_schema_spec
+from . import frontend, optimizer
+from .engine import Engine
 from .errors import EscdbError, UsageError
 from .optimizer import EscConfig
 
@@ -148,9 +148,9 @@ def _engine_from_args(args) -> Engine:
 
 
 def _load_table(engine: Engine, table, path, schema, has_header):
-    """Load one CSV for ``--load`` or the REPL's ``\\load``.  A malformed
-    schema spec is a usage error; an unreadable path raises OSError, a
-    runtime failure reported as ``error [io]`` as ``escdb load`` does."""
+    """Load one CSV for ``escdb load``, ``--load`` or the REPL's ``\\load``.
+    A malformed schema spec is a usage error; an unreadable path raises
+    OSError, a runtime failure reported as ``error [io]``."""
     try:
         return engine.load_csv_file(path, table, schema, has_header=has_header)
     except ValueError as e:
@@ -167,11 +167,8 @@ def _result_payload(result, explain: bool) -> dict:
     else:
         payload["columns"] = [c.name for c in result.rows.columns]
         payload["rows"] = [
-            list(result.rows.row(i)) for i in range(result.rows.row_count)
-        ]
-        payload["rows"] = [
             [v.isoformat() if hasattr(v, "isoformat") else v for v in row]
-            for row in payload["rows"]
+            for row in map(result.rows.row, range(result.rows.row_count))
         ]
     if explain:
         payload["plan"] = optimizer.explain_json(result.plan)
@@ -195,33 +192,6 @@ def _print_result(result, args, out=None):
         out.write(dump_csv(result.rows, include_header=True))
 
 
-def _split_statements(text: str) -> list[str]:
-    """Split on ';' outside single-quoted strings; drop blanks."""
-    stmts, buf, in_str = [], [], False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_str:
-            buf.append(ch)
-            if ch == "'":
-                if i + 1 < len(text) and text[i + 1] == "'":
-                    buf.append("'")
-                    i += 1
-                else:
-                    in_str = False
-        elif ch == "'":
-            in_str = True
-            buf.append(ch)
-        elif ch == ";":
-            stmts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    stmts.append("".join(buf))
-    return [s.strip() for s in stmts if s.strip()]
-
-
 def _error_line(e: EscdbError | OSError) -> str:
     """A runtime failure as one ``error [phase]: ...`` line; a missing or
     unreadable file is phase ``io``."""
@@ -230,14 +200,7 @@ def _error_line(e: EscdbError | OSError) -> str:
 
 
 def cmd_load(args) -> int:
-    try:
-        schema = parse_schema_spec(args.schema)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
-    from .storage import load_csv
-
-    with open(args.path, newline="") as fh:
-        table = load_csv(fh, args.table, schema, has_header=args.header)
+    table = _load_table(Engine(), args.table, args.path, args.schema, args.header)
     print(
         f"loaded {table.name}: {table.row_count} rows, "
         f"{len(table.columns)} columns"
@@ -256,7 +219,7 @@ def cmd_batch(args) -> int:
     engine = _engine_from_args(args)
     with open(args.path) as fh:
         text = fh.read()
-    for stmt in _split_statements(text):
+    for stmt in frontend.split_statements(text):
         result = engine.run(stmt)
         _print_result(result, args)
     return 0

@@ -1,5 +1,10 @@
 """SQL subset frontend: tokenize, parse, analyze into a join graph.
 
+``_TOKEN_RE`` is the one SQL lexer: ``tokenize`` and ``split_statements``
+(which ``escdb batch`` uses) both read it.  A token carries its offset
+into the SQL text; the line and column a ``ParseError`` cites are worked
+out from that offset only when the error is raised.
+
 ``parse`` returns an ``AstQuery`` whose WHERE clause is an ``expr`` tree in
 parsed form (unresolved column refs, ``AstConst`` literals); ``analyze``
 rewrites that tree into resolved form and splits it into a join graph.
@@ -21,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import expr as ex
 from .errors import (
@@ -54,45 +60,59 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>'(?:[^']|'')*')
   | (?P<symbol><=|>=|<>|[-()=<>,.*;])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # ident | number | string | symbol | eof
     text: str
-    line: int
-    column: int
+    offset: int  # index of the first character in the SQL text
+    key: str  # text.upper(): what the parser matches keywords and symbols by
+
+
+def _line_column(sql: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset`` in ``sql``."""
+    return sql.count("\n", 0, offset) + 1, offset - sql.rfind("\n", 0, offset)
 
 
 def tokenize(sql: str) -> list[Token]:
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(sql):
-        m = _TOKEN_RE.match(sql, pos)
-        if m is None:
-            if sql[pos] == "'":
-                raise ParseError(
-                    "unterminated string literal", line, pos - line_start + 1
-                )
-            raise ParseError(
-                f"unexpected character {sql[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(sql):
         kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, line, m.start() - line_start + 1))
-        for i in range(m.start(), m.end()):
-            if sql[i] == "\n":
-                line += 1
-                line_start = i + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+        if kind == "bad":
+            if text == "'":
+                message = "unterminated string literal"
+            else:
+                message = f"unexpected character {text!r}"
+            raise ParseError(message, *_line_column(sql, m.start()))
+        tokens.append(Token(kind, text, m.start(), text.upper()))
+    tokens.append(Token("eof", "", len(sql), ""))
     return tokens
+
+
+def split_statements(script: str) -> list[str]:
+    """Cut a script into statements at its ';' tokens.
+
+    A ';' inside a string literal or a comment does not cut, and a piece
+    holding only whitespace and comments is dropped.
+    """
+    statements, start, blank = [], 0, True
+    for m in _TOKEN_RE.finditer(script):
+        if m.group() == ";":
+            if not blank:
+                statements.append(script[start : m.start()].strip())
+            start, blank = m.end(), True
+        elif m.lastgroup != "ws" and m.lastgroup != "comment":
+            blank = False
+    if not blank:
+        statements.append(script[start:].strip())
+    return statements
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +193,15 @@ _UNSUPPORTED = {
 
 _COMPARE_OPS = {"=", "<", "<=", ">", ">=", "<>"}
 
+# words that end a table reference, so they are neither an implicit alias
+# nor a column name after '.'
+_CLAUSE_WORDS = {"FROM", "WHERE", *_UNSUPPORTED}
+
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, sql: str):
+        self.sql = sql
+        self.tokens = tokenize(sql)
         self.pos = 0
 
     # -- token helpers ---------------------------------------------------
@@ -190,77 +215,72 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.type == "ident" and tok.text.upper() == word
+    def at(self, key: str) -> bool:
+        """Whether the next token is the keyword or symbol ``key``
+        (keywords upper-case)."""
+        return self.tokens[self.pos].key == key
 
-    def eat_kw(self, word: str) -> bool:
-        if self.at_kw(word):
-            self.advance()
+    def eat(self, key: str) -> bool:
+        if self.tokens[self.pos].key == key:
+            self.pos += 1
             return True
         return False
 
-    def expect_kw(self, word: str):
-        if not self.eat_kw(word):
-            self.fail(f"expected {word}")
+    def expect(self, key: str):
+        if not self.eat(key):
+            self.fail(f"expected {key}" if key.isalpha() else f"expected {key!r}")
 
-    def at_symbol(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.type == "symbol" and tok.text == sym
-
-    def eat_symbol(self, sym: str) -> bool:
-        if self.at_symbol(sym):
-            self.advance()
-            return True
-        return False
-
-    def expect_symbol(self, sym: str):
-        if not self.eat_symbol(sym):
-            self.fail(f"expected {sym!r}")
+    def error(self, cls: type[ParseError], message: str, tok: Token):
+        """``cls(message)`` citing the line and column of ``tok``."""
+        return cls(message, *_line_column(self.sql, tok.offset))
 
     def fail(self, message: str):
         tok = self.peek()
         shown = tok.text if tok.type != "eof" else "end of input"
-        raise ParseError(f"{message}, found {shown!r}", tok.line, tok.column)
+        raise self.error(ParseError, f"{message}, found {shown!r}", tok)
 
     def reject_unsupported(self):
         tok = self.peek()
-        if tok.type == "ident":
-            name = _UNSUPPORTED.get(tok.text.upper())
-            if name is not None:
-                raise UnsupportedConstruct(
-                    f"unsupported construct: {name}", tok.line, tok.column
-                )
+        name = _UNSUPPORTED.get(tok.key)
+        if name is not None:
+            raise self.error(
+                UnsupportedConstruct, f"unsupported construct: {name}", tok
+            )
+
+    def reject_subquery(self):
+        if self.at("(") and self.peek(1).key == "SELECT":
+            raise self.error(
+                UnsupportedConstruct, "unsupported construct: subquery", self.peek(1)
+            )
 
     # -- grammar ----------------------------------------------------------
 
     def query(self) -> AstQuery:
-        self.expect_kw("SELECT")
+        self.expect("SELECT")
         self.reject_unsupported()
-        if self.eat_symbol("*"):
+        if self.eat("*"):
             kind, select = STAR, ()
-        elif self.at_kw("COUNT"):
-            self.advance()
-            self.expect_symbol("(")
-            self.expect_symbol("*")
-            self.expect_symbol(")")
+        elif self.eat("COUNT"):
+            self.expect("(")
+            self.expect("*")
+            self.expect(")")
             kind, select = COUNT_STAR, ()
         else:
             cols = [self.column_ref()]
-            while self.eat_symbol(","):
+            while self.eat(","):
                 cols.append(self.column_ref())
             kind, select = COLUMNS, tuple(cols)
-        self.expect_kw("FROM")
+        self.expect("FROM")
         tables = [self.table_ref()]
         while True:
             self.reject_unsupported()
-            if not self.eat_symbol(","):
+            if not self.eat(","):
                 break
             tables.append(self.table_ref())
         where = None
-        if self.eat_kw("WHERE"):
+        if self.eat("WHERE"):
             where = self.or_expr()
-        self.eat_symbol(";")
+        self.eat(";")
         self.reject_unsupported()
         if self.peek().type != "eof":
             self.fail("unexpected trailing input")
@@ -268,40 +288,30 @@ class _Parser:
 
     def table_ref(self) -> AstTableRef:
         self.reject_unsupported()
-        if self.at_symbol("("):
-            nxt = self.peek(1)
-            if nxt.type == "ident" and nxt.text.upper() == "SELECT":
-                raise UnsupportedConstruct(
-                    "unsupported construct: subquery", nxt.line, nxt.column
-                )
-            self.fail("expected table name")
+        self.reject_subquery()
         tok = self.peek()
         if tok.type != "ident":
             self.fail("expected table name")
         self.advance()
         alias = tok.text
-        if self.eat_kw("AS"):
+        if self.eat("AS"):
             alias_tok = self.peek()
             if alias_tok.type != "ident":
                 self.fail("expected alias name")
             self.advance()
             alias = alias_tok.text
-        elif self.peek().type == "ident" and not self._ident_is_clause_start():
+        elif self.peek().type == "ident" and self.peek().key not in _CLAUSE_WORDS:
             alias = self.advance().text
         return AstTableRef(tok.text, alias)
-
-    def _ident_is_clause_start(self) -> bool:
-        word = self.peek().text.upper()
-        return word in ("WHERE", "FROM") or word in _UNSUPPORTED
 
     def column_ref(self) -> ex.ColumnRef:
         tok = self.peek()
         if tok.type != "ident":
             self.fail("expected column name")
         self.advance()
-        if self.eat_symbol("."):
+        if self.eat("."):
             name_tok = self.peek()
-            if name_tok.type != "ident":
+            if name_tok.type != "ident" or name_tok.key in _CLAUSE_WORDS:
                 self.fail("expected column name after '.'")
             self.advance()
             return ex.ColumnRef(tok.text, name_tok.text)
@@ -309,31 +319,26 @@ class _Parser:
 
     def or_expr(self):
         items = [self.and_expr()]
-        while self.eat_kw("OR"):
+        while self.eat("OR"):
             items.append(self.and_expr())
         return items[0] if len(items) == 1 else ex.Or(tuple(items))
 
     def and_expr(self):
         items = [self.not_expr()]
-        while self.eat_kw("AND"):
+        while self.eat("AND"):
             items.append(self.not_expr())
         return items[0] if len(items) == 1 else ex.And(tuple(items))
 
     def not_expr(self):
-        if self.eat_kw("NOT"):
+        if self.eat("NOT"):
             return ex.Not(self.not_expr())
         return self.primary()
 
     def primary(self):
-        if self.at_symbol("("):
-            nxt = self.peek(1)
-            if nxt.type == "ident" and nxt.text.upper() == "SELECT":
-                raise UnsupportedConstruct(
-                    "unsupported construct: subquery", nxt.line, nxt.column
-                )
-            self.advance()
+        self.reject_subquery()
+        if self.eat("("):
             inner = self.or_expr()
-            self.expect_symbol(")")
+            self.expect(")")
             return inner
         return self.atom()
 
@@ -341,27 +346,27 @@ class _Parser:
         tok = self.peek()
         if tok.type != "ident":
             self.fail("expected a column or function call")
-        if self.peek(1).type == "symbol" and self.peek(1).text == "(":
+        if self.peek(1).key == "(":
             self.advance()
             self.advance()
             args = [self.fn_arg()]
-            while self.eat_symbol(","):
+            while self.eat(","):
                 args.append(self.fn_arg())
-            self.expect_symbol(")")
-            if self.at_kw("BETWEEN"):
+            self.expect(")")
+            if self.at("BETWEEN"):
                 self.fail("BETWEEN requires a column on the left")
             op = self.compare_op()
             return ex.FnCall(tok.text.lower(), tuple(args), op, self.comparand())
         col = self.column_ref()
-        if self.eat_kw("BETWEEN"):
-            if self.eat_symbol("("):
+        if self.eat("BETWEEN"):
+            if self.eat("("):
                 lo = self.constant()
-                self.expect_symbol(",")
+                self.expect(",")
                 hi = self.constant()
-                self.expect_symbol(")")
+                self.expect(")")
             else:
                 lo = self.constant()
-                self.expect_kw("AND")
+                self.expect("AND")
                 hi = self.constant()
             return ex.Range(col, lo, hi)
         op = self.compare_op()
@@ -372,7 +377,7 @@ class _Parser:
 
     def compare_op(self) -> str:
         tok = self.peek()
-        if tok.type != "symbol" or tok.text not in _COMPARE_OPS:
+        if tok.key not in _COMPARE_OPS:
             self.fail("expected a comparison operator or BETWEEN")
         return self.advance().text
 
@@ -386,14 +391,16 @@ class _Parser:
         """Right side of a comparison: constant or column reference."""
         tok = self.peek()
         if tok.type == "ident":
-            if tok.text.upper() == "DATE" and self.peek(1).type == "string":
+            # DATE before a literal is a (maybe malformed) date literal;
+            # anywhere else it is a name, as in ssb's table ``date``
+            if tok.key == "DATE" and self.peek(1).type in ("string", "number"):
                 return self.constant()
             return self.column_ref()
         return self.constant()
 
     def constant(self) -> AstConst:
         tok = self.peek()
-        if tok.type == "symbol" and tok.text == "-":
+        if tok.key == "-":
             self.advance()
             num = self.peek()
             if num.type != "number":
@@ -406,7 +413,7 @@ class _Parser:
         if tok.type == "string":
             self.advance()
             return AstConst("string", _unquote(tok.text))
-        if tok.type == "ident" and tok.text.upper() == "DATE":
+        if tok.key == "DATE":
             self.advance()
             s = self.peek()
             if s.type != "string":
@@ -422,7 +429,7 @@ def _unquote(lexeme: str) -> str:
 
 def parse(sql: str) -> AstQuery:
     """Parse one statement; errors carry line/column positions."""
-    return _Parser(tokenize(sql)).query()
+    return _Parser(sql).query()
 
 
 # ---------------------------------------------------------------------------

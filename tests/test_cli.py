@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from escdb.cli import _split_statements, main
+from escdb.cli import main
+from escdb.frontend import split_statements
 
 SCHEMA_T = "id:int64,amt:decimal(15,2),tag:text,day:date"
 SCHEMA_U = "cid:int64,cat:int64"
@@ -33,15 +34,28 @@ def csv_u(tmp_path):
 
 class TestSplitStatements:
     def test_basic(self):
-        assert _split_statements("a; b ;; c") == ["a", "b", "c"]
+        assert split_statements("a; b ;; c") == ["a", "b", "c"]
 
     def test_semicolon_inside_string(self):
-        assert _split_statements("SELECT 'a;b'; next") == [
+        assert split_statements("SELECT 'a;b'; next") == [
             "SELECT 'a;b'", "next",
         ]
 
     def test_escaped_quote_inside_string(self):
-        assert _split_statements("x = 'it''s;ok'; y") == ["x = 'it''s;ok'", "y"]
+        assert split_statements("x = 'it''s;ok'; y") == ["x = 'it''s;ok'", "y"]
+
+    def test_semicolon_inside_comment(self):
+        assert split_statements(
+            "SELECT COUNT(*) FROM t -- note; more\n;SELECT 1"
+        ) == ["SELECT COUNT(*) FROM t -- note; more", "SELECT 1"]
+
+    def test_apostrophe_inside_comment(self):
+        assert split_statements("a -- it's\n; b; 'c'") == [
+            "a -- it's", "b", "'c'",
+        ]
+
+    def test_comment_only_piece_dropped(self):
+        assert split_statements("-- head\na; -- tail\n") == ["-- head\na"]
 
 
 class TestLoad:
@@ -298,6 +312,38 @@ class TestBatch:
         )
         assert rc == 0
         assert capsys.readouterr().out == "count: 2\ncount: 0\n"
+
+    def test_semicolon_in_comment_does_not_cut(self, tmp_path, csv_t, capsys):
+        script = tmp_path / "q.sql"
+        script.write_text(
+            "SELECT COUNT(*) FROM t -- note; more\n;\n"
+            "SELECT COUNT(*) FROM t WHERE tag = 'oak';\n"
+        )
+        rc = main(
+            [
+                "batch", str(script),
+                "--load", f"t:{csv_t}:{SCHEMA_T}", "--header",
+            ]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == "count: 3\ncount: 2\n"
+
+    def test_apostrophe_in_comment_does_not_merge(self, tmp_path, csv_t, capsys):
+        script = tmp_path / "q.sql"
+        script.write_text(
+            "SELECT COUNT(*) FROM t; -- it's\n"
+            "SELECT COUNT(*) FROM t WHERE tag = 'oak';\n"
+            "SELECT COUNT(*) FROM t WHERE tag = 'elm';\n"
+            "-- done\n"
+        )
+        rc = main(
+            [
+                "batch", str(script),
+                "--load", f"t:{csv_t}:{SCHEMA_T}", "--header",
+            ]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == "count: 3\ncount: 2\ncount: 1\n"
 
     def test_error_stops_batch(self, tmp_path, csv_t, capsys):
         script = tmp_path / "q.sql"

@@ -213,14 +213,14 @@ def _atom_selectivity(hist_for, atom: ex.Expr) -> float:
     if col.kind is not None and col.kind.is_text:
         raise Inestimable(f"no histogram over TEXT column {col}")
     h = hist_for(col)
-    if isinstance(atom, ex.Equality):
-        return _estimate_equality(h, _const_as_float(atom.value))
     if isinstance(atom, ex.Range):
         lo = _const_as_float(atom.lo)
         hi = _const_as_float(atom.hi)
         return max(0.0, _estimate_le(h, hi) - _estimate_le(h, lo - 1))
     if isinstance(atom, ex.Comparison):
         v = _const_as_float(atom.value)
+        if atom.op == "=":
+            return _estimate_equality(h, v)
         if atom.op == "<=":
             return _estimate_le(h, v)
         if atom.op == "<":

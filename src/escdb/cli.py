@@ -112,7 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark suite")
     p.add_argument("suite", choices=sorted(bench_mod.SUITES))
-    p.add_argument("--scale", type=float, default=0.01)
+    p.add_argument(
+        "--scale",
+        type=float,
+        help="generator scale (default: 0.01); overhead-scale runs its own scales",
+    )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--workers", type=int, default=1)
@@ -233,35 +237,37 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
                  "'\\load TABLE PATH SCHEMA'\n")
     for line in stdin:
         line = line.strip()
-        if not line:
-            continue
         if line in ("exit", "quit"):
             break
-        try:
-            if line.startswith("\\load"):
-                parts = line.split()
-                if len(parts) != 4:
-                    raise UsageError("usage: \\load TABLE PATH SCHEMA")
-                _, table, path, schema = parts
-                loaded = _load_table(engine, table, path, schema, args.header)
-                stdout.write(f"loaded {table}: {loaded.row_count} rows\n")
-                continue
-            result = engine.run(line.rstrip(";"))
-            _print_result(result, args, out=stdout)
-            stdout.write(f"({result.time_ms:.3f} ms)\n")
-        except (EscdbError, OSError) as e:
-            stdout.write(_error_line(e) + "\n")
+        # a line is one \load, or any number of statements and comments
+        is_load = line.startswith("\\load")
+        for command in [line] if is_load else frontend.split_statements(line):
+            try:
+                if is_load:
+                    parts = command.split()
+                    if len(parts) != 4:
+                        raise UsageError("usage: \\load TABLE PATH SCHEMA")
+                    _, table, path, schema = parts
+                    loaded = _load_table(engine, table, path, schema, args.header)
+                    stdout.write(f"loaded {table}: {loaded.row_count} rows\n")
+                else:
+                    result = engine.run(command)
+                    _print_result(result, args, out=stdout)
+                    stdout.write(f"({result.time_ms:.3f} ms)\n")
+            except (EscdbError, OSError) as e:
+                stdout.write(_error_line(e) + "\n")
     return 0
 
 
 def cmd_bench(args) -> int:
     if args.reps < 1:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
-    fn = bench_mod.SUITES[args.suite]
     kwargs = dict(seed=args.seed, reps=args.reps, workers=args.workers)
-    if args.suite != "overhead-scale":
+    if args.scale is not None:
+        if args.suite == "overhead-scale":
+            raise UsageError("--scale does not apply to overhead-scale")
         kwargs["scale"] = args.scale
-    report = fn(**kwargs)
+    report = bench_mod.SUITES[args.suite](**kwargs)
     if args.out:
         report.save(args.out)
         print(f"report written to {args.out}", file=sys.stderr)

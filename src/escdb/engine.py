@@ -44,7 +44,7 @@ class Engine:
     ) -> ColumnTable:
         """Load a CSV with a ``name:kind,name:kind`` schema spec."""
         schema = parse_schema_spec(schema_spec)
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             loaded = load_csv(fh, table, schema, has_header=has_header)
         self.catalog.register(loaded)
         return loaded

@@ -1,10 +1,14 @@
 """Columnar execution: filtered scans, COUNT, hash-join build and probe.
 
-Everything is vectorized over int64 column vectors.  A set of rows is an
-ascending int64 array of row ids, except a probe chunk, which is a
-contiguous ``slice`` of rows: predicates read column views over it, so
-no column is gathered to filter, and without a probe filter the probe
-alias's rows stay that slice until the first join stage compacts them.
+Everything is vectorized over int64 column vectors.  A predicate atom
+compares stored values only, and ``_eval_mask`` is the one place that
+applies SQL's NULL rule: an atom with a NULL operand is neither true nor
+false, and only a column that holds NULLs costs a null-mask pass.
+A set of rows is an ascending int64 array of row ids, except a probe
+chunk, which is a contiguous ``slice`` of rows: predicates read column
+views over it, so no column is gathered to filter, and without a probe
+filter the probe alias's rows stay that slice until the first join stage
+compacts them.
 The probe pipeline is a single fused pass: probe-side predicate, every
 join-index lookup, and the output gather happen without materializing
 intermediate tuples.  Row ids are carried late: after each stage only
@@ -45,11 +49,12 @@ def _text_lut(col: Column, op: str, value: str) -> np.ndarray:
     return _compare(np.asarray(col.dictionary.strings(), dtype=object), op, value)
 
 
-def _apply_lut(lut: np.ndarray, codes: np.ndarray, nulls: np.ndarray) -> np.ndarray:
+def _apply_lut(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    # an all-NULL TEXT column has an empty dictionary, and its codes (all
+    # 0) index nothing
     if lut.size == 0:
         return np.zeros(codes.shape, dtype=bool)
-    safe = np.where(nulls, 0, codes)
-    return lut[safe] & ~nulls
+    return lut[codes]
 
 
 _COMPARE = {
@@ -76,22 +81,18 @@ def _eval_fncall(atom: ex.FnCall, table: ColumnTable, rows: slice) -> np.ndarray
     if atom.fn is None:
         raise ExecutionError(f"function {atom.name!r} has no bound implementation")
     # arguments as float64 (DECIMAL descaled, DATE as epoch days)
-    span = _span(table, rows)
     arrays = []
-    any_null = np.zeros(len(span), dtype=bool)
     for ref in atom.args:
-        col = table.column(ref.name)
-        out = col.values[rows].astype(np.float64)
+        out = table.column(ref.name).values[rows].astype(np.float64)
         if ref.kind is not None and ref.kind.is_decimal:
             out = out / float(10 ** ref.kind.scale)
         arrays.append(out)
-        any_null |= col.null_mask[rows]
     ufunc = np.frompyfunc(atom.fn, len(arrays), 1)
     try:
         raw = ufunc(*arrays)
     except Exception as exc:
         # re-run row by row to report the first offending row of the table
-        for i, row in enumerate(span):
+        for i, row in enumerate(_span(table, rows)):
             try:
                 atom.fn(*(float(a[i]) for a in arrays))
             except Exception:
@@ -100,53 +101,42 @@ def _eval_fncall(atom: ex.FnCall, table: ColumnTable, rows: slice) -> np.ndarray
                 ) from exc
         raise ExecutionError(f"UDF {atom.name!r} failed: {exc}") from exc
     results = raw.astype(np.float64) if raw.size else np.zeros(0, dtype=np.float64)
-    return _compare(results, atom.op, atom.value) & ~any_null
+    return _compare(results, atom.op, atom.value)
 
 
 def _eval_atom(atom: ex.Expr, table: ColumnTable, rows: slice) -> np.ndarray:
+    """The atom over the stored values of ``rows``, NULL slots included."""
     if isinstance(atom, ex.FnCall):
         return _eval_fncall(atom, table, rows)
     if isinstance(atom, ex.ColumnCompare):
-        left = table.column(atom.left.name)
-        right = table.column(atom.right.name)
-        return (
-            _compare(left.values[rows], atom.op, right.values[rows])
-            & ~left.null_mask[rows]
-            & ~right.null_mask[rows]
-        )
+        left = table.column(atom.left.name).values[rows]
+        return _compare(left, atom.op, table.column(atom.right.name).values[rows])
     col = table.column(atom.col.name)
-    vals, nulls = col.values[rows], col.null_mask[rows]
-    if isinstance(atom, ex.Equality):
-        return (vals == atom.value) & ~nulls
+    vals = col.values[rows]
     if isinstance(atom, ex.Comparison):
         if isinstance(atom.value, str):
-            return _apply_lut(_text_lut(col, atom.op, atom.value), vals, nulls)
-        return _compare(vals, atom.op, atom.value) & ~nulls
+            return _apply_lut(_text_lut(col, atom.op, atom.value), vals)
+        return _compare(vals, atom.op, atom.value)
     if isinstance(atom, ex.Range):
         if isinstance(atom.lo, str):
             lut = _text_lut(col, ">=", atom.lo) & _text_lut(col, "<=", atom.hi)
-            return _apply_lut(lut, vals, nulls)
-        return (vals >= atom.lo) & (vals <= atom.hi) & ~nulls
+            return _apply_lut(lut, vals)
+        return (vals >= atom.lo) & (vals <= atom.hi)
     if isinstance(atom, ex.FoldedAtom):
-        return ~nulls if atom.result else np.zeros(nulls.size, dtype=bool)
+        return np.full(vals.size, atom.result)
     raise ExecutionError(f"unknown atom {atom!r}")
-
-
-def _known(atom: ex.Expr, table: ColumnTable, rows: slice) -> np.ndarray:
-    """Rows where none of the atom's operands is NULL."""
-    known = np.ones(len(_span(table, rows)), dtype=bool)
-    for ref in ex.columns(atom):
-        known &= ~table.column(ref.name).null_mask[rows]
-    return known
 
 
 def _eval_mask(
     pred: ex.Expr, table: ColumnTable, rows: slice, negate: bool = False
 ) -> np.ndarray:
     """Boolean mask over ``rows``: the rows where ``pred`` is true, or
-    with ``negate`` the rows where it is false.  An atom with a NULL
-    operand is neither (SQL's unknown).  NOT flips ``negate``, and under
-    it AND and OR swap, so a predicate without NOT is one pass."""
+    with ``negate`` the rows where it is false.  NOT flips ``negate``,
+    and under it AND and OR swap, so a predicate without NOT is one pass.
+
+    SQL's NULL rule is applied here and nowhere else: an atom with a
+    NULL operand is unknown, neither true nor false, so each leaf drops
+    the NULL rows of its operand columns after any negation."""
     if isinstance(pred, ex.Not):
         return _eval_mask(pred.child, table, rows, not negate)
     if isinstance(pred, (ex.And, ex.Or)):
@@ -164,7 +154,11 @@ def _eval_mask(
         return mask
     mask = _eval_atom(pred, table, rows)
     if negate:
-        return _known(pred, table, rows) & ~mask
+        mask = ~mask
+    for ref in ex.columns(pred):
+        col = table.column(ref.name)
+        if col.has_nulls:
+            mask &= ~col.null_mask[rows]
     return mask
 
 

@@ -1,15 +1,15 @@
 """Boolean predicate expressions over one or more tables' columns.
 
 The parser builds these in *parsed* form: a ColumnRef's table is the
-qualifier as written (None if unqualified) and its kind is None, every
-constant is the literal (``frontend.AstConst``), and ``=`` is a
-Comparison.  The analyzer rewrites them into *resolved* form: every
-ColumnRef carries its table alias and kind, ``=`` against a constant
-becomes Equality, and constants are normalized to the column's storage
+qualifier as written (None if unqualified) and its kind is None, and
+every constant is the literal (``frontend.AstConst``).  The analyzer
+rewrites them into *resolved* form: every ColumnRef carries its table
+alias and kind, and constants are normalized to the column's storage
 representation (DECIMAL constants rescaled to the column scale, DATE
-literals to epoch days, TEXT equality constants to dictionary codes).  Atoms that can be
-decided at analysis time collapse to FoldedAtom, which keeps its column
-anchor so predicate classification still knows which table it belongs to.
+literals to epoch days, TEXT ``=``/``<>`` constants to dictionary codes).
+Atoms that can be decided at analysis time collapse to FoldedAtom, which
+keeps its column anchor so predicate classification still knows which
+table it belongs to.
 
 NULL semantics: an atom with a NULL operand is unknown, neither true nor
 false; AND/OR/NOT follow SQL's three-valued logic, and a row qualifies
@@ -39,15 +39,6 @@ class Expr:
     """Base class for predicate nodes."""
 
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Equality(Expr):
-    col: ColumnRef
-    value: object
-
-    def __str__(self):
-        return f"{self.col} = {self.value}"
 
 
 @dataclass(frozen=True)
@@ -136,7 +127,7 @@ class Not(Expr):
         return f"NOT {_paren(self.child)}"
 
 
-ATOM_TYPES = (Equality, Comparison, Range, ColumnCompare, FnCall, FoldedAtom)
+ATOM_TYPES = (Comparison, Range, ColumnCompare, FnCall, FoldedAtom)
 
 
 def _paren(e: Expr) -> str:
@@ -179,7 +170,7 @@ def atoms(e: Expr) -> Iterator[Expr]:
 def columns(e: Expr) -> set[ColumnRef]:
     out: set[ColumnRef] = set()
     for atom in atoms(e):
-        if isinstance(atom, (Equality, Comparison, Range, FoldedAtom)):
+        if isinstance(atom, (Comparison, Range, FoldedAtom)):
             out.add(atom.col)
         elif isinstance(atom, ColumnCompare):
             out.add(atom.left)

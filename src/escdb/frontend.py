@@ -545,15 +545,11 @@ def _analyze_compare(node: ex.Comparison, scope: _Scope) -> ex.Expr:
                 # constant absent from the dictionary: = never holds,
                 # <> holds for every non-NULL row
                 return ex.FoldedAtom(left, node.op == "<>")
-            if node.op == "=":
-                return ex.Equality(left, code)
-            return ex.Comparison(left, "<>", code)
+            return ex.Comparison(left, node.op, code)
         return ex.Comparison(left, node.op, value)  # string payload, decoded compare
     if not exact and node.op in ("=", "<>"):
         # a fractional literal can never equal an integer-stored value
         return ex.FoldedAtom(left, node.op == "<>")
-    if node.op == "=":
-        return ex.Equality(left, value)
     return ex.Comparison(left, node.op, value)
 
 

@@ -198,7 +198,10 @@ class Dictionary:
 class Column:
     """One typed column: values vector + null mask (True = NULL).
 
-    ``values`` at null positions are 0 and must not be interpreted.
+    ``values`` at null positions are 0 and must not be interpreted.  They
+    must be 0 because the executor indexes a TEXT column's lookup table
+    with the stored codes, NULL slots included, before it drops the NULL
+    rows; code 0 is in range whenever the dictionary is not empty.
     """
 
     name: str
@@ -483,7 +486,10 @@ def load_csv(
     schema: Sequence[tuple[str, ColumnKind]],
     has_header: bool = False,
 ) -> ColumnTable:
-    """Build a table from RFC-4180 CSV. ``\\N`` denotes NULL, DATE is ISO."""
+    """Build a table from RFC-4180 CSV. ``\\N`` denotes NULL, DATE is ISO.
+
+    Malformed CSV, and bytes that the stream's encoding cannot decode,
+    raise CsvError naming the line."""
     if isinstance(text_or_file, str):
         stream = io.StringIO(text_or_file)
     else:
@@ -503,6 +509,15 @@ def load_csv(
             records.append(record)
     except csv.Error as exc:
         raise CsvError(f"{name}: line {reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the decoder failed on a chunk that starts within the line after
+        # the last one read; count the chunk's newlines before the bad byte
+        line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
+        bad = exc.object[exc.start]
+        raise CsvError(
+            f"{name}: line {line}: byte 0x{bad:02x} is not valid "
+            f"{exc.encoding} ({exc.reason})"
+        ) from exc
     cols = [
         [None if cell == NULL_TOKEN else cell for cell in col]
         if NULL_TOKEN in col

@@ -76,20 +76,15 @@ def _atom(pred, cols, i) -> bool | None:
         if cols[pred.col.name].nulls[i]:
             return None
         return pred.result
-    if isinstance(pred, ex.Equality):
-        c = cols[pred.col.name]
-        if c.nulls[i]:
-            return None
-        if c.strs is not None:
-            # constant is a dictionary code; compare as strings
-            return c.text(i) == c.dict.decode(pred.value)
-        return c.vals[i] == pred.value
     if isinstance(pred, ex.Comparison):
         c = cols[pred.col.name]
         if c.nulls[i]:
             return None
         if isinstance(pred.value, str):
             return _OPS[pred.op](c.text(i), pred.value)
+        if c.strs is not None:
+            # = / <> against a dictionary code; compare as strings
+            return _OPS[pred.op](c.text(i), c.dict.decode(pred.value))
         return _OPS[pred.op](c.vals[i], pred.value)
     if isinstance(pred, ex.Range):
         c = cols[pred.col.name]

@@ -155,14 +155,14 @@ class TestEstimates:
 
     def test_equality_within_distinct_model(self, uniform):
         table, hist_for = uniform
-        pred = ex.Equality(_col(), 500)
+        pred = ex.Comparison(_col(), "=", 500)
         est = estimate_selectivity(hist_for, pred)
         # uniform over 1000 values: truth near 1/1000
         assert 0.0003 < est < 0.003
 
     def test_fractional_equality_zero(self, uniform):
         _, hist_for = uniform
-        assert estimate_selectivity(hist_for, ex.Equality(_col(), 4.5)) == 0.0
+        assert estimate_selectivity(hist_for, ex.Comparison(_col(), "=", 4.5)) == 0.0
 
     def test_out_of_range_clamps(self, uniform):
         _, hist_for = uniform
@@ -199,7 +199,7 @@ class TestEstimates:
         t = _int_table("t", [None if i % 2 else (i // 2) % 5 for i in range(2000)])
         h = build_histogram(t, "v", 64)
         hist_for = lambda ref: h
-        eq = ex.Equality(_col(), 4)
+        eq = ex.Comparison(_col(), "=", 4)
         assert estimate_selectivity(hist_for, eq) == pytest.approx(0.1)
         got = estimate_selectivity(hist_for, ex.Not(eq))
         assert got == pytest.approx(0.4)
@@ -210,7 +210,7 @@ class TestEstimates:
         h = build_histogram(t, "v", 64)
         hist_for = lambda ref: h
         a = ex.Comparison(_col(), "<", 20)
-        b = ex.Equality(_col(), 7)
+        b = ex.Comparison(_col(), "=", 7)
         for inner, outer in ((ex.And((a, b)), ex.Or), (ex.Or((a, b)), ex.And)):
             pushed = outer((ex.Not(a), ex.Not(b)))
             assert estimate_selectivity(hist_for, ex.Not(inner)) == pytest.approx(
@@ -242,7 +242,7 @@ class TestEstimates:
     def test_text_column_inestimable(self):
         ref = ex.ColumnRef("t", "tag", KIND_TEXT)
         with pytest.raises(Inestimable):
-            estimate_selectivity(lambda r: None, ex.Equality(ref, 0))
+            estimate_selectivity(lambda r: None, ex.Comparison(ref, "=", 0))
 
     def test_correlated_conjunction_underestimates(self):
         """The failure mode the exact-count optimizer exists to avoid:
@@ -260,8 +260,8 @@ class TestEstimates:
         hist_for = lambda ref: hists[ref.name]
         pred = ex.And(
             (
-                ex.Equality(ex.ColumnRef("t", "a"), 5),
-                ex.Equality(ex.ColumnRef("t", "b"), 5),
+                ex.Comparison(ex.ColumnRef("t", "a"), "=", 5),
+                ex.Comparison(ex.ColumnRef("t", "b"), "=", 5),
             )
         )
         est = estimate_selectivity(hist_for, pred)

@@ -144,6 +144,43 @@ class TestLoad:
         assert err.startswith("error [storage]: ")
         assert "row 2, column 'b'" in err and "Traceback" not in err
 
+    LATIN1_ERR = (
+        "error [storage]: t: line 2: byte 0xe9 is not valid utf-8 "
+        "(invalid continuation byte)"
+    )
+
+    @pytest.fixture
+    def latin1_csv(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("1,oak\n2,café\n".encode("latin-1"))
+        return str(p)
+
+    def test_non_utf8_load_is_storage_error(self, latin1_csv, capsys):
+        rc = main(["load", latin1_csv, "--table", "t", "--schema", "a:int64,s:text"])
+        assert rc == 1
+        assert capsys.readouterr().err == self.LATIN1_ERR + "\n"
+
+    def test_non_utf8_sql_load_is_storage_error(self, latin1_csv, capsys):
+        rc = main(
+            [
+                "sql", "SELECT COUNT(*) FROM t",
+                "--load", f"t:{latin1_csv}:a:int64,s:text",
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == self.LATIN1_ERR + "\n"
+
+    def test_non_utf8_repl_load_is_storage_error(
+        self, latin1_csv, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(f"\\load t {latin1_csv} a:int64,s:text\n")
+        )
+        assert main(["repl"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [self.LATIN1_ERR]
+        assert captured.err == ""
+
 
 class TestSql:
     def _argv(self, csv_t, query, *extra):
@@ -382,6 +419,39 @@ class TestRepl:
         assert "error [analyze]" in out  # recoverable
         assert "error [parse]" in out
 
+    def test_comment_only_line_prints_nothing(self, csv_t, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO(
+                f"\\load t {csv_t} {SCHEMA_T}\n"
+                "-- just a note\n"
+                "SELECT COUNT(*) FROM t; -- trailing note\n"
+            ),
+        )
+        assert main(["repl", "--header"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines[:2] == ["loaded t: 3 rows", "count: 3"]
+        assert len(lines) == 3 and lines[2].endswith(" ms)")
+
+    def test_statements_on_one_line_run_each(self, csv_t, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO(
+                f"\\load t {csv_t} {SCHEMA_T}\n"
+                "SELECT COUNT(*) FROM t; SELECT COUNT(*) FROM ghost; "
+                "SELECT COUNT(*) FROM t WHERE tag = 'oak'\n"
+            ),
+        )
+        assert main(["repl", "--header"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line for line in lines if not line.endswith(" ms)")] == [
+            "loaded t: 3 rows",
+            "count: 3",
+            "error [analyze]: unknown table 'ghost'",
+            "count: 2",
+        ]
+        assert len(lines) == 6
+
     def test_load_usage_error_recoverable(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin", io.StringIO("\\load nope\nquit\n")
@@ -450,6 +520,12 @@ class TestBench:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "usage error: --reps must be at least 1, got 0\n"
+
+    def test_scale_for_overhead_scale_is_usage_error(self, capsys):
+        rc = main(["bench", "overhead-scale", "--scale", "0.5", "--reps", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: --scale does not apply to overhead-scale\n"
 
     def test_unknown_suite_is_argparse_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

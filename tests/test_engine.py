@@ -8,7 +8,14 @@ from escdb import frontend, optimizer
 from escdb.engine import Engine, parse_schema_spec
 from escdb.errors import ExecutionError, UnknownColumn
 from escdb.optimizer import EscConfig, materialize_pushdown
-from escdb.storage import KIND_DATE, KIND_INT64, KIND_TEXT, ColumnTable, append_rows
+from escdb.storage import (
+    KIND_DATE,
+    KIND_INT64,
+    KIND_TEXT,
+    ColumnTable,
+    append_rows,
+    load_csv,
+)
 
 from oracles import oracle_count
 
@@ -187,6 +194,40 @@ class TestNullsUnderNot:
         got = eng.run(f"SELECT a FROM t WHERE {pred}").rows.column("a").values
         rows = lite.execute(f"SELECT a FROM t WHERE {pred} ORDER BY a").fetchall()
         assert got.tolist() == [a for (a,) in rows]
+
+
+class TestAllNullText:
+    """A TEXT column holding only NULLs has an empty dictionary, so its
+    lookup tables are empty too; every comparison on it is unknown, plain
+    or under NOT, as in stdlib sqlite3."""
+
+    PREDICATES = [
+        "s < 'm'",
+        "s BETWEEN 'a' AND 'z'",
+        "s = 'x'",
+        "s <> 'x'",
+    ]
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        eng = Engine()
+        schema = [("a", KIND_INT64), ("s", KIND_TEXT)]
+        eng.catalog.register(load_csv("1,\\N\n2,\\N\n", "t", schema))
+        lite = sqlite3.connect(":memory:")
+        lite.execute("CREATE TABLE t (a INTEGER, s TEXT)")
+        lite.executemany("INSERT INTO t VALUES (?, ?)", [(1, None), (2, None)])
+        yield eng, lite
+        lite.close()
+
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("pred", PREDICATES)
+    def test_matches_sqlite(self, engines, pred, negate):
+        eng, lite = engines
+        where = f"NOT ({pred})" if negate else pred
+        (want,) = lite.execute(f"SELECT COUNT(*) FROM t WHERE {where}").fetchone()
+        assert eng.run(f"SELECT COUNT(*) FROM t WHERE {where}").count == want == 0
+        assert lite.execute(f"SELECT a FROM t WHERE {where}").fetchall() == []
+        assert eng.run(f"SELECT a FROM t WHERE {where}").rows.row_count == 0
 
 
 class TestProbeEdgeCases:

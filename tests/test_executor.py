@@ -64,11 +64,11 @@ class PredGen:
         ref = self._ref(col)
         if col.kind.is_text:
             if r < 0.6:
-                return ex.Equality(ref, self._stored(col))
+                return ex.Comparison(ref, "=", self._stored(col))
             word = col.dictionary.decode(self._stored(col))
             return ex.Comparison(ref, self.rng.choice(self.OPS[:4]), word)
         if r < 0.4:
-            return ex.Equality(ref, self._stored(col))
+            return ex.Comparison(ref, "=", self._stored(col))
         if r < 0.8:
             return ex.Comparison(ref, self.rng.choice(self.OPS), self._stored(col))
         if r < 0.93:

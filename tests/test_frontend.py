@@ -275,7 +275,7 @@ class TestAnalyze:
 
     def test_text_equality_becomes_code(self, catalog):
         p = self._pred(catalog, "SELECT * FROM items WHERE tag = 'oak'")
-        assert isinstance(p, ex.Equality)
+        assert isinstance(p, ex.Comparison) and p.op == "="
         assert p.value == 0  # 'oak' was first encoded
 
     def test_text_absent_constant_folds(self, catalog):

@@ -81,14 +81,14 @@ def _plan_sql(cat, sql, config):
 
 class TestSubquery:
     def test_exact_selectivity_matches_oracle(self, shop):
-        pred = ex.Equality(ex.ColumnRef("cust", "c_band"), 3)
+        pred = ex.Comparison(ex.ColumnRef("cust", "c_band"), "=", 3)
         count, mask, ms = compute_exact_selectivity(shop, "cust", pred)
         assert count == oracle_count(shop.table("cust"), pred) == 200
         assert int(mask.sum()) == count and mask.size == 2000
         assert ms >= 0.0
 
     def test_alias_differs_from_source(self, shop):
-        pred = ex.Equality(ex.ColumnRef("c2", "c_band"), 3)
+        pred = ex.Comparison(ex.ColumnRef("c2", "c_band"), "=", 3)
         count, _, _ = compute_exact_selectivity(
             shop, "cust", pred, alias="c2"
         )
@@ -158,7 +158,7 @@ class TestMaterialize:
     def test_temp_contents_and_schema(self, shop):
         """The temp is the base table's row ids, ascending, one per row
         the sub-query's mask selected."""
-        pred = ex.Equality(ex.ColumnRef("cust", "c_band"), 3)
+        pred = ex.Comparison(ex.ColumnRef("cust", "c_band"), "=", 3)
         _, mask, _ = compute_exact_selectivity(shop, "cust", pred)
         rows, ms = materialize_pushdown(mask)
         assert ms >= 0.0

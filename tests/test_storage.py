@@ -248,6 +248,26 @@ class TestCsv:
         with pytest.raises(CsvError, match="row 1, column 'amt': bad DECIMAL"):
             load_csv("1,2024-01-05,a,1.\u00b2\n", "t", self.SCHEMA)
 
+    @pytest.mark.parametrize(
+        "head,line",
+        [
+            (b"", 1),
+            (b'1,"two\nlines"\n', 3),
+            # past the text stream's first decoded chunk (8 KiB)
+            (b"".join(b"%d,abc\n" % i for i in range(5000)), 5001),
+        ],
+        ids=["first line", "after a quoted newline", "past the first chunk"],
+    )
+    def test_undecodable_byte_cites_line(self, head, line):
+        data = head + b"7,caf\xe9\n8,x\n"
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        with pytest.raises(CsvError) as exc:
+            load_csv(stream, "t", [("id", KIND_INT64), ("s", KIND_TEXT)])
+        assert str(exc.value) == (
+            f"t: line {line}: byte 0xe9 is not valid utf-8 "
+            "(invalid continuation byte)"
+        )
+
     def test_dump_header(self):
         t = load_csv(CSV, "t", self.SCHEMA)
         assert dump_csv(t, include_header=True).splitlines()[0] == "id,when,tag,amt"

@@ -18,6 +18,8 @@ custom table's value column.
 Suites time each cell through ``Engine.run``, whose clock covers plan
 and execute: each cell runs ``reps + 1`` times, the first
 (cache-warming) run is discarded, the median of the rest is reported.
+Plan-quality suites alternate the arms rep by rep, so a drift in the
+host's speed does not land on one arm.
 Overhead suites run the ``esc-unmaterialized`` arm with the size gate
 lowered to 1 row so every cell measures a sub-query; plan-quality runs
 the ``baseline`` arm against the ``esc`` arm.
@@ -428,31 +430,39 @@ class BenchReport:
 # ---------------------------------------------------------------------------
 
 
-def _timed_cell(
-    engine: Engine, sql: str, reps: int, query_label: str, arm: str
-) -> dict:
-    """Median-of-reps timing for one (query, arm) cell.
+def _timed_cells(
+    engines: dict[str, Engine], sql: str, reps: int, query_label: str
+) -> list[dict]:
+    """Median-of-reps timing for one query under each arm's engine.
 
-    Runs ``engine.run(sql)`` ``reps + 1`` times and discards the first
-    (warm-up) run.  Every run re-plans, so ESC sub-query and
-    materialization time lands inside ``time_ms``; ``overhead_ms``
-    reports the sub-query share separately.
+    Runs ``reps + 1`` rounds, each running ``sql`` once on every engine
+    in turn, and discards the first (warm-up) round.  Alternating the
+    arms rep by rep spreads any drift in the host's speed over every
+    arm alike.  Every run re-plans, so ESC sub-query and materialization
+    time lands inside ``time_ms``; ``overhead_ms`` reports the sub-query
+    share separately.
     """
-    times, overheads = [], []
+    times = {arm: [] for arm in engines}
+    overheads = {arm: [] for arm in engines}
+    last = {}
     for _ in range(reps + 1):
-        result = engine.run(sql)
-        times.append(result.time_ms)
-        overheads.append(result.overhead_ms)
-    return {
-        "query": query_label,
-        "arm": arm,
-        "time_ms": statistics.median(times[1:]),
-        "overhead_ms": statistics.median(overheads[1:]),
-        "build_card_sum": result.plan.build_card_sum,
-        "probe_tuples": sum(result.stats.probe_out),
-        "result_count": result.count,
-        "decisions": [optimizer.decision_json(d) for d in result.plan.decisions],
-    }
+        for arm, engine in engines.items():
+            last[arm] = result = engine.run(sql)
+            times[arm].append(result.time_ms)
+            overheads[arm].append(result.overhead_ms)
+    return [
+        {
+            "query": query_label,
+            "arm": arm,
+            "time_ms": statistics.median(times[arm][1:]),
+            "overhead_ms": statistics.median(overheads[arm][1:]),
+            "build_card_sum": result.plan.build_card_sum,
+            "probe_tuples": sum(result.stats.probe_out),
+            "result_count": result.count,
+            "decisions": [optimizer.decision_json(d) for d in result.plan.decisions],
+        }
+        for arm, result in last.items()
+    ]
 
 
 def _overhead_engine(tables: dict[str, ColumnTable], workers: int) -> Engine:
@@ -486,9 +496,8 @@ def overhead_suite_scale(
         engine = _overhead_engine(tables, workers)
         for table, join, pred in _SCALE_TABLES:
             sql = f"SELECT COUNT(*) FROM lineitem, {table} WHERE {join} AND {pred}"
-            report.rows.append(
-                _timed_cell(engine, sql, reps, f"scale={scale} table={table}", "esc")
-            )
+            label = f"scale={scale} table={table}"
+            report.rows += _timed_cells({"esc": engine}, sql, reps, label)
     return report
 
 
@@ -514,7 +523,7 @@ def overhead_suite_selectivity(
             "SELECT COUNT(*) FROM lineitem, orders "
             f"WHERE l_orderkey = o_orderkey AND o_orderkey < {u}"
         )
-        report.rows.append(_timed_cell(engine, sql, reps, f"fraction={f}", "esc"))
+        report.rows += _timed_cells({"esc": engine}, sql, reps, f"fraction={f}")
     return report
 
 
@@ -546,7 +555,7 @@ def overhead_suite_attributes(
             "SELECT COUNT(*) FROM lineitem, orders "
             f"WHERE l_orderkey = o_orderkey AND {pred}"
         )
-        report.rows.append(_timed_cell(engine, sql, reps, f"attrs={k}", "esc"))
+        report.rows += _timed_cells({"esc": engine}, sql, reps, f"attrs={k}")
     return report
 
 
@@ -697,18 +706,20 @@ def plan_quality_suite(
     reps: int = 5,
     workers: int = 1,
 ) -> BenchReport:
-    """The ``baseline`` arm vs the ``esc`` arm per query."""
+    """The ``baseline`` arm vs the ``esc`` arm per query, one engine per
+    arm over one shared catalog."""
     if which not in ("tpch4", "ssb"):
         raise ValueError("which must be 'tpch4' or 'ssb'")
     queries = tpch4_queries() if which == "tpch4" else ssb_queries()
     benchmark = "tpch_subset" if which == "tpch4" else "ssb_subset"
-    engine = Engine(workers=workers)
-    engine.catalog = plan_quality_catalog(which, scale, seed)
+    catalog = plan_quality_catalog(which, scale, seed)
+    engines = {}
+    for arm in ("baseline", "esc"):
+        engines[arm] = Engine(EscConfig(arm=arm), workers)
+        engines[arm].catalog = catalog
     report = BenchReport(which, benchmark, scale, seed)
     for label, sql in queries:
-        for arm in ("baseline", "esc"):
-            engine.config = EscConfig(arm=arm)
-            report.rows.append(_timed_cell(engine, sql, reps, label, arm))
+        report.rows += _timed_cells(engines, sql, reps, label)
     return report
 
 

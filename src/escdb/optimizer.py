@@ -5,10 +5,16 @@ runs a generated COUNT sub-query per filtered build table at planning
 time.  In arm ``esc`` every counted build indexes its base table at the
 row ids of the sub-query's mask, so no filter runs twice.  Qualifying
 selections (table large enough, selectivity low enough) are pushed down:
-their row ids stand for a temp table, and the exact counts drive the
-greedy left-deep join order.  A baseline arm (no sub-queries, base
-cardinalities) and a histogram-estimate arm exist for comparison
-experiments.
+their row ids stand for a temp table.
+
+Every arm orders the left-deep joins by one cost model: each stage keeps
+``sel`` of the probe stream, and the builds go in ascending ``sel`` (rank
+ordering), which keeps the sum of intermediate results smallest for
+unique build keys.  The arms differ only in where ``sel`` comes from:
+``esc`` uses ``count / rows`` of every table it counts; ``histogram``
+uses its estimated fraction; ``baseline`` and ``esc-unmaterialized`` have
+none.  A table without one ranks at 1.0 (assume it filters nothing), and
+ties go to the smaller base table, so the baseline orders by size.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -39,14 +47,19 @@ DEFAULT_GUESS = 0.1
 
 @dataclass
 class EscConfig:
-    """Planner knobs.  ``arm`` picks how build tables are ordered:
+    """Planner knobs.  ``arm`` picks where a build's ``sel``, its rank in
+    the join order, comes from:
 
-    * ``esc``: by exact counts, pushing down the qualifying tables;
+    * ``esc``: exact ``count / rows`` of every counted table, pushing down
+      the qualifying ones;
     * ``esc-unmaterialized``: runs the same sub-queries and records the
       verdicts, but plans and executes exactly as ``baseline`` (the
       overhead experiments use it);
-    * ``baseline``: by base cardinalities, no sub-queries;
-    * ``histogram``: by histogram estimates, no sub-queries.
+    * ``baseline``: none, so builds go by base cardinality; no sub-queries;
+    * ``histogram``: histogram estimates, no sub-queries.
+
+    ``min_table_size`` gates the sub-query: a smaller table is never
+    counted, so under ``esc`` it ranks at ``sel`` 1.0.
     """
 
     arm: str = "esc"
@@ -88,6 +101,9 @@ class PlanBuild:
     # row ids of a counted table (arm "esc"), which the build indexes
     # instead of re-applying the residual; pushed down when residual is None
     rows: np.ndarray | None = None
+    # the fraction of the probe stream this stage is planned to keep, the
+    # rank key of the join order; 1.0 when the arm has no selectivity
+    sel: float = 1.0
 
 
 @dataclass
@@ -172,9 +188,13 @@ def choose_probe(graph: JoinGraph, row_counts: dict) -> str:
     return min(graph.tables, key=lambda a: (-row_counts[a], a))
 
 
-def order_builds(graph: JoinGraph, probe: str, effective: dict) -> list[str]:
-    """Greedy: repeatedly take the smallest-effective-cardinality table
-    adjacent (via a join edge) to everything already placed."""
+def order_builds(graph: JoinGraph, probe: str, rank: dict) -> list[str]:
+    """Rank ordering: repeatedly place the connected table (one with a
+    join edge to the probe or an earlier build) whose ``rank`` is lowest,
+    ties broken by alias.  ``plan`` ranks a table by ``(sel, base rows)``:
+    each stage keeps about ``sel`` of the probe stream, so ascending
+    ``sel`` minimises the sum of intermediate results for unique build
+    keys (Ibaraki & Kameda, TODS 1984)."""
     connected = {probe}
     remaining = [a for a in graph.tables if a != probe]
     order = []
@@ -188,7 +208,7 @@ def order_builds(graph: JoinGraph, probe: str, effective: dict) -> list[str]:
             raise CartesianProductRequired(
                 f"no join edge connects {sorted(remaining)} to {sorted(connected)}"
             )
-        pick = min(candidates, key=lambda a: (effective[a], a))
+        pick = min(candidates, key=lambda a: (rank[a], a))
         order.append(pick)
         connected.add(pick)
         remaining.remove(pick)
@@ -225,12 +245,13 @@ def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str) -> float
 def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     """Produce the physical plan; the ESC arms run COUNT sub-queries for
     every non-probe table that has a predicate, and arm ``esc`` builds
-    every counted table from its sub-query's rows and pushes down the
-    qualifying ones."""
+    every counted table from its sub-query's rows, pushes down the
+    qualifying ones and ranks every counted table by its exact
+    selectivity."""
     row_counts = {a: catalog.table(graph.source[a]).row_count for a in graph.tables}
 
     probe = choose_probe(graph, row_counts)
-    effective: dict[str, float | int] = dict(row_counts)
+    sel: dict[str, float] = {}
     decisions: list[EscDecision] = []
     counted_rows: dict[str, np.ndarray] = {}
 
@@ -250,11 +271,12 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             qualified = decide_pushdown(rc, count, config)
             pushed = qualified and config.arm == "esc"
             mat_ms = 0.0
-            if pushed:
-                counted_rows[alias], mat_ms = materialize_pushdown(mask)
-                effective[alias] = count
-            elif config.arm == "esc":
-                counted_rows[alias] = np.flatnonzero(mask)
+            if config.arm == "esc":
+                sel[alias] = count / rc
+                if pushed:
+                    counted_rows[alias], mat_ms = materialize_pushdown(mask)
+                else:
+                    counted_rows[alias] = np.flatnonzero(mask)
             decisions.append(
                 EscDecision(
                     table=alias,
@@ -272,10 +294,10 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
         for alias in graph.tables:
             if alias == probe or graph.residual(alias) is None:
                 continue
-            fraction = _estimated_fraction(catalog, graph, alias)
-            effective[alias] = row_counts[alias] * fraction
+            sel[alias] = _estimated_fraction(catalog, graph, alias)
 
-    order = order_builds(graph, probe, effective)
+    rank = {a: (sel.get(a, 1.0), row_counts[a]) for a in graph.tables if a != probe}
+    order = order_builds(graph, probe, rank)
     pushed_down = {d.table for d in decisions if d.pushed_down}
     builds = []
     connected = {probe}
@@ -288,9 +310,17 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             residual, input_rows = None, rows.size
         else:
             residual, input_rows = graph.residual(alias), row_counts[alias]
-        source = graph.source[alias]
         builds.append(
-            PlanBuild(alias, source, build_key, probe_key, residual, input_rows, rows)
+            PlanBuild(
+                alias,
+                graph.source[alias],
+                build_key,
+                probe_key,
+                residual,
+                input_rows,
+                rows,
+                sel.get(alias, 1.0),
+            )
         )
         connected.add(alias)
 
@@ -376,7 +406,8 @@ def explain_text(plan_: PhysicalPlan) -> str:
         pad = "  " * (depth - i)
         fil = f" filter=({b.residual})" if b.residual is not None else ""
         lines.append(
-            f"{pad}Build {b.alias}={_fmt_source(b)} rows={b.input_rows}{fil}"
+            f"{pad}Build {b.alias}={_fmt_source(b)} rows={b.input_rows}{fil} "
+            f"sel={b.sel:.6f}"
         )
     return "\n".join(lines)
 
@@ -397,6 +428,10 @@ def decision_json(d: EscDecision) -> dict:
 
 
 def explain_json(plan_: PhysicalPlan) -> dict:
+    # the tuples each stage is planned to emit: probe rows times the
+    # product of sel over the builds up to and including it
+    sels = [b.sel for b in plan_.builds]
+    planned = list(accumulate(sels, mul, initial=plan_.probe_rows))[1:]
     return {
         "probe": {
             "alias": plan_.probe_alias,
@@ -412,8 +447,10 @@ def explain_json(plan_: PhysicalPlan) -> dict:
                 "key": str(b.build_key),
                 "probe_key": str(b.probe_key),
                 "filter": str(b.residual) if b.residual is not None else None,
+                "sel": b.sel,
+                "planned_rows": rows,
             }
-            for b in plan_.builds
+            for b, rows in zip(plan_.builds, planned)
         ],
         "projection": (
             None

@@ -1,10 +1,14 @@
 import gc
+import random
 import sqlite3
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from escdb import frontend, optimizer
+from escdb.bench import plan_quality_catalog, ssb_queries, tpch4_queries
 from escdb.engine import Engine, parse_schema_spec
 from escdb.errors import ExecutionError, UnknownColumn
 from escdb.optimizer import EscConfig, materialize_pushdown
@@ -18,6 +22,7 @@ from escdb.storage import (
 )
 
 from oracles import oracle_count
+from test_plan_golden import result_digest
 
 
 class TestSchemaSpec:
@@ -309,3 +314,57 @@ class TestProbeEdgeCases:
             assert res.stats.build_cards == [12] and res.stats.build_distinct == [4]
         if case.startswith("chain"):
             assert [b.probe_key.table for b in res.plan.builds] == ["f", "d"]
+
+
+class TestConcurrentQueries:
+    """Queries from several threads on one engine plan from shared
+    histograms and counts and must not disturb each other."""
+
+    ARMS = ("esc", "histogram")
+    SUITES = {"tpch4": tpch4_queries(), "ssb": ssb_queries()}
+
+    @classmethod
+    def _engines(cls, workers):
+        """One engine per (suite, arm); the arms of a suite share one
+        freshly made catalog, so its histograms are not built yet."""
+        engines = {}
+        for which in cls.SUITES:
+            catalog = plan_quality_catalog(which, 0.01, 42)
+            for arm in cls.ARMS:
+                engines[which, arm] = Engine(EscConfig(arm=arm), workers)
+                engines[which, arm].catalog = catalog
+        return engines
+
+    @staticmethod
+    def _answer(result):
+        if result.rows is None:
+            return result.count
+        return result.count, result_digest(result.rows)
+
+    def test_four_threads_match_serial(self):
+        tasks = [
+            (which, arm, sql)
+            for which, queries in self.SUITES.items()
+            for _, count_sql in queries
+            for sql in (count_sql, count_sql.replace("COUNT(*)", "*", 1))
+            for arm in self.ARMS
+        ]
+        serial = self._engines(workers=1)
+        want = {t: self._answer(serial[t[:2]].run(t[2])) for t in tasks}
+
+        shared = self._engines(workers=2)
+        runs = tasks * 2
+        random.Random(7).shuffle(runs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    (t, pool.submit(shared[t[:2]].run, t[2])) for t in runs
+                ]
+                got = [(t, self._answer(f.result(timeout=120))) for t, f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 2 * len(tasks) == 112
+        wrong = [t for t, answer in got if answer != want[t]]
+        assert not wrong, wrong

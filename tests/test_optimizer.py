@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import itertools
 import re
 import weakref
 from fractions import Fraction
@@ -8,7 +10,13 @@ import pytest
 
 from escdb import expr as ex
 from escdb import frontend as fe
-from escdb.bench import GenSpec, generate, tpch4_queries
+from escdb.bench import (
+    GenSpec,
+    generate,
+    plan_quality_catalog,
+    ssb_queries,
+    tpch4_queries,
+)
 from escdb.catalog import Catalog
 from escdb.errors import (
     CartesianProductRequired,
@@ -16,6 +24,7 @@ from escdb.errors import (
 )
 from escdb.executor import count_star
 from escdb.optimizer import (
+    DEFAULT_GUESS,
     EscConfig,
     choose_probe,
     compute_exact_selectivity,
@@ -189,6 +198,19 @@ class TestOrdering:
         )
         assert order == ["tiny", "cust", "prod"]
 
+    def test_gated_filtered_table_ranks_last(self, shop):
+        """tiny keeps 4 of its 80 rows, the most selective filter here,
+        but under min_table_size it gets no count: the planner assumes
+        it keeps every row and places it last."""
+        sql = SHOP_SQL.replace("t_x < 40", "t_x < 5")
+        counted = _plan_sql(shop, sql, EscConfig(min_table_size=1))
+        assert counted.build_order == ["tiny", "cust", "prod"]
+        assert counted.builds[0].sel == 4 / 80
+        gated = _plan_sql(shop, sql, EscConfig())
+        assert "tiny" not in {d.table for d in gated.decisions}
+        assert gated.build_order == ["cust", "prod", "tiny"]
+        assert gated.builds[-1].sel == 1.0
+
     def test_cartesian_product_rejected(self, shop):
         sql = "SELECT COUNT(*) FROM cust, prod WHERE c_band = 3 AND p_cls = 0"
         with pytest.raises(CartesianProductRequired):
@@ -237,8 +259,10 @@ class TestPlanArms:
         cust, prod = by_table["cust"], by_table["prod"]
         assert cust.qualified and cust.pushed_down
         assert not prod.qualified and not prod.pushed_down
-        # exact counts reorder the builds: 80, 200, 1200
-        assert p.build_order == ["tiny", "cust", "prod"]
+        # exact selectivities rank the builds: cust 200/2000 = 0.1, prod
+        # 400/1200 = 1/3; tiny is gated, uncounted, so it ranks at 1.0
+        assert p.build_order == ["cust", "prod", "tiny"]
+        assert [b.sel for b in p.builds] == [0.1, 400 / 1200, 1.0]
         builds = {b.alias: b for b in p.builds}
         # a pushed-down build is its base table plus the counted row ids
         assert builds["cust"].source == "cust"
@@ -279,8 +303,9 @@ class TestPlanArms:
             shop, SHOP_SQL, EscConfig(arm="histogram")
         )
         assert p.decisions == []
-        # estimates steer the order like the exact counts do here
-        assert p.build_order == ["tiny", "cust", "prod"]
+        # estimated fractions rank the builds: cust 0.1, prod 1/3, and
+        # tiny about 0.49 for t_x < 40 over t_x in 1..80
+        assert p.build_order == ["cust", "prod", "tiny"]
         assert p.build_card_sum == 80 + 1200 + 2000  # inputs stay base tables
 
     def test_histogram_udf_falls_back_to_default_guess(self, shop):
@@ -292,8 +317,10 @@ class TestPlanArms:
         p = _plan_sql(
             shop, sql, EscConfig(arm="histogram")
         )
-        # cust effective = 2000 * 0.1 = 200 < prod's unfiltered 1200
-        assert p.build_order == ["tiny", "cust", "prod"]
+        # cust ranks at the guess 0.1; prod and tiny are unfiltered, tie
+        # at 1.0, and the smaller base table goes first: 80 before 1200
+        assert p.build_order == ["cust", "tiny", "prod"]
+        assert [b.sel for b in p.builds] == [DEFAULT_GUESS, 1.0, 1.0]
 
     def test_temps_live_until_dropped(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
@@ -305,6 +332,44 @@ class TestPlanArms:
         del p
         gc.collect()
         assert ref() is None
+
+
+BENCH_QUERIES = [
+    (which, label, sql)
+    for which, queries in (("tpch4", tpch4_queries()), ("ssb", ssb_queries()))
+    for label, sql in queries
+]
+
+
+@pytest.fixture(scope="module")
+def bench_catalogs():
+    return {w: plan_quality_catalog(w, 0.01, 42) for w in ("tpch4", "ssb")}
+
+
+def _probe_tuples(p, cat) -> int:
+    return sum(execute_plan(p, cat)[2].probe_out)
+
+
+class TestRankOrder:
+    @pytest.mark.parametrize(
+        "which,label,sql", BENCH_QUERIES, ids=[q[1] for q in BENCH_QUERIES]
+    )
+    def test_esc_order_reaches_exhaustive_minimum(
+        self, bench_catalogs, which, label, sql
+    ):
+        """With every filtered table counted, ranking the builds by exact
+        selectivity gives the fewest probe tuples of all build orders."""
+        cat = bench_catalogs[which]
+        p = _plan_sql(cat, sql, EscConfig(min_table_size=1))
+        assert all(b.sel < 1.0 for b in p.builds if b.residual is not None)
+        # the bench queries are stars: every build probes with a key of
+        # the probe table, so every order of the builds is a valid plan
+        assert {b.probe_key.table for b in p.builds} == {p.probe_alias}
+        totals = [
+            _probe_tuples(dataclasses.replace(p, builds=list(order)), cat)
+            for order in itertools.permutations(p.builds)
+        ]
+        assert _probe_tuples(p, cat) == min(totals), (p.build_order, totals)
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +509,7 @@ class TestExplain:
         assert "cust=temp(rows=200) rows=200" in cust and "filter" not in cust
         prod = [l for l in lines if "Build prod=" in l][0]
         assert "prod=prod rows=1200" in prod and "filter=(prod.p_cls = 0)" in prod
+        assert cust.endswith(" sel=0.100000") and prod.endswith(" sel=0.333333")
 
     def test_json_schema(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
@@ -455,6 +521,16 @@ class TestExplain:
         assert j["projection"] is None
         assert j["build_card_sum"] == p.build_card_sum
         assert [b["alias"] for b in j["builds"]] == p.build_order
+        for b in j["builds"]:
+            assert set(b) == {
+                "alias", "source", "rows", "key", "probe_key", "filter", "sel",
+                "planned_rows",
+            }
+        # planned rows: the 5000 probe rows times the running product of sel
+        assert [b["sel"] for b in j["builds"]] == [0.1, 400 / 1200, 1.0]
+        assert [b["planned_rows"] for b in j["builds"]] == pytest.approx(
+            [500.0, 500 / 3, 500 / 3]
+        )
         for d in j["decisions"]:
             assert set(d) == {
                 "table", "predicate", "count", "row_count", "selectivity",

@@ -175,7 +175,7 @@ def _result_payload(result, explain: bool) -> dict:
             for row in map(result.rows.row, range(result.rows.row_count))
         ]
     if explain:
-        payload["plan"] = optimizer.explain_json(result.plan)
+        payload["plan"] = optimizer.explain_json(result.plan, result.stats)
     return payload
 
 

@@ -17,12 +17,16 @@ keep a row-id array, and a stage that nothing reads after it (the last
 stage of a ``COUNT(*)``) only counts its matches.  With ``workers``
 threads, each probes one chunk, and the output row order is the probe
 row order whatever ``workers`` is.
-A join index sorts the build keys once, and duplicate keys share a
-contiguous row group.  A stage over an index whose keys are all unique
-never expands matches: each hit is one build row.  When the distinct
-keys are dense, a probe is one gather from a direct-address slot table;
-otherwise it is one ``np.searchsorted`` over the distinct keys.  A probe
-key column without NULLs skips the null mask.
+A join index takes one of three paths.  Unique, dense build keys are
+scattered into a direct-address slot table, with no sort; the table
+widens to cover the probe-key column's ``bounds`` when that stays
+dense, and then a probe stage is one gather with no bounds check, or,
+when it only counts, one gather from a boolean ``present`` table.
+Duplicate keys are sorted once into contiguous row groups, still found
+through a slot table when dense; sparse keys are found by one
+``np.searchsorted`` over the distinct keys.  A stage over a unique index
+never expands matches: each hit is one build row.  A probe key column
+without NULLs skips the null mask.
 """
 
 from __future__ import annotations
@@ -77,7 +81,11 @@ def _span(table: ColumnTable, rows: slice) -> range:
     return range(table.row_count)[rows]
 
 
-def _eval_fncall(atom: ex.FnCall, table: ColumnTable, rows: slice) -> np.ndarray:
+def _eval_fncall(
+    atom: ex.FnCall, table: ColumnTable, rows: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """The comparison over the UDF's results, and the rows where a result
+    is NULL (None or NaN), which are unknown."""
     if atom.fn is None:
         raise ExecutionError(f"function {atom.name!r} has no bound implementation")
     # arguments as float64 (DECIMAL descaled, DATE as epoch days)
@@ -100,14 +108,24 @@ def _eval_fncall(atom: ex.FnCall, table: ColumnTable, rows: slice) -> np.ndarray
                     f"UDF {atom.name!r} failed at row {row}: {exc}"
                 ) from exc
         raise ExecutionError(f"UDF {atom.name!r} failed: {exc}") from exc
-    results = raw.astype(np.float64) if raw.size else np.zeros(0, dtype=np.float64)
-    return _compare(results, atom.op, atom.value)
+    try:
+        # None becomes NaN
+        results = raw.astype(np.float64)
+    except (TypeError, ValueError) as exc:
+        for i, row in enumerate(_span(table, rows)):
+            try:
+                raw[i : i + 1].astype(np.float64)
+            except (TypeError, ValueError):
+                raise ExecutionError(
+                    f"UDF {atom.name!r} returned {raw[i]!r} at row {row}, "
+                    "not a number"
+                ) from exc
+        raise ExecutionError(f"UDF {atom.name!r}: {exc}") from exc
+    return _compare(results, atom.op, atom.value), np.isnan(results)
 
 
 def _eval_atom(atom: ex.Expr, table: ColumnTable, rows: slice) -> np.ndarray:
     """The atom over the stored values of ``rows``, NULL slots included."""
-    if isinstance(atom, ex.FnCall):
-        return _eval_fncall(atom, table, rows)
     if isinstance(atom, ex.ColumnCompare):
         left = table.column(atom.left.name).values[rows]
         return _compare(left, atom.op, table.column(atom.right.name).values[rows])
@@ -135,8 +153,8 @@ def _eval_mask(
     and under it AND and OR swap, so a predicate without NOT is one pass.
 
     SQL's NULL rule is applied here and nowhere else: an atom with a
-    NULL operand is unknown, neither true nor false, so each leaf drops
-    the NULL rows of its operand columns after any negation."""
+    NULL operand, or a UDF whose result is NULL, is unknown, neither true
+    nor false, so each leaf drops those rows after any negation."""
     if isinstance(pred, ex.Not):
         return _eval_mask(pred.child, table, rows, not negate)
     if isinstance(pred, (ex.And, ex.Or)):
@@ -152,9 +170,15 @@ def _eval_mask(
                     break
                 mask = mask | _eval_mask(item, table, rows, negate)
         return mask
-    mask = _eval_atom(pred, table, rows)
+    unknown = None
+    if isinstance(pred, ex.FnCall):
+        mask, unknown = _eval_fncall(pred, table, rows)
+    else:
+        mask = _eval_atom(pred, table, rows)
     if negate:
         mask = ~mask
+    if unknown is not None:
+        mask &= ~unknown
     for ref in ex.columns(pred):
         col = table.column(ref.name)
         if col.has_nulls:
@@ -192,40 +216,91 @@ def count_star(
 # ---------------------------------------------------------------------------
 
 
-# The distinct build keys are dense when their span ``hi - lo + 1`` is at
-# most _DENSE_RATIO times their count plus _DENSE_PAD.  A dense index's
-# slot table of ``span`` int64 group ids is then no larger than its other
-# four arrays plus 1 MiB, and a probe is one gather, not a binary search.
-# The pad lets a selective build, whose few keys spread over the whole key
-# range of its table, be dense too: filling 128Ki slots took 62 us on a
-# 2-core x86 box, where a binary search cost 80-130 ns per probe key.
+# Keys are dense when their span ``hi - lo + 1`` is at most _DENSE_RATIO
+# times their count plus _DENSE_PAD.  A dense index's slot table of
+# ``span`` int64 group ids is then no larger than its other arrays plus
+# 1 MiB, and a probe is one gather, not a binary search.  The pad lets a
+# selective build, whose few keys spread over the whole key range of its
+# table, be dense too: filling 128Ki slots took 62 us on a 2-core x86
+# box, where a binary search cost 80-130 ns per probe key.
 _DENSE_RATIO = 4
 _DENSE_PAD = 1 << 17
 
 
 class HashTableIndex:
-    """Sorted-key index from join-key value to build-row indices.
+    """Index from join-key value to build rows, on one of three paths.
 
-    Group ``g`` holds the rows whose key is ``unique_keys[g]`` (sorted);
-    they sit contiguously in ``group_rows``, in ascending row order.
-    ``unique`` says that every group holds one row.  When the distinct
-    keys are dense, ``slots[k - lo]`` is the group of key ``k`` (-1 for a
-    key in ``lo..hi`` that no build row has, and in one trailing slot
-    that every key outside ``lo..hi`` lands on) and a probe is one
-    gather; otherwise ``slots`` is None and a probe binary-searches
-    ``unique_keys``.
+    * **Direct** (unique, dense keys): one scatter, no sort.  Group ``g``
+      is the row ``group_rows[g]``, and ``group_rows`` is the build rows
+      in row order.  ``slots[k - base]`` is the group of key ``k``, -1
+      where no build row has it, and ``present`` is ``slots >= 0``.  Given
+      the probe-key column, the table widens to cover that column's
+      ``bounds`` too when the density bound still allows it; such a
+      ``covered`` index is probed with that column's values only, by one
+      gather with no bounds check.
+    * **Sorted, dense** (duplicate keys): the build keys are sorted once,
+      and group ``g`` holds the rows of key ``unique_keys[g]``,
+      contiguous in ``group_rows[group_start[g]:group_start[g + 1]]``.
+      ``slots`` covers the distinct keys' span.
+    * **Sorted, sparse**: as above with ``slots`` None; a probe
+      binary-searches ``unique_keys``.
+
+    A ``slots`` table that is not covered has one trailing -1 slot that
+    every key outside ``base..base + span - 1`` is clamped onto.
+    ``unique`` says that every group holds one row.
     """
 
-    def __init__(self, table: ColumnTable, key: str, rows: np.ndarray):
+    def __init__(
+        self,
+        table: ColumnTable,
+        key: str,
+        rows: np.ndarray,
+        probe: Column | None = None,
+    ):
         self.table = table
         self.key = key
         col = table.column(key)
+        if col.has_nulls:
+            rows = rows[~col.null_mask[rows]]
         key_vals = col.values[rows]
-        non_null = ~col.null_mask[rows]
-        rows = rows[non_null]
-        key_vals = key_vals[non_null]
-        self.n_entries = int(rows.size)
+        n = self.n_entries = int(rows.size)
+        self.group_rows = rows
+        self.distinct_keys = n
+        self.unique = True
+        self.unique_keys = self.group_start = self.group_counts = None
+        self.slots = self.present = None
+        self.covered = False
+        if not (n and self._scatter(key_vals, probe)):
+            self._sort(rows, key_vals)
 
+    def _scatter(self, key_vals: np.ndarray, probe: Column | None) -> bool:
+        """Build the direct path; False when the keys are too sparse or not
+        unique."""
+        n = key_vals.size
+        # Python ints: the span of two int64 extremes overflows int64
+        lo, hi = int(key_vals.min()), int(key_vals.max())
+        limit = _DENSE_RATIO * n + _DENSE_PAD
+        if hi - lo >= limit:
+            return False
+        base, span, covered = lo, hi - lo + 1, False
+        bounds = probe.bounds if probe is not None else None
+        if bounds is not None:
+            low, high = min(lo, bounds[0]), max(hi, bounds[1])
+            # based at 0, a probe needs no subtraction either
+            for start in (0, low) if low >= 0 else (low,):
+                if high - start < limit:
+                    base, span, covered = start, high - start + 1, True
+                    break
+        slots = np.full(span + (not covered), -1, dtype=np.int64)
+        slots[key_vals - base if base else key_vals] = np.arange(n)
+        present = slots >= 0
+        if np.count_nonzero(present) < n:
+            return False
+        self.base, self.span, self.covered = base, np.uint64(span), covered
+        self.slots, self.present = slots, present
+        return True
+
+    def _sort(self, rows: np.ndarray, key_vals: np.ndarray):
         order = np.argsort(key_vals, kind="stable")
         sorted_keys = key_vals[order]
         self.group_rows = rows[order]
@@ -235,49 +310,60 @@ class HashTableIndex:
         self.unique_keys = sorted_keys[starts]
         self.group_start = np.append(starts, sorted_keys.size)
         self.group_counts = np.diff(self.group_start)
-        self.unique = self.distinct_keys == self.n_entries
-
-        self.slots = None
-        n = self.unique_keys.size
+        n = self.distinct_keys = int(starts.size)
+        self.unique = n == self.n_entries
         if n:
-            # Python ints: the span of two int64 extremes overflows int64
-            self.lo, self.hi = int(self.unique_keys[0]), int(self.unique_keys[-1])
-            span = self.hi - self.lo + 1
+            self.base, hi = int(self.unique_keys[0]), int(self.unique_keys[-1])
+            span = hi - self.base + 1
             if span <= _DENSE_RATIO * n + _DENSE_PAD:
                 self.span = np.uint64(span)
                 self.slots = np.full(span + 1, -1, dtype=np.int64)
-                self.slots[self.unique_keys - self.lo] = np.arange(n)
+                self.slots[self.unique_keys - self.base] = np.arange(n)
 
-    @property
-    def distinct_keys(self) -> int:
-        return int(self.unique_keys.size)
+    def _offsets(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's position in ``slots``."""
+        if self.covered:
+            return keys - self.base if self.base else keys
+        # ``keys - base`` wraps in int64, and read as uint64 it is the
+        # offset modulo 2**64.  A key above the span has an offset in
+        # [span, 2**64), unwrapped.  A key below base wraps to
+        # ``key - base + 2**64 >= 2**63 - base > span - 1``, so it is at
+        # least span too.  Only keys in the span land below it; every
+        # other key is clamped onto the trailing -1 slot.  The clamped
+        # offsets fit int64 again, and numpy gathers faster by int64.
+        off = keys - self.base
+        np.minimum(off.view(np.uint64), self.span, out=off.view(np.uint64))
+        return off
 
     def probe_groups(
         self, keys: np.ndarray, valid: np.ndarray | None = None
     ) -> np.ndarray:
         """Group id per key; -1 when the key is absent or, given ``valid``,
         where ``valid`` is False."""
-        n = self.unique_keys.size
-        if n == 0:
-            return np.full(keys.shape, -1, dtype=np.int64)
         if self.slots is not None:
-            # ``keys - lo`` wraps in int64, and read as uint64 it is the
-            # offset modulo 2**64.  A key above hi has an offset in
-            # [span, 2**64), unwrapped.  A key below lo wraps to
-            # ``key - lo + 2**64 >= 2**63 - lo > hi - lo``, so it is at
-            # least span too.  Only keys in lo..hi land below span; every
-            # other key is clamped onto the trailing -1 slot.  The clamped
-            # offsets fit int64 again, and numpy gathers faster by int64.
-            off = keys - self.lo
-            np.minimum(off.view(np.uint64), self.span, out=off.view(np.uint64))
-            groups = self.slots[off]
+            groups = self.slots[self._offsets(keys)]
+        elif self.distinct_keys == 0:
+            return np.full(keys.shape, -1, dtype=np.int64)
         else:
             # a key above every build key lands on n; clamp it so it misses
+            n = self.distinct_keys
             pos = np.minimum(np.searchsorted(self.unique_keys, keys), n - 1)
             groups = np.where(self.unique_keys[pos] == keys, pos, -1)
         if valid is not None:
             groups[~valid] = -1
         return groups
+
+    def probe_hits(
+        self, keys: np.ndarray, valid: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``probe_groups(keys, valid) >= 0``; on the direct path one
+        gather from ``present``."""
+        if self.present is None:
+            return self.probe_groups(keys, valid) >= 0
+        hits = self.present[self._offsets(keys)]
+        if valid is not None:
+            hits &= valid
+        return hits
 
 
 def build_hash(
@@ -285,13 +371,16 @@ def build_hash(
     key: str,
     residual: ex.Expr | None = None,
     rows: np.ndarray | None = None,
+    probe: Column | None = None,
 ) -> HashTableIndex:
     """Join index over ``rows``, or by default over the rows passing
     ``residual`` (NULL keys excluded).  Given ``rows``, already filtered
-    at planning time, the residual is not evaluated again."""
+    at planning time, the residual is not evaluated again.  ``probe``, the
+    column whose values will probe the index, lets a direct index cover
+    all of them."""
     if rows is None:
         rows = eval_predicate(table, residual)
-    return HashTableIndex(table, key, rows)
+    return HashTableIndex(table, key, rows, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +466,17 @@ def _probe_chunk(
         ref = step.probe_key
         col = tables[ref.table].column(ref.name)
         ids = rows_of[ref.table]
+        keys = col.values[ids]
         valid = ~col.null_mask[ids] if col.has_nulls else None
-        groups = index.probe_groups(col.values[ids], valid)
-        hit = groups >= 0
-        # a unique stage whose rows nothing reads only counts its hits
-        matched = groups[hit] if step.alias in alive or not index.unique else None
-        counts = None if index.unique else index.group_counts[matched]
+        if index.unique and step.alias not in alive:
+            # a unique stage whose rows nothing reads only counts its hits
+            hit = index.probe_hits(keys, valid)
+            matched = counts = None
+        else:
+            groups = index.probe_groups(keys, valid)
+            hit = groups >= 0
+            matched = groups[hit]
+            counts = None if index.unique else index.group_counts[matched]
         stage_out.append(
             int(np.count_nonzero(hit)) if counts is None else int(counts.sum())
         )

@@ -346,12 +346,16 @@ def execute_plan(
     """Run the pipeline; returns (result table or None, result count,
     stats).  COUNT(*) plans return None for the table."""
     probe_table = catalog.table(plan_.probe_source)
+    tables = {plan_.probe_alias: probe_table}
     steps = []
     build_ms = []
     for b in plan_.builds:
-        table = catalog.table(b.source)
+        table = tables[b.alias] = catalog.table(b.source)
+        probe_col = tables[b.probe_key.table].column(b.probe_key.name)
         t0 = time.perf_counter()
-        index = executor.build_hash(table, b.build_key.name, b.residual, b.rows)
+        index = executor.build_hash(
+            table, b.build_key.name, b.residual, b.rows, probe_col
+        )
         build_ms.append((time.perf_counter() - t0) * 1000.0)
         steps.append(executor.BuildStep(b.alias, index, b.probe_key))
     result, stats = executor.probe_joins(
@@ -427,12 +431,16 @@ def decision_json(d: EscDecision) -> dict:
     }
 
 
-def explain_json(plan_: PhysicalPlan) -> dict:
+def explain_json(
+    plan_: PhysicalPlan, stats: executor.ExecStats | None = None
+) -> dict:
+    """The plan as JSON.  Given the ``stats`` of its run, the probe and
+    each build also carry ``actual_rows``, the tuples that stage emitted."""
     # the tuples each stage is planned to emit: probe rows times the
     # product of sel over the builds up to and including it
     sels = [b.sel for b in plan_.builds]
     planned = list(accumulate(sels, mul, initial=plan_.probe_rows))[1:]
-    return {
+    plan_json = {
         "probe": {
             "alias": plan_.probe_alias,
             "source": plan_.probe_source,
@@ -460,3 +468,8 @@ def explain_json(plan_: PhysicalPlan) -> dict:
         "build_card_sum": plan_.build_card_sum,
         "decisions": [decision_json(d) for d in plan_.decisions],
     }
+    if stats is not None:
+        stages = [plan_json["probe"], *plan_json["builds"]]
+        for stage, actual in zip(stages, stats.probe_out):
+            stage["actual_rows"] = actual
+    return plan_json

@@ -222,6 +222,14 @@ class Column:
         """Whether any row is NULL; cached, as a loaded column never changes."""
         return bool(self.null_mask.any())
 
+    @cached_property
+    def bounds(self) -> tuple[int, int] | None:
+        """``(min, max)`` of the stored values, NULL slots' 0 included, as
+        Python ints; None when empty.  Cached like ``has_nulls``."""
+        if not self.values.size:
+            return None
+        return int(self.values.min()), int(self.values.max())
+
     def take(self, indices: np.ndarray) -> "Column":
         """Gather by row index; TEXT shares the source dictionary by reference."""
         return Column(

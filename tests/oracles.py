@@ -11,7 +11,7 @@ containers themselves.  Semantics mirrored deliberately:
 * TEXT equality/ranges compare decoded strings (the engine compares
   dictionary codes / uses lookup tables — bijection makes them agree),
 * UDFs receive float arguments: DECIMAL descaled by 10**-scale, DATE as
-  epoch days.
+  epoch days, and a result of None or NaN is NULL.
 """
 
 from __future__ import annotations
@@ -108,7 +108,10 @@ def _atom(pred, cols, i) -> bool | None:
             if v is None:
                 return None
             args.append(v)
-        return _OPS[pred.op](pred.fn(*args), pred.value)
+        result = pred.fn(*args)
+        if result is None or result != result:  # None or NaN: NULL
+            return None
+        return _OPS[pred.op](result, pred.value)
     raise TypeError(f"oracle cannot evaluate {type(pred).__name__}")
 
 

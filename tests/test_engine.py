@@ -201,6 +201,61 @@ class TestNullsUnderNot:
         assert got.tolist() == [a for (a,) in rows]
 
 
+def _null_on_2_nan_on_3(a):
+    return None if a == 2 else float("nan") if a == 3 else a
+
+
+class TestUdfNullResults:
+    """A UDF result of None or NaN is NULL, as stdlib sqlite3 reads it:
+    the comparison is unknown, plain or under NOT."""
+
+    ROWS = [(1,), (2,), (3,)]
+    PREDICATES = [
+        ("f(a) < 5", 1),
+        ("NOT f(a) < 5", 0),
+        ("f(a) <> 1", 0),
+        ("NOT f(a) <> 1", 1),
+        ("NOT (f(a) = 1 OR a = 5)", 0),
+        ("NOT f(a) = 1 OR a = 2", 1),
+    ]
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        eng = Engine()
+        schema = [("a", KIND_INT64)]
+        eng.catalog.register(append_rows(ColumnTable.empty("t", schema), self.ROWS))
+        eng.register_udf("f", 1, _null_on_2_nan_on_3)
+        lite = sqlite3.connect(":memory:")
+        lite.execute("CREATE TABLE t (a INTEGER)")
+        lite.executemany("INSERT INTO t VALUES (?)", self.ROWS)
+        lite.create_function("f", 1, _null_on_2_nan_on_3)
+        yield eng, lite
+        lite.close()
+
+    @pytest.mark.parametrize("pred,want", PREDICATES)
+    def test_matches_sqlite(self, engines, pred, want):
+        eng, lite = engines
+        (count,) = lite.execute(f"SELECT COUNT(*) FROM t WHERE {pred}").fetchone()
+        assert eng.run(f"SELECT COUNT(*) FROM t WHERE {pred}").count == count == want
+        graph = frontend.analyze(
+            frontend.parse(f"SELECT COUNT(*) FROM t WHERE {pred}"), eng.catalog
+        )
+        assert oracle_count(eng.catalog.table("t"), graph.residual("t")) == want
+        got = eng.run(f"SELECT a FROM t WHERE {pred}").rows.column("a").values
+        rows = lite.execute(f"SELECT a FROM t WHERE {pred} ORDER BY a").fetchall()
+        assert got.tolist() == [a for (a,) in rows]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_numeric_result_names_the_row(self, workers):
+        eng = Engine(workers=workers)
+        schema = [("a", KIND_INT64)]
+        rows = [(i,) for i in range(10)]
+        eng.catalog.register(append_rows(ColumnTable.empty("t", schema), rows))
+        eng.register_udf("g", 1, lambda a: "x" if a == 7 else a)
+        with pytest.raises(ExecutionError, match="returned 'x' at row 7, not a number"):
+            eng.run("SELECT COUNT(*) FROM t WHERE g(a) < 5")
+
+
 class TestAllNullText:
     """A TEXT column holding only NULLs has an empty dictionary, so its
     lookup tables are empty too; every comparison on it is unknown, plain

@@ -163,12 +163,19 @@ def _int_col_table(name, **columns):
     )
 
 
+def _group(idx, g):
+    """The build rows of group ``g`` (none for -1)."""
+    if g < 0:
+        return []
+    if idx.unique:
+        return [int(idx.group_rows[g])]
+    return idx.group_rows[idx.group_start[g] : idx.group_start[g + 1]].tolist()
+
+
 def _rows_of_key(idx, key):
     """The build rows of ``key``'s group, read through ``probe_groups``."""
     (g,) = idx.probe_groups(np.asarray([key], dtype=np.int64)).tolist()
-    if g < 0:
-        return []
-    return idx.group_rows[idx.group_start[g] : idx.group_start[g + 1]].tolist()
+    return _group(idx, g)
 
 
 class TestHashIndex:
@@ -226,8 +233,64 @@ class TestHashIndex:
                 np.asarray(probes, dtype=np.int64), np.ones(len(probes), dtype=bool)
             )
             for k, g in zip(probes, groups.tolist()):
-                got = idx.group_rows[idx.group_start[g] : idx.group_start[g + 1]]
-                assert (got.tolist() if g >= 0 else []) == want.get(k, [])
+                assert _group(idx, g) == want.get(k, [])
+            # the counting stage's membership test agrees with the groups
+            hits = idx.probe_hits(np.asarray(probes, dtype=np.int64))
+            assert hits.tolist() == (groups >= 0).tolist()
+
+    # (build keys, probe-key column with None = NULL, the covering
+    # table's base or None when it does not cover, unique)
+    WIDENED_CASES = [
+        # probe keys below lo and above hi; based at 0, not at their min
+        (range(100, 200), [*range(50, 300, 7), 299], 0, True),
+        # NULL probe slots store 0, which is also a build key
+        (range(0, 50), [5, None, 60, None, 0, 49], 0, True),
+        # negative build and probe keys, based at the probe column's min
+        (range(-50, 0), range(-80, 30), -80, True),
+        # far from 0: based at the widened minimum, not at 0
+        (range(10**7, 10**7 + 50), range(10**7 - 100, 10**7 + 200), 10**7 - 100, True),
+        # int64-extreme probe bounds: too wide, so lo..hi and the clamp
+        (range(50), [-(2**63), 3, None, 2**63 - 1], None, True),
+        # a probe range too wide to widen, even based at 0
+        (range(1000, 1050), [0, 999, 1049, 1050, 10**7], None, True),
+        # duplicate dense keys take the sorted path
+        ([1, 1, 2, 3, 3, 3], range(-5, 10), None, False),
+    ]
+
+    @pytest.mark.parametrize("build,probe,base,unique", WIDENED_CASES)
+    def test_widened_lookup_matches_dict_oracle(self, build, probe, base, unique):
+        """A build handed its probe-key column covers that column's
+        bounds when the density bound allows; every stored probe value,
+        NULL slots' 0 included, then finds its rows by one gather."""
+        build, probe = list(build), list(probe)
+        t = _int_col_table("t", k=build)
+        col = _int_col_table("p", k=probe).column("k")
+        idx = build_hash(t, "k", probe=col)
+        assert (idx.covered, idx.unique) == (base is not None, unique)
+        assert (idx.present is not None) == unique
+        assert idx.slots is not None
+        assert idx.slots.size <= _DENSE_RATIO * idx.n_entries + _DENSE_PAD + 1
+        if idx.covered:
+            lo, hi = col.bounds
+            assert idx.base == base <= lo and hi < base + idx.slots.size
+        want = self._oracle_map(build)
+        valid = ~col.null_mask
+        groups = idx.probe_groups(col.values, valid)
+        for k, g in zip(probe, groups.tolist()):
+            assert _group(idx, g) == want.get(k, [])
+        hits = idx.probe_hits(col.values, valid)
+        assert hits.tolist() == (groups >= 0).tolist()
+        if col.has_nulls:
+            # without ``valid`` a NULL slot's stored 0 finds build key 0
+            assert idx.probe_hits(col.values).tolist() == [
+                (0 if k is None else k) in want for k in probe
+            ]
+
+    def test_bounds_of_a_column(self):
+        col = _int_col_table("p", k=[7, None, -3, 2**63 - 1]).column("k")
+        assert col.bounds == (-3, 2**63 - 1)
+        assert _int_col_table("p", k=[None, 5]).column("k").bounds == (0, 5)
+        assert _int_col_table("p", k=[]).column("k").bounds is None
 
     @pytest.mark.parametrize(
         "pool",
@@ -444,6 +507,55 @@ class TestProbeJoins:
         want, _ = oracle_join(join_data, pred)
         assert want > 0
         assert stats.result_rows == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape", ["star", "chain"])
+    @pytest.mark.parametrize("unique_parts", [True, False])
+    def test_covered_builds_match_oracle(
+        self, join_data, shape, unique_parts, workers
+    ):
+        """Builds handed their probe-key columns cover them (l_oid's NULL
+        slots store 0), and give the oracle's answers whether a stage
+        gathers from ``present`` (it only counts), from ``slots``, or takes
+        the sorted path (duplicate part keys)."""
+        d = dict(join_data)
+        if unique_parts:
+            parts = join_data["parts"]
+            first = np.arange(parts.row_count - 1)  # all but the duplicate
+            d["parts"] = ColumnTable("parts", [c.take(first) for c in parts.columns])
+        part_key = (
+            _ref("orders", "o_pid") if shape == "chain" else _ref("lines", "l_pid")
+        )
+
+        def step(alias, key, probe_key):
+            probe = d[probe_key.table].column(probe_key.name)
+            return BuildStep(alias, build_hash(d[alias], key, probe=probe), probe_key)
+
+        steps = [
+            step("orders", "o_id", _ref("lines", "l_oid")),
+            step("parts", "p_id", part_key),
+        ]
+        assert steps[0].index.covered
+        assert steps[1].index.covered == steps[1].index.unique == unique_parts
+        pred = ex.And(
+            (
+                ex.ColumnCompare(_ref("lines", "l_oid"), "=", _ref("orders", "o_id")),
+                ex.ColumnCompare(part_key, "=", _ref("parts", "p_id")),
+            )
+        )
+        projections = [
+            None,
+            (_ref("lines", "l_qty"),),
+            (_ref("orders", "o_ch"), _ref("parts", "p_cls")),
+        ]
+        for projection in projections:
+            result, stats = probe_joins(
+                d["lines"], "lines", None, steps, projection, workers=workers
+            )
+            want_count, want_bag = oracle_join(d, pred, projection)
+            assert stats.result_rows == want_count > 0
+            if projection is not None:
+                assert table_multiset(result) == want_bag
 
     def test_empty_build_side_short_circuits_results(self, join_data):
         steps = [

@@ -541,6 +541,16 @@ class TestExplain:
         assert by_table["cust"]["selectivity"] == 0.1
         assert by_table["cust"]["temp_rows"] == 200
         assert by_table["prod"]["temp_rows"] is None
+        # given the run's stats, each stage's actual rows sit next to its
+        # planned rows: the probe's filtered rows, then each build's output
+        _, count, stats = execute_plan(p, shop)
+        ran = explain_json(p, stats)
+        stages = [ran["probe"], *ran["builds"]]
+        assert [s["actual_rows"] for s in stages] == stats.probe_out
+        assert stages[-1]["actual_rows"] == count
+        for s in stages:
+            assert s.pop("actual_rows") is not None
+        assert ran == j
 
     def test_decision_json_roundtrips_through_json(self, shop):
         import json

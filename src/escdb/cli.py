@@ -137,9 +137,9 @@ def _engine_from_args(args) -> Engine:
             min_table_size=args.min_table_size,
             max_selectivity=args.max_selectivity,
         )
+        engine = Engine(config=config, workers=args.workers)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    engine = Engine(config=config, workers=args.workers)
     for item in args.load:
         parts = item.split(":", 2)
         if len(parts) != 3:
@@ -221,8 +221,16 @@ def cmd_sql(args) -> int:
 
 def cmd_batch(args) -> int:
     engine = _engine_from_args(args)
-    with open(args.path) as fh:
-        text = fh.read()
+    with open(args.path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise OSError(
+            f"{args.path}: line {line}: byte 0x{data[exc.start]:02x} is not "
+            f"valid utf-8 ({exc.reason})"
+        ) from exc
     for stmt in frontend.split_statements(text):
         result = engine.run(stmt)
         _print_result(result, args)
@@ -260,8 +268,10 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {args.reps}")
+    for flag in ("reps", "workers"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise UsageError(f"--{flag} must be at least 1, got {value}")
     kwargs = dict(seed=args.seed, reps=args.reps, workers=args.workers)
     if args.scale is not None:
         if args.suite == "overhead-scale":

@@ -33,6 +33,8 @@ class QueryResult:
 
 class Engine:
     def __init__(self, config: EscConfig | None = None, workers: int = 1):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.catalog = Catalog()
         self.config = config or EscConfig()
         self.workers = workers

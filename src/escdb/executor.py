@@ -17,21 +17,21 @@ keep a row-id array, and a stage that nothing reads after it (the last
 stage of a ``COUNT(*)``) only counts its matches.  With ``workers``
 threads, each probes one chunk, and the output row order is the probe
 row order whatever ``workers`` is.
-A join index takes one of three paths.  Unique, dense build keys are
-scattered into a direct-address slot table, with no sort; the table
-widens to cover the probe-key column's ``bounds`` when that stays
-dense, and then a probe stage is one gather with no bounds check, or,
-when it only counts, one gather from a boolean ``present`` table.
-Duplicate keys are sorted once into contiguous row groups, still found
-through a slot table when dense; sparse keys are found by one
-``np.searchsorted`` over the distinct keys.  A stage over a unique index
-never expands matches: each hit is one build row.  A probe key column
-without NULLs skips the null mask.
+A join index handed its probe-key column, whose keys together with that
+column's ``bounds`` are dense, is a direct-address slot table covering
+both, so a probe stage is one gather with no bounds check, or, when it
+only counts, one gather from a boolean ``present`` table.  Unique keys
+are scattered into the table with no sort; duplicate keys are sorted
+once into contiguous row groups first.  Every other index is found by
+one ``np.searchsorted`` over the distinct keys.  A stage over a unique
+index never expands matches: each hit is one build row.  A probe key
+column without NULLs skips the null mask.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -216,38 +216,52 @@ def count_star(
 # ---------------------------------------------------------------------------
 
 
-# Keys are dense when their span ``hi - lo + 1`` is at most _DENSE_RATIO
-# times their count plus _DENSE_PAD.  A dense index's slot table of
-# ``span`` int64 group ids is then no larger than its other arrays plus
-# 1 MiB, and a probe is one gather, not a binary search.  The pad lets a
-# selective build, whose few keys spread over the whole key range of its
-# table, be dense too: filling 128Ki slots took 62 us on a 2-core x86
-# box, where a binary search cost 80-130 ns per probe key.
+# Keys are dense when the span ``hi - lo + 1`` of the build keys and the
+# probe column's ``bounds`` is at most _DENSE_RATIO times the build rows
+# plus _DENSE_PAD.  The slot table then takes at most 32 bytes per build
+# row plus 1 MiB, and a probe is one gather, not a binary search.  The pad
+# lets a selective build, whose few keys spread over the whole key range
+# of its table, be dense too: filling 128Ki slots took 62 us on a 2-core
+# x86 box, where a binary search cost 80-130 ns per probe key.
 _DENSE_RATIO = 4
 _DENSE_PAD = 1 << 17
 
 
+def _cover(key_vals: np.ndarray, probe: Column | None) -> tuple[int, int] | None:
+    """``(base, size)`` of a slot table that covers every build key and
+    every stored value of ``probe``, based at 0 when that fits; None
+    without a probe column or when the span is not dense."""
+    if probe is None or not key_vals.size:
+        return None
+    # Python ints: the span of two int64 extremes overflows int64
+    lo, hi = int(key_vals.min()), int(key_vals.max())
+    p_lo, p_hi = probe.bounds or (lo, hi)
+    lo, hi = min(lo, p_lo), max(hi, p_hi)
+    limit = _DENSE_RATIO * key_vals.size + _DENSE_PAD
+    # based at 0, a probe needs no subtraction
+    for base in (0, lo) if lo >= 0 else (lo,):
+        if hi - base < limit:
+            return base, hi - base + 1
+    return None
+
+
 class HashTableIndex:
-    """Index from join-key value to build rows, on one of three paths.
+    """Index from join-key value to build rows.
 
-    * **Direct** (unique, dense keys): one scatter, no sort.  Group ``g``
-      is the row ``group_rows[g]``, and ``group_rows`` is the build rows
-      in row order.  ``slots[k - base]`` is the group of key ``k``, -1
-      where no build row has it, and ``present`` is ``slots >= 0``.  Given
-      the probe-key column, the table widens to cover that column's
-      ``bounds`` too when the density bound still allows it; such a
-      ``covered`` index is probed with that column's values only, by one
-      gather with no bounds check.
-    * **Sorted, dense** (duplicate keys): the build keys are sorted once,
-      and group ``g`` holds the rows of key ``unique_keys[g]``,
-      contiguous in ``group_rows[group_start[g]:group_start[g + 1]]``.
-      ``slots`` covers the distinct keys' span.
-    * **Sorted, sparse**: as above with ``slots`` None; a probe
-      binary-searches ``unique_keys``.
+    Group ``g`` holds the build rows of one key, in row order: the row
+    ``group_rows[g]`` when the index is ``unique`` (every key on one
+    row), else ``group_rows[group_start[g]:group_start[g + 1]]``.
 
-    A ``slots`` table that is not covered has one trailing -1 slot that
-    every key outside ``base..base + span - 1`` is clamped onto.
-    ``unique`` says that every group holds one row.
+    * **Slots** (given the probe-key column, and dense): ``slots[k -
+      base]`` is the group of key ``k``, -1 where no build row has it.
+      The table covers every build key and the probe column's
+      ``bounds``, so a probe with that column's values is one gather
+      with no bounds check.  Unique keys are scattered into it with no
+      sort: ``group_rows`` is the build rows, and ``present`` is
+      ``slots >= 0``.  Duplicate keys are sorted into groups first.
+    * **Sorted** (any other index): the build keys are sorted once into
+      groups, and a probe binary-searches the distinct keys
+      ``unique_keys``.
     """
 
     def __init__(
@@ -263,44 +277,21 @@ class HashTableIndex:
         if col.has_nulls:
             rows = rows[~col.null_mask[rows]]
         key_vals = col.values[rows]
-        n = self.n_entries = int(rows.size)
+        n = self.n_entries = self.distinct_keys = int(rows.size)
         self.group_rows = rows
-        self.distinct_keys = n
         self.unique = True
         self.unique_keys = self.group_start = self.group_counts = None
         self.slots = self.present = None
-        self.covered = False
-        if not (n and self._scatter(key_vals, probe)):
-            self._sort(rows, key_vals)
-
-    def _scatter(self, key_vals: np.ndarray, probe: Column | None) -> bool:
-        """Build the direct path; False when the keys are too sparse or not
-        unique."""
-        n = key_vals.size
-        # Python ints: the span of two int64 extremes overflows int64
-        lo, hi = int(key_vals.min()), int(key_vals.max())
-        limit = _DENSE_RATIO * n + _DENSE_PAD
-        if hi - lo >= limit:
-            return False
-        base, span, covered = lo, hi - lo + 1, False
-        bounds = probe.bounds if probe is not None else None
-        if bounds is not None:
-            low, high = min(lo, bounds[0]), max(hi, bounds[1])
-            # based at 0, a probe needs no subtraction either
-            for start in (0, low) if low >= 0 else (low,):
-                if high - start < limit:
-                    base, span, covered = start, high - start + 1, True
-                    break
-        slots = np.full(span + (not covered), -1, dtype=np.int64)
-        slots[key_vals - base if base else key_vals] = np.arange(n)
-        present = slots >= 0
-        if np.count_nonzero(present) < n:
-            return False
-        self.base, self.span, self.covered = base, np.uint64(span), covered
-        self.slots, self.present = slots, present
-        return True
-
-    def _sort(self, rows: np.ndarray, key_vals: np.ndarray):
+        cover = _cover(key_vals, probe)
+        if cover is not None:
+            self.base, size = cover
+            self.slots = np.full(size, -1, dtype=np.int64)
+            self.slots[key_vals - self.base] = np.arange(n)
+            self.present = self.slots >= 0
+            if np.count_nonzero(self.present) == n:
+                return
+            self.present = None
+        # duplicate keys, or no slot table: sort the keys into groups
         order = np.argsort(key_vals, kind="stable")
         sorted_keys = key_vals[order]
         self.group_rows = rows[order]
@@ -312,36 +303,18 @@ class HashTableIndex:
         self.group_counts = np.diff(self.group_start)
         n = self.distinct_keys = int(starts.size)
         self.unique = n == self.n_entries
-        if n:
-            self.base, hi = int(self.unique_keys[0]), int(self.unique_keys[-1])
-            span = hi - self.base + 1
-            if span <= _DENSE_RATIO * n + _DENSE_PAD:
-                self.span = np.uint64(span)
-                self.slots = np.full(span + 1, -1, dtype=np.int64)
-                self.slots[self.unique_keys - self.base] = np.arange(n)
-
-    def _offsets(self, keys: np.ndarray) -> np.ndarray:
-        """Each key's position in ``slots``."""
-        if self.covered:
-            return keys - self.base if self.base else keys
-        # ``keys - base`` wraps in int64, and read as uint64 it is the
-        # offset modulo 2**64.  A key above the span has an offset in
-        # [span, 2**64), unwrapped.  A key below base wraps to
-        # ``key - base + 2**64 >= 2**63 - base > span - 1``, so it is at
-        # least span too.  Only keys in the span land below it; every
-        # other key is clamped onto the trailing -1 slot.  The clamped
-        # offsets fit int64 again, and numpy gathers faster by int64.
-        off = keys - self.base
-        np.minimum(off.view(np.uint64), self.span, out=off.view(np.uint64))
-        return off
+        if self.slots is not None:
+            self.slots.fill(-1)
+            self.slots[self.unique_keys - self.base] = np.arange(n)
 
     def probe_groups(
         self, keys: np.ndarray, valid: np.ndarray | None = None
     ) -> np.ndarray:
         """Group id per key; -1 when the key is absent or, given ``valid``,
-        where ``valid`` is False."""
+        where ``valid`` is False.  With ``slots``, every key must be a
+        value of the probe column the index was built for."""
         if self.slots is not None:
-            groups = self.slots[self._offsets(keys)]
+            groups = self.slots[keys - self.base if self.base else keys]
         elif self.distinct_keys == 0:
             return np.full(keys.shape, -1, dtype=np.int64)
         else:
@@ -356,11 +329,10 @@ class HashTableIndex:
     def probe_hits(
         self, keys: np.ndarray, valid: np.ndarray | None = None
     ) -> np.ndarray:
-        """``probe_groups(keys, valid) >= 0``; on the direct path one
-        gather from ``present``."""
+        """``probe_groups(keys, valid) >= 0``; with ``present`` one gather."""
         if self.present is None:
             return self.probe_groups(keys, valid) >= 0
-        hits = self.present[self._offsets(keys)]
+        hits = self.present[keys - self.base if self.base else keys]
         if valid is not None:
             hits &= valid
         return hits
@@ -376,8 +348,8 @@ def build_hash(
     """Join index over ``rows``, or by default over the rows passing
     ``residual`` (NULL keys excluded).  Given ``rows``, already filtered
     at planning time, the residual is not evaluated again.  ``probe``, the
-    column whose values will probe the index, lets a direct index cover
-    all of them."""
+    column whose values will probe the index, lets a dense index be a
+    slot table that covers all of them."""
     if rows is None:
         rows = eval_predicate(table, residual)
     return HashTableIndex(table, key, rows, probe)
@@ -538,7 +510,9 @@ def probe_joins(
     if len(chunks) == 1:
         fragments = [run(chunks[0])]
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        # ``workers`` chunks on at most one thread per core
+        threads = min(len(chunks), os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             fragments = list(pool.map(run, chunks))
 
     stats.probe_out = [sum(stage) for stage in zip(*(f[1] for f in fragments))]

@@ -264,8 +264,10 @@ class TestSql:
         [
             (["--min-table-size", "-1"], "min_table_size must be >= 0"),
             (["--max-selectivity", "2"], "max_selectivity must be in [0, 1]"),
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+            (["--workers", "-4"], "workers must be >= 1, got -4"),
         ],
-        ids=["min-table-size", "max-selectivity"],
+        ids=["min-table-size", "max-selectivity", "workers-0", "workers-neg"],
     )
     def test_out_of_range_planner_flag_exits_2(
         self, capsys, monkeypatch, command, flag, message
@@ -397,6 +399,28 @@ class TestBatch:
         assert "error [analyze]" in captured.err
 
 
+    def test_non_utf8_script_is_io_error(self, tmp_path, csv_t, capsys):
+        script = tmp_path / "q.sql"
+        script.write_bytes(
+            "SELECT COUNT(*) FROM t;\n-- café\nSELECT COUNT(*) FROM t;\n".encode(
+                "latin-1"
+            )
+        )
+        rc = main(
+            [
+                "batch", str(script),
+                "--load", f"t:{csv_t}:{SCHEMA_T}", "--header",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error [io]: {script}: line 2: byte 0xe9 is not valid utf-8 "
+            "(invalid continuation byte)\n"
+        )
+
+
 class TestRepl:
     def test_session(self, csv_t, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -520,6 +544,12 @@ class TestBench:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "usage error: --reps must be at least 1, got 0\n"
+
+    def test_zero_workers_is_usage_error(self, capsys):
+        rc = main(["bench", "tpch4", "--scale", "0.002", "--workers", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: --workers must be at least 1, got 0\n"
 
     def test_scale_for_overhead_scale_is_usage_error(self, capsys):
         rc = main(["bench", "overhead-scale", "--scale", "0.5", "--reps", "1"])

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from escdb import frontend, optimizer
+from escdb import executor, frontend, optimizer
 from escdb.bench import plan_quality_catalog, ssb_queries, tpch4_queries
 from escdb.engine import Engine, parse_schema_spec
 from escdb.errors import ExecutionError, UnknownColumn
@@ -124,6 +124,11 @@ class TestRun:
         assert temp.tolist() == [2, 5]  # the rows of s_k 3 and 6
         _, count, _ = optimizer.execute_plan(first, engine.catalog)
         assert count == 2
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            Engine(workers=workers)
 
     def test_analysis_errors_propagate(self, engine):
         with pytest.raises(UnknownColumn):
@@ -423,3 +428,35 @@ class TestConcurrentQueries:
         assert len(got) == 2 * len(tasks) == 112
         wrong = [t for t, answer in got if answer != want[t]]
         assert not wrong, wrong
+
+
+class TestBenchmarkBuilds:
+    def test_every_build_is_one_gather(self, monkeypatch):
+        """Every build of the bench queries, as ``COUNT(*)`` and as
+        ``SELECT *``, under arms ``esc`` and ``baseline``, has unique keys
+        in a slot table that covers its probe column, so each probe stage
+        is one gather from ``slots`` or ``present``."""
+        built = []
+        build_hash = executor.build_hash
+
+        def recording(*args, **kwargs):
+            built.append(build_hash(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(executor, "build_hash", recording)
+        runs = 0
+        for which, queries in TestConcurrentQueries.SUITES.items():
+            catalog = plan_quality_catalog(which, 0.01, 42)
+            for arm in ("esc", "baseline"):
+                engine = Engine(EscConfig(arm=arm))
+                engine.catalog = catalog
+                for label, sql in queries:
+                    for form in (sql, sql.replace("COUNT(*)", "*", 1)):
+                        built.clear()
+                        engine.run(form)
+                        runs += 1
+                        assert built, (label, arm, form)
+                        assert all(i.present is not None for i in built), (
+                            label, arm, form,
+                        )
+        assert runs == 14 * 2 * 2

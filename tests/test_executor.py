@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from escdb import executor
 from escdb import expr as ex
 from escdb.errors import ExecutionError
 from escdb.executor import (
@@ -186,32 +187,34 @@ class TestHashIndex:
                 out.setdefault(k, []).append(i)
         return out
 
-    # the widest key span that 50 distinct keys may have and be dense
+    # the widest key span that a unique build of 50 keys may have, its
+    # probe column's bounds included, and be dense
     DENSE_SPAN_50 = _DENSE_RATIO * 50 + _DENSE_PAD
 
-    # (build-key pool, probe keys absent from it, dense)
+    # (build-key pool, probe keys absent from it, dense when the probes
+    # are the probe column)
     ORACLE_CASES = [
-        (range(50), [-1, 50, 10**9], True),
+        (range(50), [-1, 50, 10**5], True),
         # negatives; probes below the smallest and above the largest key
-        (range(-30, 30, 3), [-31, -(2**63), -1, 31, 2**63 - 1], True),
+        (range(-30, 30, 3), [-31, -1, 31], True),
+        # int64-extreme probe bounds are too wide for a slot table
+        (range(-30, 30, 3), [-(2**63), -1, 31, 2**63 - 1], False),
         # the int64 extremes are build keys themselves
         ([-(2**63), -7, 0, 2**63 - 1], [-(2**63) + 1, 1, 2**63 - 2], False),
         # sparse without extremes
-        (range(-20 * 10**6, 30 * 10**6, 10**6), [-(2**63), -1, 5, 10**6 + 1], False),
-        # span just inside the density bound, then just outside it
-        (
-            [*range(49), DENSE_SPAN_50 - 1],
-            [-(2**63), -1, 49, DENSE_SPAN_50 - 2, DENSE_SPAN_50, 2**63 - 1],
-            True,
-        ),
-        (
-            [*range(49), DENSE_SPAN_50],
-            [-(2**63), -1, 49, DENSE_SPAN_50 - 1, DENSE_SPAN_50 + 1, 2**63 - 1],
-            False,
-        ),
+        (range(-20 * 10**6, 30 * 10**6, 10**6), [-1, 5, 10**6 + 1], False),
+        # keys at either end of int64: dense with probes near them, and
+        # on the sorted path with probes from the other end
+        (range(2**63 - 5, 2**63), [2**63 - 90, 2**63 - 6], True),
+        (range(-(2**63), -(2**63) + 5), [-(2**63) + 5, -(2**63) + 90], True),
+        (range(2**63 - 5, 2**63), [-(2**63), -(2**63) + 1, 2**63 - 6], False),
+        (range(-(2**63), -(2**63) + 5), [-(2**63) + 5, 2**63 - 2, 2**63 - 1], False),
+        (range(-2, 3), [-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1], False),
     ]
 
     def test_lookup_matches_dict_oracle(self):
+        """Each case twice: with the probes as the probe column (a slot
+        table where dense) and without a probe column (the sorted path)."""
         rng = random.Random(9)
         for pool, absent, dense in self.ORACLE_CASES:
             pool = list(pool)
@@ -220,26 +223,28 @@ class TestHashIndex:
                 rng.choice(pool) if rng.random() > 0.1 else None for _ in range(2000)
             ]
             t = _int_col_table("t", k=keys)
-            idx = build_hash(t, "k")
-            assert (idx.slots is not None) == dense
             want = self._oracle_map(keys)
-            assert idx.n_entries == sum(len(v) for v in want.values())
-            assert idx.distinct_keys == len(want)
             probes = list(want) + absent
-            for k in probes:
-                assert _rows_of_key(idx, k) == want.get(k, [])
-            # one vectorized call: a hit names its key's group, a miss is -1
-            groups = idx.probe_groups(
-                np.asarray(probes, dtype=np.int64), np.ones(len(probes), dtype=bool)
-            )
-            for k, g in zip(probes, groups.tolist()):
-                assert _group(idx, g) == want.get(k, [])
-            # the counting stage's membership test agrees with the groups
-            hits = idx.probe_hits(np.asarray(probes, dtype=np.int64))
-            assert hits.tolist() == (groups >= 0).tolist()
+            col = _int_col_table("p", k=probes).column("k")
+            valid = np.arange(len(probes)) % 3 != 0
+            for probe in (col, None):
+                idx = build_hash(t, "k", probe=probe)
+                assert (idx.slots is not None) == (dense and probe is not None)
+                assert idx.n_entries == sum(len(v) for v in want.values())
+                assert idx.distinct_keys == len(want)
+                for k in probes:
+                    assert _rows_of_key(idx, k) == want.get(k, [])
+                # one vectorized call: a hit names its key's group, a miss
+                # or an invalid position is -1
+                groups = idx.probe_groups(col.values, valid)
+                for k, v, g in zip(probes, valid, groups.tolist()):
+                    assert _group(idx, g) == (want.get(k, []) if v else [])
+                # the counting stage's membership test agrees with the groups
+                hits = idx.probe_hits(col.values, valid)
+                assert hits.tolist() == (groups >= 0).tolist()
 
-    # (build keys, probe-key column with None = NULL, the covering
-    # table's base or None when it does not cover, unique)
+    # (build keys, probe-key column with None = NULL, the slot table's
+    # base or None on the sorted path, unique)
     WIDENED_CASES = [
         # probe keys below lo and above hi; based at 0, not at their min
         (range(100, 200), [*range(50, 300, 7), 299], 0, True),
@@ -249,30 +254,38 @@ class TestHashIndex:
         (range(-50, 0), range(-80, 30), -80, True),
         # far from 0: based at the widened minimum, not at 0
         (range(10**7, 10**7 + 50), range(10**7 - 100, 10**7 + 200), 10**7 - 100, True),
-        # int64-extreme probe bounds: too wide, so lo..hi and the clamp
+        # int64-extreme probe bounds are too wide: the sorted path
         (range(50), [-(2**63), 3, None, 2**63 - 1], None, True),
-        # a probe range too wide to widen, even based at 0
+        # a probe range too wide for a slot table, even based at 0
         (range(1000, 1050), [0, 999, 1049, 1050, 10**7], None, True),
-        # duplicate dense keys take the sorted path
-        ([1, 1, 2, 3, 3, 3], range(-5, 10), None, False),
+        # duplicate keys with a probe range too wide: the sorted path
+        ([1, 1, 2, 3, 3, 3], [-5, 1, 3, 10**7], None, False),
+        # dense duplicate keys: sorted groups found through the slot table
+        ([1, 1, 2, 3, 3, 3], range(-5, 10), -5, False),
+        # the span exactly at the density bound, then one past it
+        (range(50), [0, DENSE_SPAN_50 - 1], 0, True),
+        (range(50), [0, DENSE_SPAN_50], None, True),
+        (range(-50, 0), [-50, DENSE_SPAN_50 - 51], -50, True),
+        (range(-50, 0), [-50, DENSE_SPAN_50 - 50], None, True),
     ]
 
     @pytest.mark.parametrize("build,probe,base,unique", WIDENED_CASES)
     def test_widened_lookup_matches_dict_oracle(self, build, probe, base, unique):
-        """A build handed its probe-key column covers that column's
-        bounds when the density bound allows; every stored probe value,
-        NULL slots' 0 included, then finds its rows by one gather."""
+        """A build handed its probe-key column is a slot table that covers
+        that column's bounds when the density bound allows; every stored
+        probe value, NULL slots' 0 included, then finds its rows by one
+        gather."""
         build, probe = list(build), list(probe)
         t = _int_col_table("t", k=build)
         col = _int_col_table("p", k=probe).column("k")
         idx = build_hash(t, "k", probe=col)
-        assert (idx.covered, idx.unique) == (base is not None, unique)
-        assert (idx.present is not None) == unique
-        assert idx.slots is not None
-        assert idx.slots.size <= _DENSE_RATIO * idx.n_entries + _DENSE_PAD + 1
-        if idx.covered:
+        assert (idx.slots is not None, idx.unique) == (base is not None, unique)
+        assert (idx.present is not None) == (base is not None and unique)
+        if idx.slots is not None:
+            assert idx.slots.size <= _DENSE_RATIO * idx.n_entries + _DENSE_PAD
             lo, hi = col.bounds
-            assert idx.base == base <= lo and hi < base + idx.slots.size
+            assert idx.base == base <= min(lo, *build)
+            assert max(hi, *build) == base + idx.slots.size - 1
         want = self._oracle_map(build)
         valid = ~col.null_mask
         groups = idx.probe_groups(col.values, valid)
@@ -291,26 +304,6 @@ class TestHashIndex:
         assert col.bounds == (-3, 2**63 - 1)
         assert _int_col_table("p", k=[None, 5]).column("k").bounds == (0, 5)
         assert _int_col_table("p", k=[]).column("k").bounds is None
-
-    @pytest.mark.parametrize(
-        "pool",
-        [range(2**63 - 5, 2**63), range(-(2**63), -(2**63) + 5), range(-2, 3)],
-    )
-    def test_dense_probe_at_int64_extremes(self, pool):
-        """A key outside lo..hi wraps to an offset of at least the span,
-        so it lands on the trailing -1 slot; with lo = 2**63 - 5, the key
-        -2**63 wraps to exactly the span."""
-        t = _int_col_table("t", k=list(pool))
-        idx = build_hash(t, "k")
-        assert idx.slots is not None and idx.unique
-        lo, hi = -(2**63), 2**63 - 1
-        probes = [lo, lo + 1, *pool, hi - 1, hi]
-        want = [pool.index(k) if k in pool else -1 for k in probes]
-        keys = np.asarray(probes, dtype=np.int64)
-        assert idx.probe_groups(keys).tolist() == want
-        valid = np.arange(len(probes)) % 2 == 0
-        got = idx.probe_groups(keys, valid).tolist()
-        assert got == [g if v else -1 for g, v in zip(want, valid)]
 
     def test_probe_groups_vectorized(self):
         keys = [5, 5, 7, None, 9]
@@ -535,8 +528,10 @@ class TestProbeJoins:
             step("orders", "o_id", _ref("lines", "l_oid")),
             step("parts", "p_id", part_key),
         ]
-        assert steps[0].index.covered
-        assert steps[1].index.covered == steps[1].index.unique == unique_parts
+        # part keys are dense whether or not they repeat
+        assert all(s.index.slots is not None for s in steps)
+        assert steps[1].index.unique == unique_parts
+        assert (steps[1].index.present is not None) == unique_parts
         pred = ex.And(
             (
                 ex.ColumnCompare(_ref("lines", "l_oid"), "=", _ref("orders", "o_id")),
@@ -606,6 +601,43 @@ class TestProbeJoins:
         self._same_across_workers(
             join_data["lines"], probe_pred, self._steps(join_data), projection
         )
+
+    def test_pool_capped_at_cpu_count(self, join_data, monkeypatch):
+        """``workers`` sets the chunk count, and the pool runs them on at
+        most one thread per core.  A recording stand-in for the pool runs
+        the chunks in turn, so no thread is started."""
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.chunks = 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                self.chunks = len(chunks)
+                return map(fn, chunks)
+
+        steps = self._steps(join_data)
+        projection = (_ref("lines", "l_qty"), _ref("parts", "p_cls"))
+        want, _ = probe_joins(join_data["lines"], "lines", None, steps, projection)
+        monkeypatch.setattr(executor, "ThreadPoolExecutor", RecordingPool)
+        for cores, threads in ((2, 2), (None, 1)):
+            monkeypatch.setattr(executor.os, "cpu_count", lambda: cores)
+            got, _ = probe_joins(
+                join_data["lines"], "lines", None, steps, projection, workers=8
+            )
+            assert (pools[-1].max_workers, pools[-1].chunks) == (threads, 8)
+            assert [got.row(i) for i in range(got.row_count)] == [
+                want.row(i) for i in range(want.row_count)
+            ]
 
     def test_workers_with_probe_key_from_earlier_build(self, join_data):
         steps = [

@@ -305,6 +305,32 @@ class TestHashIndex:
         assert _int_col_table("p", k=[None, 5]).column("k").bounds == (0, 5)
         assert _int_col_table("p", k=[]).column("k").bounds is None
 
+    @pytest.mark.parametrize(
+        "pool",
+        [range(2**63 - 5, 2**63), range(-(2**63), -(2**63) + 5), range(-2, 3)],
+    )
+    def test_dense_probe_at_int64_extremes(self, pool):
+        """Dense keys probed at and near the int64 extremes.  A probe
+        column whose bounds reach both extremes is too wide for a slot
+        table, so the build takes the sorted path; one whose bounds stay
+        next to the pool is a slot table whose offsets do not overflow.
+        Both find every key, with and without ``valid``."""
+        t = _int_col_table("t", k=list(pool))
+        lo, hi = -(2**63), 2**63 - 1
+        near = [max(pool[0] - 2, lo), *pool, min(pool[-1] + 2, hi)]
+        wide = [lo, lo + 1, *pool, hi - 1, hi]
+        for probes, dense in ((wide, False), (near, True), (wide, None)):
+            col = None if dense is None else _int_col_table("p", k=probes).column("k")
+            idx = build_hash(t, "k", probe=col)
+            assert (idx.slots is not None) == bool(dense) and idx.unique
+            want = [pool.index(k) if k in pool else -1 for k in probes]
+            keys = np.asarray(probes, dtype=np.int64)
+            assert idx.probe_groups(keys).tolist() == want
+            valid = np.arange(len(probes)) % 2 == 0
+            got = idx.probe_groups(keys, valid).tolist()
+            assert got == [g if v else -1 for g, v in zip(want, valid)]
+            assert idx.probe_hits(keys, valid).tolist() == [g >= 0 for g in got]
+
     def test_probe_groups_vectorized(self):
         keys = [5, 5, 7, None, 9]
         t = _int_col_table("t", k=keys)

@@ -51,13 +51,6 @@ def _add_query_flags(p: argparse.ArgumentParser):
         help="smallest table ESC runs a sub-query for (default: 1000)",
     )
     p.add_argument(
-        "--max-selectivity",
-        type=float,
-        default=0.2,
-        metavar="F",
-        help="largest fraction that still materializes (default: 0.2)",
-    )
-    p.add_argument(
         "--estimator",
         choices=("none", "histogram"),
         default="none",
@@ -127,28 +120,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _engine_from_args(args) -> Engine:
+    """The engine the flags configure, with no table loaded yet; every bad
+    flag, ``--load`` specs included, is a usage error before a file is
+    opened."""
     if args.estimator == "histogram":
         arm = "histogram"
     else:
         arm = "esc" if args.esc == "on" else "baseline"
     try:
-        config = EscConfig(
-            arm=arm,
-            min_table_size=args.min_table_size,
-            max_selectivity=args.max_selectivity,
-        )
+        config = EscConfig(arm=arm, min_table_size=args.min_table_size)
         engine = Engine(config=config, workers=args.workers)
     except ValueError as e:
         raise UsageError(str(e)) from e
     for item in args.load:
-        parts = item.split(":", 2)
-        if len(parts) != 3:
+        if item.count(":") < 2:
             raise UsageError(
                 f"--load expects TABLE:PATH:SCHEMA, got {item!r}"
             )
-        table, path, schema = parts
-        _load_table(engine, table, path, schema, args.header)
     return engine
+
+
+def _run_loads(engine: Engine, args):
+    for item in args.load:
+        table, path, schema = item.split(":", 2)
+        _load_table(engine, table, path, schema, args.header)
 
 
 def _load_table(engine: Engine, table, path, schema, has_header):
@@ -214,12 +209,15 @@ def cmd_load(args) -> int:
 
 def cmd_sql(args) -> int:
     engine = _engine_from_args(args)
+    _run_loads(engine, args)
     result = engine.run(args.query)
     _print_result(result, args)
     return 0
 
 
 def cmd_batch(args) -> int:
+    # the script is read before any --load, so a missing or undecodable
+    # script is reported without waiting for the loads
     engine = _engine_from_args(args)
     with open(args.path, "rb") as fh:
         data = fh.read()
@@ -231,6 +229,7 @@ def cmd_batch(args) -> int:
             f"{args.path}: line {line}: byte 0x{data[exc.start]:02x} is not "
             f"valid utf-8 ({exc.reason})"
         ) from exc
+    _run_loads(engine, args)
     for stmt in frontend.split_statements(text):
         result = engine.run(stmt)
         _print_result(result, args)
@@ -241,6 +240,7 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     engine = _engine_from_args(args)
+    _run_loads(engine, args)
     stdout.write("escdb repl; end with 'exit', load with "
                  "'\\load TABLE PATH SCHEMA'\n")
     for line in stdin:

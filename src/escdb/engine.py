@@ -1,9 +1,9 @@
 """Engine facade: parse, analyze, plan, execute.
 
-The row ids a planning sub-query selects, which stand for a pushed-down
-temp table, belong to the plan that the returned ``QueryResult`` holds;
-they are freed with them, and queries sharing one engine never touch
-each other's row ids.
+Under arm ``esc`` every planning sub-query's row ids stand for a
+pushed-down temp table.  They belong to the plan that the returned
+``QueryResult`` holds and are freed with it, and queries sharing one
+engine never touch each other's row ids.
 """
 
 from __future__ import annotations

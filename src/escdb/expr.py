@@ -1,7 +1,7 @@
 """Boolean predicate expressions over one or more tables' columns.
 
 The parser builds these in *parsed* form: a ColumnRef's table is the
-qualifier as written (None if unqualified) and its kind is None, and
+qualifier as written (None without one) and its kind is None, and
 every constant is the literal (``frontend.AstConst``).  The analyzer
 rewrites them into *resolved* form: every ColumnRef carries its table
 alias and kind, and constants are normalized to the column's storage
@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 @dataclass(frozen=True)
 class ColumnRef:
     """``alias.name`` column reference.  Parsed, ``table`` is the qualifier
-    as written (None if unqualified) and ``kind`` is None; resolved, they
+    as written (None without one) and ``kind`` is None; resolved, they
     are the table alias and the column kind."""
 
     table: str | None

@@ -139,9 +139,6 @@ class AstTableRef:
     name: str
     alias: str
 
-    def __str__(self):
-        return self.name if self.alias == self.name else f"{self.name} AS {self.alias}"
-
 
 COLUMNS = "columns"
 STAR = "star"
@@ -154,20 +151,6 @@ class AstQuery:
     select: tuple[ex.ColumnRef, ...]
     tables: tuple[AstTableRef, ...]
     where: ex.Expr | None
-
-
-def render_query(q: AstQuery) -> str:
-    """Canonical SQL text; reparsing yields an equal AST."""
-    if q.select_kind == STAR:
-        sel = "*"
-    elif q.select_kind == COUNT_STAR:
-        sel = "COUNT(*)"
-    else:
-        sel = ", ".join(str(c) for c in q.select)
-    text = f"SELECT {sel} FROM " + ", ".join(str(t) for t in q.tables)
-    if q.where is not None:
-        text += f" WHERE {q.where}"
-    return text
 
 
 # ---------------------------------------------------------------------------

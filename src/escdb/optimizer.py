@@ -1,11 +1,13 @@
 """Planning with exact selectivities.
 
 Instead of estimating predicate selectivities from synopses, the planner
-runs a generated COUNT sub-query per filtered build table at planning
-time.  In arm ``esc`` every counted build indexes its base table at the
-row ids of the sub-query's mask, so no filter runs twice.  Qualifying
-selections (table large enough, selectivity low enough) are pushed down:
-their row ids stand for a temp table.
+runs a generated COUNT sub-query at planning time per filtered build
+table of at least ``min_table_size`` rows.  In arm ``esc`` every counted
+selection is pushed down: the row ids of the sub-query's mask stand for
+a temp table, which the build indexes in place of the filtered base
+table, so no filter runs twice.  The paper pushes down only selective
+filters because its temp table is a copy; here it is the ids the count
+already found.
 
 Every arm orders the left-deep joins by one cost model: each stage keeps
 ``sel`` of the probe stream, and the builds go in ascending ``sel`` (rank
@@ -50,27 +52,25 @@ class EscConfig:
     """Planner knobs.  ``arm`` picks where a build's ``sel``, its rank in
     the join order, comes from:
 
-    * ``esc``: exact ``count / rows`` of every counted table, pushing down
-      the qualifying ones;
-    * ``esc-unmaterialized``: runs the same sub-queries and records the
-      verdicts, but plans and executes exactly as ``baseline`` (the
+    * ``esc``: exact ``count / rows`` of every counted table, each of
+      which is pushed down;
+    * ``esc-unmaterialized``: runs the same sub-queries and records their
+      counts, but plans and executes exactly as ``baseline`` (the
       overhead experiments use it);
     * ``baseline``: none, so builds go by base cardinality; no sub-queries;
     * ``histogram``: histogram estimates, no sub-queries.
 
     ``min_table_size`` gates the sub-query: a smaller table is never
-    counted, so under ``esc`` it ranks at ``sel`` 1.0.
+    counted, so under ``esc`` it ranks at ``sel`` 1.0 and its build
+    filters the base table.
     """
 
     arm: str = "esc"
     min_table_size: int = 1000
-    max_selectivity: float = 0.2
 
     def __post_init__(self):
         if self.arm not in ARMS:
             raise ValueError(f"arm must be one of {ARMS}")
-        if not 0.0 <= self.max_selectivity <= 1.0:
-            raise ValueError("max_selectivity must be in [0, 1]")
         if self.min_table_size < 0:
             raise ValueError("min_table_size must be >= 0")
 
@@ -84,23 +84,26 @@ class EscDecision:
     exact_count: int
     row_count: int
     selectivity: Fraction  # exact_count / row_count, exact
-    qualified: bool  # passed the two-threshold policy
-    pushed_down: bool  # row ids replace the scan (qualified, arm "esc")
+    pushed_down: bool  # row ids replace the scan: arm "esc"
     subquery_ms: float
     materialize_ms: float = 0.0
 
 
 @dataclass
 class PlanBuild:
+    """One build of the pipeline.  A pushed-down build (arm ``esc``,
+    counted table) indexes its base table at ``rows``, the temp table, and
+    has no residual; any other build filters its base table by
+    ``residual``.  ``input_rows`` is what the build reads: the temp's size
+    or the base table's rows."""
+
     alias: str
     source: str  # base table name
     build_key: ex.ColumnRef
     probe_key: ex.ColumnRef  # column on the probe table or an earlier build
     residual: ex.Expr | None  # fused filter; None when pushed down
     input_rows: int
-    # row ids of a counted table (arm "esc"), which the build indexes
-    # instead of re-applying the residual; pushed down when residual is None
-    rows: np.ndarray | None = None
+    rows: np.ndarray | None = None  # the temp's row ids when pushed down
     # the fraction of the probe stream this stage is planned to keep, the
     # rank key of the join order; 1.0 when the arm has no selectivity
     sel: float = 1.0
@@ -158,15 +161,6 @@ def compute_exact_selectivity(
             f"count sub-query on {alias or table!r} failed: {exc}"
         ) from exc
     return count, mask, (time.perf_counter() - t0) * 1000.0
-
-
-def decide_pushdown(row_count: int, exact_count: int, config: EscConfig) -> bool:
-    """Two-threshold policy, both boundaries inclusive: the table must be
-    at least min_table_size rows and the selectivity at most
-    max_selectivity."""
-    if row_count < config.min_table_size or row_count <= 0:
-        return False
-    return Fraction(exact_count, row_count) <= config.max_selectivity
 
 
 def materialize_pushdown(mask: np.ndarray) -> tuple[np.ndarray, float]:
@@ -244,18 +238,18 @@ def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str) -> float
 
 def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     """Produce the physical plan; the ESC arms run COUNT sub-queries for
-    every non-probe table that has a predicate, and arm ``esc`` builds
-    every counted table from its sub-query's rows, pushes down the
-    qualifying ones and ranks every counted table by its exact
-    selectivity."""
+    every non-probe table that has a predicate and passes the size gate,
+    and arm ``esc`` pushes down every counted table and ranks it by its
+    exact selectivity."""
     row_counts = {a: catalog.table(graph.source[a]).row_count for a in graph.tables}
 
     probe = choose_probe(graph, row_counts)
     sel: dict[str, float] = {}
     decisions: list[EscDecision] = []
-    counted_rows: dict[str, np.ndarray] = {}
+    temps: dict[str, np.ndarray] = {}
 
     if config.arm in ("esc", "esc-unmaterialized"):
+        pushed = config.arm == "esc"
         for alias in graph.tables:
             if alias == probe:
                 continue  # the probing side is never pushed down
@@ -268,15 +262,10 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             count, mask, sub_ms = compute_exact_selectivity(
                 catalog, graph.source[alias], residual, alias
             )
-            qualified = decide_pushdown(rc, count, config)
-            pushed = qualified and config.arm == "esc"
             mat_ms = 0.0
-            if config.arm == "esc":
+            if pushed:
                 sel[alias] = count / rc
-                if pushed:
-                    counted_rows[alias], mat_ms = materialize_pushdown(mask)
-                else:
-                    counted_rows[alias] = np.flatnonzero(mask)
+                temps[alias], mat_ms = materialize_pushdown(mask)
             decisions.append(
                 EscDecision(
                     table=alias,
@@ -284,7 +273,6 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
                     exact_count=count,
                     row_count=rc,
                     selectivity=Fraction(count, rc),
-                    qualified=qualified,
                     pushed_down=pushed,
                     subquery_ms=sub_ms,
                     materialize_ms=mat_ms,
@@ -298,15 +286,14 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
 
     rank = {a: (sel.get(a, 1.0), row_counts[a]) for a in graph.tables if a != probe}
     order = order_builds(graph, probe, rank)
-    pushed_down = {d.table for d in decisions if d.pushed_down}
     builds = []
     connected = {probe}
     for alias in order:
         edge = _connecting_edge(graph, alias, connected)
         build_key = edge.key_for(alias)
         probe_key = edge.left if edge.right.table == alias else edge.right
-        rows = counted_rows.get(alias)
-        if alias in pushed_down:
+        rows = temps.get(alias)
+        if rows is not None:
             residual, input_rows = None, rows.size
         else:
             residual, input_rows = graph.residual(alias), row_counts[alias]
@@ -376,7 +363,7 @@ def execute_plan(
 
 
 def _fmt_source(b: PlanBuild) -> str:
-    if b.rows is not None and b.residual is None:
+    if b.rows is not None:
         return f"temp(rows={b.rows.size})"
     return b.source
 
@@ -423,7 +410,6 @@ def decision_json(d: EscDecision) -> dict:
         "count": d.exact_count,
         "row_count": d.row_count,
         "selectivity": float(d.selectivity),
-        "qualified": d.qualified,
         "pushdown": d.pushed_down,
         "temp_rows": d.exact_count if d.pushed_down else None,
         "subquery_ms": d.subquery_ms,

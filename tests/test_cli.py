@@ -263,11 +263,10 @@ class TestSql:
         "flag, message",
         [
             (["--min-table-size", "-1"], "min_table_size must be >= 0"),
-            (["--max-selectivity", "2"], "max_selectivity must be in [0, 1]"),
             (["--workers", "0"], "workers must be >= 1, got 0"),
             (["--workers", "-4"], "workers must be >= 1, got -4"),
         ],
-        ids=["min-table-size", "max-selectivity", "workers-0", "workers-neg"],
+        ids=["min-table-size", "workers-0", "workers-neg"],
     )
     def test_out_of_range_planner_flag_exits_2(
         self, capsys, monkeypatch, command, flag, message
@@ -299,7 +298,7 @@ class TestJoinFlags:
         rc = main(
             self._argv(
                 csv_t, csv_u_hdr,
-                "--min-table-size", "1", "--max-selectivity", "0.5",
+                "--min-table-size", "1",
                 "--explain",
             )
         )
@@ -419,6 +418,21 @@ class TestBatch:
             f"error [io]: {script}: line 2: byte 0xe9 is not valid utf-8 "
             "(invalid continuation byte)\n"
         )
+
+    def test_missing_script_reported_before_loads(self, tmp_path, capsys):
+        script = tmp_path / "missing.sql"
+        rc = main(
+            [
+                "batch", str(script),
+                "--load", f"t:{tmp_path / 'missing.csv'}:{SCHEMA_T}",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error [io]: ") and str(script) in line
+        assert "missing.csv" not in line
 
 
 class TestRepl:

@@ -45,7 +45,7 @@ class TestSchemaSpec:
 
 @pytest.fixture
 def engine(tmp_path):
-    eng = Engine(config=EscConfig(min_table_size=1, max_selectivity=0.5))
+    eng = Engine(config=EscConfig(min_table_size=1))
     big = tmp_path / "big.csv"
     big.write_text(
         "".join(f"{i},{i % 7}\n" for i in range(1, 101))
@@ -57,7 +57,7 @@ def engine(tmp_path):
     return eng
 
 
-# small (s_v = i % 3 over 7 rows) qualifies for push-down for v in 0..2
+# small (s_v = i % 3 over 7 rows) is counted and pushed down
 PUSHDOWN_SQL = "SELECT COUNT(*) FROM big, small WHERE b_id = s_k AND s_v = {v}"
 
 
@@ -453,10 +453,18 @@ class TestBenchmarkBuilds:
                 for label, sql in queries:
                     for form in (sql, sql.replace("COUNT(*)", "*", 1)):
                         built.clear()
-                        engine.run(form)
+                        plan = engine.run(form).plan
                         runs += 1
                         assert built, (label, arm, form)
                         assert all(i.present is not None for i in built), (
                             label, arm, form,
                         )
+                        # bench keys hold no NULLs, so a pushed-down build
+                        # indexes exactly the rows it reports reading
+                        assert len(built) == len(plan.builds)
+                        for b, index in zip(plan.builds, built):
+                            if b.rows is not None:
+                                assert index.n_entries == b.input_rows, (
+                                    label, b.alias,
+                                )
         assert runs == 14 * 2 * 2

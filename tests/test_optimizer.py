@@ -28,7 +28,6 @@ from escdb.optimizer import (
     EscConfig,
     choose_probe,
     compute_exact_selectivity,
-    decide_pushdown,
     decision_json,
     execute_plan,
     explain_json,
@@ -52,9 +51,8 @@ def _int_table(name, n, **cols):
 @pytest.fixture(scope="module")
 def shop():
     """Deterministic 4-table star with hand-checkable selectivities:
-    cust c_band=3 hits exactly 200/2000 (0.1, qualifies), prod p_cls=0
-    hits 400/1200 (1/3, counted but too wide), tiny is below the size
-    threshold entirely."""
+    cust c_band=3 hits exactly 200/2000 (0.1), prod p_cls=0 hits
+    400/1200 (1/3), tiny is below the size threshold entirely."""
     cat = Catalog()
     cat.register(
         _int_table(
@@ -105,33 +103,45 @@ class TestSubquery:
 
 
 class TestPolicy:
-    CFG = EscConfig()
+    """Every table that passes the size gate is counted, and under arm
+    ``esc`` every counted table is pushed down, whatever it keeps."""
 
-    def test_wide_margin_qualifies(self):
-        assert decide_pushdown(10_000, 100, self.CFG)
+    def _pushed(self, cat, sql, config=EscConfig()):
+        p = _plan_sql(cat, sql, config)
+        return {b.alias: b.input_rows for b in p.builds if b.rows is not None}
 
-    def test_selectivity_boundary_inclusive(self):
-        assert decide_pushdown(1000, 200, self.CFG)  # exactly 0.2
-        assert not decide_pushdown(1000, 201, self.CFG)
+    def test_wide_margin_qualifies(self, shop):
+        sql = SHOP_SQL.replace("c_band = 3", "c_band < 8")  # keeps 0.8
+        assert self._pushed(shop, sql) == {"cust": 1600, "prod": 400}
 
-    def test_size_boundary_inclusive(self):
-        assert decide_pushdown(1000, 50, self.CFG)  # exactly min size
-        assert not decide_pushdown(999, 1, self.CFG)
-        assert not decide_pushdown(500, 1, self.CFG)
+    def test_size_boundary_inclusive(self, shop):
+        # prod has exactly 1200 rows
+        assert "prod" in self._pushed(shop, SHOP_SQL, EscConfig(min_table_size=1200))
+        assert self._pushed(shop, SHOP_SQL, EscConfig(min_table_size=1201)) == {
+            "cust": 200
+        }
 
-    def test_empty_table_never_qualifies(self):
-        assert not decide_pushdown(0, 0, EscConfig(min_table_size=0))
+    def test_empty_table_never_qualifies(self, shop):
+        cat = Catalog()
+        cat.register(shop.table("fact"))
+        cat.register(_int_table("cust", 0, c_id=lambda i: i, c_band=lambda i: i))
+        sql = "SELECT COUNT(*) FROM fact, cust WHERE f_cid = c_id AND c_band = 3"
+        p = _plan_sql(cat, sql, EscConfig(min_table_size=0))
+        assert p.decisions == [] and p.builds[0].rows is None
 
-    def test_zero_count_qualifies(self):
-        assert decide_pushdown(1000, 0, self.CFG)
+    def test_zero_count_qualifies(self, shop):
+        sql = SHOP_SQL.replace("c_band = 3", "c_band = 10")  # c_band is 0..9
+        p = _plan_sql(shop, sql, EscConfig())
+        (cust,) = [d for d in p.decisions if d.table == "cust"]
+        assert cust.exact_count == 0 and cust.pushed_down
+        assert p.builds[0].alias == "cust" and p.builds[0].input_rows == 0
+        assert execute_plan(p, shop)[1] == 0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"arm": "none"},
             {"arm": "ESC"},
-            {"max_selectivity": 1.5},
-            {"max_selectivity": -0.1},
             {"min_table_size": -1},
         ],
     )
@@ -144,17 +154,6 @@ class TestPolicy:
         by_table = {d.table: d for d in p.decisions}
         assert by_table["cust"].selectivity == Fraction(1, 10)
         assert by_table["prod"].selectivity == Fraction(1, 3)
-
-    def test_monotone_in_max_selectivity(self, shop):
-        prev: set = set()
-        for t in (0.0, 0.05, 0.1, 0.34, 1.0):
-            p = _plan_sql(
-                shop, SHOP_SQL, EscConfig(arm="esc-unmaterialized", max_selectivity=t)
-            )
-            qualified = {d.table for d in p.decisions if d.qualified}
-            assert prev <= qualified
-            prev = qualified
-        assert prev == {"cust", "prod"}
 
     def test_size_gate_skips_subquery_entirely(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig(min_table_size=5000))
@@ -257,27 +256,24 @@ class TestPlanArms:
         assert {d.table for d in p.decisions} == {"cust", "prod"}
         by_table = {d.table: d for d in p.decisions}
         cust, prod = by_table["cust"], by_table["prod"]
-        assert cust.qualified and cust.pushed_down
-        assert not prod.qualified and not prod.pushed_down
+        assert cust.pushed_down and prod.pushed_down
         # exact selectivities rank the builds: cust 200/2000 = 0.1, prod
         # 400/1200 = 1/3; tiny is gated, uncounted, so it ranks at 1.0
         assert p.build_order == ["cust", "prod", "tiny"]
         assert [b.sel for b in p.builds] == [0.1, 400 / 1200, 1.0]
         builds = {b.alias: b for b in p.builds}
-        # a pushed-down build is its base table plus the counted row ids
-        assert builds["cust"].source == "cust"
-        assert cust.exact_count == builds["cust"].rows.size == 200
-        assert builds["cust"].residual is None
-        assert builds["cust"].input_rows == 200
-        # a counted build that does not qualify keeps its filter for
-        # EXPLAIN but indexes the counted rows too
-        assert builds["prod"].source == "prod"
-        assert builds["prod"].residual is not None
-        assert builds["prod"].rows.size == prod.exact_count
-        assert builds["prod"].input_rows == 1200
+        # a pushed-down build is its base table plus the counted row ids,
+        # however much its filter keeps: cust keeps 0.1, prod 1/3
+        for alias, d in (("cust", cust), ("prod", prod)):
+            assert builds[alias].source == alias
+            assert d.exact_count == builds[alias].rows.size
+            assert builds[alias].residual is None
+            assert builds[alias].input_rows == d.exact_count
+        assert (cust.exact_count, prod.exact_count) == (200, 400)
         # tiny is under min_table_size, so uncounted: filtered in the build
         assert builds["tiny"].rows is None
-        assert p.build_card_sum == 80 + 200 + 1200
+        assert builds["tiny"].residual is not None
+        assert p.build_card_sum == 80 + 200 + 400
 
     def test_baseline_plan_shape(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig(arm="baseline"))
@@ -289,7 +285,6 @@ class TestPlanArms:
     def test_verdicts_without_materialization(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig(arm="esc-unmaterialized"))
         assert {d.table for d in p.decisions} == {"cust", "prod"}
-        assert any(d.qualified for d in p.decisions)
         assert not any(d.pushed_down for d in p.decisions)
         # the verdicts' masks are dropped: every build re-filters
         assert all(b.rows is None for b in p.builds)
@@ -324,7 +319,7 @@ class TestPlanArms:
 
     def test_temps_live_until_dropped(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
-        (temp,) = [b.rows for b in p.builds if b.residual is None]
+        temp = p.builds[0].rows  # cust's
         ref = weakref.ref(temp)
         del temp
         gc.collect()
@@ -450,12 +445,16 @@ class TestExecutePlan:
         sql = f"SELECT COUNT(*) FROM mfact, ma, mb {MICRO_WHERE}"
         p = _plan_sql(micro, sql, EscConfig(min_table_size=1))
         _, _, stats = execute_plan(p, micro)
-        # no join key is NULL, so each index holds the rows passing its
-        # residual: the actual build size, not the planned input_rows
-        assert [b.residual is not None for b in p.builds] == [True, True]
-        want = [count_star(micro.table(b.source), b.residual)[0] for b in p.builds]
+        # no join key is NULL, so each index holds the rows passing the
+        # build's filter, which are the pushed-down rows it reads
+        assert all(b.rows is not None for b in p.builds)
+        graph = fe.analyze(fe.parse(sql), micro)
+        want = [
+            count_star(micro.table(b.source), graph.residual(b.alias))[0]
+            for b in p.builds
+        ]
         assert stats.build_cards == want
-        assert sum(want) < p.build_card_sum
+        assert sum(want) == p.build_card_sum
         assert len(stats.build_ms) == len(p.builds)
 
     @pytest.mark.parametrize(
@@ -484,7 +483,7 @@ class TestExecutePlan:
             assert len(calls) == passes * cat.table("orders").row_count, text
         if arm == "esc":
             (orders,) = [d for d in p.decisions if d.table == "orders"]
-            assert not orders.pushed_down  # counted, built from the mask
+            assert orders.pushed_down  # counted, built from the mask
 
 
 class TestExplain:
@@ -508,7 +507,9 @@ class TestExplain:
         cust = [l for l in lines if "Build cust=" in l][0]
         assert "cust=temp(rows=200) rows=200" in cust and "filter" not in cust
         prod = [l for l in lines if "Build prod=" in l][0]
-        assert "prod=prod rows=1200" in prod and "filter=(prod.p_cls = 0)" in prod
+        assert "prod=temp(rows=400) rows=400" in prod and "filter" not in prod
+        tiny = [l for l in lines if "Build tiny=" in l][0]
+        assert "tiny=tiny rows=80" in tiny and "filter=(tiny.t_x < 40)" in tiny
         assert cust.endswith(" sel=0.100000") and prod.endswith(" sel=0.333333")
 
     def test_json_schema(self, shop):
@@ -534,13 +535,17 @@ class TestExplain:
         for d in j["decisions"]:
             assert set(d) == {
                 "table", "predicate", "count", "row_count", "selectivity",
-                "qualified", "pushdown", "temp_rows", "subquery_ms",
+                "pushdown", "temp_rows", "subquery_ms",
                 "materialize_ms",
             }
         by_table = {d["table"]: d for d in j["decisions"]}
         assert by_table["cust"]["selectivity"] == 0.1
         assert by_table["cust"]["temp_rows"] == 200
-        assert by_table["prod"]["temp_rows"] is None
+        assert by_table["prod"]["temp_rows"] == 400
+        unpushed = explain_json(
+            _plan_sql(shop, SHOP_SQL, EscConfig(arm="esc-unmaterialized"))
+        )
+        assert [d["temp_rows"] for d in unpushed["decisions"]] == [None, None]
         # given the run's stats, each stage's actual rows sit next to its
         # planned rows: the probe's filtered rows, then each build's output
         _, count, stats = execute_plan(p, shop)

@@ -34,6 +34,9 @@ def test_trace_targets_install_and_uninstall(perfbench, tmp_path):
         engine.load_csv_file(str(csv), "big", "b_id:int64,b_k:int64")
         engine.load_csv_file(str(csv), "small", "s_id:int64,s_k:int64")
         engine.run("SELECT COUNT(*) FROM big, small WHERE b_id = s_id AND s_k = 0")
+        # keeps 0.8 of small: every counted filter is pushed down, however
+        # wide, so pushdowns count decisions and temp_rows sums their counts
+        engine.run("SELECT COUNT(*) FROM big, small WHERE b_id = s_id AND s_k < 4")
     finally:
         tracer.uninstall()
     assert all(vars(t.owner)[t.attr] is o for t, o in zip(targets, originals))
@@ -43,4 +46,8 @@ def test_trace_targets_install_and_uninstall(perfbench, tmp_path):
     count = names.index(f"{executor.__name__}.count_star")
     # the sub-query reaches count_star through the executor module
     assert tracer.spans[count][spans.PARENT] == subquery
-    assert f"{optimizer.__name__}.materialize_pushdown" in names
+    decisions = 2  # one sub-query on small per query
+    assert names.count(f"{optimizer.__name__}.materialize_pushdown") == decisions
+    assert tracer.counts["optimizer.subqueries"] == decisions
+    assert tracer.counts["optimizer.pushdowns"] == decisions
+    assert tracer.counts["optimizer.temp_rows"] == 4 + 16  # s_k = 0, s_k < 4

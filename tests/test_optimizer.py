@@ -142,6 +142,8 @@ class TestPolicy:
         [
             {"arm": "none"},
             {"arm": "ESC"},
+            {"arm": "esc_unmaterialized"},
+            {"arm": ""},
             {"min_table_size": -1},
         ],
     )

@@ -20,14 +20,15 @@ and execute: each cell runs ``reps + 1`` times, the first
 (cache-warming) run is discarded, the median of the rest is reported.
 Plan-quality suites alternate the arms rep by rep, so a drift in the
 host's speed does not land on one arm.
-Overhead suites run the ``esc-unmaterialized`` arm with the size gate
-lowered to 1 row so every cell measures a sub-query; plan-quality runs
-the ``baseline`` arm against the ``esc`` arm.
+Overhead suites run the ``esc-unmaterialized`` arm, which counts every
+filtered table but plans as the baseline, so every cell measures a
+sub-query; plan-quality runs the ``baseline`` arm against the ``esc`` arm.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -69,8 +70,12 @@ class GenSpec:
     def __post_init__(self):
         if self.benchmark not in BENCHMARKS:
             raise ValueError(f"benchmark must be one of {BENCHMARKS}")
-        if self.scale <= 0:
-            raise ScaleTooSmall(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ScaleTooSmall(
+                f"scale must be a finite positive number, got {self.scale}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _scaled(base: int, scale: float, what: str) -> int:
@@ -466,10 +471,7 @@ def _timed_cells(
 
 
 def _overhead_engine(tables: dict[str, ColumnTable], workers: int) -> Engine:
-    # esc-unmaterialized keeps plans identical to baseline; the size
-    # gate drops to 1 so every cell actually measures a sub-query even
-    # for desk-scaled small dimensions
-    engine = Engine(EscConfig(arm="esc-unmaterialized", min_table_size=1), workers)
+    engine = Engine(EscConfig(arm="esc-unmaterialized"), workers)
     for t in tables.values():
         engine.catalog.register(t)
     return engine

@@ -38,24 +38,11 @@ def _add_query_flags(p: argparse.ArgumentParser):
         help="loaded CSVs start with a header row",
     )
     p.add_argument(
-        "--esc",
-        choices=("on", "off"),
-        default="on",
-        help="exact selectivity computation (default: on)",
-    )
-    p.add_argument(
-        "--min-table-size",
-        type=int,
-        default=1000,
-        metavar="N",
-        help="smallest table ESC runs a sub-query for (default: 1000)",
-    )
-    p.add_argument(
-        "--estimator",
-        choices=("none", "histogram"),
-        default="none",
-        help="histogram plans by histogram estimates, overriding --esc "
-        "(default: none)",
+        "--arm",
+        choices=("esc", "baseline", "histogram"),
+        default="esc",
+        help="where join-order selectivities come from: exact counts, "
+        "none, or histogram estimates (default: esc)",
     )
     p.add_argument(
         "--workers",
@@ -123,13 +110,8 @@ def _engine_from_args(args) -> Engine:
     """The engine the flags configure, with no table loaded yet; every bad
     flag, ``--load`` specs included, is a usage error before a file is
     opened."""
-    if args.estimator == "histogram":
-        arm = "histogram"
-    else:
-        arm = "esc" if args.esc == "on" else "baseline"
     try:
-        config = EscConfig(arm=arm, min_table_size=args.min_table_size)
-        engine = Engine(config=config, workers=args.workers)
+        engine = Engine(config=EscConfig(arm=args.arm), workers=args.workers)
     except ValueError as e:
         raise UsageError(str(e)) from e
     for item in args.load:
@@ -268,10 +250,10 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
 
 
 def cmd_bench(args) -> int:
-    for flag in ("reps", "workers"):
+    for flag, least in (("reps", 1), ("workers", 1), ("seed", 0)):
         value = getattr(args, flag)
-        if value < 1:
-            raise UsageError(f"--{flag} must be at least 1, got {value}")
+        if value < least:
+            raise UsageError(f"--{flag} must be at least {least}, got {value}")
     kwargs = dict(seed=args.seed, reps=args.reps, workers=args.workers)
     if args.scale is not None:
         if args.suite == "overhead-scale":

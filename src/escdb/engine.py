@@ -9,7 +9,7 @@ engine never touch each other's row ids.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import frontend, optimizer
 from .catalog import Catalog

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import operator
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -374,10 +373,8 @@ class BuildStep:
 class ExecStats:
     build_cards: list[int] = field(default_factory=list)  # index entries per build
     build_distinct: list[int] = field(default_factory=list)
-    build_ms: list[float] = field(default_factory=list)
     probe_out: list[int] = field(default_factory=list)
     result_rows: int = 0
-    probe_ms: float = 0.0
 
 
 def _expand_matches(
@@ -496,7 +493,6 @@ def probe_joins(
         live.append(needed)
     live.reverse()
 
-    t0 = time.perf_counter()
     n = probe.row_count
     if workers <= 1 or n < 2 * workers:
         chunks = [slice(None)]
@@ -517,7 +513,6 @@ def probe_joins(
 
     stats.probe_out = [sum(stage) for stage in zip(*(f[1] for f in fragments))]
     stats.result_rows = stats.probe_out[-1]
-    stats.probe_ms = (time.perf_counter() - t0) * 1000.0
 
     if projection is None:
         return None, stats

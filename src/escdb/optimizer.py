@@ -1,11 +1,11 @@
 """Planning with exact selectivities.
 
 Instead of estimating predicate selectivities from synopses, the planner
-runs a generated COUNT sub-query at planning time per filtered build
-table of at least ``min_table_size`` rows.  In arm ``esc`` every counted
-selection is pushed down: the row ids of the sub-query's mask stand for
-a temp table, which the build indexes in place of the filtered base
-table, so no filter runs twice.  The paper pushes down only selective
+runs a generated COUNT sub-query at planning time per filtered,
+non-empty build table.  In arm ``esc`` every counted selection is pushed
+down: the row ids of the sub-query's mask stand for a temp table, which
+the build indexes in place of the filtered base table, so no filter runs
+twice.  The paper pushes down only selective
 filters because its temp table is a copy; here it is the ids the count
 already found.
 
@@ -22,7 +22,7 @@ ties go to the smaller base table, so the baseline orders by size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -60,19 +60,15 @@ class EscConfig:
     * ``baseline``: none, so builds go by base cardinality; no sub-queries;
     * ``histogram``: histogram estimates, no sub-queries.
 
-    ``min_table_size`` gates the sub-query: a smaller table is never
-    counted, so under ``esc`` it ranks at ``sel`` 1.0 and its build
-    filters the base table.
+    The ESC arms count every non-probe table whose filter is not folded
+    to true and that has at least one row.
     """
 
     arm: str = "esc"
-    min_table_size: int = 1000
 
     def __post_init__(self):
         if self.arm not in ARMS:
             raise ValueError(f"arm must be one of {ARMS}")
-        if self.min_table_size < 0:
-            raise ValueError("min_table_size must be >= 0")
 
 
 @dataclass
@@ -238,9 +234,9 @@ def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str) -> float
 
 def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     """Produce the physical plan; the ESC arms run COUNT sub-queries for
-    every non-probe table that has a predicate and passes the size gate,
-    and arm ``esc`` pushes down every counted table and ranks it by its
-    exact selectivity."""
+    every non-probe table that has a predicate and at least one row, and
+    arm ``esc`` pushes down every counted table and ranks it by its exact
+    selectivity."""
     row_counts = {a: catalog.table(graph.source[a]).row_count for a in graph.tables}
 
     probe = choose_probe(graph, row_counts)
@@ -257,8 +253,8 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             if residual is None or _is_trivially_true(residual):
                 continue
             rc = row_counts[alias]
-            if rc < config.min_table_size or rc == 0:
-                continue  # size test gates the sub-query itself
+            if rc == 0:
+                continue  # sel divides by the row count
             count, mask, sub_ms = compute_exact_selectivity(
                 catalog, graph.source[alias], residual, alias
             )
@@ -335,15 +331,12 @@ def execute_plan(
     probe_table = catalog.table(plan_.probe_source)
     tables = {plan_.probe_alias: probe_table}
     steps = []
-    build_ms = []
     for b in plan_.builds:
         table = tables[b.alias] = catalog.table(b.source)
         probe_col = tables[b.probe_key.table].column(b.probe_key.name)
-        t0 = time.perf_counter()
         index = executor.build_hash(
             table, b.build_key.name, b.residual, b.rows, probe_col
         )
-        build_ms.append((time.perf_counter() - t0) * 1000.0)
         steps.append(executor.BuildStep(b.alias, index, b.probe_key))
     result, stats = executor.probe_joins(
         probe_table,
@@ -353,7 +346,6 @@ def execute_plan(
         plan_.projection,
         workers=workers,
     )
-    stats.build_ms = build_ms
     return result, stats.result_rows, stats
 
 

@@ -9,7 +9,8 @@ pass/fail verdict for one criterion.
 4. Exact counts buy execution-time wins on correlated joins.
 5. Sub-query overhead is flat across predicate selectivities.
 6. Overhead tracks the number of predicate attributes, counts stay sane.
-7. The size gate skips the sub-query of every table under it.
+7. ESC counts exactly the filtered build tables: never the probe, an
+   unfiltered table, a filter folded to true, or an empty table.
 8. Generation, planning, and parallel execution are deterministic.
 9. The histogram arm changes plans (not results) and never beats ESC's
    build cardinality.
@@ -39,7 +40,7 @@ from escdb.optimizer import (
     explain_text,
     plan,
 )
-from escdb.storage import dump_csv
+from escdb.storage import ColumnTable, dump_csv
 
 from conftest import make_catalog
 from oracles import oracle_count, table_multiset
@@ -141,26 +142,37 @@ def test_criterion_6_overhead_counts_track_attribute_conjunctions():
     assert max(overheads) / min(overheads) <= 10.0
 
 
-def test_criterion_7_size_gate_skips_subquery(tpch_catalog):
+def test_criterion_7_esc_counts_every_filtered_build(tpch_catalog):
     sql = (
         "SELECT COUNT(*) FROM lineitem, orders, part "
         "WHERE l_orderkey = o_orderkey AND l_partkey = p_partkey "
-        "AND o_channel < 100 AND p_class < 200"
+        "AND o_channel < 100 AND p_class < 200 AND l_quantity <= 45"
     )
     graph = fe.analyze(fe.parse(sql), tpch_catalog)
-    ungated = plan(graph, tpch_catalog, EscConfig(min_table_size=1))
-    assert {d.table for d in ungated.decisions} == {"orders", "part"}
-    assert all(d.pushed_down for d in ungated.decisions)
+    # both filtered build tables are counted, part's 200 rows included,
+    # and the filtered probe is not
+    p = plan(graph, tpch_catalog, EscConfig())
+    assert p.probe_alias == "lineitem"
+    assert {d.table for d in p.decisions} == {"orders", "part"}
+    assert all(d.pushed_down for d in p.decisions)
+    unmat = plan(graph, tpch_catalog, EscConfig(arm="esc-unmaterialized"))
+    assert {d.table for d in unmat.decisions} == {"orders", "part"}
 
-    gated = plan(graph, tpch_catalog, EscConfig(min_table_size=10**9))
-    assert gated.decisions == []  # size gate skips the sub-query entirely
+    # a filter folded to true, or none, gets no sub-query
+    for part_filter in (" AND p_class <> 0.5", ""):
+        text = sql.replace(" AND p_class < 200", part_filter)
+        p = plan(fe.analyze(fe.parse(text), tpch_catalog), tpch_catalog, EscConfig())
+        assert {d.table for d in p.decisions} == {"orders"}
 
-    partial = plan(
-        graph,
-        tpch_catalog,
-        EscConfig(arm="esc-unmaterialized", min_table_size=1000),
+    # an empty table gets no sub-query: its sel would divide by zero
+    part = tpch_catalog.table("part")
+    empty = ColumnTable.empty("part", [(c.name, c.kind) for c in part.columns])
+    cat = make_catalog(
+        tpch_catalog.table("lineitem"), tpch_catalog.table("orders"), empty
     )
-    assert {d.table for d in partial.decisions} == {"orders"}  # part is 200 rows
+    p = plan(fe.analyze(fe.parse(sql), cat), cat, EscConfig())
+    assert {d.table for d in p.decisions} == {"orders"}
+    assert execute_plan(p, cat)[1] == 0
 
 
 def test_criterion_8_runs_are_deterministic():
@@ -176,9 +188,7 @@ def test_criterion_8_runs_are_deterministic():
     texts = []
     for _ in range(2):
         cat = make_catalog(*generate(GenSpec("tpch_subset", 0.001, 42)).values())
-        p = plan(
-            fe.analyze(fe.parse(sql), cat), cat, EscConfig(min_table_size=1)
-        )
+        p = plan(fe.analyze(fe.parse(sql), cat), cat, EscConfig())
         texts.append(re.sub(r"time_ms=\S+", "time_ms=*", explain_text(p)))
     assert texts[0] == texts[1]
 
@@ -189,7 +199,7 @@ def test_criterion_8_runs_are_deterministic():
         "WHERE l_orderkey = o_orderkey AND l_partkey = p_partkey "
         "AND o_channel < 200 AND p_class < 500"
     )
-    p = plan(fe.analyze(fe.parse(sql), cat), cat, EscConfig(min_table_size=1))
+    p = plan(fe.analyze(fe.parse(sql), cat), cat, EscConfig())
     results = []
     for workers in (1, 8):
         result, count, _ = execute_plan(p, cat, workers=workers)

@@ -112,6 +112,16 @@ class TestGenerator:
         with pytest.raises(ScaleTooSmall):
             GenSpec("tpch_subset", 0.0, 42)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_scale_not_finite_positive_rejected(self, scale):
+        with pytest.raises(ScaleTooSmall, match="finite positive"):
+            GenSpec("tpch_subset", scale, 42)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            GenSpec("tpch_subset", 0.01, -1)
+        assert GenSpec("tpch_subset", 0.01, 0).seed == 0
+
     def test_scale_rounding_any_table_to_zero_rejected(self):
         with pytest.raises(ScaleTooSmall):
             generate(GenSpec("tpch_subset", 0.00001, 42))

@@ -262,11 +262,10 @@ class TestSql:
     @pytest.mark.parametrize(
         "flag, message",
         [
-            (["--min-table-size", "-1"], "min_table_size must be >= 0"),
             (["--workers", "0"], "workers must be >= 1, got 0"),
             (["--workers", "-4"], "workers must be >= 1, got -4"),
         ],
-        ids=["min-table-size", "workers-0", "workers-neg"],
+        ids=["workers-0", "workers-neg"],
     )
     def test_out_of_range_planner_flag_exits_2(
         self, capsys, monkeypatch, command, flag, message
@@ -295,13 +294,7 @@ class TestJoinFlags:
         return str(p)
 
     def test_esc_pushdown_visible_in_explain(self, csv_t, csv_u_hdr, capsys):
-        rc = main(
-            self._argv(
-                csv_t, csv_u_hdr,
-                "--min-table-size", "1",
-                "--explain",
-            )
-        )
+        rc = main(self._argv(csv_t, csv_u_hdr, "--explain"))
         assert rc == 0
         out = capsys.readouterr().out
         assert "ESC table=t count=1" in out
@@ -310,7 +303,7 @@ class TestJoinFlags:
         assert out.endswith("count: 1\n")
 
     def test_esc_off_same_count_no_esc_lines(self, csv_t, csv_u_hdr, capsys):
-        rc = main(self._argv(csv_t, csv_u_hdr, "--esc", "off", "--explain"))
+        rc = main(self._argv(csv_t, csv_u_hdr, "--arm", "baseline", "--explain"))
         assert rc == 0
         out = capsys.readouterr().out
         assert "ESC table=" not in out
@@ -319,11 +312,7 @@ class TestJoinFlags:
     def test_histogram_estimator_disables_subqueries(
         self, csv_t, csv_u_hdr, capsys
     ):
-        rc = main(
-            self._argv(
-                csv_t, csv_u_hdr, "--estimator", "histogram", "--explain"
-            )
-        )
+        rc = main(self._argv(csv_t, csv_u_hdr, "--arm", "histogram", "--explain"))
         assert rc == 0
         out = capsys.readouterr().out
         assert "ESC table=" not in out
@@ -564,6 +553,20 @@ class TestBench:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "usage error: --workers must be at least 1, got 0\n"
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        rc = main(["bench", "tpch4", "--scale", "0.002", "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: --seed must be at least 0, got -1\n"
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_scale_is_one_error_line(self, capsys, scale):
+        rc = main(["bench", "tpch4", "--scale", scale, "--reps", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [engine]: scale must be a finite positive")
+        assert err.count("\n") == 1
 
     def test_scale_for_overhead_scale_is_usage_error(self, capsys):
         rc = main(["bench", "overhead-scale", "--scale", "0.5", "--reps", "1"])

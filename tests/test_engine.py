@@ -45,7 +45,7 @@ class TestSchemaSpec:
 
 @pytest.fixture
 def engine(tmp_path):
-    eng = Engine(config=EscConfig(min_table_size=1))
+    eng = Engine(config=EscConfig())
     big = tmp_path / "big.csv"
     big.write_text(
         "".join(f"{i},{i % 7}\n" for i in range(1, 101))

@@ -52,7 +52,7 @@ def _int_table(name, n, **cols):
 def shop():
     """Deterministic 4-table star with hand-checkable selectivities:
     cust c_band=3 hits exactly 200/2000 (0.1), prod p_cls=0 hits
-    400/1200 (1/3), tiny is below the size threshold entirely."""
+    400/1200 (1/3), tiny t_x < 40 hits 39/80."""
     cat = Catalog()
     cat.register(
         _int_table(
@@ -103,7 +103,7 @@ class TestSubquery:
 
 
 class TestPolicy:
-    """Every table that passes the size gate is counted, and under arm
+    """Every filtered build table with rows is counted, and under arm
     ``esc`` every counted table is pushed down, whatever it keeps."""
 
     def _pushed(self, cat, sql, config=EscConfig()):
@@ -112,21 +112,14 @@ class TestPolicy:
 
     def test_wide_margin_qualifies(self, shop):
         sql = SHOP_SQL.replace("c_band = 3", "c_band < 8")  # keeps 0.8
-        assert self._pushed(shop, sql) == {"cust": 1600, "prod": 400}
-
-    def test_size_boundary_inclusive(self, shop):
-        # prod has exactly 1200 rows
-        assert "prod" in self._pushed(shop, SHOP_SQL, EscConfig(min_table_size=1200))
-        assert self._pushed(shop, SHOP_SQL, EscConfig(min_table_size=1201)) == {
-            "cust": 200
-        }
+        assert self._pushed(shop, sql) == {"cust": 1600, "prod": 400, "tiny": 39}
 
     def test_empty_table_never_qualifies(self, shop):
         cat = Catalog()
         cat.register(shop.table("fact"))
         cat.register(_int_table("cust", 0, c_id=lambda i: i, c_band=lambda i: i))
         sql = "SELECT COUNT(*) FROM fact, cust WHERE f_cid = c_id AND c_band = 3"
-        p = _plan_sql(cat, sql, EscConfig(min_table_size=0))
+        p = _plan_sql(cat, sql, EscConfig())
         assert p.decisions == [] and p.builds[0].rows is None
 
     def test_zero_count_qualifies(self, shop):
@@ -144,7 +137,7 @@ class TestPolicy:
             {"arm": "ESC"},
             {"arm": "esc_unmaterialized"},
             {"arm": ""},
-            {"min_table_size": -1},
+            {"arm": None},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -156,12 +149,7 @@ class TestPolicy:
         by_table = {d.table: d for d in p.decisions}
         assert by_table["cust"].selectivity == Fraction(1, 10)
         assert by_table["prod"].selectivity == Fraction(1, 3)
-
-    def test_size_gate_skips_subquery_entirely(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig(min_table_size=5000))
-        assert p.decisions == []
-        p = _plan_sql(shop, SHOP_SQL, EscConfig(min_table_size=1))
-        assert {d.table for d in p.decisions} == {"cust", "prod", "tiny"}
+        assert by_table["tiny"].selectivity == Fraction(39, 80)
 
 
 class TestMaterialize:
@@ -199,18 +187,13 @@ class TestOrdering:
         )
         assert order == ["tiny", "cust", "prod"]
 
-    def test_gated_filtered_table_ranks_last(self, shop):
-        """tiny keeps 4 of its 80 rows, the most selective filter here,
-        but under min_table_size it gets no count: the planner assumes
-        it keeps every row and places it last."""
+    def test_counted_filtered_table_ranks_first(self, shop):
+        """tiny keeps 4 of its 80 rows, the most selective filter here;
+        however small the table, its count ranks it first."""
         sql = SHOP_SQL.replace("t_x < 40", "t_x < 5")
-        counted = _plan_sql(shop, sql, EscConfig(min_table_size=1))
-        assert counted.build_order == ["tiny", "cust", "prod"]
-        assert counted.builds[0].sel == 4 / 80
-        gated = _plan_sql(shop, sql, EscConfig())
-        assert "tiny" not in {d.table for d in gated.decisions}
-        assert gated.build_order == ["cust", "prod", "tiny"]
-        assert gated.builds[-1].sel == 1.0
+        p = _plan_sql(shop, sql, EscConfig())
+        assert p.build_order == ["tiny", "cust", "prod"]
+        assert p.builds[0].sel == 4 / 80
 
     def test_cartesian_product_rejected(self, shop):
         sql = "SELECT COUNT(*) FROM cust, prod WHERE c_band = 3 AND p_cls = 0"
@@ -255,27 +238,22 @@ class TestPlanArms:
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
         # probe keeps its filter and is never counted or pushed
         assert p.probe_alias == "fact" and p.probe_pred is not None
-        assert {d.table for d in p.decisions} == {"cust", "prod"}
         by_table = {d.table: d for d in p.decisions}
-        cust, prod = by_table["cust"], by_table["prod"]
-        assert cust.pushed_down and prod.pushed_down
+        assert set(by_table) == {"cust", "prod", "tiny"}
+        assert all(d.pushed_down for d in p.decisions)
         # exact selectivities rank the builds: cust 200/2000 = 0.1, prod
-        # 400/1200 = 1/3; tiny is gated, uncounted, so it ranks at 1.0
+        # 400/1200 = 1/3, tiny 39/80 = 0.4875
         assert p.build_order == ["cust", "prod", "tiny"]
-        assert [b.sel for b in p.builds] == [0.1, 400 / 1200, 1.0]
-        builds = {b.alias: b for b in p.builds}
+        assert [b.sel for b in p.builds] == [0.1, 400 / 1200, 39 / 80]
         # a pushed-down build is its base table plus the counted row ids,
-        # however much its filter keeps: cust keeps 0.1, prod 1/3
-        for alias, d in (("cust", cust), ("prod", prod)):
-            assert builds[alias].source == alias
-            assert d.exact_count == builds[alias].rows.size
-            assert builds[alias].residual is None
-            assert builds[alias].input_rows == d.exact_count
-        assert (cust.exact_count, prod.exact_count) == (200, 400)
-        # tiny is under min_table_size, so uncounted: filtered in the build
-        assert builds["tiny"].rows is None
-        assert builds["tiny"].residual is not None
-        assert p.build_card_sum == 80 + 200 + 400
+        # however much its filter keeps, and however small its table
+        for b in p.builds:
+            d = by_table[b.alias]
+            assert b.source == b.alias
+            assert d.exact_count == b.rows.size == b.input_rows
+            assert b.residual is None
+        assert [by_table[a].exact_count for a in p.build_order] == [200, 400, 39]
+        assert p.build_card_sum == 200 + 400 + 39
 
     def test_baseline_plan_shape(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig(arm="baseline"))
@@ -286,7 +264,7 @@ class TestPlanArms:
 
     def test_verdicts_without_materialization(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig(arm="esc-unmaterialized"))
-        assert {d.table for d in p.decisions} == {"cust", "prod"}
+        assert {d.table for d in p.decisions} == {"cust", "prod", "tiny"}
         assert not any(d.pushed_down for d in p.decisions)
         # the verdicts' masks are dropped: every build re-filters
         assert all(b.rows is None for b in p.builds)
@@ -354,11 +332,21 @@ class TestRankOrder:
     def test_esc_order_reaches_exhaustive_minimum(
         self, bench_catalogs, which, label, sql
     ):
-        """With every filtered table counted, ranking the builds by exact
-        selectivity gives the fewest probe tuples of all build orders."""
+        """Every filtered table is counted, and ranking the builds by
+        exact selectivity gives the fewest probe tuples of all build
+        orders."""
         cat = bench_catalogs[which]
-        p = _plan_sql(cat, sql, EscConfig(min_table_size=1))
-        assert all(b.sel < 1.0 for b in p.builds if b.residual is not None)
+        graph = fe.analyze(fe.parse(sql), cat)
+        p = plan(graph, cat, EscConfig())
+        decisions = {d.table: d for d in p.decisions}
+        filtered = {
+            a for a in graph.tables
+            if a != p.probe_alias and graph.residual(a) is not None
+        }
+        assert set(decisions) == filtered
+        for b in p.builds:
+            d = decisions.get(b.alias)
+            assert b.sel == (d.exact_count / d.row_count if d else 1.0)
         # the bench queries are stars: every build probes with a key of
         # the probe table, so every order of the builds is a valid plan
         assert {b.probe_key.table for b in p.builds} == {p.probe_alias}
@@ -407,8 +395,8 @@ def _micro_pred():
 
 
 ARMS = [
-    ("esc", EscConfig(min_table_size=1)),
-    ("esc-unmaterialized", EscConfig(arm="esc-unmaterialized", min_table_size=1)),
+    ("esc", EscConfig()),
+    ("esc-unmaterialized", EscConfig(arm="esc-unmaterialized")),
     ("baseline", EscConfig(arm="baseline")),
     ("histogram", EscConfig(arm="histogram")),
 ]
@@ -445,7 +433,7 @@ class TestExecutePlan:
 
     def test_stats_reflect_plan_inputs(self, micro):
         sql = f"SELECT COUNT(*) FROM mfact, ma, mb {MICRO_WHERE}"
-        p = _plan_sql(micro, sql, EscConfig(min_table_size=1))
+        p = _plan_sql(micro, sql, EscConfig())
         _, _, stats = execute_plan(p, micro)
         # no join key is NULL, so each index holds the rows passing the
         # build's filter, which are the pushed-down rows it reads
@@ -457,7 +445,6 @@ class TestExecutePlan:
         ]
         assert stats.build_cards == want
         assert sum(want) == p.build_card_sum
-        assert len(stats.build_ms) == len(p.builds)
 
     @pytest.mark.parametrize(
         "arm,passes", [("esc", 1), ("baseline", 1), ("esc-unmaterialized", 2)]
@@ -499,7 +486,7 @@ class TestExplain:
         text = explain_text(p)
         lines = text.splitlines()
         esc_lines = [l for l in lines if l.startswith("ESC ")]
-        assert len(esc_lines) == 2
+        assert len(esc_lines) == 3
         for l in esc_lines:
             assert self.ESC_LINE.match(l), l
         assert "Aggregate COUNT(*)" in lines
@@ -511,8 +498,9 @@ class TestExplain:
         prod = [l for l in lines if "Build prod=" in l][0]
         assert "prod=temp(rows=400) rows=400" in prod and "filter" not in prod
         tiny = [l for l in lines if "Build tiny=" in l][0]
-        assert "tiny=tiny rows=80" in tiny and "filter=(tiny.t_x < 40)" in tiny
+        assert "tiny=temp(rows=39) rows=39" in tiny and "filter" not in tiny
         assert cust.endswith(" sel=0.100000") and prod.endswith(" sel=0.333333")
+        assert tiny.endswith(" sel=0.487500")
 
     def test_json_schema(self, shop):
         p = _plan_sql(shop, SHOP_SQL, EscConfig())
@@ -530,9 +518,9 @@ class TestExplain:
                 "planned_rows",
             }
         # planned rows: the 5000 probe rows times the running product of sel
-        assert [b["sel"] for b in j["builds"]] == [0.1, 400 / 1200, 1.0]
+        assert [b["sel"] for b in j["builds"]] == [0.1, 400 / 1200, 39 / 80]
         assert [b["planned_rows"] for b in j["builds"]] == pytest.approx(
-            [500.0, 500 / 3, 500 / 3]
+            [500.0, 500 / 3, 500 / 3 * 39 / 80]
         )
         for d in j["decisions"]:
             assert set(d) == {
@@ -544,10 +532,11 @@ class TestExplain:
         assert by_table["cust"]["selectivity"] == 0.1
         assert by_table["cust"]["temp_rows"] == 200
         assert by_table["prod"]["temp_rows"] == 400
+        assert by_table["tiny"]["temp_rows"] == 39
         unpushed = explain_json(
             _plan_sql(shop, SHOP_SQL, EscConfig(arm="esc-unmaterialized"))
         )
-        assert [d["temp_rows"] for d in unpushed["decisions"]] == [None, None]
+        assert [d["temp_rows"] for d in unpushed["decisions"]] == [None] * 3
         # given the run's stats, each stage's actual rows sit next to its
         # planned rows: the probe's filtered rows, then each build's output
         _, count, stats = execute_plan(p, shop)

@@ -201,8 +201,7 @@ JOIN_KEYS = ("id", "a", "b")
 
 @pytest.fixture(scope="module")
 def join_engines():
-    """An engine per arm and ``workers`` 1 and 2, with every table
-    large enough to be counted, and the sqlite3 copy."""
+    """An engine per arm and ``workers`` 1 and 2, and the sqlite3 copy."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         workloads = importlib.import_module("workloads")
@@ -216,7 +215,7 @@ def join_engines():
     engines = []
     for arm in ARMS:
         for workers in (1, 2):
-            eng = Engine(config=EscConfig(arm=arm, min_table_size=100), workers=workers)
+            eng = Engine(config=EscConfig(arm=arm), workers=workers)
             for name, t in tables.items():
                 eng.catalog.register(_renamed(t, name, lite=False))
             engines.append(eng)

@@ -28,7 +28,7 @@ def test_trace_targets_install_and_uninstall(perfbench, tmp_path):
     tracer.install()
     try:
         assert all(vars(t.owner)[t.attr] is not o for t, o in zip(targets, originals))
-        engine = Engine(config=EscConfig(min_table_size=1))
+        engine = Engine(config=EscConfig())
         csv = tmp_path / "t.csv"
         csv.write_text("".join(f"{i},{i % 5}\n" for i in range(1, 21)))
         engine.load_csv_file(str(csv), "big", "b_id:int64,b_k:int64")

@@ -6,7 +6,7 @@ selected, and orders hash joins by the measured cardinalities."""
 from .bench import BenchReport, GenSpec, generate, plan_quality_suite
 from .engine import Engine, QueryResult
 from .errors import EscdbError
-from .optimizer import EscConfig, explain_json, explain_text, plan
+from .optimizer import explain_json, explain_text, plan
 from .storage import ColumnTable, load_csv, dump_csv
 
 __version__ = "0.1.0"
@@ -15,7 +15,6 @@ __all__ = [
     "BenchReport",
     "ColumnTable",
     "Engine",
-    "EscConfig",
     "EscdbError",
     "GenSpec",
     "QueryResult",

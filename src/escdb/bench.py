@@ -20,9 +20,9 @@ and execute: each cell runs ``reps + 1`` times, the first
 (cache-warming) run is discarded, the median of the rest is reported.
 Plan-quality suites alternate the arms rep by rep, so a drift in the
 host's speed does not land on one arm.
-Overhead suites run the ``esc-unmaterialized`` arm, which counts every
-filtered table but plans as the baseline, so every cell measures a
-sub-query; plan-quality runs the ``baseline`` arm against the ``esc`` arm.
+Overhead suites run the ``esc`` arm, which counts every filtered build
+table and pushes it down, so every cell measures a sub-query and its
+push-down; plan-quality runs the ``baseline`` arm against the ``esc`` arm.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ import numpy as np
 from . import optimizer
 from .catalog import Catalog
 from .engine import Engine
-from .errors import ScaleTooSmall
-from .optimizer import EscConfig
+from .errors import ScaleOutOfRange
 from .storage import (
     Column,
     ColumnTable,
@@ -71,7 +70,7 @@ class GenSpec:
         if self.benchmark not in BENCHMARKS:
             raise ValueError(f"benchmark must be one of {BENCHMARKS}")
         if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ScaleTooSmall(
+            raise ScaleOutOfRange(
                 f"scale must be a finite positive number, got {self.scale}"
             )
         if self.seed < 0:
@@ -79,9 +78,15 @@ class GenSpec:
 
 
 def _scaled(base: int, scale: float, what: str) -> int:
-    n = round(base * scale)
+    rows = base * scale
+    if rows >= 2**63:
+        raise ScaleOutOfRange(
+            f"scale {scale} yields {rows:g} rows for {what} "
+            "(more than int64 holds)"
+        )
+    n = round(rows)
     if n < 1:
-        raise ScaleTooSmall(
+        raise ScaleOutOfRange(
             f"scale {scale} yields {n} rows for {what} (needs >= 1)"
         )
     return n
@@ -443,9 +448,9 @@ def _timed_cells(
     Runs ``reps + 1`` rounds, each running ``sql`` once on every engine
     in turn, and discards the first (warm-up) round.  Alternating the
     arms rep by rep spreads any drift in the host's speed over every
-    arm alike.  Every run re-plans, so ESC sub-query and materialization
-    time lands inside ``time_ms``; ``overhead_ms`` reports the sub-query
-    share separately.
+    arm alike.  Every run re-plans, so ESC sub-query and push-down time
+    lands inside ``time_ms``; ``overhead_ms`` reports that share
+    separately.
     """
     times = {arm: [] for arm in engines}
     overheads = {arm: [] for arm in engines}
@@ -454,7 +459,7 @@ def _timed_cells(
         for arm, engine in engines.items():
             last[arm] = result = engine.run(sql)
             times[arm].append(result.time_ms)
-            overheads[arm].append(result.overhead_ms)
+            overheads[arm].append(result.plan.overhead_ms)
     return [
         {
             "query": query_label,
@@ -471,7 +476,7 @@ def _timed_cells(
 
 
 def _overhead_engine(tables: dict[str, ColumnTable], workers: int) -> Engine:
-    engine = Engine(EscConfig(arm="esc-unmaterialized"), workers)
+    engine = Engine(workers=workers)
     for t in tables.values():
         engine.catalog.register(t)
     return engine
@@ -491,7 +496,8 @@ _SCALE_TABLES = (
 def overhead_suite_scale(
     scales=(0.001, 0.01, 0.05), seed: int = 42, reps: int = 5, workers: int = 1
 ) -> BenchReport:
-    """3 scales x 3 joined tables, sub-query overhead per cell."""
+    """3 scales x 3 joined tables, sub-query and push-down overhead per
+    cell."""
     report = BenchReport("overhead-scale", "tpch_subset", list(scales), seed)
     for scale in scales:
         tables = generate(GenSpec("tpch_subset", scale, seed))
@@ -717,7 +723,7 @@ def plan_quality_suite(
     catalog = plan_quality_catalog(which, scale, seed)
     engines = {}
     for arm in ("baseline", "esc"):
-        engines[arm] = Engine(EscConfig(arm=arm), workers)
+        engines[arm] = Engine(arm, workers)
         engines[arm].catalog = catalog
     report = BenchReport(which, benchmark, scale, seed)
     for label, sql in queries:

@@ -20,7 +20,6 @@ from . import bench as bench_mod
 from . import frontend, optimizer
 from .engine import Engine
 from .errors import EscdbError, UsageError
-from .optimizer import EscConfig
 
 
 def _add_query_flags(p: argparse.ArgumentParser):
@@ -111,7 +110,7 @@ def _engine_from_args(args) -> Engine:
     flag, ``--load`` specs included, is a usage error before a file is
     opened."""
     try:
-        engine = Engine(config=EscConfig(arm=args.arm), workers=args.workers)
+        engine = Engine(arm=args.arm, workers=args.workers)
     except ValueError as e:
         raise UsageError(str(e)) from e
     for item in args.load:
@@ -141,7 +140,7 @@ def _load_table(engine: Engine, table, path, schema, has_header):
 def _result_payload(result, explain: bool) -> dict:
     payload: dict = {
         "time_ms": round(result.time_ms, 3),
-        "overhead_ms": round(result.overhead_ms, 3),
+        "overhead_ms": round(result.plan.overhead_ms, 3),
     }
     if result.is_count:
         payload["count"] = result.count

@@ -1,7 +1,8 @@
 """Engine facade: parse, analyze, plan, execute.
 
-Under arm ``esc`` every planning sub-query's row ids stand for a
-pushed-down temp table.  They belong to the plan that the returned
+The engine plans every query under one arm (``optimizer.ARMS``).  Under
+arm ``esc`` every planning sub-query's row ids stand for a pushed-down
+temp table.  They belong to the plan that the returned
 ``QueryResult`` holds and are freed with it, and queries sharing one
 engine never touch each other's row ids.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from . import frontend, optimizer
 from .catalog import Catalog
-from .optimizer import EscConfig, PhysicalPlan
+from .optimizer import PhysicalPlan
 from .storage import ColumnTable, load_csv, parse_kind
 
 
@@ -24,7 +25,6 @@ class QueryResult:
     plan: PhysicalPlan
     stats: object
     time_ms: float  # plan + execute, sub-queries included
-    overhead_ms: float  # planning-time sub-query + push-down cost
 
     @property
     def is_count(self) -> bool:
@@ -32,11 +32,12 @@ class QueryResult:
 
 
 class Engine:
-    def __init__(self, config: EscConfig | None = None, workers: int = 1):
+    def __init__(self, arm: str = "esc", workers: int = 1):
+        optimizer.check_arm(arm)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.catalog = Catalog()
-        self.config = config or EscConfig()
+        self.arm = arm
         self.workers = workers
 
     # -- data ------------------------------------------------------------
@@ -60,7 +61,7 @@ class Engine:
         ast = frontend.parse(sql)
         graph = frontend.analyze(ast, self.catalog)
         t0 = time.perf_counter()
-        plan = optimizer.plan(graph, self.catalog, self.config)
+        plan = optimizer.plan(graph, self.catalog, self.arm)
         rows, count, stats = optimizer.execute_plan(
             plan, self.catalog, workers=self.workers
         )
@@ -71,7 +72,6 @@ class Engine:
             plan=plan,
             stats=stats,
             time_ms=elapsed,
-            overhead_ms=plan.overhead_ms,
         )
 
 

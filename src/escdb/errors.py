@@ -109,8 +109,8 @@ class Inestimable(EscdbError):
     pass
 
 
-class ScaleTooSmall(EscdbError):
-    pass
+class ScaleOutOfRange(EscdbError):
+    """A generator scale that yields no rows, or more than int64 holds."""
 
 
 class UsageError(EscdbError):

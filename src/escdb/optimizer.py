@@ -2,21 +2,21 @@
 
 Instead of estimating predicate selectivities from synopses, the planner
 runs a generated COUNT sub-query at planning time per filtered,
-non-empty build table.  In arm ``esc`` every counted selection is pushed
-down: the row ids of the sub-query's mask stand for a temp table, which
-the build indexes in place of the filtered base table, so no filter runs
-twice.  The paper pushes down only selective
-filters because its temp table is a copy; here it is the ids the count
-already found.
+non-empty build table, and pushes every counted selection down: the row
+ids of the sub-query's mask stand for a temp table, which the build
+indexes in place of the filtered base table, so no filter runs twice.
+The paper pushes down only selective filters because its temp table is
+a copy; here it is the ids the count already found.
 
 Every arm orders the left-deep joins by one cost model: each stage keeps
 ``sel`` of the probe stream, and the builds go in ascending ``sel`` (rank
 ordering), which keeps the sum of intermediate results smallest for
 unique build keys.  The arms differ only in where ``sel`` comes from:
 ``esc`` uses ``count / rows`` of every table it counts; ``histogram``
-uses its estimated fraction; ``baseline`` and ``esc-unmaterialized`` have
-none.  A table without one ranks at 1.0 (assume it filters nothing), and
-ties go to the smaller base table, so the baseline orders by size.
+uses its estimated fraction; ``baseline`` has none and runs no
+sub-queries.  A table without one ranks at 1.0 (assume it filters
+nothing), and ties go to the smaller base table, so the baseline orders
+by size.
 """
 
 from __future__ import annotations
@@ -42,33 +42,15 @@ from .errors import (
 )
 from .frontend import JoinGraph
 
-ARMS = ("esc", "esc-unmaterialized", "baseline", "histogram")
+# where a build's sel comes from: exact counts, none, or histogram estimates
+ARMS = ("esc", "baseline", "histogram")
 # selectivity the histogram arm assumes for a predicate it cannot estimate
 DEFAULT_GUESS = 0.1
 
 
-@dataclass
-class EscConfig:
-    """Planner knobs.  ``arm`` picks where a build's ``sel``, its rank in
-    the join order, comes from:
-
-    * ``esc``: exact ``count / rows`` of every counted table, each of
-      which is pushed down;
-    * ``esc-unmaterialized``: runs the same sub-queries and records their
-      counts, but plans and executes exactly as ``baseline`` (the
-      overhead experiments use it);
-    * ``baseline``: none, so builds go by base cardinality; no sub-queries;
-    * ``histogram``: histogram estimates, no sub-queries.
-
-    The ESC arms count every non-probe table whose filter is not folded
-    to true and that has at least one row.
-    """
-
-    arm: str = "esc"
-
-    def __post_init__(self):
-        if self.arm not in ARMS:
-            raise ValueError(f"arm must be one of {ARMS}")
+def check_arm(arm: str):
+    if arm not in ARMS:
+        raise ValueError(f"arm must be one of {ARMS}, got {arm!r}")
 
 
 @dataclass
@@ -80,15 +62,15 @@ class EscDecision:
     exact_count: int
     row_count: int
     selectivity: Fraction  # exact_count / row_count, exact
-    pushed_down: bool  # row ids replace the scan: arm "esc"
+    pushed_down: bool  # always true: row ids replace the scan
     subquery_ms: float
-    materialize_ms: float = 0.0
+    materialize_ms: float
 
 
 @dataclass
 class PlanBuild:
-    """One build of the pipeline.  A pushed-down build (arm ``esc``,
-    counted table) indexes its base table at ``rows``, the temp table, and
+    """One build of the pipeline.  A pushed-down build (a table arm
+    ``esc`` counted) indexes its base table at ``rows``, the temp table, and
     has no residual; any other build filters its base table by
     ``residual``.  ``input_rows`` is what the build reads: the temp's size
     or the base table's rows."""
@@ -232,11 +214,12 @@ def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str) -> float
         return DEFAULT_GUESS
 
 
-def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
-    """Produce the physical plan; the ESC arms run COUNT sub-queries for
-    every non-probe table that has a predicate and at least one row, and
-    arm ``esc`` pushes down every counted table and ranks it by its exact
+def plan(graph: JoinGraph, catalog: Catalog, arm: str = "esc") -> PhysicalPlan:
+    """Produce the physical plan; arm ``esc`` runs a COUNT sub-query for
+    every non-probe table that has a predicate and at least one row,
+    pushes each counted table down and ranks it by its exact
     selectivity."""
+    check_arm(arm)
     row_counts = {a: catalog.table(graph.source[a]).row_count for a in graph.tables}
 
     probe = choose_probe(graph, row_counts)
@@ -244,8 +227,7 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
     decisions: list[EscDecision] = []
     temps: dict[str, np.ndarray] = {}
 
-    if config.arm in ("esc", "esc-unmaterialized"):
-        pushed = config.arm == "esc"
+    if arm == "esc":
         for alias in graph.tables:
             if alias == probe:
                 continue  # the probing side is never pushed down
@@ -258,10 +240,8 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
             count, mask, sub_ms = compute_exact_selectivity(
                 catalog, graph.source[alias], residual, alias
             )
-            mat_ms = 0.0
-            if pushed:
-                sel[alias] = count / rc
-                temps[alias], mat_ms = materialize_pushdown(mask)
+            sel[alias] = count / rc
+            temps[alias], mat_ms = materialize_pushdown(mask)
             decisions.append(
                 EscDecision(
                     table=alias,
@@ -269,12 +249,12 @@ def plan(graph: JoinGraph, catalog: Catalog, config: EscConfig) -> PhysicalPlan:
                     exact_count=count,
                     row_count=rc,
                     selectivity=Fraction(count, rc),
-                    pushed_down=pushed,
+                    pushed_down=True,
                     subquery_ms=sub_ms,
                     materialize_ms=mat_ms,
                 )
             )
-    elif config.arm == "histogram":
+    elif arm == "histogram":
         for alias in graph.tables:
             if alias == probe or graph.residual(alias) is None:
                 continue

@@ -34,7 +34,6 @@ from escdb.bench import (
     tpch4_queries,
 )
 from escdb.optimizer import (
-    EscConfig,
     compute_exact_selectivity,
     execute_plan,
     explain_text,
@@ -151,17 +150,15 @@ def test_criterion_7_esc_counts_every_filtered_build(tpch_catalog):
     graph = fe.analyze(fe.parse(sql), tpch_catalog)
     # both filtered build tables are counted, part's 200 rows included,
     # and the filtered probe is not
-    p = plan(graph, tpch_catalog, EscConfig())
+    p = plan(graph, tpch_catalog)
     assert p.probe_alias == "lineitem"
     assert {d.table for d in p.decisions} == {"orders", "part"}
     assert all(d.pushed_down for d in p.decisions)
-    unmat = plan(graph, tpch_catalog, EscConfig(arm="esc-unmaterialized"))
-    assert {d.table for d in unmat.decisions} == {"orders", "part"}
 
     # a filter folded to true, or none, gets no sub-query
     for part_filter in (" AND p_class <> 0.5", ""):
         text = sql.replace(" AND p_class < 200", part_filter)
-        p = plan(fe.analyze(fe.parse(text), tpch_catalog), tpch_catalog, EscConfig())
+        p = plan(fe.analyze(fe.parse(text), tpch_catalog), tpch_catalog)
         assert {d.table for d in p.decisions} == {"orders"}
 
     # an empty table gets no sub-query: its sel would divide by zero
@@ -170,7 +167,7 @@ def test_criterion_7_esc_counts_every_filtered_build(tpch_catalog):
     cat = make_catalog(
         tpch_catalog.table("lineitem"), tpch_catalog.table("orders"), empty
     )
-    p = plan(fe.analyze(fe.parse(sql), cat), cat, EscConfig())
+    p = plan(fe.analyze(fe.parse(sql), cat), cat)
     assert {d.table for d in p.decisions} == {"orders"}
     assert execute_plan(p, cat)[1] == 0
 
@@ -188,7 +185,7 @@ def test_criterion_8_runs_are_deterministic():
     texts = []
     for _ in range(2):
         cat = make_catalog(*generate(GenSpec("tpch_subset", 0.001, 42)).values())
-        p = plan(fe.analyze(fe.parse(sql), cat), cat, EscConfig())
+        p = plan(fe.analyze(fe.parse(sql), cat), cat)
         texts.append(re.sub(r"time_ms=\S+", "time_ms=*", explain_text(p)))
     assert texts[0] == texts[1]
 
@@ -199,7 +196,7 @@ def test_criterion_8_runs_are_deterministic():
         "WHERE l_orderkey = o_orderkey AND l_partkey = p_partkey "
         "AND o_channel < 200 AND p_class < 500"
     )
-    p = plan(fe.analyze(fe.parse(sql), cat), cat, EscConfig())
+    p = plan(fe.analyze(fe.parse(sql), cat), cat)
     results = []
     for workers in (1, 8):
         result, count, _ = execute_plan(p, cat, workers=workers)
@@ -216,15 +213,13 @@ def test_criterion_9_histogram_arm_changes_plans_not_results():
     """Over all 14 bench queries: the histogram arm never counts and never
     builds from fewer rows than ESC, and wherever the two arms order the
     builds differently, both orders give the same answer."""
-    esc_cfg = EscConfig()
-    hist_cfg = EscConfig(arm="histogram")
     order_differs = []
     for which, queries in (("tpch4", tpch4_queries()), ("ssb", ssb_queries())):
         cat = plan_quality_catalog(which, 0.01, 42)
         for label, sql in queries:
             graph = fe.analyze(fe.parse(sql), cat)
-            esc_plan = plan(graph, cat, esc_cfg)
-            hist_plan = plan(graph, cat, hist_cfg)
+            esc_plan = plan(graph, cat)
+            hist_plan = plan(graph, cat, "histogram")
             assert hist_plan.decisions == []  # estimates, never sub-queries
             assert hist_plan.build_card_sum >= esc_plan.build_card_sum, label
             if hist_plan.build_order == esc_plan.build_order:

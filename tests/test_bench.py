@@ -7,13 +7,14 @@ from escdb.bench import (
     BenchReport,
     GenSpec,
     SUITES,
+    _scaled,
     generate,
     overhead_suite_attributes,
     overhead_suite_scale,
     overhead_suite_selectivity,
     plan_quality_suite,
 )
-from escdb.errors import ScaleTooSmall
+from escdb.errors import ScaleOutOfRange
 from escdb.storage import dump_csv
 
 ROW_KEYS = {
@@ -109,13 +110,18 @@ class TestGenerator:
         assert years.min() == 1992 and years.max() == 1998
 
     def test_scale_zero_rejected(self):
-        with pytest.raises(ScaleTooSmall):
+        with pytest.raises(ScaleOutOfRange):
             GenSpec("tpch_subset", 0.0, 42)
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_scale_not_finite_positive_rejected(self, scale):
-        with pytest.raises(ScaleTooSmall, match="finite positive"):
+        with pytest.raises(ScaleOutOfRange, match="finite positive"):
             GenSpec("tpch_subset", scale, 42)
+
+    def test_scale_past_int64_rejected(self):
+        assert _scaled(1, 2.0**63 - 1024, "t") == 2**63 - 1024
+        with pytest.raises(ScaleOutOfRange, match="more than int64 holds"):
+            _scaled(1, 2.0**63, "t")
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -123,7 +129,7 @@ class TestGenerator:
         assert GenSpec("tpch_subset", 0.01, 0).seed == 0
 
     def test_scale_rounding_any_table_to_zero_rejected(self):
-        with pytest.raises(ScaleTooSmall):
+        with pytest.raises(ScaleOutOfRange):
             generate(GenSpec("tpch_subset", 0.00001, 42))
 
     def test_unknown_benchmark_rejected(self):
@@ -217,7 +223,6 @@ class TestOverheadSuites:
             assert set(r) == ROW_KEYS and r["arm"] == "esc"
             assert r["overhead_ms"] > 0.0
             assert len(r["decisions"]) == 1
-            assert r["decisions"][0]["pushdown"] is False  # measure-only mode
 
     def test_selectivity_suite_counts_track_fractions(self):
         fractions = (0.001, 0.1, 1.0)
@@ -235,6 +240,23 @@ class TestOverheadSuites:
         counts = [r["decisions"][0]["count"] for r in rep.rows]
         assert all(c > 0 for c in counts)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+    @pytest.mark.parametrize(
+        "suite,kwargs",
+        [
+            (overhead_suite_selectivity, {"scale": 0.001}),
+            (overhead_suite_attributes, {"scale": 0.001}),
+            (overhead_suite_scale, {"scales": (0.001,)}),
+        ],
+        ids=["selectivity", "attributes", "scale"],
+    )
+    def test_every_cell_measures_arm_esc(self, suite, kwargs):
+        """Each cell counts one table and pushes it down, so its
+        ``overhead_ms`` is the sub-query plus push-down cost."""
+        for r in suite(reps=1, **kwargs).rows:
+            (d,) = r["decisions"]
+            assert d["pushdown"] is True and d["temp_rows"] == d["count"]
 
 
 class TestPlanQualitySuite:

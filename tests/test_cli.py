@@ -568,6 +568,17 @@ class TestBench:
         assert err.startswith("error [engine]: scale must be a finite positive")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "suite,scale", [("tpch4", "1e308"), ("ssb", "1e300")]
+    )
+    def test_overflowing_scale_is_one_error_line(self, capsys, suite, scale):
+        rc = main(["bench", suite, "--scale", scale, "--reps", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [engine]: scale {float(scale)} yields ")
+        assert err.endswith("(more than int64 holds)\n")
+        assert err.count("\n") == 1
+
     def test_scale_for_overhead_scale_is_usage_error(self, capsys):
         rc = main(["bench", "overhead-scale", "--scale", "0.5", "--reps", "1"])
         assert rc == 2

@@ -11,7 +11,7 @@ from escdb import executor, frontend, optimizer
 from escdb.bench import plan_quality_catalog, ssb_queries, tpch4_queries
 from escdb.engine import Engine, parse_schema_spec
 from escdb.errors import ExecutionError, UnknownColumn
-from escdb.optimizer import EscConfig, materialize_pushdown
+from escdb.optimizer import materialize_pushdown
 from escdb.storage import (
     KIND_DATE,
     KIND_INT64,
@@ -45,7 +45,7 @@ class TestSchemaSpec:
 
 @pytest.fixture
 def engine(tmp_path):
-    eng = Engine(config=EscConfig())
+    eng = Engine()
     big = tmp_path / "big.csv"
     big.write_text(
         "".join(f"{i},{i % 7}\n" for i in range(1, 101))
@@ -79,7 +79,7 @@ class TestRun:
             "SELECT COUNT(*) FROM big, small WHERE b_id = s_k AND s_v = 0"
         )
         assert len(res.plan.decisions) == 1
-        assert res.overhead_ms > 0.0
+        assert res.plan.overhead_ms > 0.0
         assert res.count == 2  # s_k in {3, 6} both <= 100
 
     def test_temp_freed_with_result(self, engine):
@@ -113,7 +113,7 @@ class TestRun:
     def test_query_leaves_other_plans_temps_alone(self, engine):
         sql = PUSHDOWN_SQL.format(v=0)
         ra = frontend.analyze(frontend.parse(sql), engine.catalog)
-        first = optimizer.plan(ra, engine.catalog, engine.config)
+        first = optimizer.plan(ra, engine.catalog, engine.arm)
         assert any(d.pushed_down for d in first.decisions)
         (temp,) = [b.rows for b in first.builds if b.residual is None]
         second = engine.run(PUSHDOWN_SQL.format(v=1))
@@ -158,12 +158,12 @@ class TestRun:
             eng.run("SELECT COUNT(*) FROM f WHERE fails_on_80(f_id) >= 0")
 
     def test_baseline_engine_runs_no_subqueries(self, tmp_path, engine):
-        base = Engine(config=EscConfig(arm="baseline"))
+        base = Engine(arm="baseline")
         base.catalog = engine.catalog
         res = base.run(
             "SELECT COUNT(*) FROM big, small WHERE b_id = s_k AND s_v = 0"
         )
-        assert res.plan.decisions == [] and res.overhead_ms == 0.0
+        assert res.plan.decisions == [] and res.plan.overhead_ms == 0.0
         assert res.count == 2
 
 
@@ -391,7 +391,7 @@ class TestConcurrentQueries:
         for which in cls.SUITES:
             catalog = plan_quality_catalog(which, 0.01, 42)
             for arm in cls.ARMS:
-                engines[which, arm] = Engine(EscConfig(arm=arm), workers)
+                engines[which, arm] = Engine(arm, workers)
                 engines[which, arm].catalog = catalog
         return engines
 
@@ -448,7 +448,7 @@ class TestBenchmarkBuilds:
         for which, queries in TestConcurrentQueries.SUITES.items():
             catalog = plan_quality_catalog(which, 0.01, 42)
             for arm in ("esc", "baseline"):
-                engine = Engine(EscConfig(arm=arm))
+                engine = Engine(arm)
                 engine.catalog = catalog
                 for label, sql in queries:
                     for form in (sql, sql.replace("COUNT(*)", "*", 1)):

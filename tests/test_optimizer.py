@@ -18,14 +18,15 @@ from escdb.bench import (
     tpch4_queries,
 )
 from escdb.catalog import Catalog
+from escdb.engine import Engine
 from escdb.errors import (
     CartesianProductRequired,
     PlanError,
 )
 from escdb.executor import count_star
 from escdb.optimizer import (
+    ARMS,
     DEFAULT_GUESS,
-    EscConfig,
     choose_probe,
     compute_exact_selectivity,
     decision_json,
@@ -82,8 +83,8 @@ SHOP_SQL = (
 )
 
 
-def _plan_sql(cat, sql, config):
-    return plan(fe.analyze(fe.parse(sql), cat), cat, config)
+def _plan_sql(cat, sql, arm="esc"):
+    return plan(fe.analyze(fe.parse(sql), cat), cat, arm)
 
 
 class TestSubquery:
@@ -106,8 +107,8 @@ class TestPolicy:
     """Every filtered build table with rows is counted, and under arm
     ``esc`` every counted table is pushed down, whatever it keeps."""
 
-    def _pushed(self, cat, sql, config=EscConfig()):
-        p = _plan_sql(cat, sql, config)
+    def _pushed(self, cat, sql):
+        p = _plan_sql(cat, sql)
         return {b.alias: b.input_rows for b in p.builds if b.rows is not None}
 
     def test_wide_margin_qualifies(self, shop):
@@ -119,12 +120,12 @@ class TestPolicy:
         cat.register(shop.table("fact"))
         cat.register(_int_table("cust", 0, c_id=lambda i: i, c_band=lambda i: i))
         sql = "SELECT COUNT(*) FROM fact, cust WHERE f_cid = c_id AND c_band = 3"
-        p = _plan_sql(cat, sql, EscConfig())
+        p = _plan_sql(cat, sql)
         assert p.decisions == [] and p.builds[0].rows is None
 
     def test_zero_count_qualifies(self, shop):
         sql = SHOP_SQL.replace("c_band = 3", "c_band = 10")  # c_band is 0..9
-        p = _plan_sql(shop, sql, EscConfig())
+        p = _plan_sql(shop, sql)
         (cust,) = [d for d in p.decisions if d.table == "cust"]
         assert cust.exact_count == 0 and cust.pushed_down
         assert p.builds[0].alias == "cust" and p.builds[0].input_rows == 0
@@ -138,14 +139,18 @@ class TestPolicy:
             {"arm": "esc_unmaterialized"},
             {"arm": ""},
             {"arm": None},
+            {"arm": "esc-unmaterialized"},
         ],
     )
-    def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            EscConfig(**kwargs)
+    def test_config_validation(self, shop, kwargs):
+        with pytest.raises(ValueError, match="arm must be one of"):
+            Engine(**kwargs)
+        graph = fe.analyze(fe.parse(SHOP_SQL), shop)
+        with pytest.raises(ValueError, match="arm must be one of"):
+            plan(graph, shop, **kwargs)
 
     def test_selectivity_is_exact_fraction(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig())
+        p = _plan_sql(shop, SHOP_SQL)
         by_table = {d.table: d for d in p.decisions}
         assert by_table["cust"].selectivity == Fraction(1, 10)
         assert by_table["prod"].selectivity == Fraction(1, 3)
@@ -191,14 +196,14 @@ class TestOrdering:
         """tiny keeps 4 of its 80 rows, the most selective filter here;
         however small the table, its count ranks it first."""
         sql = SHOP_SQL.replace("t_x < 40", "t_x < 5")
-        p = _plan_sql(shop, sql, EscConfig())
+        p = _plan_sql(shop, sql)
         assert p.build_order == ["tiny", "cust", "prod"]
         assert p.builds[0].sel == 4 / 80
 
     def test_cartesian_product_rejected(self, shop):
         sql = "SELECT COUNT(*) FROM cust, prod WHERE c_band = 3 AND p_cls = 0"
         with pytest.raises(CartesianProductRequired):
-            _plan_sql(shop, sql, EscConfig(arm="baseline"))
+            _plan_sql(shop, sql, "baseline")
 
     @pytest.mark.parametrize(
         "edges",
@@ -210,7 +215,7 @@ class TestOrdering:
         cat.register(_int_table("b", 20, j1=lambda i: i % 10, j2=lambda i: i % 10))
         sql = f"SELECT COUNT(*) FROM a, b WHERE {edges}"
         assert len(fe.analyze(fe.parse(sql), cat).edges) == 1
-        p = _plan_sql(cat, sql, EscConfig(arm="baseline"))
+        p = _plan_sql(cat, sql, "baseline")
         assert execute_plan(p, cat)[1] == 18  # j1 in 1..9, twice each
 
     def test_composite_join_key_rejected(self):
@@ -221,21 +226,19 @@ class TestOrdering:
             _plan_sql(
                 cat,
                 "SELECT COUNT(*) FROM a, b WHERE k1 = j1 AND k2 = j2",
-                EscConfig(arm="baseline"),
+                "baseline",
             )
 
 
 class TestPlanArms:
     def test_single_table_short_circuit(self, shop):
-        p = _plan_sql(
-            shop, "SELECT COUNT(*) FROM cust WHERE c_band = 3", EscConfig()
-        )
+        p = _plan_sql(shop, "SELECT COUNT(*) FROM cust WHERE c_band = 3")
         assert p.builds == [] and p.decisions == []
         assert p.probe_alias == "cust" and p.probe_rows == 2000
         assert p.probe_pred is not None
 
     def test_esc_plan_shape(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig())
+        p = _plan_sql(shop, SHOP_SQL)
         # probe keeps its filter and is never counted or pushed
         assert p.probe_alias == "fact" and p.probe_pred is not None
         by_table = {d.table: d for d in p.decisions}
@@ -256,27 +259,14 @@ class TestPlanArms:
         assert p.build_card_sum == 200 + 400 + 39
 
     def test_baseline_plan_shape(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig(arm="baseline"))
+        p = _plan_sql(shop, SHOP_SQL, "baseline")
         assert p.decisions == []
         assert p.build_order == ["tiny", "prod", "cust"]
         assert all(b.rows is None for b in p.builds)
         assert p.build_card_sum == 80 + 1200 + 2000
 
-    def test_verdicts_without_materialization(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig(arm="esc-unmaterialized"))
-        assert {d.table for d in p.decisions} == {"cust", "prod", "tiny"}
-        assert not any(d.pushed_down for d in p.decisions)
-        # the verdicts' masks are dropped: every build re-filters
-        assert all(b.rows is None for b in p.builds)
-        # plan stays identical to baseline
-        base = _plan_sql(shop, SHOP_SQL, EscConfig(arm="baseline"))
-        assert p.build_order == base.build_order
-        assert p.build_card_sum == base.build_card_sum
-
     def test_histogram_arm_runs_no_subqueries(self, shop):
-        p = _plan_sql(
-            shop, SHOP_SQL, EscConfig(arm="histogram")
-        )
+        p = _plan_sql(shop, SHOP_SQL, "histogram")
         assert p.decisions == []
         # estimated fractions rank the builds: cust 0.1, prod 1/3, and
         # tiny about 0.49 for t_x < 40 over t_x in 1..80
@@ -289,16 +279,14 @@ class TestPlanArms:
             "WHERE f_cid = c_id AND f_pid = p_id AND f_tid = t_id "
             "AND h(c_band) < 1"
         )
-        p = _plan_sql(
-            shop, sql, EscConfig(arm="histogram")
-        )
+        p = _plan_sql(shop, sql, "histogram")
         # cust ranks at the guess 0.1; prod and tiny are unfiltered, tie
         # at 1.0, and the smaller base table goes first: 80 before 1200
         assert p.build_order == ["cust", "tiny", "prod"]
         assert [b.sel for b in p.builds] == [DEFAULT_GUESS, 1.0, 1.0]
 
     def test_temps_live_until_dropped(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig())
+        p = _plan_sql(shop, SHOP_SQL)
         temp = p.builds[0].rows  # cust's
         ref = weakref.ref(temp)
         del temp
@@ -337,7 +325,7 @@ class TestRankOrder:
         orders."""
         cat = bench_catalogs[which]
         graph = fe.analyze(fe.parse(sql), cat)
-        p = plan(graph, cat, EscConfig())
+        p = plan(graph, cat)
         decisions = {d.table: d for d in p.decisions}
         filtered = {
             a for a in graph.tables
@@ -394,19 +382,11 @@ def _micro_pred():
     )
 
 
-ARMS = [
-    ("esc", EscConfig()),
-    ("esc-unmaterialized", EscConfig(arm="esc-unmaterialized")),
-    ("baseline", EscConfig(arm="baseline")),
-    ("histogram", EscConfig(arm="histogram")),
-]
-
-
 class TestExecutePlan:
-    @pytest.mark.parametrize("arm,config", ARMS, ids=[a for a, _ in ARMS])
-    def test_count_matches_oracle_every_arm(self, micro, arm, config):
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_count_matches_oracle_every_arm(self, micro, arm):
         sql = f"SELECT COUNT(*) FROM mfact, ma, mb {MICRO_WHERE}"
-        p = _plan_sql(micro, sql, config)
+        p = _plan_sql(micro, sql, arm)
         result, count, stats = execute_plan(p, micro)
         want, _ = oracle_join(
             {n: micro.table(n) for n in ("mfact", "ma", "mb")}, _micro_pred()
@@ -414,10 +394,10 @@ class TestExecutePlan:
         assert want > 0
         assert result is None and count == want == stats.result_rows
 
-    @pytest.mark.parametrize("arm,config", ARMS, ids=[a for a, _ in ARMS])
-    def test_rows_match_oracle_every_arm(self, micro, arm, config):
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_rows_match_oracle_every_arm(self, micro, arm):
         sql = f"SELECT mf_q, a_v, b_w FROM mfact, ma, mb {MICRO_WHERE}"
-        p = _plan_sql(micro, sql, config)
+        p = _plan_sql(micro, sql, arm)
         result, count, _ = execute_plan(p, micro)
         projection = tuple(
             ex.ColumnRef(t, c)
@@ -433,7 +413,7 @@ class TestExecutePlan:
 
     def test_stats_reflect_plan_inputs(self, micro):
         sql = f"SELECT COUNT(*) FROM mfact, ma, mb {MICRO_WHERE}"
-        p = _plan_sql(micro, sql, EscConfig())
+        p = _plan_sql(micro, sql)
         _, _, stats = execute_plan(p, micro)
         # no join key is NULL, so each index holds the rows passing the
         # build's filter, which are the pushed-down rows it reads
@@ -446,13 +426,11 @@ class TestExecutePlan:
         assert stats.build_cards == want
         assert sum(want) == p.build_card_sum
 
-    @pytest.mark.parametrize(
-        "arm,passes", [("esc", 1), ("baseline", 1), ("esc-unmaterialized", 2)]
-    )
+    @pytest.mark.parametrize("arm,passes", [("esc", 1), ("baseline", 1)])
     def test_udf_runs_once_per_orders_row(self, arm, passes):
         """tpch4.4 filters orders through a row-by-row UDF.  Arm esc
         builds orders from the sub-query's mask, so the UDF sees each row
-        once, as in the baseline; esc-unmaterialized re-filters."""
+        once, as in the baseline."""
         calls = []
 
         def mix200(a, b):
@@ -467,7 +445,7 @@ class TestExecutePlan:
         star = sql.replace("SELECT COUNT(*)", "SELECT *", 1)
         for text in (sql, star):
             calls.clear()
-            p = _plan_sql(cat, text, EscConfig(arm=arm))
+            p = _plan_sql(cat, text, arm)
             execute_plan(p, cat)
             assert len(calls) == passes * cat.table("orders").row_count, text
         if arm == "esc":
@@ -482,7 +460,7 @@ class TestExplain:
     )
 
     def test_text_layout(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig())
+        p = _plan_sql(shop, SHOP_SQL)
         text = explain_text(p)
         lines = text.splitlines()
         esc_lines = [l for l in lines if l.startswith("ESC ")]
@@ -503,7 +481,7 @@ class TestExplain:
         assert tiny.endswith(" sel=0.487500")
 
     def test_json_schema(self, shop):
-        p = _plan_sql(shop, SHOP_SQL, EscConfig())
+        p = _plan_sql(shop, SHOP_SQL)
         j = explain_json(p)
         assert set(j) == {
             "probe", "builds", "projection", "build_card_sum", "decisions",
@@ -533,10 +511,6 @@ class TestExplain:
         assert by_table["cust"]["temp_rows"] == 200
         assert by_table["prod"]["temp_rows"] == 400
         assert by_table["tiny"]["temp_rows"] == 39
-        unpushed = explain_json(
-            _plan_sql(shop, SHOP_SQL, EscConfig(arm="esc-unmaterialized"))
-        )
-        assert [d["temp_rows"] for d in unpushed["decisions"]] == [None] * 3
         # given the run's stats, each stage's actual rows sit next to its
         # planned rows: the probe's filtered rows, then each build's output
         _, count, stats = execute_plan(p, shop)
@@ -551,6 +525,6 @@ class TestExplain:
     def test_decision_json_roundtrips_through_json(self, shop):
         import json
 
-        p = _plan_sql(shop, SHOP_SQL, EscConfig())
+        p = _plan_sql(shop, SHOP_SQL)
         for d in p.decisions:
             json.dumps(decision_json(d))  # all values JSON-serializable

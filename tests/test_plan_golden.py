@@ -2,7 +2,7 @@
 
 ``plan_golden.json`` records, for each of the 14 ``tpch4_queries()`` and
 ``ssb_queries()`` at scale 0.01, seed 42, in both the ``COUNT(*)`` and the
-``SELECT *`` form, under each of the four planner arms: the build order,
+``SELECT *`` form, under each of the three planner arms: the build order,
 each build's ``input_rows``, each ESC decision's ``(table, count,
 pushdown)``, the distinct keys of each built index, the tuples each probe
 stage produced, the result count, and for ``SELECT *`` a SHA-256 of the
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from escdb import frontend as fe
 from escdb.bench import plan_quality_catalog, ssb_queries, tpch4_queries
-from escdb.optimizer import ARMS, EscConfig, execute_plan, plan
+from escdb.optimizer import ARMS, execute_plan, plan
 
 GOLDEN = Path(__file__).with_name("plan_golden.json")
 
@@ -47,7 +47,7 @@ def plan_pins(workers: int = 1) -> dict:
             for form, text in (("count", sql), ("star", star)):
                 graph = fe.analyze(fe.parse(text), catalog)
                 for arm in ARMS:
-                    p = plan(graph, catalog, EscConfig(arm=arm))
+                    p = plan(graph, catalog, arm)
                     result, count, stats = execute_plan(p, catalog, workers=workers)
                     pin = {
                         "builds": [[b.alias, int(b.input_rows)] for b in p.builds],

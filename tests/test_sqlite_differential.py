@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from escdb.bench import GenSpec, generate
 from escdb.engine import Engine
-from escdb.optimizer import ARMS, EscConfig
+from escdb.optimizer import ARMS
 from escdb.storage import ColumnTable
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,7 +51,7 @@ def engines():
     lite = workloads._sqlite({"data": _renamed(data, "data", lite=True)})
     arms = {}
     for arm in ARMS:
-        arms[arm] = Engine(config=EscConfig(arm=arm))
+        arms[arm] = Engine(arm=arm)
         arms[arm].catalog.register(data)
     yield arms, lite
     lite.close()
@@ -215,7 +215,7 @@ def join_engines():
     engines = []
     for arm in ARMS:
         for workers in (1, 2):
-            eng = Engine(config=EscConfig(arm=arm), workers=workers)
+            eng = Engine(arm=arm, workers=workers)
             for name, t in tables.items():
                 eng.catalog.register(_renamed(t, name, lite=False))
             engines.append(eng)
@@ -256,7 +256,7 @@ def test_join_matches_sqlite(join_engines, query):
     (want,) = lite.execute(f"SELECT COUNT(*) FROM {tables} WHERE {lite_sql}").fetchone()
     for eng in engines:
         got = eng.run(f"SELECT COUNT(*) FROM {tables} WHERE {esc}").count
-        assert got == want, (eng.config.arm, eng.workers, esc, lite_sql)
+        assert got == want, (eng.arm, eng.workers, esc, lite_sql)
     ids = ", ".join(f"{name}.id" for name in tables.split(", "))
     want_rows = sorted(lite.execute(f"SELECT {ids} FROM {tables} WHERE {lite_sql}"))
     for eng in engines[:2]:

@@ -9,7 +9,6 @@ import pytest
 
 from escdb import executor, optimizer
 from escdb.engine import Engine
-from escdb.optimizer import EscConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,7 +27,7 @@ def test_trace_targets_install_and_uninstall(perfbench, tmp_path):
     tracer.install()
     try:
         assert all(vars(t.owner)[t.attr] is not o for t, o in zip(targets, originals))
-        engine = Engine(config=EscConfig())
+        engine = Engine()
         csv = tmp_path / "t.csv"
         csv.write_text("".join(f"{i},{i % 5}\n" for i in range(1, 21)))
         engine.load_csv_file(str(csv), "big", "b_id:int64,b_k:int64")

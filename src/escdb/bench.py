@@ -9,11 +9,10 @@ Two dataset families mirror the shapes the engine is measured on:
 * ``custom``: one wide mixed-kind table with a NULL knob, for property
   tests.
 
-The ``correlated`` knob makes selected column pairs exact copies
-(o_channel/o_segment, p_class/p_subclass) and lets lineitem inherit its
+Selected column pairs are exact copies (o_channel/o_segment,
+p_class/p_subclass, the custom table's a/b) and lineitem inherits its
 parent order's channel, so conjunctions over the pairs defeat any
-estimator that multiplies per-column selectivities.  ``zipf`` skews the
-custom table's value column.
+estimator that multiplies per-column selectivities.
 
 Suites time each cell through ``Engine.run``, whose clock covers plan
 and execute: each cell runs ``reps + 1`` times, the first
@@ -62,8 +61,6 @@ class GenSpec:
     benchmark: str
     scale: float = 0.01
     seed: int = 42
-    correlated: bool = True  # copy column pairs / inherit parent channel
-    zipf: float = 0.0  # >1 skews the custom value column
     null_fraction: float = 0.0  # custom only
 
     def __post_init__(self):
@@ -155,14 +152,13 @@ def _gen_tpch(spec: GenSpec) -> dict[str, ColumnTable]:
     g = _rng(spec.seed, 1)
     okey = np.arange(1, orders_n + 1, dtype=np.int64)
     channel = g.integers(0, 1000, orders_n)
-    segment = channel.copy() if spec.correlated else g.integers(0, 1000, orders_n)
     orders = ColumnTable(
         "orders",
         [
             _ints("o_orderkey", okey),
             _ints("o_custkey", g.integers(1, max(orders_n // 10, 1) + 1, orders_n)),
             _ints("o_channel", channel),
-            _ints("o_segment", segment),
+            _ints("o_segment", channel.copy()),
             _texts(
                 "o_orderstatus",
                 g.choice(3, orders_n, p=[0.49, 0.49, 0.02]),
@@ -176,9 +172,6 @@ def _gen_tpch(spec: GenSpec) -> dict[str, ColumnTable]:
     g = _rng(spec.seed, 2)
     lines = g.integers(1, 8, orders_n)
     nl = int(lines.sum())
-    l_orderchannel = (
-        np.repeat(channel, lines) if spec.correlated else g.integers(0, 1000, nl)
-    )
     lineitem = ColumnTable(
         "lineitem",
         [
@@ -186,7 +179,7 @@ def _gen_tpch(spec: GenSpec) -> dict[str, ColumnTable]:
             _ints("l_partkey", g.integers(1, part_n + 1, nl)),
             _ints("l_suppkey", g.integers(1, supp_n + 1, nl)),
             _ints("l_quantity", g.integers(1, 51, nl)),
-            _ints("l_orderchannel", l_orderchannel),
+            _ints("l_orderchannel", np.repeat(channel, lines)),
             _decimals("l_extendedprice", g.integers(10_000, 10_000_001, nl)),
             _dates("l_shipdate", g.integers(DAY_1992, DAY_1998_0802 + 1, nl)),
         ],
@@ -199,10 +192,7 @@ def _gen_tpch(spec: GenSpec) -> dict[str, ColumnTable]:
         [
             _ints("p_partkey", np.arange(1, part_n + 1, dtype=np.int64)),
             _ints("p_class", p_class),
-            _ints(
-                "p_subclass",
-                p_class.copy() if spec.correlated else g.integers(0, 1000, part_n),
-            ),
+            _ints("p_subclass", p_class.copy()),
             _texts(
                 "p_brand",
                 g.integers(0, 25, part_n),
@@ -326,11 +316,8 @@ _WORDS = ["alder", "birch", "cedar", "elm", "fir", "hazel", "larch", "maple", "o
 def _gen_custom(spec: GenSpec) -> dict[str, ColumnTable]:
     n = _scaled(1_000_000, spec.scale, "data")
     g = _rng(spec.seed, 21)
-    if spec.zipf > 1.0:
-        a = (g.zipf(spec.zipf, n) - 1) % 1000
-    else:
-        a = g.integers(0, 1000, n)
-    b = a.copy() if spec.correlated else g.integers(0, 1000, n)
+    a = g.integers(0, 1000, n)
+    b = a.copy()
 
     def nulls():
         if spec.null_fraction <= 0:

@@ -5,10 +5,21 @@ engine's own optimizer never estimates, it counts.  Estimation follows
 the textbook rules — uniform spread inside each equi-depth bucket,
 independence across conjuncts, inclusion-exclusion across disjuncts —
 which is exactly what makes it wrong on correlated data.
+
+The synopsis is an equi-depth histogram (Piatetsky-Shapiro & Connell,
+SIGMOD 1984) over any sorted int64 key.  It is built from one gather of
+the split points and one ``searchsorted`` of the boundaries into the
+sorted values, and read by one ``searchsorted`` of the constant over the
+upper boundaries: the buckets below it count in full, and only the
+bucket that holds it is interpolated.  A constant is compared with the
+boundaries as a Python number, never in float64, which is inexact past
+2**53; it is checked against the outer boundaries first, so only a
+value that fits in int64 reaches ``searchsorted``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,8 +106,6 @@ class EquiDepthHistogram:
     both ends.  ``counts`` are exact, ``distincts`` count distinct values
     per bucket (used for equality estimates)."""
 
-    table: str
-    column: str
     boundaries: np.ndarray
     counts: np.ndarray
     distincts: np.ndarray
@@ -124,74 +133,47 @@ def build_histogram(table: ColumnTable, column: str, buckets: int) -> EquiDepthH
     n = valid.size
     null_count = table.row_count - n
     if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
         return EquiDepthHistogram(
-            table.name,
-            column,
-            np.zeros(1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            null_count,
-            table.row_count,
+            np.zeros(1, dtype=np.int64), empty, empty, null_count, table.row_count
         )
     k = min(buckets, n)
     # equi-depth split points at value boundaries; duplicates collapse buckets
-    edges = [int(valid[0])]
-    for i in range(1, k + 1):
-        edge = int(valid[min(n - 1, (i * n) // k - 1)])
-        if edge > edges[-1]:
-            edges.append(edge)
-    if len(edges) == 1:
-        edges.append(edges[0])
-    boundaries = np.asarray(edges, dtype=np.int64)
-    counts = np.empty(len(boundaries) - 1, dtype=np.int64)
-    distincts = np.empty_like(counts)
-    lo_idx = 0
-    for b in range(len(counts)):
-        hi_idx = int(np.searchsorted(valid, boundaries[b + 1], side="right"))
-        if b == len(counts) - 1:
-            hi_idx = n
-        counts[b] = hi_idx - lo_idx
-        distincts[b] = int(np.unique(valid[lo_idx:hi_idx]).size)
-        lo_idx = hi_idx
+    splits = valid[np.arange(1, k + 1) * n // k - 1]
+    edges = np.unique(np.concatenate((valid[:1], splits)))
+    # a constant column is one bucket [v, v]
+    boundaries = edges if edges.size > 1 else np.repeat(edges, 2)
+    # every bucket holds its upper boundary, so none is empty
+    ends = np.searchsorted(valid, boundaries[1:], side="right")
+    starts = np.concatenate(([0], ends[:-1]))
+    first_of_value = np.concatenate(([True], valid[1:] != valid[:-1]))
+    distincts = np.add.reduceat(first_of_value, starts, dtype=np.int64)
     return EquiDepthHistogram(
-        table.name, column, boundaries, counts, distincts, null_count, table.row_count
+        boundaries, ends - starts, distincts, null_count, table.row_count
     )
-
-
-def _bucket_bounds(h: EquiDepthHistogram, b: int) -> tuple[int, int]:
-    return int(h.boundaries[b]), int(h.boundaries[b + 1])
 
 
 def _estimate_le(h: EquiDepthHistogram, v: float) -> float:
     """Estimated fraction of rows with value <= v (of all rows)."""
-    if h.counts.size == 0 or h.row_count == 0:
+    if h.counts.size == 0 or v < int(h.boundaries[0]):
         return 0.0
-    total = 0.0
-    for b in range(h.counts.size):
-        lo, hi = _bucket_bounds(h, b)
-        if v >= hi:
-            total += float(h.counts[b])
-        elif v < lo:
-            break
-        else:
-            span = hi - lo
-            frac = (v - lo + 1) / (span + 1) if span > 0 else 1.0
-            total += float(h.counts[b]) * min(1.0, max(0.0, frac))
-            break
-    return total / h.row_count
+    if v >= int(h.boundaries[-1]):
+        return float(h.counts.sum()) / h.row_count
+    # buckets whose upper boundary is <= v are full; bucket b holds v
+    b = int(np.searchsorted(h.boundaries[1:], math.floor(v), side="right"))
+    lo, hi = int(h.boundaries[b]), int(h.boundaries[b + 1])
+    frac = min(1.0, (v - lo + 1) / (hi - lo + 1))
+    return (float(h.counts[:b].sum()) + float(h.counts[b]) * frac) / h.row_count
 
 
 def _estimate_equality(h: EquiDepthHistogram, v: float) -> float:
-    if h.counts.size == 0 or h.row_count == 0:
+    if h.counts.size == 0 or v != int(v):
         return 0.0
-    if v != int(v):
+    if not int(h.boundaries[0]) <= v <= int(h.boundaries[-1]):
         return 0.0
-    for b in range(h.counts.size):
-        lo, hi = _bucket_bounds(h, b)
-        if (lo <= v <= hi) if b == 0 else (lo < v <= hi):
-            d = max(1, int(h.distincts[b]))
-            return float(h.counts[b]) / d / h.row_count
-    return 0.0
+    # the first bucket whose upper boundary is >= v holds v
+    b = int(np.searchsorted(h.boundaries[1:], int(v), side="left"))
+    return float(h.counts[b]) / int(h.distincts[b]) / h.row_count
 
 
 def _const_as_float(value) -> float:

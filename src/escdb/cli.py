@@ -38,7 +38,7 @@ def _add_query_flags(p: argparse.ArgumentParser):
     )
     p.add_argument(
         "--arm",
-        choices=("esc", "baseline", "histogram"),
+        choices=optimizer.ARMS,
         default="esc",
         help="where join-order selectivities come from: exact counts, "
         "none, or histogram estimates (default: esc)",

@@ -4,6 +4,8 @@ import pytest
 from escdb import expr as ex
 from escdb.catalog import (
     Catalog,
+    _estimate_equality,
+    _estimate_le,
     build_histogram,
     estimate_selectivity,
 )
@@ -90,6 +92,36 @@ class TestHistogram:
         assert h.counts.tolist() == [10]
         assert h.distincts.tolist() == [1]
         assert h.boundaries[0] == h.boundaries[-1] == 7
+
+    def test_duplicate_runs_straddling_splits_collapse_buckets(self):
+        # sorted non-NULL values: 1 1 1 2 2 2 2 2 3 5 5 5 5 9 9 9 10; the six
+        # split points (1, 2, 2, 5, 9, 10) collapse to four buckets
+        vals = [5, None, 1, 1, 1, 9, 2, 2, None, 2, 2, 2, 3, 5, 5, 5, 9, 9, 10, None]
+        h = build_histogram(_int_table("t", vals), "v", 6)
+        assert h.boundaries.tolist() == [1, 2, 5, 9, 10]
+        assert h.counts.tolist() == [8, 5, 3, 1]
+        assert h.distincts.tolist() == [2, 2, 1, 1]
+        assert (h.null_count, h.row_count) == (3, 20)
+
+    def test_estimates_exact_past_2_pow_53(self):
+        big, top = 2**53 + 1, 2**63 - 1
+        vals = [top, None, -big, big, 0, -(2**63), 2**53 - 1, -big, big]
+        h = build_histogram(_int_table("t", vals), "v", 8)
+        assert h.boundaries.tolist() == [-(2**63), -big, 0, 2**53 - 1, big, top]
+        assert h.counts.tolist() == [3, 1, 1, 2, 1]
+        expected = {
+            big: (0.7777777777777778, 0.2222222222222222),
+            -big: (0.3333333333333333, 0.16666666666666666),
+            # float(2**53 + 1) is 2**53, inside (2**53 - 1, 2**53 + 1]; a
+            # float64 comparison would take 2**53 + 1 <= 2**53 and read 7/9
+            float(big): (0.7037037037037037, 0.2222222222222222),
+            float(-big): (0.3333333333333333, 0.1111111111111111),
+            1e300: (0.8888888888888888, 0.0),
+            -1e300: (0.0, 0.0),
+            0.5: (0.4444444444444444, 0.0),
+        }
+        for v, (le, eq) in expected.items():
+            assert (_estimate_le(h, v), _estimate_equality(h, v)) == (le, eq), v
 
     def test_text_rejected(self):
         t = _int_table("t", [1, 2], extra_text=["a"])

@@ -119,8 +119,7 @@ def _decimals(name, cents, nulls=None):
 
 def _texts(name, codes, vocab, nulls=None):
     d = Dictionary()
-    for s in vocab:
-        d.encode(s)
+    d.encode_all(vocab)
     c = _ints(name, codes, nulls)
     return Column(name, KIND_TEXT, c.values, c.null_mask, d)
 

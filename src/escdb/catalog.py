@@ -178,7 +178,10 @@ def _estimate_equality(h: EquiDepthHistogram, v: float) -> float:
 
 def _const_as_float(value) -> float:
     if isinstance(value, (int, np.integer)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise Inestimable("constant out of float range") from None
     if isinstance(value, float):
         return value
     raise Inestimable(f"constant {value!r} is not numeric")

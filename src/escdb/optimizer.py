@@ -104,10 +104,6 @@ class PhysicalPlan:
         return sum(b.input_rows for b in self.builds)
 
     @property
-    def build_order(self) -> list[str]:
-        return [b.alias for b in self.builds]
-
-    @property
     def overhead_ms(self) -> float:
         """Planning-time sub-query plus push-down cost."""
         return sum(d.subquery_ms + d.materialize_ms for d in self.decisions)

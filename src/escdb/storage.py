@@ -3,15 +3,14 @@
 All column kinds are backed by dense ``int64`` vectors plus a null mask:
 DECIMAL(p, s) is stored as the value scaled by 10**s, DATE as days since
 1970-01-01, and TEXT as codes into a per-column dictionary.  Tables are
-immutable once loaded; "appending" returns a grown copy so loaders can
-batch without mutating anything a reader might hold.
+immutable once built.
 
-CSV loads and dumps go a column at a time: ``load_csv`` converts each
-column with one operation per kind and checks int64 range and DECIMAL
-precision per column.  A cell in any other form, or any failure, sends the
-whole batch through ``append_rows``, the per-cell path, whose error names
-the first bad row and column.  ``dump_csv`` decodes each column to strings
-once.
+CSV loads and dumps go a column at a time.  ``load_csv`` converts each
+column with one operation per kind.  A column with a cell in another form,
+or a bad cell, is parsed cell by cell, that column alone, which finds
+its first bad row.  The first bad cell in row-major order is reported with
+its row and column; DECIMAL precision is checked after that, column by
+column.  ``dump_csv`` decodes each column to strings once.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ import re
 from dataclasses import dataclass
 from datetime import date as _date
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    ArityMismatch,
     CsvError,
     EmptySchema,
     LengthMismatch,
@@ -164,17 +162,9 @@ class Dictionary:
     def __len__(self):
         return len(self._strings)
 
-    def encode(self, s: str) -> int:
-        code = self._code_of.get(s)
-        if code is None:
-            code = len(self._strings)
-            self._code_of[s] = code
-            self._strings.append(s)
-        return code
-
     def encode_all(self, strings: Sequence[str]) -> np.ndarray:
-        """Codes for ``strings``, as ``encode`` gives them one by one: new
-        strings get the next codes in order of first appearance."""
+        """Codes for ``strings``, inserting the new ones: they get the next
+        codes in order of first appearance."""
         new = [s for s in dict.fromkeys(strings) if s not in self._code_of]
         first = len(self._strings)
         self._code_of.update(zip(new, range(first, first + len(new))))
@@ -306,101 +296,6 @@ _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _convert_cell(raw, kind: ColumnKind, dictionary: Dictionary) -> tuple[int, bool]:
-    """Convert one python/text cell to (int64 value, is_null)."""
-    if raw is None:
-        return 0, True
-    if kind.is_text:
-        if not isinstance(raw, str):
-            raise TypeMismatch(f"expected TEXT value, got {raw!r}")
-        return dictionary.encode(raw), False
-    if kind.name == DATE:
-        if isinstance(raw, str):
-            return date_to_days(raw), False
-        if isinstance(raw, int):
-            return raw, False
-        raise TypeMismatch(f"expected DATE value, got {raw!r}")
-    if kind.is_decimal:
-        if isinstance(raw, str):
-            return parse_decimal_scaled(raw, kind.scale), False
-        if isinstance(raw, int):
-            # already scaled
-            return raw, False
-        raise TypeMismatch(f"expected DECIMAL value, got {raw!r}")
-    # INT64
-    if isinstance(raw, (int, np.integer)) and not isinstance(raw, bool):
-        return int(raw), False
-    if isinstance(raw, str):
-        try:
-            return int(raw.strip()), False
-        except ValueError:
-            raise TypeMismatch(f"expected INT64 value, got {raw!r}") from None
-    raise TypeMismatch(f"expected INT64 value, got {raw!r}")
-
-
-def append_rows(
-    table: ColumnTable, rows: Iterable[Sequence], first_row_number: int = 1
-) -> ColumnTable:
-    """Return a new table with ``rows`` appended.
-
-    TEXT values are dictionary-encoded on insert; strings parse per the
-    column kind, and a DECIMAL may hold at most ``precision`` digits.
-    Raises ArityMismatch/TypeMismatch on bad input, citing the offending
-    row number (``first_row_number`` labels the first row, so loaders can
-    report file line numbers).
-    """
-    rows = list(rows)
-    width = len(table.columns)
-    fresh = []
-    for col in table.columns:
-        values = np.empty(len(rows), dtype=np.int64)
-        nulls = np.zeros(len(rows), dtype=bool)
-        fresh.append((values, nulls))
-    for rix, row in enumerate(rows):
-        if len(row) != width:
-            raise ArityMismatch(
-                f"table {table.name!r}: row {first_row_number + rix}: "
-                f"has {len(row)} values, expected {width}"
-            )
-        for cix, col in enumerate(table.columns):
-            try:
-                value, is_null = _convert_cell(row[cix], col.kind, col.dictionary)
-                if not _INT64_MIN <= value <= _INT64_MAX:
-                    raise TypeMismatch(
-                        f"{col.kind} value {row[cix]!r} does not fit in int64"
-                    )
-            except TypeMismatch as exc:
-                raise TypeMismatch(
-                    f"table {table.name!r}: row {first_row_number + rix}, "
-                    f"column {col.name!r}: {exc}"
-                ) from None
-            fresh[cix][0][rix] = value
-            fresh[cix][1][rix] = is_null
-    for cix, col in enumerate(table.columns):
-        if col.kind.is_decimal:
-            limit = 10**col.kind.precision  # NULL cells hold 0
-            values = fresh[cix][0]
-            bad = np.flatnonzero((values >= limit) | (values <= -limit))
-            if bad.size:
-                rix = int(bad[0])
-                raise TypeMismatch(
-                    f"table {table.name!r}: row {first_row_number + rix}, "
-                    f"column {col.name!r}: {col.kind} value {rows[rix][cix]!r} "
-                    f"has more than {col.kind.precision} digits"
-                )
-    merged = [
-        Column(
-            c.name,
-            c.kind,
-            np.concatenate([c.values, fresh[i][0]]),
-            np.concatenate([c.null_mask, fresh[i][1]]),
-            c.dictionary,
-        )
-        for i, c in enumerate(table.columns)
-    ]
-    return ColumnTable(table.name, merged)
-
-
 def _column_text(value: str, cells: list[str]) -> str | None:
     """``cells`` joined by newlines if each one is a full match of the
     regex ``value`` (which matches no newline), else None: one regex pass
@@ -420,64 +315,109 @@ def _decimal_form(scale: int) -> str:
     return f"-?[0-9]+\\.[0-9]{{{scale}}}" if scale else "-?[0-9]+"
 
 
-def _convert_column(cells: Sequence[str | None], kind: ColumnKind):
-    """One CSV column's cells (None for NULL) converted at once: (values,
-    null mask), where TEXT values are the strings still to encode and the
-    other values leave out the NULLs.  Returns None, or raises ValueError
-    or OverflowError, when some cell needs the per-cell path: a form read
-    only there, or a value past int64 or the DECIMAL precision."""
-    nulls = np.zeros(len(cells), dtype=bool)
-    if None in cells:
-        nulls = np.array([c is None for c in cells], dtype=bool)
-        cells = [c for c in cells if c is not None]
-    if not cells or kind.is_text:
-        return cells, nulls
+def _convert_column(cells: list[str], kind: ColumnKind) -> np.ndarray | None:
+    """A numeric column's non-NULL CSV cells converted with one operation.
+    Returns None, or raises ValueError or OverflowError, when some cell
+    needs ``_parse_cell``: a form read only there, or a value past int64."""
+    if not cells:
+        return np.empty(0, dtype=np.int64)
     if kind.name == INT64:
-        # int() strips what the per-cell path's strip() strips, except
-        # \x1c-\x1f: there it raises, and the batch goes per cell
-        values = np.fromiter(map(int, cells), np.int64, len(cells))
-    elif kind.name == DATE:
+        # int() strips what _parse_cell's strip() strips, except \x1c-\x1f:
+        # there it raises, and the column goes per cell
+        return np.fromiter(map(int, cells), np.int64, len(cells))
+    if kind.name == DATE:
         if _column_text(_ISO_DATE, cells) is None:
             return None
         days = map(_date.toordinal, map(_date.fromisoformat, cells))
-        values = np.fromiter(days, np.int64, len(cells)) - _EPOCH_ORDINAL
+        return np.fromiter(days, np.int64, len(cells)) - _EPOCH_ORDINAL
+    text = _column_text(_decimal_form(kind.scale), cells)
+    if text is None:
+        return None
+    scaled = map(int, text.replace(".", "").split("\n"))
+    return np.fromiter(scaled, np.int64, len(cells))
+
+
+def _parse_cell(cell: str, kind: ColumnKind) -> int:
+    """One non-NULL numeric cell as its stored int64."""
+    if kind.name == DATE:
+        return date_to_days(cell)
+    if kind.is_decimal:
+        value = parse_decimal_scaled(cell, kind.scale)
     else:
-        text = _column_text(_decimal_form(kind.scale), cells)
-        if text is None:
-            return None
-        scaled = map(int, text.replace(".", "").split("\n"))
-        values = np.fromiter(scaled, np.int64, len(cells))
-        limit = 10**kind.precision
-        if ((values >= limit) | (values <= -limit)).any():
-            return None
-    return values, nulls
+        try:
+            value = int(cell.strip())
+        except ValueError:
+            raise TypeMismatch(f"expected INT64 value, got {cell!r}") from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise TypeMismatch(f"{kind} value {cell!r} does not fit in int64")
+    return value
+
+
+class _BadCell(Exception):
+    """A column's first cell that does not parse; args are its row index
+    and the parser's message."""
+
+
+def _load_column(col: Column, cells: Sequence[str | None]) -> Column:
+    """The empty ``col`` with its CSV ``cells`` (None for NULL) loaded: with
+    one operation when ``_convert_column`` takes the column, else cell by
+    cell, raising _BadCell at the first bad cell."""
+    nulls = np.zeros(len(cells), dtype=bool)
+    present = cells
+    if None in cells:
+        nulls = np.array([c is None for c in cells], dtype=bool)
+        present = [c for c in cells if c is not None]
+    if col.kind.is_text:
+        values = col.dictionary.encode_all(present)
+    else:
+        try:
+            values = _convert_column(present, col.kind)
+        except (ValueError, OverflowError):
+            values = None
+    full = np.zeros(len(cells), dtype=np.int64)
+    if values is not None:
+        full[~nulls] = values
+    else:
+        for rix, cell in enumerate(cells):
+            if cell is not None:
+                try:
+                    full[rix] = _parse_cell(cell, col.kind)
+                except TypeMismatch as exc:
+                    raise _BadCell(rix, str(exc)) from None
+    return Column(col.name, col.kind, full, nulls, col.dictionary)
 
 
 def _load_columns(
     table: ColumnTable, cols: list[Sequence[str | None]], first_row_number: int
 ) -> ColumnTable:
-    """The empty ``table`` with the transposed CSV cells ``cols`` appended a
-    column at a time.  Any failure sends the batch through ``append_rows``,
-    which raises the error; np.fromiter raising OverflowError is the int64
-    range check."""
-    try:
-        converted = [
-            _convert_column(cells, col.kind)
-            for col, cells in zip(table.columns, cols)
-        ]
-    except (ValueError, OverflowError):
-        converted = [None]
-    if None in converted:
-        return append_rows(table, zip(*cols), first_row_number)
-    # encoded once every column converted, so a batch that falls back to
-    # append_rows finds its dictionaries empty
-    columns = []
-    for col, (values, nulls) in zip(table.columns, converted):
-        if col.kind.is_text:
-            values = col.dictionary.encode_all(values)
-        full = np.zeros(len(nulls), dtype=np.int64)
-        full[~nulls] = values
-        columns.append(Column(col.name, col.kind, full, nulls, col.dictionary))
+    """The empty ``table`` with the transposed CSV cells ``cols`` loaded a
+    column at a time.  Of the bad cells, the first in row-major order is
+    reported; only when there is none is DECIMAL precision checked, column
+    by column."""
+    columns, bad = [], []
+    for cix, (col, cells) in enumerate(zip(table.columns, cols)):
+        try:
+            columns.append(_load_column(col, cells))
+        except _BadCell as exc:
+            rix, message = exc.args
+            bad.append((rix, cix, message))
+    if bad:
+        rix, cix, message = min(bad)
+        raise TypeMismatch(
+            f"table {table.name!r}: row {first_row_number + rix}, "
+            f"column {table.columns[cix].name!r}: {message}"
+        )
+    for cix, col in enumerate(columns):
+        if col.kind.is_decimal:
+            limit = 10**col.kind.precision  # NULL cells hold 0
+            over = np.flatnonzero((col.values >= limit) | (col.values <= -limit))
+            if over.size:
+                rix = int(over[0])
+                raise TypeMismatch(
+                    f"table {table.name!r}: row {first_row_number + rix}, "
+                    f"column {col.name!r}: {col.kind} value {cols[cix][rix]!r} "
+                    f"has more than {col.kind.precision} digits"
+                )
     return ColumnTable(table.name, columns)
 
 

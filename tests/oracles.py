@@ -12,14 +12,119 @@ containers themselves.  Semantics mirrored deliberately:
   dictionary codes / uses lookup tables — bijection makes them agree),
 * UDFs receive float arguments: DECIMAL descaled by 10**-scale, DATE as
   epoch days, and a result of None or NaN is NULL.
+
+``append_rows`` is the per-cell reference for ``load_csv``, and
+``load_rows`` builds the tables the tests run on.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 
+import numpy as np
+
 from escdb import expr as ex
-from escdb.storage import ColumnTable
+from escdb.errors import TypeMismatch
+from escdb.storage import (
+    DATE,
+    NULL_TOKEN,
+    Column,
+    ColumnKind,
+    ColumnTable,
+    Dictionary,
+    date_to_days,
+    load_csv,
+    parse_decimal_scaled,
+)
+
+
+def load_rows(name, schema, rows) -> ColumnTable:
+    """``rows`` loaded through ``load_csv``: None as NULL, other values
+    written with ``str``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [NULL_TOKEN if v is None else str(v) for v in row] for row in rows
+    )
+    return load_csv(out.getvalue(), name, schema)
+
+
+# ---------------------------------------------------------------------------
+# Per-cell CSV conversion
+# ---------------------------------------------------------------------------
+
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+
+
+def _convert_cell(raw, kind: ColumnKind, dictionary: Dictionary) -> tuple[int, bool]:
+    """Convert one text cell (None for NULL) to (int64 value, is_null)."""
+    if raw is None:
+        return 0, True
+    if kind.is_text:
+        return int(dictionary.encode_all([raw])[0]), False
+    if kind.name == DATE:
+        return date_to_days(raw), False
+    if kind.is_decimal:
+        return parse_decimal_scaled(raw, kind.scale), False
+    try:
+        return int(raw.strip()), False
+    except ValueError:
+        raise TypeMismatch(f"expected INT64 value, got {raw!r}") from None
+
+
+def append_rows(table: ColumnTable, rows, first_row_number: int = 1) -> ColumnTable:
+    """Return a new table with the text ``rows`` appended, one cell at a
+    time.  Strings parse per the column kind, and a DECIMAL may hold at
+    most ``precision`` digits.  Raises TypeMismatch at the first bad cell
+    in row-major order, citing its row (``first_row_number`` labels the
+    first row) and column; precision is checked after every cell converted,
+    column by column."""
+    rows = list(rows)
+    fresh = []
+    for col in table.columns:
+        values = np.empty(len(rows), dtype=np.int64)
+        nulls = np.zeros(len(rows), dtype=bool)
+        fresh.append((values, nulls))
+    for rix, row in enumerate(rows):
+        for cix, col in enumerate(table.columns):
+            try:
+                value, is_null = _convert_cell(row[cix], col.kind, col.dictionary)
+                if not _INT64_MIN <= value <= _INT64_MAX:
+                    raise TypeMismatch(
+                        f"{col.kind} value {row[cix]!r} does not fit in int64"
+                    )
+            except TypeMismatch as exc:
+                raise TypeMismatch(
+                    f"table {table.name!r}: row {first_row_number + rix}, "
+                    f"column {col.name!r}: {exc}"
+                ) from None
+            fresh[cix][0][rix] = value
+            fresh[cix][1][rix] = is_null
+    for cix, col in enumerate(table.columns):
+        if col.kind.is_decimal:
+            limit = 10**col.kind.precision  # NULL cells hold 0
+            values = fresh[cix][0]
+            bad = np.flatnonzero((values >= limit) | (values <= -limit))
+            if bad.size:
+                rix = int(bad[0])
+                raise TypeMismatch(
+                    f"table {table.name!r}: row {first_row_number + rix}, "
+                    f"column {col.name!r}: {col.kind} value {rows[rix][cix]!r} "
+                    f"has more than {col.kind.precision} digits"
+                )
+    merged = [
+        Column(
+            c.name,
+            c.kind,
+            np.concatenate([c.values, fresh[i][0]]),
+            np.concatenate([c.null_mask, fresh[i][1]]),
+            c.dictionary,
+        )
+        for i, c in enumerate(table.columns)
+    ]
+    return ColumnTable(table.name, merged)
 
 
 class _Col:

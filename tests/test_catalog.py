@@ -17,14 +17,9 @@ from escdb.errors import (
     UnknownTable,
     UnsupportedColumnKind,
 )
-from escdb.storage import (
-    ColumnTable,
-    KIND_INT64,
-    KIND_TEXT,
-    append_rows,
-)
+from escdb.storage import ColumnTable, KIND_INT64, KIND_TEXT
 
-from oracles import oracle_count
+from oracles import load_rows, oracle_count
 
 
 def _int_table(name, values, extra_text=None):
@@ -33,11 +28,11 @@ def _int_table(name, values, extra_text=None):
         schema.append(("t", KIND_TEXT))
     rows = []
     for i, v in enumerate(values):
-        row = [None if v is None else str(v)]
+        row = [v]
         if extra_text is not None:
             row.append(extra_text[i % len(extra_text)])
         rows.append(row)
-    return append_rows(ColumnTable.empty(name, schema), rows)
+    return load_rows(name, schema, rows)
 
 
 class TestCatalogRegistry:
@@ -138,10 +133,7 @@ class TestHistogram:
 
     def test_catalog_cache_keyed_by_table_and_column(self):
         cat = Catalog()
-        t = append_rows(
-            ColumnTable.empty("t", [("a", KIND_INT64), ("b", KIND_INT64)]),
-            [["1", "5"], ["2", "6"]],
-        )
+        t = load_rows("t", [("a", KIND_INT64), ("b", KIND_INT64)], [[1, 5], [2, 6]])
         cat.register(t)
         assert cat.histogram("t", "a") is cat.histogram("t", "a")
         assert cat.histogram("t", "a") is not cat.histogram("t", "b")
@@ -283,8 +275,8 @@ class TestEstimates:
         """
         rng = np.random.default_rng(23)
         a = rng.integers(0, 1000, size=20_000)
-        t = ColumnTable.empty("t", [("a", KIND_INT64), ("b", KIND_INT64)])
-        t = append_rows(t, [[str(x), str(x)] for x in a.tolist()])
+        schema = [("a", KIND_INT64), ("b", KIND_INT64)]
+        t = load_rows("t", schema, [[x, x] for x in a.tolist()])
         hists = {
             "a": build_histogram(t, "a", 64),
             "b": build_histogram(t, "b", 64),

@@ -318,6 +318,17 @@ class TestJoinFlags:
         assert "ESC table=" not in out
         assert out.endswith("count: 1\n")
 
+    def test_constant_past_float_range_same_count_on_both_arms(
+        self, csv_t, csv_u_hdr, capsys
+    ):
+        # the histogram arm cannot estimate t's filter and uses its guess
+        sql = "SELECT COUNT(*) FROM t, u WHERE id = cid AND id <= 1" + "0" * 400
+        for arm in ["esc", "histogram"]:
+            argv = self._argv(csv_t, csv_u_hdr, "--arm", arm)
+            argv[1] = sql
+            assert main(argv) == 0
+            assert capsys.readouterr().out == "count: 3\n"
+
     def test_workers_flag_accepted(self, csv_t, csv_u_hdr, capsys):
         rc = main(self._argv(csv_t, csv_u_hdr, "--workers", "4"))
         assert rc == 0

@@ -16,12 +16,10 @@ from escdb.storage import (
     KIND_DATE,
     KIND_INT64,
     KIND_TEXT,
-    ColumnTable,
-    append_rows,
     load_csv,
 )
 
-from oracles import oracle_count
+from oracles import load_rows, oracle_count
 from test_plan_golden import result_digest
 
 
@@ -185,7 +183,7 @@ class TestNullsUnderNot:
     def engines(self):
         eng = Engine()
         schema = [("a", KIND_INT64), ("b", KIND_INT64)]
-        eng.catalog.register(append_rows(ColumnTable.empty("t", schema), self.ROWS))
+        eng.catalog.register(load_rows("t", schema, self.ROWS))
         lite = sqlite3.connect(":memory:")
         lite.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
         lite.executemany("INSERT INTO t VALUES (?, ?)", self.ROWS)
@@ -228,7 +226,7 @@ class TestUdfNullResults:
     def engines(self):
         eng = Engine()
         schema = [("a", KIND_INT64)]
-        eng.catalog.register(append_rows(ColumnTable.empty("t", schema), self.ROWS))
+        eng.catalog.register(load_rows("t", schema, self.ROWS))
         eng.register_udf("f", 1, _null_on_2_nan_on_3)
         lite = sqlite3.connect(":memory:")
         lite.execute("CREATE TABLE t (a INTEGER)")
@@ -255,7 +253,7 @@ class TestUdfNullResults:
         eng = Engine(workers=workers)
         schema = [("a", KIND_INT64)]
         rows = [(i,) for i in range(10)]
-        eng.catalog.register(append_rows(ColumnTable.empty("t", schema), rows))
+        eng.catalog.register(load_rows("t", schema, rows))
         eng.register_udf("g", 1, lambda a: "x" if a == 7 else a)
         with pytest.raises(ExecutionError, match="returned 'x' at row 7, not a number"):
             eng.run("SELECT COUNT(*) FROM t WHERE g(a) < 5")
@@ -332,7 +330,7 @@ class TestProbeEdgeCases:
         for name, rows in self._rows().items():
             cols = self.SCHEMAS[name].split()
             schema = [(c, KIND_INT64) for c in cols]
-            table = append_rows(ColumnTable.empty(name, schema), rows)
+            table = load_rows(name, schema, rows)
             for eng in engines.values():
                 eng.catalog.register(table)
             lite.execute(f"CREATE TABLE {name} ({', '.join(cols)})")

@@ -16,9 +16,9 @@ from escdb.executor import (
     eval_predicate,
     probe_joins,
 )
-from escdb.storage import ColumnTable, KIND_INT64, KIND_TEXT, append_rows
+from escdb.storage import ColumnTable, KIND_INT64
 
-from oracles import oracle_join, oracle_select, table_multiset
+from oracles import load_rows, oracle_join, oracle_select, table_multiset
 
 
 class PredGen:
@@ -157,11 +157,7 @@ def _int_col_table(name, **columns):
     """Build a table of INT64 columns from python lists (None = NULL)."""
     names = list(columns)
     schema = [(n, KIND_INT64) for n in names]
-    rows = zip(*(columns[n] for n in names))
-    return append_rows(
-        ColumnTable.empty(name, schema),
-        [[None if v is None else str(v) for v in row] for row in rows],
-    )
+    return load_rows(name, schema, zip(*(columns[n] for n in names)))
 
 
 def _group(idx, g):

@@ -18,13 +18,13 @@ from escdb.errors import (
     UnsupportedPredicate,
 )
 from escdb.storage import (
-    ColumnTable,
     KIND_DATE,
     KIND_INT64,
     KIND_TEXT,
-    append_rows,
     decimal,
 )
+
+from oracles import load_rows
 
 
 def render_query(q: fe.AstQuery) -> str:
@@ -45,15 +45,11 @@ def render_query(q: fe.AstQuery) -> str:
     return text
 
 
-def _table(name, schema, rows):
-    return append_rows(ColumnTable.empty(name, schema), rows)
-
-
 @pytest.fixture(scope="module")
 def catalog():
     cat = Catalog()
     cat.register(
-        _table(
+        load_rows(
             "items",
             [
                 ("id", KIND_INT64),
@@ -70,7 +66,7 @@ def catalog():
         )
     )
     cat.register(
-        _table(
+        load_rows(
             "boxes",
             [("id", KIND_INT64), ("item_id", KIND_INT64), ("weight", KIND_INT64)],
             [["1", "1", "5"], ["2", "3", "7"]],

@@ -37,16 +37,22 @@ from escdb.optimizer import (
     order_builds,
     plan,
 )
-from escdb.storage import ColumnTable, KIND_INT64, append_rows
+from escdb.storage import KIND_INT64
 
-from oracles import oracle_count, oracle_join, oracle_select, table_multiset
+from oracles import (
+    load_rows,
+    oracle_count,
+    oracle_join,
+    oracle_select,
+    table_multiset,
+)
 
 
 def _int_table(name, n, **cols):
     """INT64 table with columns given as fn(row_id) over ids 1..n."""
     schema = [(c, KIND_INT64) for c in cols]
-    rows = [[str(fn(i)) for fn in cols.values()] for i in range(1, n + 1)]
-    return append_rows(ColumnTable.empty(name, schema), rows)
+    rows = [[fn(i) for fn in cols.values()] for i in range(1, n + 1)]
+    return load_rows(name, schema, rows)
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +203,7 @@ class TestOrdering:
         however small the table, its count ranks it first."""
         sql = SHOP_SQL.replace("t_x < 40", "t_x < 5")
         p = _plan_sql(shop, sql)
-        assert p.build_order == ["tiny", "cust", "prod"]
+        assert [b.alias for b in p.builds] == ["tiny", "cust", "prod"]
         assert p.builds[0].sel == 4 / 80
 
     def test_cartesian_product_rejected(self, shop):
@@ -246,7 +252,7 @@ class TestPlanArms:
         assert all(d.pushed_down for d in p.decisions)
         # exact selectivities rank the builds: cust 200/2000 = 0.1, prod
         # 400/1200 = 1/3, tiny 39/80 = 0.4875
-        assert p.build_order == ["cust", "prod", "tiny"]
+        assert [b.alias for b in p.builds] == ["cust", "prod", "tiny"]
         assert [b.sel for b in p.builds] == [0.1, 400 / 1200, 39 / 80]
         # a pushed-down build is its base table plus the counted row ids,
         # however much its filter keeps, and however small its table
@@ -255,13 +261,13 @@ class TestPlanArms:
             assert b.source == b.alias
             assert d.exact_count == b.rows.size == b.input_rows
             assert b.residual is None
-        assert [by_table[a].exact_count for a in p.build_order] == [200, 400, 39]
+        assert [by_table[b.alias].exact_count for b in p.builds] == [200, 400, 39]
         assert p.build_card_sum == 200 + 400 + 39
 
     def test_baseline_plan_shape(self, shop):
         p = _plan_sql(shop, SHOP_SQL, "baseline")
         assert p.decisions == []
-        assert p.build_order == ["tiny", "prod", "cust"]
+        assert [b.alias for b in p.builds] == ["tiny", "prod", "cust"]
         assert all(b.rows is None for b in p.builds)
         assert p.build_card_sum == 80 + 1200 + 2000
 
@@ -270,7 +276,7 @@ class TestPlanArms:
         assert p.decisions == []
         # estimated fractions rank the builds: cust 0.1, prod 1/3, and
         # tiny about 0.49 for t_x < 40 over t_x in 1..80
-        assert p.build_order == ["cust", "prod", "tiny"]
+        assert [b.alias for b in p.builds] == ["cust", "prod", "tiny"]
         assert p.build_card_sum == 80 + 1200 + 2000  # inputs stay base tables
 
     def test_histogram_udf_falls_back_to_default_guess(self, shop):
@@ -282,7 +288,7 @@ class TestPlanArms:
         p = _plan_sql(shop, sql, "histogram")
         # cust ranks at the guess 0.1; prod and tiny are unfiltered, tie
         # at 1.0, and the smaller base table goes first: 80 before 1200
-        assert p.build_order == ["cust", "tiny", "prod"]
+        assert [b.alias for b in p.builds] == ["cust", "tiny", "prod"]
         assert [b.sel for b in p.builds] == [DEFAULT_GUESS, 1.0, 1.0]
 
     def test_temps_live_until_dropped(self, shop):
@@ -342,7 +348,8 @@ class TestRankOrder:
             _probe_tuples(dataclasses.replace(p, builds=list(order)), cat)
             for order in itertools.permutations(p.builds)
         ]
-        assert _probe_tuples(p, cat) == min(totals), (p.build_order, totals)
+        aliases = [b.alias for b in p.builds]
+        assert _probe_tuples(p, cat) == min(totals), (aliases, totals)
 
 
 @pytest.fixture(scope="module")
@@ -489,7 +496,7 @@ class TestExplain:
         assert j["probe"]["alias"] == "fact" and j["probe"]["rows"] == 5000
         assert j["projection"] is None
         assert j["build_card_sum"] == p.build_card_sum
-        assert [b["alias"] for b in j["builds"]] == p.build_order
+        assert [b["alias"] for b in j["builds"]] == [b.alias for b in p.builds]
         for b in j["builds"]:
             assert set(b) == {
                 "alias", "source", "rows", "key", "probe_key", "filter", "sel",

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escdb.errors import (
-    ArityMismatch,
     CsvError,
     EmptySchema,
     LengthMismatch,
@@ -22,7 +21,6 @@ from escdb.storage import (
     KIND_DATE,
     KIND_INT64,
     KIND_TEXT,
-    append_rows,
     date_to_days,
     days_to_date,
     decimal,
@@ -33,9 +31,7 @@ from escdb.storage import (
     parse_kind,
 )
 
-
-def _empty(name, schema):
-    return ColumnTable.empty(name, schema)
+from oracles import append_rows
 
 
 class TestKinds:
@@ -109,14 +105,15 @@ class TestDictionary:
     def test_bijection(self):
         d = Dictionary()
         words = ["oak", "elm", "oak", "fir", "elm"]
-        codes = [d.encode(w) for w in words]
+        codes = d.encode_all(words).tolist()
         assert codes == [0, 1, 0, 2, 1]
         assert [d.decode(c) for c in codes] == words
         assert len(d) == 3
+        assert d.encode_all(["fir", "ash"]).tolist() == [2, 3]
 
     def test_lookup_never_inserts(self):
         d = Dictionary()
-        d.encode("oak")
+        d.encode_all(["oak"])
         assert d.lookup("elm") is None
         assert len(d) == 1
 
@@ -129,34 +126,24 @@ class TestTableBuild:
         ("amt", decimal(15, 2)),
     ]
 
-    def test_append_and_read_back(self):
-        t = append_rows(
-            _empty("t", self.SCHEMA),
-            [
-                ["1", "2024-01-05", "alpha", "10.50"],
-                ["2", "2024-02-11", "beta", "-3.25"],
-            ],
-        )
+    def test_read_back(self):
+        text = "1,2024-01-05,alpha,10.50\n2,2024-02-11,beta,-3.25\n"
+        t = load_csv(text, "t", self.SCHEMA)
         assert t.row_count == 2
         assert t.row(0) == (1, "2024-01-05", "alpha", "10.50")
         assert t.row(1) == (2, "2024-02-11", "beta", "-3.25")
 
     def test_nulls(self):
-        t = append_rows(
-            _empty("t", self.SCHEMA), [[None, None, None, None]]
-        )
+        t = load_csv("\\N,\\N,\\N,\\N\n", "t", self.SCHEMA)
         assert t.row(0) == (None, None, None, None)
 
     def test_arity_mismatch_cites_row(self):
-        with pytest.raises(ArityMismatch, match="row 2"):
-            append_rows(
-                _empty("t", self.SCHEMA),
-                [["1", "2024-01-05", "a", "1.00"], ["2", "2024-01-06", "b"]],
-            )
+        with pytest.raises(CsvError, match="row 2: expected 4 fields"):
+            load_csv("1,2024-01-05,a,1.00\n2,2024-01-06,b\n", "t", self.SCHEMA)
 
     def test_type_mismatch_cites_row(self):
-        with pytest.raises(TypeMismatch, match="row 1"):
-            append_rows(_empty("t", self.SCHEMA), [["x", "2024-01-05", "a", "1.00"]])
+        with pytest.raises(CsvError, match="row 1, column 'id': expected INT64"):
+            load_csv("x,2024-01-05,a,1.00\n", "t", self.SCHEMA)
 
     def test_empty_schema_rejected(self):
         with pytest.raises(EmptySchema):
@@ -169,9 +156,7 @@ class TestTableBuild:
             ColumnTable("t", [a, b])
 
     def test_text_take_shares_dictionary(self):
-        t = append_rows(
-            _empty("t", [("tag", KIND_TEXT)]), [["oak"], ["elm"], ["oak"]]
-        )
+        t = load_csv("oak\nelm\noak\n", "t", [("tag", KIND_TEXT)])
         col = t.column("tag")
         taken = col.take(np.array([2, 0]))
         assert taken.dictionary is col.dictionary
@@ -203,15 +188,28 @@ class TestCsv:
             load_csv("1,2024-01-05,a,1.00\n2,nonsense,b,2.00\n", "t", self.SCHEMA)
 
     @pytest.mark.parametrize(
-        "id_cell,amt_cell,column",
+        "rows,column",
         [
-            ("9223372036854775808", "1.00", "id"),
-            ("-9223372036854775809", "1.00", "id"),
-            ("1", "92233720368547758.08", "amt"),  # scaled by 100: past int64
+            (["1,2024-01-05,a,1.00", "9223372036854775808,2024-01-05,b,1.00"], "id"),
+            (["1,2024-01-05,a,1.00", "-9223372036854775809,2024-01-05,b,1.00"], "id"),
+            # scaled by 100: past int64
+            (["1,2024-01-05,a,1.00", "1,2024-01-05,b,92233720368547758.08"], "amt"),
+            # row 1's amt has 17 digits, past the precision of 15
+            (["1,2024-01-05,a,100000000000000.00", "9223372036854775808,2024-01-05,b,1.00"], "id"),
+            (
+                ["1,2024-01-05,a,1.00", "2,2024-01-05,b,92233720368547758.08",
+                 "9223372036854775808,2024-01-05,c,1.00"],
+                "amt",
+            ),
+        ],
+        ids=[
+            "9223372036854775808-1.00-id", "-9223372036854775809-1.00-id",
+            "1-92233720368547758.08-amt", "before an earlier row's precision",
+            "the earlier row before the earlier column",
         ],
     )
-    def test_out_of_int64_range_cites_row_and_column(self, id_cell, amt_cell, column):
-        text = f"1,2024-01-05,a,1.00\n{id_cell},2024-01-05,b,{amt_cell}\n"
+    def test_out_of_int64_range_cites_row_and_column(self, rows, column):
+        text = "".join(f"{row}\n" for row in rows)
         with pytest.raises(CsvError, match=f"row 2, column '{column}'.*int64"):
             load_csv(text, "t", self.SCHEMA)
 

@@ -147,8 +147,7 @@ def _result_payload(result, explain: bool) -> dict:
     else:
         payload["columns"] = [c.name for c in result.rows.columns]
         payload["rows"] = [
-            [v.isoformat() if hasattr(v, "isoformat") else v for v in row]
-            for row in map(result.rows.row, range(result.rows.row_count))
+            list(result.rows.row(i)) for i in range(result.rows.row_count)
         ]
     if explain:
         payload["plan"] = optimizer.explain_json(result.plan, result.stats)

@@ -94,19 +94,16 @@ def _eval_fncall(
         if ref.kind is not None and ref.kind.is_decimal:
             out = out / float(10 ** ref.kind.scale)
         arrays.append(out)
-    ufunc = np.frompyfunc(atom.fn, len(arrays), 1)
+    # extend keeps the results before a failing call, so their count is
+    # the failing row's position, and no row is called twice; memoryviews
+    # hand over one Python float at a time, with no list of the arguments
+    results = []
     try:
-        raw = ufunc(*arrays)
+        results.extend(map(atom.fn, *map(memoryview, arrays)))
     except Exception as exc:
-        # re-run row by row to report the first offending row of the table
-        for i, row in enumerate(_span(table, rows)):
-            try:
-                atom.fn(*(float(a[i]) for a in arrays))
-            except Exception:
-                raise ExecutionError(
-                    f"UDF {atom.name!r} failed at row {row}: {exc}"
-                ) from exc
-        raise ExecutionError(f"UDF {atom.name!r} failed: {exc}") from exc
+        row = _span(table, rows)[len(results)]
+        raise ExecutionError(f"UDF {atom.name!r} failed at row {row}: {exc}") from exc
+    raw = np.fromiter(results, object, len(results))
     try:
         # None becomes NaN
         results = raw.astype(np.float64)
@@ -271,7 +268,6 @@ class HashTableIndex:
         probe: Column | None = None,
     ):
         self.table = table
-        self.key = key
         col = table.column(key)
         if col.has_nulls:
             rows = rows[~col.null_mask[rows]]
@@ -371,7 +367,6 @@ class BuildStep:
 
 @dataclass
 class ExecStats:
-    build_cards: list[int] = field(default_factory=list)  # index entries per build
     build_distinct: list[int] = field(default_factory=list)
     probe_out: list[int] = field(default_factory=list)
     result_rows: int = 0
@@ -480,7 +475,6 @@ def probe_joins(
     stats = ExecStats()
     tables = {probe_alias: probe}
     for step in steps:
-        stats.build_cards.append(step.index.n_entries)
         stats.build_distinct.append(step.index.distinct_keys)
         tables[step.alias] = step.index.table
 

@@ -23,6 +23,7 @@ offending construct named explicitly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -459,43 +460,31 @@ def _number_value(const: AstConst) -> Fraction:
         raise AnalysisError(f"bad numeric literal {const.text!r}") from None
 
 
-def _scaled_constant(value: Fraction, kind: ColumnKind) -> int | float:
-    """Rescale a numeric literal to the column's storage units once, at
-    analysis time; exact ints when possible, float otherwise."""
-    scaled = value * (10 ** kind.scale if kind.is_decimal else 1)
-    if scaled.denominator == 1:
-        return int(scaled)
-    return float(scaled)
-
-
 def _const_for_column(col: ex.ColumnRef, const: AstConst):
-    """Normalized comparison constant in the column's storage units.
-
-    Returns (value, exact) where exact=False means the literal fell
-    between representable values (fractional vs integer storage).
-    """
+    """Comparison constant in the column's storage units: TEXT as its
+    string, DATE as epoch days, a number as the exact ``Fraction`` of
+    storage units (DECIMAL rescaled), which may fall between them."""
     kind: ColumnKind = col.kind
     if kind.is_text:
         if const.kind != "string":
             raise AnalysisError(
                 f"type mismatch: TEXT column {col} compared to {const}"
             )
-        return const.text, True
+        return const.text
     if kind is KIND_DATE or kind.name == "DATE":
         if const.kind == "number":
             raise AnalysisError(
                 f"type mismatch: DATE column {col} compared to a number"
             )
         try:
-            return date_to_days(const.text), True
+            return date_to_days(const.text)
         except TypeMismatch:
             raise AnalysisError(
                 f"bad date literal {const.text!r} (expected YYYY-MM-DD)"
             ) from None
     if const.kind != "number":
         raise AnalysisError(f"type mismatch: column {col} compared to {const}")
-    value = _scaled_constant(_number_value(const), kind)
-    return value, isinstance(value, int)
+    return _number_value(const) * (10 ** kind.scale if kind.is_decimal else 1)
 
 
 def _text_code(col: ex.ColumnRef, text: str, scope: _Scope) -> int | None:
@@ -520,7 +509,7 @@ def _analyze_column_compare(node: ex.ColumnCompare, scope: _Scope) -> ex.Expr:
 
 def _analyze_compare(node: ex.Comparison, scope: _Scope) -> ex.Expr:
     left = scope.resolve(node.col)
-    value, exact = _const_for_column(left, node.value)
+    value = _const_for_column(left, node.value)
     if left.kind.is_text:
         if node.op in ("=", "<>"):
             code = _text_code(left, value, scope)
@@ -530,10 +519,15 @@ def _analyze_compare(node: ex.Comparison, scope: _Scope) -> ex.Expr:
                 return ex.FoldedAtom(left, node.op == "<>")
             return ex.Comparison(left, node.op, code)
         return ex.Comparison(left, node.op, value)  # string payload, decoded compare
-    if not exact and node.op in ("=", "<>"):
-        # a fractional literal can never equal an integer-stored value
-        return ex.FoldedAtom(left, node.op == "<>")
-    return ex.Comparison(left, node.op, value)
+    if isinstance(value, Fraction) and value.denominator != 1:
+        # every stored value is an integer: none equals a fractional
+        # literal, and a bound rounds inward to the nearest integer
+        if node.op in ("=", "<>"):
+            return ex.FoldedAtom(left, node.op == "<>")
+        if node.op in ("<", "<="):
+            return ex.Comparison(left, "<=", math.floor(value))
+        return ex.Comparison(left, ">=", math.ceil(value))
+    return ex.Comparison(left, node.op, int(value))
 
 
 def _analyze_fncall(call: ex.FnCall, scope: _Scope, catalog) -> ex.Expr:
@@ -562,8 +556,11 @@ def _analyze_fncall(call: ex.FnCall, scope: _Scope, catalog) -> ex.Expr:
 
 def _analyze_between(node: ex.Range, scope: _Scope) -> ex.Expr:
     col = scope.resolve(node.col)
-    lo, _ = _const_for_column(col, node.lo)
-    hi, _ = _const_for_column(col, node.hi)
+    lo = _const_for_column(col, node.lo)
+    hi = _const_for_column(col, node.hi)
+    if isinstance(lo, Fraction):
+        # integer storage: the bounds round inward
+        lo, hi = math.ceil(lo), math.floor(hi)
     if lo > hi:
         return ex.FoldedAtom(col, False)
     return ex.Range(col, lo, hi)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
@@ -40,7 +39,7 @@ from .errors import (
     PlanError,
     UnsupportedColumnKind,
 )
-from .frontend import JoinGraph
+from .frontend import JoinEdge, JoinGraph
 
 # where a build's sel comes from: exact counts, none, or histogram estimates
 ARMS = ("esc", "baseline", "histogram")
@@ -61,7 +60,6 @@ class EscDecision:
     predicate: ex.Expr
     exact_count: int
     row_count: int
-    selectivity: Fraction  # exact_count / row_count, exact
     pushed_down: bool  # always true: row ids replace the scan
     subquery_ms: float
     materialize_ms: float
@@ -114,10 +112,6 @@ class PhysicalPlan:
 # ---------------------------------------------------------------------------
 
 
-def _is_trivially_true(pred: ex.Expr) -> bool:
-    return isinstance(pred, ex.FoldedAtom) and pred.result
-
-
 def compute_exact_selectivity(
     catalog: Catalog,
     table: str,
@@ -156,43 +150,42 @@ def choose_probe(graph: JoinGraph, row_counts: dict) -> str:
     return min(graph.tables, key=lambda a: (-row_counts[a], a))
 
 
-def order_builds(graph: JoinGraph, probe: str, rank: dict) -> list[str]:
+def order_builds(
+    graph: JoinGraph, probe: str, rank: dict
+) -> list[tuple[str, JoinEdge]]:
     """Rank ordering: repeatedly place the connected table (one with a
     join edge to the probe or an earlier build) whose ``rank`` is lowest,
-    ties broken by alias.  ``plan`` ranks a table by ``(sel, base rows)``:
-    each stage keeps about ``sel`` of the probe stream, so ascending
-    ``sel`` minimises the sum of intermediate results for unique build
-    keys (Ibaraki & Kameda, TODS 1984)."""
+    ties broken by alias; returns each placed alias with the edge that
+    joins it.  ``plan`` ranks a table by ``(sel, base rows)``: each stage
+    keeps about ``sel`` of the probe stream, so ascending ``sel``
+    minimises the sum of intermediate results for unique build keys
+    (Ibaraki & Kameda, TODS 1984).  A table that no edge can reach raises
+    ``CartesianProductRequired``; only a complete order is then checked
+    for a table that joins on more than one key."""
     connected = {probe}
     remaining = [a for a in graph.tables if a != probe]
     order = []
     while remaining:
-        candidates = [
-            a
-            for a in remaining
-            if any(e.touches(a) and e.other(a) in connected for e in graph.edges)
-        ]
-        if not candidates:
+        links = {}
+        for a in remaining:
+            edges = [e for e in graph.edges if e.touches(a) and e.other(a) in connected]
+            if edges:
+                links[a] = edges
+        if not links:
             raise CartesianProductRequired(
                 f"no join edge connects {sorted(remaining)} to {sorted(connected)}"
             )
-        pick = min(candidates, key=lambda a: (rank[a], a))
-        order.append(pick)
+        pick = min(links, key=lambda a: (rank[a], a))
+        order.append((pick, links[pick]))
         connected.add(pick)
         remaining.remove(pick)
-    return order
-
-
-def _connecting_edge(graph: JoinGraph, alias: str, connected: set):
-    edges = [
-        e for e in graph.edges if e.touches(alias) and e.other(alias) in connected
-    ]
-    if len(edges) > 1:
-        raise PlanError(
-            f"table {alias!r} joins the pipeline on {len(edges)} keys; "
-            "composite join keys are not supported"
-        )
-    return edges[0]
+    for alias, edges in order:
+        if len(edges) > 1:
+            raise PlanError(
+                f"table {alias!r} joins the pipeline on {len(edges)} keys; "
+                "composite join keys are not supported"
+            )
+    return [(alias, edges[0]) for alias, edges in order]
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +193,22 @@ def _connecting_edge(graph: JoinGraph, alias: str, connected: set):
 # ---------------------------------------------------------------------------
 
 
-def _estimated_fraction(catalog: Catalog, graph: JoinGraph, alias: str) -> float:
+def _estimated_fraction(catalog: Catalog, graph: JoinGraph, pred: ex.Expr) -> float:
     def hist_for(ref: ex.ColumnRef):
         return catalog.histogram(graph.source[ref.table], ref.name)
 
     try:
-        return estimate_selectivity(hist_for, graph.residual(alias))
+        return estimate_selectivity(hist_for, pred)
     except (Inestimable, UnsupportedColumnKind):
         return DEFAULT_GUESS
 
 
 def plan(graph: JoinGraph, catalog: Catalog, arm: str = "esc") -> PhysicalPlan:
-    """Produce the physical plan; arm ``esc`` runs a COUNT sub-query for
-    every non-probe table that has a predicate and at least one row,
-    pushes each counted table down and ranks it by its exact
-    selectivity."""
+    """Produce the physical plan.  One walk over the non-probe tables
+    sets each one's ``sel``: arm ``esc`` runs a COUNT sub-query for every
+    table that has at least one row and a predicate not folded to true,
+    and pushes it down; ``histogram`` estimates every predicate;
+    ``baseline`` sets none.  The builds then follow ``order_builds``."""
     check_arm(arm)
     row_counts = {a: catalog.table(graph.source[a]).row_count for a in graph.tables}
 
@@ -222,66 +216,51 @@ def plan(graph: JoinGraph, catalog: Catalog, arm: str = "esc") -> PhysicalPlan:
     sel: dict[str, float] = {}
     decisions: list[EscDecision] = []
     temps: dict[str, np.ndarray] = {}
-
-    if arm == "esc":
-        for alias in graph.tables:
-            if alias == probe:
-                continue  # the probing side is never pushed down
-            residual = graph.residual(alias)
-            if residual is None or _is_trivially_true(residual):
-                continue
-            rc = row_counts[alias]
-            if rc == 0:
-                continue  # sel divides by the row count
-            count, mask, sub_ms = compute_exact_selectivity(
-                catalog, graph.source[alias], residual, alias
+    for alias in graph.tables:
+        residual = graph.residual(alias)
+        # the probing side is never counted or pushed down
+        if alias == probe or residual is None or arm == "baseline":
+            continue
+        if arm == "histogram":
+            sel[alias] = _estimated_fraction(catalog, graph, residual)
+            continue
+        rc = row_counts[alias]
+        # sel divides by the row count; a filter folded to true keeps all
+        if rc == 0 or (isinstance(residual, ex.FoldedAtom) and residual.result):
+            continue
+        count, mask, sub_ms = compute_exact_selectivity(
+            catalog, graph.source[alias], residual, alias
+        )
+        sel[alias] = count / rc
+        temps[alias], mat_ms = materialize_pushdown(mask)
+        decisions.append(
+            EscDecision(
+                table=alias,
+                predicate=residual,
+                exact_count=count,
+                row_count=rc,
+                pushed_down=True,
+                subquery_ms=sub_ms,
+                materialize_ms=mat_ms,
             )
-            sel[alias] = count / rc
-            temps[alias], mat_ms = materialize_pushdown(mask)
-            decisions.append(
-                EscDecision(
-                    table=alias,
-                    predicate=residual,
-                    exact_count=count,
-                    row_count=rc,
-                    selectivity=Fraction(count, rc),
-                    pushed_down=True,
-                    subquery_ms=sub_ms,
-                    materialize_ms=mat_ms,
-                )
-            )
-    elif arm == "histogram":
-        for alias in graph.tables:
-            if alias == probe or graph.residual(alias) is None:
-                continue
-            sel[alias] = _estimated_fraction(catalog, graph, alias)
+        )
 
     rank = {a: (sel.get(a, 1.0), row_counts[a]) for a in graph.tables if a != probe}
-    order = order_builds(graph, probe, rank)
     builds = []
-    connected = {probe}
-    for alias in order:
-        edge = _connecting_edge(graph, alias, connected)
-        build_key = edge.key_for(alias)
-        probe_key = edge.left if edge.right.table == alias else edge.right
+    for alias, edge in order_builds(graph, probe, rank):
         rows = temps.get(alias)
-        if rows is not None:
-            residual, input_rows = None, rows.size
-        else:
-            residual, input_rows = graph.residual(alias), row_counts[alias]
         builds.append(
             PlanBuild(
                 alias,
                 graph.source[alias],
-                build_key,
-                probe_key,
-                residual,
-                input_rows,
+                edge.key_for(alias),
+                edge.left if edge.right.table == alias else edge.right,
+                graph.residual(alias) if rows is None else None,
+                row_counts[alias] if rows is None else rows.size,
                 rows,
                 sel.get(alias, 1.0),
             )
         )
-        connected.add(alias)
 
     return PhysicalPlan(
         probe_alias=probe,
@@ -342,7 +321,7 @@ def explain_text(plan_: PhysicalPlan) -> str:
     for d in plan_.decisions:
         lines.append(
             f"ESC table={d.table} count={d.exact_count} "
-            f"sel={float(d.selectivity):.6f} "
+            f"sel={d.exact_count / d.row_count:.6f} "
             f"pushdown={'true' if d.pushed_down else 'false'} "
             f"time_ms={d.subquery_ms + d.materialize_ms:.3f}"
         )
@@ -377,7 +356,7 @@ def decision_json(d: EscDecision) -> dict:
         "predicate": str(d.predicate),
         "count": d.exact_count,
         "row_count": d.row_count,
-        "selectivity": float(d.selectivity),
+        "selectivity": d.exact_count / d.row_count,
         "pushdown": d.pushed_down,
         "temp_rows": d.exact_count if d.pushed_down else None,
         "subquery_ms": d.subquery_ms,

@@ -1,9 +1,11 @@
 import gc
+import operator
 import random
 import sqlite3
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from escdb.storage import (
     KIND_DATE,
     KIND_INT64,
     KIND_TEXT,
+    decimal,
     load_csv,
 )
 
@@ -155,6 +158,28 @@ class TestRun:
         with pytest.raises(ExecutionError, match="failed at row 80: "):
             eng.run("SELECT COUNT(*) FROM f WHERE fails_on_80(f_id) >= 0")
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_udf_called_once_per_row(self, tmp_path, workers):
+        """Reporting the failing row calls no row's UDF a second time."""
+        csv = tmp_path / "f.csv"
+        csv.write_text("".join(f"{i}\n" for i in range(100)))
+        eng = Engine(workers=workers)
+        eng.load_csv_file(str(csv), "f", "f_id:int64")
+        calls = []
+
+        def fails_on_80(x):
+            calls.append(x)
+            if x == 80:
+                raise ValueError("bad input")
+            return x
+
+        eng.register_udf("fails_on_80", 1, fails_on_80)
+        with pytest.raises(ExecutionError, match="failed at row 80: bad input"):
+            eng.run("SELECT COUNT(*) FROM f WHERE fails_on_80(f_id) >= 0")
+        assert len(calls) == len(set(calls))
+        if workers == 1:
+            assert calls == [float(i) for i in range(81)]
+
     def test_baseline_engine_runs_no_subqueries(self, tmp_path, engine):
         base = Engine(arm="baseline")
         base.catalog = engine.catalog
@@ -202,6 +227,68 @@ class TestNullsUnderNot:
         got = eng.run(f"SELECT a FROM t WHERE {pred}").rows.column("a").values
         rows = lite.execute(f"SELECT a FROM t WHERE {pred} ORDER BY a").fetchall()
         assert got.tolist() == [a for (a,) in rows]
+
+
+class TestFractionalLiterals:
+    """A literal between two integer-stored values is compared exactly,
+    with the stored values' own rational value, on every operator."""
+
+    INTS = [1, 3, -2, 2**53 - 1, 2**53 + 1, None]
+    DECIMALS = ["1.00", "10.50", "10.51", "-0.01", "9999999999999.99", None]
+    LITERALS = {
+        "a": [
+            "1.00000000000000000001", "0.99999999999999999999",
+            "9007199254740992.5", "-1.5", "2.5", "3",
+        ],
+        "d": [
+            "10.50000000000000000001", "10.49999999999999999999", "10.505",
+            "-0.005", "9999999999999.985", "10.51",
+        ],
+    }
+    OPS = {
+        "<": operator.lt, "<=": operator.le, "=": operator.eq,
+        "<>": operator.ne, ">": operator.gt, ">=": operator.ge,
+    }
+    RANGES = [
+        ("a", "0.99999999999999999999", "3.00000000000000000001"),
+        ("a", "1.00000000000000000001", "2.99999999999999999999"),
+        ("a", "2.5", "2.7"),
+        ("a", "-2", "9007199254740992.5"),
+        ("d", "10.49999999999999999999", "10.50000000000000000001"),
+        ("d", "10.505", "10.515"),
+        ("d", "10.501", "10.509"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        eng = Engine()
+        schema = [("a", KIND_INT64), ("d", decimal(15, 2))]
+        eng.catalog.register(
+            load_rows("t", schema, list(zip(self.INTS, self.DECIMALS)))
+        )
+        return eng
+
+    def _values(self, column):
+        stored = self.INTS if column == "a" else self.DECIMALS
+        return [Fraction(v) for v in stored if v is not None]
+
+    @pytest.mark.parametrize("op", list(OPS))
+    @pytest.mark.parametrize(
+        "column,literal", [(c, lit) for c, lits in LITERALS.items() for lit in lits]
+    )
+    def test_compare_counts_exactly(self, engine, column, literal, op):
+        bound = Fraction(literal)
+        want = sum(self.OPS[op](v, bound) for v in self._values(column))
+        sql = f"SELECT COUNT(*) FROM t WHERE {column} {op} {literal}"
+        assert engine.run(sql).count == want
+
+    @pytest.mark.parametrize("column,lo,hi", RANGES)
+    def test_between_counts_exactly(self, engine, column, lo, hi):
+        want = sum(
+            Fraction(lo) <= v <= Fraction(hi) for v in self._values(column)
+        )
+        sql = f"SELECT COUNT(*) FROM t WHERE {column} BETWEEN {lo} AND {hi}"
+        assert engine.run(sql).count == want
 
 
 def _null_on_2_nan_on_3(a):
@@ -369,7 +456,8 @@ class TestProbeEdgeCases:
             assert got == want and res.count == len(want) > 0
         assert res.plan.probe_alias == "f"
         if case == "non-unique build key":
-            assert res.stats.build_cards == [12] and res.stats.build_distinct == [4]
+            assert res.plan.builds[0].input_rows == 12
+            assert res.stats.build_distinct == [4]
         if case.startswith("chain"):
             assert [b.probe_key.table for b in res.plan.builds] == ["f", "d"]
 

@@ -588,7 +588,7 @@ class TestProbeJoins:
         result, stats = probe_joins(
             join_data["lines"], "lines", None, steps, (_ref("lines", "l_qty"),)
         )
-        assert stats.build_cards == [0]
+        assert steps[0].index.n_entries == 0
         assert stats.result_rows == 0 and result.row_count == 0
 
     def test_null_probe_keys_never_match(self):
@@ -690,7 +690,6 @@ class TestProbeJoins:
             join_data["lines"], "lines", probe_pred, steps,
             (_ref("lines", "l_qty"),),
         )
-        assert stats.build_cards == [s.index.n_entries for s in steps]
         assert stats.build_distinct == [s.index.distinct_keys for s in steps]
         assert len(stats.probe_out) == len(steps) + 1
         assert stats.probe_out[0] == count_star(join_data["lines"], probe_pred)[0]

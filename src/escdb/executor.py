@@ -7,8 +7,9 @@ false, and only a column that holds NULLs costs a null-mask pass.
 A set of rows is an ascending int64 array of row ids, except a probe
 chunk, which is a contiguous ``slice`` of rows: predicates read column
 views over it, so no column is gathered to filter, and without a probe
-filter the probe alias's rows stay that slice until the first join stage
-compacts them.
+filter the probe alias's rows stay that slice until a join stage drops a
+row.  A stage compacts the row ids it carries with ``np.compress``, and
+not at all when every row hit.
 The probe pipeline is a single fused pass: probe-side predicate, every
 join-index lookup, and the output gather happen without materializing
 intermediate tuples.  Row ids are carried late: after each stage only
@@ -30,6 +31,7 @@ column without NULLs skips the null mask.
 
 from __future__ import annotations
 
+import bisect
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -48,8 +50,28 @@ from .storage import Column, ColumnTable
 
 def _text_lut(col: Column, op: str, value: str) -> np.ndarray:
     """Boolean lookup table over dictionary codes for a decoded-string
-    comparison; TEXT ranges compare strings, not codes."""
-    return _compare(np.asarray(col.dictionary.strings(), dtype=object), op, value)
+    comparison: TEXT ranges compare strings, not codes.  ``value`` is
+    found by binary search among the sorted strings, and the table is an
+    integer compare of each code's rank."""
+    sorted_strings, rank = col.dictionary.ranked()
+    # the ranks of the strings below ``value`` are < below, and those of
+    # the strings up to it < upto
+    below = bisect.bisect_left(sorted_strings, value)
+    upto = bisect.bisect_right(sorted_strings, value, below)
+    if op == "<":
+        return rank < below
+    if op == "<=":
+        return rank < upto
+    if op == ">":
+        return rank >= upto
+    if op == ">=":
+        return rank >= below
+    equal = (rank >= below) & (rank < upto)
+    if op == "=":
+        return equal
+    if op == "<>":
+        return ~equal
+    raise ExecutionError(f"unknown comparison operator {op!r}")
 
 
 def _apply_lut(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -385,13 +407,18 @@ def _expand_matches(
     return index.group_rows[flat]
 
 
-def _compact(ids: np.ndarray | slice, hit: np.ndarray) -> np.ndarray:
-    """The row ids of ``ids`` at the positions where ``hit`` is True."""
+def _compact(ids: np.ndarray | slice, hit: np.ndarray, kept: int):
+    """The row ids of ``ids`` at the positions where ``hit`` is True, of
+    which there are ``kept``: ``ids`` itself when that is all of them.
+    On a 2-core x86 box ``np.compress`` ran 3-5x faster than ``ids[hit]``
+    on masks that keep neither almost none nor almost all of ``ids``."""
+    if kept == hit.size:
+        return ids
     if isinstance(ids, slice):
-        kept = np.flatnonzero(hit)
-        kept += ids.start
-        return kept
-    return ids[hit]
+        rows = np.flatnonzero(hit)
+        rows += ids.start
+        return rows
+    return np.compress(hit, ids)
 
 
 def _row_ids(ids: np.ndarray | slice) -> np.ndarray:
@@ -410,8 +437,8 @@ def _probe_chunk(
 ):
     """Run the fused pipeline over one range of probe rows; returns the
     carried row ids per alias, which cover ``live[-1]`` (the probe
-    alias's are a ``slice`` when no stage and no filter ran), and the
-    tuples each stage produced.
+    alias's are a ``slice`` when no filter ran and every stage kept every
+    row), and the tuples each stage produced.
 
     ``live[k]`` holds the aliases whose row ids are read after stage
     ``k`` (stage 0 is the probe filter); no other alias is carried."""
@@ -435,19 +462,23 @@ def _probe_chunk(
         if index.unique and step.alias not in alive:
             # a unique stage whose rows nothing reads only counts its hits
             hit = index.probe_hits(keys, valid)
-            matched = counts = None
+            groups = None
         else:
             groups = index.probe_groups(keys, valid)
             hit = groups >= 0
-            matched = groups[hit]
-            counts = None if index.unique else index.group_counts[matched]
-        stage_out.append(
-            int(np.count_nonzero(hit)) if counts is None else int(counts.sum())
-        )
+        kept = int(np.count_nonzero(hit))
+        matched = counts = None
+        if groups is not None:
+            matched = _compact(groups, hit, kept)
+            if not index.unique:
+                counts = index.group_counts[matched]
+        stage_out.append(kept if counts is None else int(counts.sum()))
         carried = {}
         for alias in alive - {step.alias}:
-            kept = _compact(rows_of[alias], hit)
-            carried[alias] = kept if counts is None else np.repeat(kept, counts)
+            rows = _compact(rows_of[alias], hit, kept)
+            carried[alias] = (
+                rows if counts is None else np.repeat(_row_ids(rows), counts)
+            )
         if step.alias in alive:
             carried[step.alias] = (
                 index.group_rows[matched]

@@ -1,7 +1,9 @@
 """SQL subset frontend: tokenize, parse, analyze into a join graph.
 
 ``_TOKEN_RE`` is the one SQL lexer: ``tokenize`` and ``split_statements``
-(which ``escdb batch`` uses) both read it.  A token carries its offset
+(which ``escdb batch`` uses) both read it.  It makes one match per token:
+the whitespace and ``--`` comments before a token are part of its match,
+and the end of the input is an eof token.  A token carries its offset
 into the SQL text; the line and column a ``ParseError`` cites are worked
 out from that offset only when the error is raised.
 
@@ -43,7 +45,8 @@ from .errors import (
     UnsupportedPredicate,
 )
 from .storage import (
-    KIND_DATE,
+    DATE,
+    TEXT,
     ColumnKind,
     ColumnTable,
     date_to_days,
@@ -55,13 +58,15 @@ from .storage import (
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>--[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<symbol><=|>=|<>|[-()=<>,.*;])
-  | (?P<bad>.)
+    (?:\s+|--[^\n]*)*  # whitespace and comments before the token
+    (?:
+        (?P<number>\d+(?:\.\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<string>'(?:[^']|'')*')
+      | (?P<symbol><=|>=|<>|[-()=<>,.*;])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -71,7 +76,8 @@ class Token(NamedTuple):
     type: str  # ident | number | string | symbol | eof
     text: str
     offset: int  # index of the first character in the SQL text
-    key: str  # text.upper(): what the parser matches keywords and symbols by
+    key: str  # what the parser matches keywords and symbols by: an
+    # identifier upper-cased, any other token its text
 
 
 def _line_column(sql: str, offset: int) -> tuple[int, int]:
@@ -80,20 +86,30 @@ def _line_column(sql: str, offset: int) -> tuple[int, int]:
 
 
 def tokenize(sql: str) -> list[Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(sql):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        text = m.group()
-        if kind == "bad":
-            if text == "'":
+    """The tokens of ``sql``, ending in one eof token."""
+    tokens = [
+        tuple.__new__(
+            Token,
+            (
+                kind := m.lastgroup,
+                text := m[kind],
+                m.start(kind),
+                text.upper() if kind == "ident" else text,
+            ),
+        )
+        for m in _TOKEN_RE.finditer(sql)
+    ]
+    for tok in tokens:
+        if tok.type == "bad":
+            if tok.text == "'":
                 message = "unterminated string literal"
             else:
-                message = f"unexpected character {text!r}"
-            raise ParseError(message, *_line_column(sql, m.start()))
-        tokens.append(Token(kind, text, m.start(), text.upper()))
-    tokens.append(Token("eof", "", len(sql), ""))
+                message = f"unexpected character {tok.text!r}"
+            raise ParseError(message, *_line_column(sql, tok.offset))
+    # after trailing whitespace or a comment, whose match ends in eof,
+    # finditer yields the empty match at the end of the input as well
+    if len(tokens) > 1 and tokens[-2].type == "eof":
+        tokens.pop()
     return tokens
 
 
@@ -105,11 +121,12 @@ def split_statements(script: str) -> list[str]:
     """
     statements, start, blank = [], 0, True
     for m in _TOKEN_RE.finditer(script):
-        if m.group() == ";":
+        kind = m.lastgroup
+        if kind == "symbol" and m[kind] == ";":
             if not blank:
-                statements.append(script[start : m.start()].strip())
+                statements.append(script[start : m.start(kind)].strip())
             start, blank = m.end(), True
-        elif m.lastgroup != "ws" and m.lastgroup != "comment":
+        elif kind != "eof":
             blank = False
     if not blank:
         statements.append(script[start:].strip())
@@ -183,28 +200,25 @@ _CLAUSE_WORDS = {"FROM", "WHERE", *_UNSUPPORTED}
 
 
 class _Parser:
+    """Recursive descent over the tokens.  The token list ends in two eof
+    tokens, so a look one token past any token but the last is in range.
+    Where the grammar already knows a token's type, the rules read
+    ``tokens[pos]`` and step ``pos`` themselves."""
+
     def __init__(self, sql: str):
         self.sql = sql
         self.tokens = tokenize(sql)
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
 
     # -- token helpers ---------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.type != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, key: str) -> bool:
-        """Whether the next token is the keyword or symbol ``key``
-        (keywords upper-case)."""
-        return self.tokens[self.pos].key == key
+        return self.tokens[self.pos + ahead]
 
     def eat(self, key: str) -> bool:
+        """Step past the next token if it is the keyword or symbol ``key``
+        (keywords upper-case)."""
         if self.tokens[self.pos].key == key:
             self.pos += 1
             return True
@@ -232,7 +246,7 @@ class _Parser:
             )
 
     def reject_subquery(self):
-        if self.at("(") and self.peek(1).key == "SELECT":
+        if self.peek().key == "(" and self.peek(1).key == "SELECT":
             raise self.error(
                 UnsupportedConstruct, "unsupported construct: subquery", self.peek(1)
             )
@@ -256,11 +270,9 @@ class _Parser:
             kind, select = COLUMNS, tuple(cols)
         self.expect("FROM")
         tables = [self.table_ref()]
-        while True:
-            self.reject_unsupported()
-            if not self.eat(","):
-                break
+        while self.eat(","):
             tables.append(self.table_ref())
+        self.reject_unsupported()
         where = None
         if self.eat("WHERE"):
             where = self.or_expr()
@@ -271,33 +283,37 @@ class _Parser:
         return AstQuery(kind, select, tuple(tables), where)
 
     def table_ref(self) -> AstTableRef:
-        self.reject_unsupported()
-        self.reject_subquery()
-        tok = self.peek()
-        if tok.type != "ident":
+        tok = self.tokens[self.pos]
+        if tok.type != "ident" or tok.key in _UNSUPPORTED:
+            self.reject_unsupported()
+            self.reject_subquery()
             self.fail("expected table name")
-        self.advance()
+        self.pos += 1
         alias = tok.text
-        if self.eat("AS"):
-            alias_tok = self.peek()
+        nxt = self.tokens[self.pos]
+        if nxt.key == "AS":
+            self.pos += 1
+            alias_tok = self.tokens[self.pos]
             if alias_tok.type != "ident":
                 self.fail("expected alias name")
-            self.advance()
+            self.pos += 1
             alias = alias_tok.text
-        elif self.peek().type == "ident" and self.peek().key not in _CLAUSE_WORDS:
-            alias = self.advance().text
+        elif nxt.type == "ident" and nxt.key not in _CLAUSE_WORDS:
+            self.pos += 1
+            alias = nxt.text
         return AstTableRef(tok.text, alias)
 
     def column_ref(self) -> ex.ColumnRef:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type != "ident":
             self.fail("expected column name")
-        self.advance()
-        if self.eat("."):
-            name_tok = self.peek()
+        self.pos += 1
+        if self.tokens[self.pos].key == ".":
+            self.pos += 1
+            name_tok = self.tokens[self.pos]
             if name_tok.type != "ident" or name_tok.key in _CLAUSE_WORDS:
                 self.fail("expected column name after '.'")
-            self.advance()
+            self.pos += 1
             return ex.ColumnRef(tok.text, name_tok.text)
         return ex.ColumnRef(None, tok.text)
 
@@ -314,30 +330,29 @@ class _Parser:
         return items[0] if len(items) == 1 else ex.And(tuple(items))
 
     def not_expr(self):
-        if self.eat("NOT"):
+        key = self.tokens[self.pos].key
+        if key == "NOT":
+            self.pos += 1
             return ex.Not(self.not_expr())
-        return self.primary()
-
-    def primary(self):
-        self.reject_subquery()
-        if self.eat("("):
+        if key == "(":
+            self.reject_subquery()
+            self.pos += 1
             inner = self.or_expr()
             self.expect(")")
             return inner
         return self.atom()
 
     def atom(self) -> ex.Expr:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type != "ident":
             self.fail("expected a column or function call")
-        if self.peek(1).key == "(":
-            self.advance()
-            self.advance()
+        if self.tokens[self.pos + 1].key == "(":
+            self.pos += 2
             args = [self.fn_arg()]
             while self.eat(","):
                 args.append(self.fn_arg())
             self.expect(")")
-            if self.at("BETWEEN"):
+            if self.tokens[self.pos].key == "BETWEEN":
                 self.fail("BETWEEN requires a column on the left")
             op = self.compare_op()
             return ex.FnCall(tok.text.lower(), tuple(args), op, self.comparand())
@@ -355,25 +370,25 @@ class _Parser:
             return ex.Range(col, lo, hi)
         op = self.compare_op()
         right = self.comparand()
-        if isinstance(right, ex.ColumnRef):
+        if type(right) is ex.ColumnRef:
             return ex.ColumnCompare(col, op, right)
         return ex.Comparison(col, op, right)
 
     def compare_op(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.key not in _COMPARE_OPS:
             self.fail("expected a comparison operator or BETWEEN")
-        return self.advance().text
+        self.pos += 1
+        return tok.text
 
     def fn_arg(self) -> ex.ColumnRef:
-        tok = self.peek()
-        if tok.type != "ident":
+        if self.tokens[self.pos].type != "ident":
             self.fail("function arguments must be column references")
         return self.column_ref()
 
     def comparand(self):
         """Right side of a comparison: constant or column reference."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type == "ident":
             # DATE before a literal is a (maybe malformed) date literal;
             # anywhere else it is a name, as in ssb's table ``date``
@@ -383,26 +398,26 @@ class _Parser:
         return self.constant()
 
     def constant(self) -> AstConst:
-        tok = self.peek()
-        if tok.key == "-":
-            self.advance()
-            num = self.peek()
-            if num.type != "number":
-                self.fail("expected a number after '-'")
-            self.advance()
-            return AstConst("number", "-" + num.text)
+        tok = self.tokens[self.pos]
         if tok.type == "number":
-            self.advance()
+            self.pos += 1
             return AstConst("number", tok.text)
         if tok.type == "string":
-            self.advance()
+            self.pos += 1
             return AstConst("string", _unquote(tok.text))
+        if tok.key == "-":
+            self.pos += 1
+            num = self.tokens[self.pos]
+            if num.type != "number":
+                self.fail("expected a number after '-'")
+            self.pos += 1
+            return AstConst("number", "-" + num.text)
         if tok.key == "DATE":
-            self.advance()
-            s = self.peek()
+            self.pos += 1
+            s = self.tokens[self.pos]
             if s.type != "string":
                 self.fail("expected a quoted date after DATE")
-            self.advance()
+            self.pos += 1
             return AstConst("date", _unquote(s.text))
         self.fail("expected a constant")
 
@@ -422,9 +437,19 @@ def parse(sql: str) -> AstQuery:
 
 
 class _Scope:
-    def __init__(self, tables: list[tuple[str, ColumnTable]]):
-        self.tables = tables
-        self.by_alias = dict(tables)
+    """The FROM tables of one query, by alias and by column name."""
+
+    def __init__(self, by_alias: dict[str, ColumnTable]):
+        self.by_alias = by_alias
+        # column name -> (alias, column) of every table that has it, in
+        # FROM order; built once, so resolving a bare name is one lookup
+        self.owners: dict[str, list] = {}
+        for alias, table in by_alias.items():
+            for c in table.columns:
+                if c.name in self.owners:
+                    self.owners[c.name].append((alias, c))
+                else:
+                    self.owners[c.name] = [(alias, c)]
 
     def resolve(self, col: ex.ColumnRef) -> ex.ColumnRef:
         if col.table is not None:
@@ -433,45 +458,50 @@ class _Scope:
                 raise UnknownTable(
                     f"unknown table or alias {col.table!r} in {col}"
                 )
-            if not table.has_column(col.name):
-                raise UnknownColumn(f"table {col.table!r} has no column {col.name!r}")
-            return ex.ColumnRef(col.table, col.name, kind=table.column(col.name).kind)
-        hits = [
-            (alias, t) for alias, t in self.tables if t.has_column(col.name)
-        ]
-        if not hits:
+            try:
+                kind = table.column(col.name).kind
+            except KeyError:
+                raise UnknownColumn(
+                    f"table {col.table!r} has no column {col.name!r}"
+                ) from None
+            return ex.ColumnRef(col.table, col.name, kind=kind)
+        hits = self.owners.get(col.name)
+        if hits is None:
             raise UnknownColumn(f"unknown column {col.name!r}")
         if len(hits) > 1:
             names = ", ".join(alias for alias, _ in hits)
             raise AmbiguousColumn(
                 f"column {col.name!r} is ambiguous (in tables {names})"
             )
-        alias, table = hits[0]
-        return ex.ColumnRef(alias, col.name, kind=table.column(col.name).kind)
+        alias, column = hits[0]
+        return ex.ColumnRef(alias, col.name, kind=column.kind)
 
     def table_of(self, alias: str) -> ColumnTable:
         return self.by_alias[alias]
 
 
-def _number_value(const: AstConst) -> Fraction:
+def _number_value(const: AstConst) -> int | Fraction:
+    """The literal's exact value: an ``int``, or a ``Fraction`` when it
+    has a fractional part."""
     try:
-        return Fraction(const.text)
+        return Fraction(const.text) if "." in const.text else int(const.text)
     except (ValueError, ZeroDivisionError):
         raise AnalysisError(f"bad numeric literal {const.text!r}") from None
 
 
 def _const_for_column(col: ex.ColumnRef, const: AstConst):
     """Comparison constant in the column's storage units: TEXT as its
-    string, DATE as epoch days, a number as the exact ``Fraction`` of
-    storage units (DECIMAL rescaled), which may fall between them."""
+    string, DATE as epoch days, a number as the exact ``int`` or
+    ``Fraction`` of storage units (DECIMAL rescaled), which may fall
+    between them."""
     kind: ColumnKind = col.kind
-    if kind.is_text:
+    if kind.name == TEXT:
         if const.kind != "string":
             raise AnalysisError(
                 f"type mismatch: TEXT column {col} compared to {const}"
             )
         return const.text
-    if kind is KIND_DATE or kind.name == "DATE":
+    if kind.name == DATE:
         if const.kind == "number":
             raise AnalysisError(
                 f"type mismatch: DATE column {col} compared to a number"
@@ -484,7 +514,8 @@ def _const_for_column(col: ex.ColumnRef, const: AstConst):
             ) from None
     if const.kind != "number":
         raise AnalysisError(f"type mismatch: column {col} compared to {const}")
-    return _number_value(const) * (10 ** kind.scale if kind.is_decimal else 1)
+    value = _number_value(const)
+    return value * 10**kind.scale if kind.scale else value
 
 
 def _text_code(col: ex.ColumnRef, text: str, scope: _Scope) -> int | None:
@@ -500,7 +531,7 @@ def _analyze_column_compare(node: ex.ColumnCompare, scope: _Scope) -> ex.Expr:
             f"type mismatch: cannot compare {left} ({left.kind}) "
             f"to {right} ({right.kind})"
         )
-    if left.kind.is_text:
+    if left.kind.name == TEXT:
         raise UnsupportedPredicate(
             f"column-to-column comparison over TEXT: {left} {node.op} {right}"
         )
@@ -510,7 +541,7 @@ def _analyze_column_compare(node: ex.ColumnCompare, scope: _Scope) -> ex.Expr:
 def _analyze_compare(node: ex.Comparison, scope: _Scope) -> ex.Expr:
     left = scope.resolve(node.col)
     value = _const_for_column(left, node.value)
-    if left.kind.is_text:
+    if left.kind.name == TEXT:
         if node.op in ("=", "<>"):
             code = _text_code(left, value, scope)
             if code is None:
@@ -541,7 +572,7 @@ def _analyze_fncall(call: ex.FnCall, scope: _Scope, catalog) -> ex.Expr:
     args = []
     for arg in call.args:
         ref = scope.resolve(arg)
-        if ref.kind.is_text:
+        if ref.kind.name == TEXT:
             raise AnalysisError(
                 f"type mismatch: TEXT column {ref} passed to {call.name}()"
             )
@@ -550,7 +581,9 @@ def _analyze_fncall(call: ex.FnCall, scope: _Scope, catalog) -> ex.Expr:
         raise AnalysisError(
             f"function comparison {call.name}(...) {call.op} requires a numeric constant"
         )
-    value = float(_number_value(call.value))
+    # float() of a Fraction, so an integer literal past the float range
+    # overflows with the same message as a fractional one
+    value = float(Fraction(_number_value(call.value)))
     return ex.FnCall(call.name, tuple(args), call.op, value, fn=udf.fn)
 
 
@@ -558,7 +591,7 @@ def _analyze_between(node: ex.Range, scope: _Scope) -> ex.Expr:
     col = scope.resolve(node.col)
     lo = _const_for_column(col, node.lo)
     hi = _const_for_column(col, node.hi)
-    if isinstance(lo, Fraction):
+    if col.kind.name != TEXT:
         # integer storage: the bounds round inward
         lo, hi = math.ceil(lo), math.floor(hi)
     if lo > hi:
@@ -568,20 +601,19 @@ def _analyze_between(node: ex.Range, scope: _Scope) -> ex.Expr:
 
 def _analyze_predicate(node: ex.Expr, scope: _Scope, catalog) -> ex.Expr:
     """Rewrite a parsed predicate into resolved form."""
-    if isinstance(node, (ex.And, ex.Or)):
-        return type(node)(
-            tuple(_analyze_predicate(i, scope, catalog) for i in node.items)
-        )
-    if isinstance(node, ex.Not):
-        return ex.Not(_analyze_predicate(node.child, scope, catalog))
-    if isinstance(node, ex.Comparison):
+    kind = type(node)
+    if kind is ex.Comparison:
         return _analyze_compare(node, scope)
-    if isinstance(node, ex.ColumnCompare):
+    if kind is ex.ColumnCompare:
         return _analyze_column_compare(node, scope)
-    if isinstance(node, ex.FnCall):
-        return _analyze_fncall(node, scope, catalog)
-    if isinstance(node, ex.Range):
+    if kind is ex.And or kind is ex.Or:
+        return kind(tuple([_analyze_predicate(i, scope, catalog) for i in node.items]))
+    if kind is ex.Range:
         return _analyze_between(node, scope)
+    if kind is ex.Not:
+        return ex.Not(_analyze_predicate(node.child, scope, catalog))
+    if kind is ex.FnCall:
+        return _analyze_fncall(node, scope, catalog)
     raise AnalysisError(f"unexpected predicate node {node!r}")
 
 
@@ -638,14 +670,12 @@ def analyze(ast: AstQuery, catalog) -> JoinGraph:
     anything cross-table that is not an equi-join is rejected.  The
     projection expands ``*`` in FROM order and is None for COUNT(*).
     """
-    seen = set()
-    resolved: list[tuple[str, ColumnTable]] = []
+    by_alias: dict[str, ColumnTable] = {}
     for ref in ast.tables:
-        if ref.alias in seen:
+        if ref.alias in by_alias:
             raise AnalysisError(f"duplicate table alias {ref.alias!r}")
-        seen.add(ref.alias)
-        resolved.append((ref.alias, catalog.table(ref.name)))
-    scope = _Scope(resolved)
+        by_alias[ref.alias] = catalog.table(ref.name)
+    scope = _Scope(by_alias)
 
     conjuncts = []
     if ast.where is not None:
@@ -656,24 +686,31 @@ def analyze(ast: AstQuery, catalog) -> JoinGraph:
     elif ast.select_kind == STAR:
         projection = tuple(
             ex.ColumnRef(alias, c.name, kind=c.kind)
-            for alias, table in resolved
+            for alias, table in by_alias.items()
             for c in table.columns
         )
     else:
-        projection = tuple(scope.resolve(c) for c in ast.select)
+        projection = tuple([scope.resolve(c) for c in ast.select])
 
-    edges: dict[frozenset, JoinEdge] = {}  # a = b and b = a are one edge
+    # a = b and b = a are one edge; a ColumnRef is equal by table and name
+    edges: dict[frozenset, JoinEdge] = {}
     residuals: dict[str, list[ex.Expr]] = {}
     for conj in conjuncts:
-        touched = ex.tables(conj)
+        kind = type(conj)
+        if kind in _ONE_COLUMN_ATOMS:
+            residuals.setdefault(conj.col.table, []).append(conj)
+            continue
         if (
-            isinstance(conj, ex.ColumnCompare)
+            kind is ex.ColumnCompare
             and conj.op == "="
             and conj.left.table != conj.right.table
         ):
-            key = frozenset((conj.left, conj.right))
-            edges.setdefault(key, JoinEdge(conj.left, conj.right))
-        elif len(touched) == 1:
+            left, right = conj.left, conj.right
+            key = frozenset(((left.table, left.name), (right.table, right.name)))
+            edges.setdefault(key, JoinEdge(left, right))
+            continue
+        touched = ex.tables(conj)
+        if len(touched) == 1:
             residuals.setdefault(touched.pop(), []).append(conj)
         else:
             raise UnsupportedPredicate(
@@ -681,9 +718,13 @@ def analyze(ast: AstQuery, catalog) -> JoinGraph:
                 f"equi-join: {conj}"
             )
     return JoinGraph(
-        tables=tuple(alias for alias, _ in resolved),
+        tables=tuple(by_alias),
         source={ref.alias: ref.name for ref in ast.tables},
         edges=tuple(edges.values()),
         residuals={t: ex.conjoin(items) for t, items in residuals.items()},
         projection=projection,
     )
+
+
+# atoms over one column, whose conjunct is that column's table's residual
+_ONE_COLUMN_ATOMS = (ex.Comparison, ex.Range, ex.FoldedAtom)

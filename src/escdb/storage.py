@@ -153,11 +153,22 @@ def format_decimal(scaled: int, scale: int) -> str:
 
 
 class Dictionary:
-    """Bijection between distinct strings and codes 0..D-1."""
+    """Bijection between distinct strings and codes 0..D-1.
+
+    Codes are handed out in order of first appearance and never change,
+    and strings are only ever added, so the sort order that ``ranked``
+    returns is still right for the codes it covers and is rebuilt only
+    when the dictionary has grown.
+    """
 
     def __init__(self):
         self._code_of: dict[str, int] = {}
         self._strings: list[str] = []
+        # (size, sorted strings, rank per code) as of ``size`` strings: one
+        # tuple, so a query racing a rebuild reads one consistent version
+        self._ranked: tuple[int, list[str], np.ndarray] = (
+            0, [], np.empty(0, dtype=np.int64)
+        )
 
     def __len__(self):
         return len(self._strings)
@@ -182,6 +193,19 @@ class Dictionary:
 
     def strings(self) -> list[str]:
         return list(self._strings)
+
+    def ranked(self) -> tuple[list[str], np.ndarray]:
+        """The strings in sorted order, and each code's position in it:
+        ``sorted_strings[rank[code]] == decode(code)``."""
+        size, sorted_strings, rank = self._ranked
+        if size != len(self._strings):
+            strings = list(self._strings)
+            order = sorted(range(len(strings)), key=strings.__getitem__)
+            sorted_strings = [strings[i] for i in order]
+            rank = np.empty(len(strings), dtype=np.int64)
+            rank[order] = np.arange(len(strings))
+            self._ranked = (len(strings), sorted_strings, rank)
+        return sorted_strings, rank
 
 
 @dataclass

@@ -16,9 +16,16 @@ from escdb.executor import (
     eval_predicate,
     probe_joins,
 )
-from escdb.storage import ColumnTable, KIND_INT64
+from escdb.executor import _compact, _row_ids
+from escdb.storage import KIND_INT64, KIND_TEXT, Column, ColumnTable
 
-from oracles import load_rows, oracle_join, oracle_select, table_multiset
+from oracles import (
+    load_rows,
+    oracle_count,
+    oracle_join,
+    oracle_select,
+    table_multiset,
+)
 
 
 class PredGen:
@@ -151,6 +158,72 @@ class TestCountStar:
 
     def test_none_pred(self, custom_nulls):
         assert count_star(custom_nulls, None) == (custom_nulls.row_count, None)
+
+
+class TestTextRanges:
+    """TEXT ranges compare decoded strings, by each code's rank among the
+    dictionary's sorted strings."""
+
+    WORDS = ["pine", "", "oak", "Oak", "alder", "oak2", "elm", "zzz", "\u00e9"]
+    BOUNDS = ["", "a", "oak", "oak1", "Oak", "pine", "zzzz", "\u00e9", "\u00fc"]
+    REF = ex.ColumnRef("t", "tag", KIND_TEXT)
+
+    def _table(self):
+        rng = random.Random(5)
+        rows = [
+            [i, None if rng.random() < 0.2 else rng.choice(self.WORDS)]
+            for i in range(300)
+        ]
+        return load_rows("t", [("id", KIND_INT64), ("tag", KIND_TEXT)], rows)
+
+    def _check(self, table):
+        for lo in self.BOUNDS:
+            preds = [ex.Comparison(self.REF, op, lo) for op in ("<", "<=", ">", ">=")]
+            preds += [ex.Range(self.REF, lo, hi) for hi in self.BOUNDS]
+            for pred in preds:
+                for p in (pred, ex.Not(pred)):
+                    assert count_star(table, p)[0] == oracle_count(table, p), str(p)
+
+    def test_match_oracle(self):
+        self._check(self._table())
+
+    def test_match_oracle_after_dictionary_grows(self):
+        table = self._table()
+        self._check(table)  # ranks the dictionary as loaded
+        tag = table.column("tag")
+        new = ["oak1", "a", "zz", "Pine", "oak"]
+        codes = tag.dictionary.encode_all(new)
+        self._check(table)
+        # a table whose codes include the new strings, sharing the dictionary
+        grown = ColumnTable(
+            "t",
+            [
+                Column("id", KIND_INT64, np.arange(len(new)), np.zeros(len(new), bool)),
+                Column("tag", KIND_TEXT, codes, np.zeros(len(new), bool), tag.dictionary),
+            ],
+        )
+        self._check(grown)
+
+
+class TestCompact:
+    """``_compact`` against boolean indexing, for array and slice ids."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("form", ["array", "slice"])
+    def test_matches_flatnonzero(self, fraction, form):
+        rng = np.random.default_rng(17)
+        n = 2000
+        hit = np.zeros(n, dtype=bool)
+        hit[rng.choice(n, round(n * fraction), replace=False)] = True
+        if form == "slice":
+            ids = slice(300, 300 + n)
+        else:
+            ids = np.sort(rng.choice(10**6, n, replace=False))
+        got = _compact(ids, hit, int(np.count_nonzero(hit)))
+        want = _row_ids(ids)[np.flatnonzero(hit)]
+        assert np.array_equal(_row_ids(got), want)
+        if fraction == 1.0:
+            assert got is ids  # every row kept: no copy
 
 
 def _int_col_table(name, **columns):

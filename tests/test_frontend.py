@@ -164,54 +164,56 @@ class TestParser:
         assert const.kind == "date" and const.text == "2024-01-05"
 
 
+_OPS = ["=", "<", "<=", ">", ">=", "<>"]
+
+
+def _random_pred(rng, depth=0):
+    kind = rng.randrange(8 if depth < 2 else 5)
+    col = ex.ColumnRef(rng.choice([None, "t"]), rng.choice("abcd"))
+    if kind == 0:
+        return ex.Comparison(col, rng.choice(_OPS),
+                             fe.AstConst("number", str(rng.randrange(-9, 100))))
+    if kind == 1:
+        return ex.Comparison(col, rng.choice(_OPS),
+                             fe.AstConst("string", "x'y"))
+    if kind == 2:
+        return ex.Range(col, fe.AstConst("date", "2024-01-05"),
+                        fe.AstConst("number", "9.5"))
+    if kind == 3:
+        return ex.FnCall(
+            "f", (col, ex.ColumnRef("v", "e")), "<", fe.AstConst("number", "3")
+        )
+    if kind == 4:
+        other = ex.ColumnRef(rng.choice([None, "v"]), rng.choice("abcd"))
+        return ex.ColumnCompare(col, rng.choice(_OPS), other)
+    if kind == 5:
+        return ex.Not(_random_pred(rng, depth + 1))
+    if kind == 6:
+        return ex.And(tuple(_random_pred(rng, depth + 1) for _ in range(2)))
+    return ex.Or(tuple(_random_pred(rng, depth + 1) for _ in range(2)))
+
+
+def random_query(rng) -> fe.AstQuery:
+    where = _random_pred(rng) if rng.random() < 0.9 else None
+    select_kind = rng.choice([fe.COUNT_STAR, fe.STAR, fe.COLUMNS])
+    select = ()
+    if select_kind == fe.COLUMNS:
+        select = (ex.ColumnRef(None, "a"), ex.ColumnRef("v", "b"))
+    return fe.AstQuery(
+        select_kind,
+        select,
+        (fe.AstTableRef("t", "t"), fe.AstTableRef("u", "v"))[: rng.randrange(1, 3)],
+        where,
+    )
+
+
 class TestRenderRoundTrip:
     """parse(render(q)) == q over a generated corpus."""
-
-    OPS = ["=", "<", "<=", ">", ">=", "<>"]
-
-    def _random_pred(self, rng, depth=0):
-        kind = rng.randrange(8 if depth < 2 else 5)
-        col = ex.ColumnRef(rng.choice([None, "t"]), rng.choice("abcd"))
-        if kind == 0:
-            return ex.Comparison(col, rng.choice(self.OPS),
-                                 fe.AstConst("number", str(rng.randrange(-9, 100))))
-        if kind == 1:
-            return ex.Comparison(col, rng.choice(self.OPS),
-                                 fe.AstConst("string", "x'y"))
-        if kind == 2:
-            return ex.Range(col, fe.AstConst("date", "2024-01-05"),
-                            fe.AstConst("number", "9.5"))
-        if kind == 3:
-            return ex.FnCall(
-                "f", (col, ex.ColumnRef("v", "e")), "<", fe.AstConst("number", "3")
-            )
-        if kind == 4:
-            other = ex.ColumnRef(rng.choice([None, "v"]), rng.choice("abcd"))
-            return ex.ColumnCompare(col, rng.choice(self.OPS), other)
-        if kind == 5:
-            return ex.Not(self._random_pred(rng, depth + 1))
-        if kind == 6:
-            return ex.And(tuple(self._random_pred(rng, depth + 1)
-                                for _ in range(2)))
-        return ex.Or(tuple(self._random_pred(rng, depth + 1)
-                           for _ in range(2)))
 
     def test_round_trip_corpus(self):
         rng = random.Random(11)
         for _ in range(150):
-            where = self._random_pred(rng) if rng.random() < 0.9 else None
-            select_kind = rng.choice([fe.COUNT_STAR, fe.STAR, fe.COLUMNS])
-            select = ()
-            if select_kind == fe.COLUMNS:
-                select = (ex.ColumnRef(None, "a"), ex.ColumnRef("v", "b"))
-            q = fe.AstQuery(
-                select_kind,
-                select,
-                (fe.AstTableRef("t", "t"), fe.AstTableRef("u", "v"))[
-                    : rng.randrange(1, 3)
-                ],
-                where,
-            )
+            q = random_query(rng)
             text = render_query(q)
             assert fe.parse(text) == q, text
 
@@ -224,6 +226,48 @@ class TestRenderRoundTrip:
         ]:
             q = fe.parse(sql)
             assert fe.parse(render_query(q)) == q
+
+
+class TestLexerProperties:
+    """Rendered statements with random whitespace and ``--`` comments
+    between their tokens."""
+
+    # a comment follows whitespace, so it never runs into a '-' token
+    GAPS = [" ", "  ", "\n", "\t", " \r\n", " -- note\n", "\n--;'x\n", "\t--\n "]
+
+    def _noisy(self, rng, sql):
+        texts = [t.text for t in fe.tokenize(sql)[:-1]]
+        return rng.choice(["", " ", "-- lead\n"]) + "".join(
+            text + rng.choice(self.GAPS) for text in texts
+        )
+
+    def test_tokens_and_offsets(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            sql = render_query(random_query(rng))
+            noisy = self._noisy(rng, sql)
+            tokens = fe.tokenize(noisy)
+            assert [t.text for t in tokens] == [t.text for t in fe.tokenize(sql)]
+            for t in tokens:
+                assert noisy[t.offset:][: len(t.text)] == t.text
+            assert [t.type for t in tokens].count("eof") == 1
+            assert tokens[-1].offset == len(noisy)
+            assert fe.parse(noisy) == fe.parse(sql)
+
+    def test_split_statements_gives_statements_back(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            statements = [
+                self._noisy(rng, render_query(random_query(rng)))
+                for _ in range(rng.randrange(1, 5))
+            ]
+            want = [s.strip() for s in statements]
+            assert fe.split_statements("; ".join(statements) + ";") == want
+            # a comment at the end of the input, with no newline after it
+            assert fe.split_statements("; ".join(statements) + "; -- end") == want
+            script = "; ".join(statements) + " -- end"
+            last = (statements[-1] + " -- end").strip()
+            assert fe.split_statements(script) == want[:-1] + [last]
 
 
 class TestAnalyze:

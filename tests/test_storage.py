@@ -117,6 +117,18 @@ class TestDictionary:
         assert d.lookup("elm") is None
         assert len(d) == 1
 
+    def test_ranked_sorts_and_follows_growth(self):
+        d = Dictionary()
+        d.encode_all(["oak", "elm", "Oak", ""])
+        sorted_strings, rank = d.ranked()
+        assert sorted_strings == ["", "Oak", "elm", "oak"]
+        assert rank.tolist() == [3, 2, 1, 0]
+        assert d.ranked()[1] is rank  # unchanged dictionary: not rebuilt
+        d.encode_all(["fir", "oak"])
+        sorted_strings, rank = d.ranked()
+        assert sorted_strings == ["", "Oak", "elm", "fir", "oak"]
+        assert [sorted_strings[r] for r in rank] == [d.decode(c) for c in range(5)]
+
 
 class TestTableBuild:
     SCHEMA = [

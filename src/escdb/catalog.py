@@ -11,15 +11,15 @@ SIGMOD 1984) over any sorted int64 key.  It is built from one gather of
 the split points and one ``searchsorted`` of the boundaries into the
 sorted values, and read by one ``searchsorted`` of the constant over the
 upper boundaries: the buckets below it count in full, and only the
-bucket that holds it is interpolated.  A constant is compared with the
-boundaries as a Python number, never in float64, which is inexact past
-2**53; it is checked against the outer boundaries first, so only a
-value that fits in int64 reaches ``searchsorted``.
+bucket that holds it is interpolated.  A constant is the exact Python
+int, in storage units, that the analyzer resolved it to; it is never
+converted to float64, which is inexact past 2**53.  It is checked
+against the outer boundaries first, so only a value that fits in int64
+reaches ``searchsorted``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -153,38 +153,25 @@ def build_histogram(table: ColumnTable, column: str, buckets: int) -> EquiDepthH
     )
 
 
-def _estimate_le(h: EquiDepthHistogram, v: float) -> float:
+def _estimate_le(h: EquiDepthHistogram, v: int) -> float:
     """Estimated fraction of rows with value <= v (of all rows)."""
     if h.counts.size == 0 or v < int(h.boundaries[0]):
         return 0.0
     if v >= int(h.boundaries[-1]):
         return float(h.counts.sum()) / h.row_count
     # buckets whose upper boundary is <= v are full; bucket b holds v
-    b = int(np.searchsorted(h.boundaries[1:], math.floor(v), side="right"))
+    b = int(np.searchsorted(h.boundaries[1:], v, side="right"))
     lo, hi = int(h.boundaries[b]), int(h.boundaries[b + 1])
     frac = min(1.0, (v - lo + 1) / (hi - lo + 1))
     return (float(h.counts[:b].sum()) + float(h.counts[b]) * frac) / h.row_count
 
 
-def _estimate_equality(h: EquiDepthHistogram, v: float) -> float:
-    if h.counts.size == 0 or v != int(v):
-        return 0.0
-    if not int(h.boundaries[0]) <= v <= int(h.boundaries[-1]):
+def _estimate_equality(h: EquiDepthHistogram, v: int) -> float:
+    if h.counts.size == 0 or not int(h.boundaries[0]) <= v <= int(h.boundaries[-1]):
         return 0.0
     # the first bucket whose upper boundary is >= v holds v
-    b = int(np.searchsorted(h.boundaries[1:], int(v), side="left"))
+    b = int(np.searchsorted(h.boundaries[1:], v, side="left"))
     return float(h.counts[b]) / int(h.distincts[b]) / h.row_count
-
-
-def _const_as_float(value) -> float:
-    if isinstance(value, (int, np.integer)):
-        try:
-            return float(value)
-        except OverflowError:
-            raise Inestimable("constant out of float range") from None
-    if isinstance(value, float):
-        return value
-    raise Inestimable(f"constant {value!r} is not numeric")
 
 
 def _atom_selectivity(hist_for, atom: ex.Expr) -> float:
@@ -199,11 +186,9 @@ def _atom_selectivity(hist_for, atom: ex.Expr) -> float:
         raise Inestimable(f"no histogram over TEXT column {col}")
     h = hist_for(col)
     if isinstance(atom, ex.Range):
-        lo = _const_as_float(atom.lo)
-        hi = _const_as_float(atom.hi)
-        return max(0.0, _estimate_le(h, hi) - _estimate_le(h, lo - 1))
+        return max(0.0, _estimate_le(h, atom.hi) - _estimate_le(h, atom.lo - 1))
     if isinstance(atom, ex.Comparison):
-        v = _const_as_float(atom.value)
+        v = atom.value
         if atom.op == "=":
             return _estimate_equality(h, v)
         if atom.op == "<=":

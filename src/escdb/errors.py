@@ -26,10 +26,6 @@ class EmptySchema(StorageError):
     pass
 
 
-class ArityMismatch(StorageError):
-    pass
-
-
 class TypeMismatch(StorageError):
     pass
 
@@ -76,6 +72,10 @@ class AmbiguousColumn(AnalysisError):
 
 
 class UnknownFunction(AnalysisError):
+    pass
+
+
+class ArityMismatch(AnalysisError):
     pass
 
 

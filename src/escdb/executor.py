@@ -49,10 +49,11 @@ from .storage import Column, ColumnTable
 
 
 def _text_lut(col: Column, op: str, value: str) -> np.ndarray:
-    """Boolean lookup table over dictionary codes for a decoded-string
-    comparison: TEXT ranges compare strings, not codes.  ``value`` is
-    found by binary search among the sorted strings, and the table is an
-    integer compare of each code's rank."""
+    """Boolean lookup table over dictionary codes for a TEXT range
+    comparison, which compares strings, not codes (the analyzer turns
+    ``=`` and ``<>`` into codes).  ``value`` is found by binary search
+    among the sorted strings, and the table is an integer compare of each
+    code's rank."""
     sorted_strings, rank = col.dictionary.ranked()
     # the ranks of the strings below ``value`` are < below, and those of
     # the strings up to it < upto
@@ -66,11 +67,6 @@ def _text_lut(col: Column, op: str, value: str) -> np.ndarray:
         return rank >= upto
     if op == ">=":
         return rank >= below
-    equal = (rank >= below) & (rank < upto)
-    if op == "=":
-        return equal
-    if op == "<>":
-        return ~equal
     raise ExecutionError(f"unknown comparison operator {op!r}")
 
 
@@ -129,10 +125,15 @@ def _eval_fncall(
     try:
         # None becomes NaN
         results = raw.astype(np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         for i, row in enumerate(_span(table, rows)):
             try:
                 raw[i : i + 1].astype(np.float64)
+            except OverflowError:
+                raise ExecutionError(
+                    f"UDF {atom.name!r} returned a number past the float range "
+                    f"at row {row}"
+                ) from exc
             except (TypeError, ValueError):
                 raise ExecutionError(
                     f"UDF {atom.name!r} returned {raw[i]!r} at row {row}, "

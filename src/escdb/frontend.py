@@ -581,9 +581,12 @@ def _analyze_fncall(call: ex.FnCall, scope: _Scope, catalog) -> ex.Expr:
         raise AnalysisError(
             f"function comparison {call.name}(...) {call.op} requires a numeric constant"
         )
-    # float() of a Fraction, so an integer literal past the float range
-    # overflows with the same message as a fractional one
-    value = float(Fraction(_number_value(call.value)))
+    number = _number_value(call.value)
+    try:
+        value = float(number)
+    except OverflowError:
+        # past the float range: +-inf by its sign, as sqlite3 reads it
+        value = math.inf if number > 0 else -math.inf
     return ex.FnCall(call.name, tuple(args), call.op, value, fn=udf.fn)
 
 

@@ -37,7 +37,6 @@ from .errors import (
     ExecutionError,
     Inestimable,
     PlanError,
-    UnsupportedColumnKind,
 )
 from .frontend import JoinEdge, JoinGraph
 
@@ -199,7 +198,7 @@ def _estimated_fraction(catalog: Catalog, graph: JoinGraph, pred: ex.Expr) -> fl
 
     try:
         return estimate_selectivity(hist_for, pred)
-    except (Inestimable, UnsupportedColumnKind):
+    except Inestimable:
         return DEFAULT_GUESS
 
 

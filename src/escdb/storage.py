@@ -307,9 +307,6 @@ class ColumnTable:
     def column(self, name: str) -> Column:
         return self._by_name[name]
 
-    def has_column(self, name: str) -> bool:
-        return name in self._by_name
-
     def row(self, i: int) -> tuple:
         return tuple(c.decode_value(i) for c in self.columns)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from escdb import expr as ex
+from escdb import frontend as fe
 from escdb.catalog import (
     Catalog,
     _estimate_equality,
@@ -101,22 +102,27 @@ class TestHistogram:
     def test_estimates_exact_past_2_pow_53(self):
         big, top = 2**53 + 1, 2**63 - 1
         vals = [top, None, -big, big, 0, -(2**63), 2**53 - 1, -big, big]
-        h = build_histogram(_int_table("t", vals), "v", 8)
+        table = _int_table("t", vals)
+        h = build_histogram(table, "v", 8)
         assert h.boundaries.tolist() == [-(2**63), -big, 0, 2**53 - 1, big, top]
         assert h.counts.tolist() == [3, 1, 1, 2, 1]
         expected = {
             big: (0.7777777777777778, 0.2222222222222222),
             -big: (0.3333333333333333, 0.16666666666666666),
-            # float(2**53 + 1) is 2**53, inside (2**53 - 1, 2**53 + 1]; a
-            # float64 comparison would take 2**53 + 1 <= 2**53 and read 7/9
-            float(big): (0.7037037037037037, 0.2222222222222222),
-            float(-big): (0.3333333333333333, 0.1111111111111111),
-            1e300: (0.8888888888888888, 0.0),
-            -1e300: (0.0, 0.0),
-            0.5: (0.4444444444444444, 0.0),
+            10**300: (0.8888888888888888, 0.0),
+            -(10**300): (0.0, 0.0),
+            10**400: (0.8888888888888888, 0.0),
+            -(10**400): (0.0, 0.0),
         }
         for v, (le, eq) in expected.items():
             assert (_estimate_le(h, v), _estimate_equality(h, v)) == (le, eq), v
+        # the analyzer's exact int reaches the histogram: float(2**53 + 1)
+        # is 2**53, which would read 0.7037
+        cat = Catalog()
+        cat.register(table)
+        graph = fe.analyze(fe.parse(f"SELECT * FROM t WHERE v <= {big}"), cat)
+        got = estimate_selectivity(lambda ref: h, graph.residual("t"))
+        assert got == _estimate_le(h, big) == 0.7777777777777778
 
     def test_text_rejected(self):
         t = _int_table("t", [1, 2], extra_text=["a"])
@@ -185,8 +191,12 @@ class TestEstimates:
         assert 0.0003 < est < 0.003
 
     def test_fractional_equality_zero(self, uniform):
-        _, hist_for = uniform
-        assert estimate_selectivity(hist_for, ex.Comparison(_col(), "=", 4.5)) == 0.0
+        table, hist_for = uniform
+        cat = Catalog()
+        cat.register(table)
+        pred = fe.analyze(fe.parse("SELECT * FROM t WHERE v = 4.5"), cat).residual("t")
+        assert isinstance(pred, ex.FoldedAtom) and pred.result is False
+        assert estimate_selectivity(hist_for, pred) == 0.0
 
     def test_out_of_range_clamps(self, uniform):
         _, hist_for = uniform

@@ -321,13 +321,17 @@ class TestJoinFlags:
     def test_constant_past_float_range_same_count_on_both_arms(
         self, csv_t, csv_u_hdr, capsys
     ):
-        # the histogram arm cannot estimate t's filter and uses its guess
+        # the histogram arm compares the exact int with its boundaries, so
+        # t's filter keeps every row instead of taking the guess
         sql = "SELECT COUNT(*) FROM t, u WHERE id = cid AND id <= 1" + "0" * 400
         for arm in ["esc", "histogram"]:
-            argv = self._argv(csv_t, csv_u_hdr, "--arm", arm)
+            argv = self._argv(csv_t, csv_u_hdr, "--arm", arm, "--explain")
             argv[1] = sql
             assert main(argv) == 0
-            assert capsys.readouterr().out == "count: 3\n"
+            out = capsys.readouterr().out
+            assert out.endswith("count: 3\n")
+        (build_t,) = [line for line in out.splitlines() if "Build t=" in line]
+        assert build_t.endswith(" sel=1.000000")
 
     def test_workers_flag_accepted(self, csv_t, csv_u_hdr, capsys):
         rc = main(self._argv(csv_t, csv_u_hdr, "--workers", "4"))

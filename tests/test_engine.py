@@ -1,4 +1,5 @@
 import gc
+import math
 import operator
 import random
 import sqlite3
@@ -110,6 +111,26 @@ class TestRun:
             engine.run(PUSHDOWN_SQL.format(v=0) + " AND boom(b_k) < 1")
         gc.collect()
         assert len(refs) == 1 and refs[0]() is None
+
+    @pytest.mark.parametrize("arm, prefix", [
+        ("esc", "count sub-query on 'small' failed: "),
+        ("baseline", ""),
+    ])
+    def test_build_filter_udf_failure_names_the_row(self, arm, prefix):
+        eng = Engine(arm=arm)
+        ids = [(i,) for i in range(1, 101)]
+        eng.catalog.register(load_rows("big", [("b_id", KIND_INT64)], ids))
+        eng.catalog.register(load_rows("small", [("s_k", KIND_INT64)], ids[:7]))
+
+        def f(k):
+            if k == 3:
+                raise ValueError("boom")
+            return k
+
+        eng.register_udf("f", 1, f)
+        with pytest.raises(ExecutionError) as info:
+            eng.run("SELECT COUNT(*) FROM big, small WHERE b_id = s_k AND f(s_k) < 5")
+        assert str(info.value) == prefix + "UDF 'f' failed at row 2: boom"
 
     def test_query_leaves_other_plans_temps_alone(self, engine):
         sql = PUSHDOWN_SQL.format(v=0)
@@ -343,6 +364,52 @@ class TestUdfNullResults:
         eng.catalog.register(load_rows("t", schema, rows))
         eng.register_udf("g", 1, lambda a: "x" if a == 7 else a)
         with pytest.raises(ExecutionError, match="returned 'x' at row 7, not a number"):
+            eng.run("SELECT COUNT(*) FROM t WHERE g(a) < 5")
+
+
+def _spread(a):
+    return {3: math.inf, 4: -math.inf}.get(a, a * 1e300)
+
+
+class TestUdfPastFloatRange:
+    """A UDF comparison's literal past the float range reads as +-inf by
+    its sign, as stdlib sqlite3 reads it; a UDF result past the float
+    range is an error naming its row."""
+
+    ROWS = [(1,), (2,), (3,), (4,)]
+    HUGE = "1" + "0" * 400
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        eng = Engine()
+        eng.catalog.register(load_rows("t", [("a", KIND_INT64)], self.ROWS))
+        eng.register_udf("f", 1, _spread)
+        lite = sqlite3.connect(":memory:")
+        lite.execute("CREATE TABLE t (a INTEGER)")
+        lite.executemany("INSERT INTO t VALUES (?)", self.ROWS)
+        lite.create_function("f", 1, _spread)
+        yield eng, lite
+        lite.close()
+
+    @pytest.mark.parametrize("negate", ["", "NOT "], ids=["plain", "not"])
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["pos", "neg"])
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "=", "<>"])
+    def test_matches_sqlite(self, engines, negate, sign, op):
+        eng, lite = engines
+        sql = f"SELECT COUNT(*) FROM t WHERE {negate}f(a) {op} {sign}{self.HUGE}"
+        (want,) = lite.execute(sql).fetchone()
+        assert eng.run(sql).count == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_result_past_float_range_names_the_row(self, workers):
+        eng = Engine(workers=workers)
+        rows = [(i,) for i in range(10)]
+        eng.catalog.register(load_rows("t", [("a", KIND_INT64)], rows))
+        eng.register_udf("g", 1, lambda a: 10**400 if a == 7 else a)
+        with pytest.raises(
+            ExecutionError,
+            match="^UDF 'g' returned a number past the float range at row 7$",
+        ):
             eng.run("SELECT COUNT(*) FROM t WHERE g(a) < 5")
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -372,8 +373,20 @@ class TestAnalyze:
             self._pred(catalog, "SELECT * FROM items WHERE nope(qty) < 8")
 
     def test_udf_arity(self, catalog):
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(ArityMismatch) as info:
             self._pred(catalog, "SELECT * FROM items WHERE half(qty, id) < 8")
+        assert isinstance(info.value, AnalysisError)
+        assert info.value.phase == "analyze"
+
+    @pytest.mark.parametrize("text, value", [
+        ("1" + "0" * 400, math.inf),
+        ("-1" + "0" * 400, -math.inf),
+        ("1" + "0" * 400 + ".5", math.inf),
+        ("1" + "0" * 300, 1e300),
+    ], ids=["past-max", "past-min", "past-max-fraction", "inside"])
+    def test_udf_literal_past_float_range_is_infinite(self, catalog, text, value):
+        p = self._pred(catalog, f"SELECT * FROM items WHERE half(qty) < {text}")
+        assert p.value == value
 
     def test_udf_text_arg_rejected(self, catalog):
         with pytest.raises(AnalysisError):
@@ -438,6 +451,12 @@ ERROR_CASES = [
      "expected ')', found 'end of input' (line 1, column 35)"),
     ("SELECT * FROM items AS 5", ParseError,
      "expected alias name, found '5' (line 1, column 24)"),
+    ("SELECT * FROM t x y", ParseError,
+     "unexpected trailing input, found 'y' (line 1, column 19)"),
+    ("SELECT * FROM 5", ParseError,
+     "expected table name, found '5' (line 1, column 15)"),
+    ("SELECT 5 FROM t", ParseError,
+     "expected column name, found '5' (line 1, column 8)"),
     ("SELECT * FROM items WHERE qty = 'it''s", ParseError,
      "unterminated string literal (line 1, column 37)"),
     ("SELECT * FROM (SELECT * FROM items)", UnsupportedConstruct,

@@ -507,6 +507,12 @@ class TestExplain:
         assert cust.endswith(" sel=0.100000") and prod.endswith(" sel=0.333333")
         assert tiny.endswith(" sel=0.487500")
 
+    def test_text_projection_line(self, shop):
+        sql = SHOP_SQL.replace("COUNT(*)", "f_qty, cust.c_id", 1)
+        lines = explain_text(_plan_sql(shop, sql, "baseline")).splitlines()
+        assert lines[0] == "Project fact.f_qty, cust.c_id"
+        assert "Aggregate COUNT(*)" not in lines
+
     def test_json_schema(self, shop):
         p = _plan_sql(shop, SHOP_SQL)
         j = explain_json(p)

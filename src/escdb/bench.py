@@ -15,10 +15,11 @@ parent order's channel, so conjunctions over the pairs defeat any
 estimator that multiplies per-column selectivities.
 
 Suites time each cell through ``Engine.run``, whose clock covers plan
-and execute: each cell runs ``reps + 1`` times, the first
-(cache-warming) run is discarded, the median of the rest is reported.
-Plan-quality suites alternate the arms rep by rep, so a drift in the
-host's speed does not land on one arm.
+and execute.  Cells run in rounds, each round running every cell once,
+so a drift in the host's speed does not land on one cell: two untimed
+(cache-warming) rounds, then ``reps`` timed ones, whose median is
+reported.  An overhead suite's rounds take every cell of the suite; a
+plan-quality suite times one query at a time, its two arms alternating.
 Overhead suites run the ``esc`` arm, which counts every filtered build
 table and pushes it down, so every cell measures a sub-query and its
 push-down; plan-quality runs the ``baseline`` arm against the ``esc`` arm.
@@ -426,38 +427,39 @@ class BenchReport:
 # ---------------------------------------------------------------------------
 
 
-def _timed_cells(
-    engines: dict[str, Engine], sql: str, reps: int, query_label: str
-) -> list[dict]:
-    """Median-of-reps timing for one query under each arm's engine.
+# untimed rounds first; after only one, a fresh process timed its cells slow
+WARMUP_ROUNDS = 2
 
-    Runs ``reps + 1`` rounds, each running ``sql`` once on every engine
-    in turn, and discards the first (warm-up) round.  Alternating the
-    arms rep by rep spreads any drift in the host's speed over every
-    arm alike.  Every run re-plans, so ESC sub-query and push-down time
-    lands inside ``time_ms``; ``overhead_ms`` reports that share
-    separately.
+
+def _timed_cells(cells: list[tuple[str, str, Engine, str]], reps: int) -> list[dict]:
+    """Median-of-reps timing for each ``(label, arm, engine, sql)`` cell.
+
+    Runs ``reps + WARMUP_ROUNDS`` rounds, each running every cell once
+    in turn, and discards the warm-up rounds.  Alternating the cells
+    round by round spreads any drift in the host's speed over every cell
+    alike.  Every run re-plans, so ESC sub-query and push-down time lands
+    inside ``time_ms``; ``overhead_ms`` reports that share separately.
     """
-    times = {arm: [] for arm in engines}
-    overheads = {arm: [] for arm in engines}
-    last = {}
-    for _ in range(reps + 1):
-        for arm, engine in engines.items():
-            last[arm] = result = engine.run(sql)
-            times[arm].append(result.time_ms)
-            overheads[arm].append(result.plan.overhead_ms)
+    times = [[] for _ in cells]
+    overheads = [[] for _ in cells]
+    last = [None] * len(cells)
+    for _ in range(reps + WARMUP_ROUNDS):
+        for i, (_, _, engine, sql) in enumerate(cells):
+            last[i] = result = engine.run(sql)
+            times[i].append(result.time_ms)
+            overheads[i].append(result.plan.overhead_ms)
     return [
         {
-            "query": query_label,
+            "query": label,
             "arm": arm,
-            "time_ms": statistics.median(times[arm][1:]),
-            "overhead_ms": statistics.median(overheads[arm][1:]),
+            "time_ms": statistics.median(t[WARMUP_ROUNDS:]),
+            "overhead_ms": statistics.median(o[WARMUP_ROUNDS:]),
             "build_card_sum": result.plan.build_card_sum,
             "probe_tuples": sum(result.stats.probe_out),
             "result_count": result.count,
-            "decisions": [optimizer.decision_json(d) for d in result.plan.decisions],
+            "decisions": optimizer.explain_json(result.plan)["decisions"],
         }
-        for arm, result in last.items()
+        for (label, arm, _, _), t, o, result in zip(cells, times, overheads, last)
     ]
 
 
@@ -485,13 +487,14 @@ def overhead_suite_scale(
     """3 scales x 3 joined tables, sub-query and push-down overhead per
     cell."""
     report = BenchReport("overhead-scale", "tpch_subset", list(scales), seed)
+    cells = []
     for scale in scales:
         tables = generate(GenSpec("tpch_subset", scale, seed))
         engine = _overhead_engine(tables, workers)
         for table, join, pred in _SCALE_TABLES:
             sql = f"SELECT COUNT(*) FROM lineitem, {table} WHERE {join} AND {pred}"
-            label = f"scale={scale} table={table}"
-            report.rows += _timed_cells({"esc": engine}, sql, reps, label)
+            cells.append((f"scale={scale} table={table}", "esc", engine, sql))
+    report.rows = _timed_cells(cells, reps)
     return report
 
 
@@ -506,8 +509,6 @@ def overhead_suite_selectivity(
 
     ``u`` is chosen so the range predicate o_orderkey < u matches
     max(round(N * fraction), 1) rows; at 100% that is u = max key + 1.
-    Every cell's query runs once before any cell is timed: a warm-up
-    round per cell alone left the first cell timed slower than the rest.
     """
     report = BenchReport("overhead-selectivity", "tpch_subset", scale, seed)
     tables = generate(GenSpec("tpch_subset", scale, seed))
@@ -520,10 +521,8 @@ def overhead_suite_selectivity(
             "SELECT COUNT(*) FROM lineitem, orders "
             f"WHERE l_orderkey = o_orderkey AND o_orderkey < {u}"
         )
-        engine.run(sql)
-        cells.append((f, sql))
-    for f, sql in cells:
-        report.rows += _timed_cells({"esc": engine}, sql, reps, f"fraction={f}")
+        cells.append((f"fraction={f}", "esc", engine, sql))
+    report.rows = _timed_cells(cells, reps)
     return report
 
 
@@ -549,13 +548,15 @@ def overhead_suite_attributes(
         f"o_orderstatus = '{vals['o_orderstatus']}'",
         f"o_totalprice = {vals['o_totalprice']}",
     ]
+    cells = []
     for k in range(1, 5):
         pred = " AND ".join(atoms[:k])
         sql = (
             "SELECT COUNT(*) FROM lineitem, orders "
             f"WHERE l_orderkey = o_orderkey AND {pred}"
         )
-        report.rows += _timed_cells({"esc": engine}, sql, reps, f"attrs={k}")
+        cells.append((f"attrs={k}", "esc", engine, sql))
+    report.rows = _timed_cells(cells, reps)
     return report
 
 
@@ -719,7 +720,8 @@ def plan_quality_suite(
         engines[arm].catalog = catalog
     report = BenchReport(which, benchmark, scale, seed)
     for label, sql in queries:
-        report.rows += _timed_cells(engines, sql, reps, label)
+        cells = [(label, arm, engine, sql) for arm, engine in engines.items()]
+        report.rows += _timed_cells(cells, reps)
     return report
 
 

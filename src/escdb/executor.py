@@ -18,13 +18,14 @@ keep a row-id array, and a stage that nothing reads after it (the last
 stage of a ``COUNT(*)``) only counts its matches.  With ``workers``
 threads, each probes one chunk, and the output row order is the probe
 row order whatever ``workers`` is.
-A join index handed its probe-key column, whose keys together with that
-column's ``bounds`` are dense, is a direct-address slot table covering
-both, so a probe stage is one gather with no bounds check, or, when it
-only counts, one gather from a boolean ``present`` table.  Unique keys
-are scattered into the table with no sort; duplicate keys are sorted
-once into contiguous row groups first.  Every other index is found by
-one ``np.searchsorted`` over the distinct keys.  A stage over a unique
+A join index handed its probe-key column, whose keys are unique and,
+together with that column's ``bounds``, dense, is a direct-address slot
+table covering both: its keys are scattered into it with no sort, and a
+probe stage is one gather with no bounds check, or, when it only counts,
+one gather from a boolean ``present`` table.  Duplicate keys take the
+sorted path: they are sorted once into contiguous row groups, and the
+index, like every other that is not a slot table, is found by one
+``np.searchsorted`` over the distinct keys.  A stage over a unique
 index never expands matches: each hit is one build row.  A probe key
 column without NULLs skips the null mask.
 """
@@ -271,16 +272,16 @@ class HashTableIndex:
     ``group_rows[g]`` when the index is ``unique`` (every key on one
     row), else ``group_rows[group_start[g]:group_start[g + 1]]``.
 
-    * **Slots** (given the probe-key column, and dense): ``slots[k -
-      base]`` is the group of key ``k``, -1 where no build row has it.
-      The table covers every build key and the probe column's
-      ``bounds``, so a probe with that column's values is one gather
-      with no bounds check.  Unique keys are scattered into it with no
-      sort: ``group_rows`` is the build rows, and ``present`` is
-      ``slots >= 0``.  Duplicate keys are sorted into groups first.
-    * **Sorted** (any other index): the build keys are sorted once into
-      groups, and a probe binary-searches the distinct keys
-      ``unique_keys``.
+    * **Slots** (given the probe-key column, unique keys, and dense):
+      ``slots[k - base]`` is the group of key ``k``, -1 where no build
+      row has it.  The table covers every build key and the probe
+      column's ``bounds``, so a probe with that column's values is one
+      gather with no bounds check.  The keys are scattered into it with
+      no sort: ``group_rows`` is the build rows, and ``present`` is
+      ``slots >= 0``.
+    * **Sorted** (any other index; duplicate keys take this path): the
+      build keys are sorted once into groups, and a probe
+      binary-searches the distinct keys ``unique_keys``.
     """
 
     def __init__(
@@ -308,8 +309,8 @@ class HashTableIndex:
             self.present = self.slots >= 0
             if np.count_nonzero(self.present) == n:
                 return
-            self.present = None
-        # duplicate keys, or no slot table: sort the keys into groups
+            self.slots = self.present = None
+        # duplicate keys, or not dense: sort the keys into groups
         order = np.argsort(key_vals, kind="stable")
         sorted_keys = key_vals[order]
         self.group_rows = rows[order]
@@ -321,9 +322,6 @@ class HashTableIndex:
         self.group_counts = np.diff(self.group_start)
         n = self.distinct_keys = int(starts.size)
         self.unique = n == self.n_entries
-        if self.slots is not None:
-            self.slots.fill(-1)
-            self.slots[self.unique_keys - self.base] = np.arange(n)
 
     def probe_groups(
         self, keys: np.ndarray, valid: np.ndarray | None = None

@@ -308,66 +308,13 @@ def execute_plan(
 # ---------------------------------------------------------------------------
 
 
-def _fmt_source(b: PlanBuild) -> str:
-    if b.rows is not None:
-        return f"temp(rows={b.rows.size})"
-    return b.source
-
-
-def explain_text(plan_: PhysicalPlan) -> str:
-    """Decision lines followed by the indented left-deep plan tree."""
-    lines = []
-    for d in plan_.decisions:
-        lines.append(
-            f"ESC table={d.table} count={d.exact_count} "
-            f"sel={d.exact_count / d.row_count:.6f} "
-            f"pushdown={'true' if d.pushed_down else 'false'} "
-            f"time_ms={d.subquery_ms + d.materialize_ms:.3f}"
-        )
-    if plan_.projection is None:
-        lines.append("Aggregate COUNT(*)")
-    else:
-        lines.append("Project " + ", ".join(str(c) for c in plan_.projection))
-    depth = 1
-    for b in reversed(plan_.builds):
-        pad = "  " * depth
-        lines.append(f"{pad}HashJoin ({b.build_key} = {b.probe_key})")
-        depth += 1
-    pad = "  " * depth
-    probe_filter = f" filter=({plan_.probe_pred})" if plan_.probe_pred else ""
-    lines.append(
-        f"{pad}Probe {plan_.probe_alias}={plan_.probe_source} "
-        f"rows={plan_.probe_rows}{probe_filter}"
-    )
-    for i, b in enumerate(plan_.builds):
-        pad = "  " * (depth - i)
-        fil = f" filter=({b.residual})" if b.residual is not None else ""
-        lines.append(
-            f"{pad}Build {b.alias}={_fmt_source(b)} rows={b.input_rows}{fil} "
-            f"sel={b.sel:.6f}"
-        )
-    return "\n".join(lines)
-
-
-def decision_json(d: EscDecision) -> dict:
-    return {
-        "table": d.table,
-        "predicate": str(d.predicate),
-        "count": d.exact_count,
-        "row_count": d.row_count,
-        "selectivity": d.exact_count / d.row_count,
-        "pushdown": d.pushed_down,
-        "temp_rows": d.exact_count if d.pushed_down else None,
-        "subquery_ms": d.subquery_ms,
-        "materialize_ms": d.materialize_ms,
-    }
-
-
 def explain_json(
     plan_: PhysicalPlan, stats: executor.ExecStats | None = None
 ) -> dict:
-    """The plan as JSON.  Given the ``stats`` of its run, the probe and
-    each build also carry ``actual_rows``, the tuples that stage emitted."""
+    """The plan as JSON, the one place that formats a plan's fields.  A
+    pushed-down build's source is its temp table, ``temp(rows=N)``.  Given
+    the ``stats`` of its run, the probe and each build also carry
+    ``actual_rows``, the tuples that stage emitted."""
     # the tuples each stage is planned to emit: probe rows times the
     # product of sel over the builds up to and including it
     sels = [b.sel for b in plan_.builds]
@@ -382,7 +329,7 @@ def explain_json(
         "builds": [
             {
                 "alias": b.alias,
-                "source": _fmt_source(b),
+                "source": b.source if b.rows is None else f"temp(rows={b.rows.size})",
                 "rows": b.input_rows,
                 "key": str(b.build_key),
                 "probe_key": str(b.probe_key),
@@ -398,10 +345,59 @@ def explain_json(
             else [str(c) for c in plan_.projection]
         ),
         "build_card_sum": plan_.build_card_sum,
-        "decisions": [decision_json(d) for d in plan_.decisions],
+        "decisions": [
+            {
+                "table": d.table,
+                "predicate": str(d.predicate),
+                "count": d.exact_count,
+                "row_count": d.row_count,
+                "selectivity": d.exact_count / d.row_count,
+                "pushdown": d.pushed_down,
+                "temp_rows": d.exact_count if d.pushed_down else None,
+                "subquery_ms": d.subquery_ms,
+                "materialize_ms": d.materialize_ms,
+            }
+            for d in plan_.decisions
+        ],
     }
     if stats is not None:
         stages = [plan_json["probe"], *plan_json["builds"]]
         for stage, actual in zip(stages, stats.probe_out):
             stage["actual_rows"] = actual
     return plan_json
+
+
+def explain_text(plan_: PhysicalPlan) -> str:
+    """``explain_json(plan_)`` rendered as decision lines followed by the
+    indented left-deep plan tree; nothing but that dict is read."""
+    j = explain_json(plan_)
+    lines = [
+        f"ESC table={d['table']} count={d['count']} "
+        f"sel={d['selectivity']:.6f} "
+        f"pushdown={'true' if d['pushdown'] else 'false'} "
+        f"time_ms={d['subquery_ms'] + d['materialize_ms']:.3f}"
+        for d in j["decisions"]
+    ]
+    if j["projection"] is None:
+        lines.append("Aggregate COUNT(*)")
+    else:
+        lines.append("Project " + ", ".join(j["projection"]))
+
+    def fil(stage: dict) -> str:
+        return f" filter=({stage['filter']})" if stage["filter"] else ""
+
+    builds, probe = j["builds"], j["probe"]
+    # the last build joins outermost; each earlier one nests a level deeper
+    for depth, b in enumerate(reversed(builds), 1):
+        lines.append(f"{'  ' * depth}HashJoin ({b['key']} = {b['probe_key']})")
+    depth = len(builds) + 1
+    lines.append(
+        f"{'  ' * depth}Probe {probe['alias']}={probe['source']} "
+        f"rows={probe['rows']}{fil(probe)}"
+    )
+    for i, b in enumerate(builds):
+        lines.append(
+            f"{'  ' * (depth - i)}Build {b['alias']}={b['source']} "
+            f"rows={b['rows']}{fil(b)} sel={b['sel']:.6f}"
+        )
+    return "\n".join(lines)

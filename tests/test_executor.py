@@ -282,35 +282,42 @@ class TestHashIndex:
     ]
 
     def test_lookup_matches_dict_oracle(self):
-        """Each case twice: with the probes as the probe column (a slot
-        table where dense) and without a probe column (the sorted path)."""
+        """Each case with unique and with repeated build keys, and each of
+        those twice: with the probes as the probe column (a slot table
+        where dense and unique) and without a probe column (the sorted
+        path)."""
         rng = random.Random(9)
         for pool, absent, dense in self.ORACLE_CASES:
             pool = list(pool)
             # every pool key is a build key, so the pool sets the key span
-            keys = pool + [
+            draws = [
                 rng.choice(pool) if rng.random() > 0.1 else None for _ in range(2000)
             ]
-            t = _int_col_table("t", k=keys)
-            want = self._oracle_map(keys)
-            probes = list(want) + absent
-            col = _int_col_table("p", k=probes).column("k")
-            valid = np.arange(len(probes)) % 3 != 0
-            for probe in (col, None):
-                idx = build_hash(t, "k", probe=probe)
-                assert (idx.slots is not None) == (dense and probe is not None)
-                assert idx.n_entries == sum(len(v) for v in want.values())
-                assert idx.distinct_keys == len(want)
-                for k in probes:
-                    assert _rows_of_key(idx, k) == want.get(k, [])
-                # one vectorized call: a hit names its key's group, a miss
-                # or an invalid position is -1
-                groups = idx.probe_groups(col.values, valid)
-                for k, v, g in zip(probes, valid, groups.tolist()):
-                    assert _group(idx, g) == (want.get(k, []) if v else [])
-                # the counting stage's membership test agrees with the groups
-                hits = idx.probe_hits(col.values, valid)
-                assert hits.tolist() == (groups >= 0).tolist()
+            for keys in (pool, pool + draws):
+                t = _int_col_table("t", k=keys)
+                want = self._oracle_map(keys)
+                probes = list(want) + absent
+                col = _int_col_table("p", k=probes).column("k")
+                valid = np.arange(len(probes)) % 3 != 0
+                for probe in (col, None):
+                    idx = build_hash(t, "k", probe=probe)
+                    assert idx.unique == (keys is pool)
+                    assert (idx.slots is not None) == (
+                        dense and probe is not None and idx.unique
+                    )
+                    assert idx.n_entries == sum(len(v) for v in want.values())
+                    assert idx.distinct_keys == len(want)
+                    for k in probes:
+                        assert _rows_of_key(idx, k) == want.get(k, [])
+                    # one vectorized call: a hit names its key's group, a
+                    # miss or an invalid position is -1
+                    groups = idx.probe_groups(col.values, valid)
+                    for k, v, g in zip(probes, valid, groups.tolist()):
+                        assert _group(idx, g) == (want.get(k, []) if v else [])
+                    # the counting stage's membership test agrees with the
+                    # groups
+                    hits = idx.probe_hits(col.values, valid)
+                    assert hits.tolist() == (groups >= 0).tolist()
 
     # (build keys, probe-key column with None = NULL, the slot table's
     # base or None on the sorted path, unique)
@@ -329,8 +336,8 @@ class TestHashIndex:
         (range(1000, 1050), [0, 999, 1049, 1050, 10**7], None, True),
         # duplicate keys with a probe range too wide: the sorted path
         ([1, 1, 2, 3, 3, 3], [-5, 1, 3, 10**7], None, False),
-        # dense duplicate keys: sorted groups found through the slot table
-        ([1, 1, 2, 3, 3, 3], range(-5, 10), -5, False),
+        # dense duplicate keys take the sorted path too
+        ([1, 1, 2, 3, 3, 3], range(-5, 10), None, False),
         # the span exactly at the density bound, then one past it
         (range(50), [0, DENSE_SPAN_50 - 1], 0, True),
         (range(50), [0, DENSE_SPAN_50], None, True),
@@ -341,15 +348,15 @@ class TestHashIndex:
     @pytest.mark.parametrize("build,probe,base,unique", WIDENED_CASES)
     def test_widened_lookup_matches_dict_oracle(self, build, probe, base, unique):
         """A build handed its probe-key column is a slot table that covers
-        that column's bounds when the density bound allows; every stored
-        probe value, NULL slots' 0 included, then finds its rows by one
-        gather."""
+        that column's bounds when its keys are unique and the density
+        bound allows; every stored probe value, NULL slots' 0 included,
+        then finds its rows by one gather."""
         build, probe = list(build), list(probe)
         t = _int_col_table("t", k=build)
         col = _int_col_table("p", k=probe).column("k")
         idx = build_hash(t, "k", probe=col)
         assert (idx.slots is not None, idx.unique) == (base is not None, unique)
-        assert (idx.present is not None) == (base is not None and unique)
+        assert (idx.present is not None) == (base is not None)
         if idx.slots is not None:
             assert idx.slots.size <= _DENSE_RATIO * idx.n_entries + _DENSE_PAD
             lo, hi = col.bounds
@@ -623,8 +630,9 @@ class TestProbeJoins:
             step("orders", "o_id", _ref("lines", "l_oid")),
             step("parts", "p_id", part_key),
         ]
-        # part keys are dense whether or not they repeat
-        assert all(s.index.slots is not None for s in steps)
+        # every key set is dense, so a build is a slot table iff its keys
+        # are unique
+        assert [s.index.slots is not None for s in steps] == [True, unique_parts]
         assert steps[1].index.unique == unique_parts
         assert (steps[1].index.present is not None) == unique_parts
         pred = ex.And(

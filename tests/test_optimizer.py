@@ -28,7 +28,6 @@ from escdb.optimizer import (
     DEFAULT_GUESS,
     choose_probe,
     compute_exact_selectivity,
-    decision_json,
     execute_plan,
     explain_json,
     explain_text,
@@ -555,9 +554,17 @@ class TestExplain:
             assert s.pop("actual_rows") is not None
         assert ran == j
 
-    def test_decision_json_roundtrips_through_json(self, shop):
+    @pytest.mark.parametrize("arm", ARMS)
+    @pytest.mark.parametrize(
+        "select", ["COUNT(*)", "f_qty, cust.c_id"], ids=["count", "project"]
+    )
+    def test_json_roundtrips_through_json(self, shop, arm, select):
         import json
 
-        p = _plan_sql(shop, SHOP_SQL)
-        for d in p.decisions:
-            json.dumps(decision_json(d))  # all values JSON-serializable
+        # SHOP_SQL filters the probe, so every stage kind is present
+        p = _plan_sql(shop, SHOP_SQL.replace("COUNT(*)", select, 1), arm)
+        _, _, stats = execute_plan(p, shop)
+        j = explain_json(p, stats)
+        assert json.loads(json.dumps(j)) == j  # all values JSON-serializable
+        assert j["probe"]["filter"] == "fact.f_qty < 50"
+        assert len(j["decisions"]) == (3 if arm == "esc" else 0)

@@ -1,7 +1,7 @@
 """escdb: in-memory columnar SQL engine whose optimizer measures
 predicate selectivities exactly by running COUNT sub-queries at
-planning time, builds each counted table from the row ids its count
-selected, and orders hash joins by the measured cardinalities."""
+planning time, builds each counted table from the boolean mask its
+count selected, and orders hash joins by the measured cardinalities."""
 
 from .bench import BenchReport, GenSpec, generate, plan_quality_suite
 from .engine import Engine, QueryResult

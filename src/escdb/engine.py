@@ -1,10 +1,10 @@
 """Engine facade: parse, analyze, plan, execute.
 
 The engine plans every query under one arm (``optimizer.ARMS``).  Under
-arm ``esc`` every planning sub-query's row ids stand for a pushed-down
-temp table.  They belong to the plan that the returned
-``QueryResult`` holds and are freed with it, and queries sharing one
-engine never touch each other's row ids.
+arm ``esc`` every planning sub-query's boolean mask is a pushed-down
+temp table.  It belongs to the plan that the returned ``QueryResult``
+holds and is freed with it, and queries sharing one engine never touch
+each other's masks.
 """
 
 from __future__ import annotations

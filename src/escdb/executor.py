@@ -4,7 +4,9 @@ Everything is vectorized over int64 column vectors.  A predicate atom
 compares stored values only, and ``_eval_mask`` is the one place that
 applies SQL's NULL rule: an atom with a NULL operand is neither true nor
 false, and only a column that holds NULLs costs a null-mask pass.
-A set of rows is an ascending int64 array of row ids, except a probe
+A build takes the rows it indexes as a boolean mask, a planning
+sub-query's or its residual's (both from ``count_star``).  In the probe,
+a set of rows is an ascending int64 array of row ids, except a probe
 chunk, which is a contiguous ``slice`` of rows: predicates read column
 views over it, so no column is gathered to filter, and without a probe
 filter the probe alias's rows stay that slice until a join stage drops a
@@ -12,22 +14,22 @@ row.  A stage compacts the row ids it carries with ``np.compress``, and
 not at all when every row hit.
 The probe pipeline is a single fused pass: probe-side predicate, every
 join-index lookup, and the output gather happen without materializing
-intermediate tuples.  Row ids are carried late: after each stage only
-the aliases that a later stage probes with, or the projection reads,
-keep a row-id array, and a stage that nothing reads after it (the last
-stage of a ``COUNT(*)``) only counts its matches.  With ``workers``
-threads, each probes one chunk, and the output row order is the probe
-row order whatever ``workers`` is.
+intermediate tuples.  Row ids are made late: after each stage only the
+aliases that a later stage probes with, or the projection reads
+(``live_aliases``, read by the builds and the probe), keep a row-id
+array, only their join indexes hold row ids, and a stage that nothing
+reads after it (every stage of a star ``COUNT(*)``) only counts its
+matches.  With ``workers`` threads, each probes one chunk, and the
+output row order is the probe row order whatever ``workers`` is.
 A join index handed its probe-key column, whose keys are unique and,
-together with that column's ``bounds``, dense, is a direct-address slot
-table covering both: its keys are scattered into it with no sort, and a
-probe stage is one gather with no bounds check, or, when it only counts,
-one gather from a boolean ``present`` table.  Duplicate keys take the
-sorted path: they are sorted once into contiguous row groups, and the
-index, like every other that is not a slot table, is found by one
-``np.searchsorted`` over the distinct keys.  A stage over a unique
-index never expands matches: each hit is one build row.  A probe key
-column without NULLs skips the null mask.
+together with that column's ``bounds``, dense, is a direct-address
+table covering both, ``slots`` when its rows are read, else a boolean
+``present``: its keys are scattered into it with no sort, and a probe
+stage is one gather with no bounds check.  Duplicate keys take the
+sorted path: they are sorted once (into row groups when the rows are
+read), and the index is found by one ``np.searchsorted`` over the
+distinct keys.  A stage over a unique index never expands matches: each
+hit is one build row.  A probe key column without NULLs skips the null mask.
 """
 
 from __future__ import annotations
@@ -238,19 +240,21 @@ def count_star(
 
 # Keys are dense when the span ``hi - lo + 1`` of the build keys and the
 # probe column's ``bounds`` is at most _DENSE_RATIO times the build rows
-# plus _DENSE_PAD.  The slot table then takes at most 32 bytes per build
-# row plus 1 MiB, and a probe is one gather, not a binary search.  The pad
-# lets a selective build, whose few keys spread over the whole key range
-# of its table, be dense too: filling 128Ki slots took 62 us on a 2-core
-# x86 box, where a binary search cost 80-130 ns per probe key.
+# plus _DENSE_PAD.  A ``slots`` table (8 bytes per slot) then takes at most
+# 32 bytes per build row plus 1 MiB, a ``present`` table (1 byte per slot)
+# at most 4 bytes per build row plus 128 KiB, and a probe is one gather,
+# not a binary search.  The pad lets a selective build, whose few keys
+# spread over the whole key range of its table, be dense too: filling
+# 128Ki slots took 62 us on a 2-core x86 box, where a binary search cost
+# 80-130 ns per probe key.
 _DENSE_RATIO = 4
 _DENSE_PAD = 1 << 17
 
 
 def _cover(key_vals: np.ndarray, probe: Column | None) -> tuple[int, int] | None:
-    """``(base, size)`` of a slot table that covers every build key and
-    every stored value of ``probe``, based at 0 when that fits; None
-    without a probe column or when the span is not dense."""
+    """``(base, size)`` of a direct-address table that covers every build
+    key and every stored value of ``probe``, based at 0 when that fits;
+    None without a probe column or when the span is not dense."""
     if probe is None or not key_vals.size:
         return None
     # Python ints: the span of two int64 extremes overflows int64
@@ -266,19 +270,22 @@ def _cover(key_vals: np.ndarray, probe: Column | None) -> tuple[int, int] | None
 
 
 class HashTableIndex:
-    """Index from join-key value to build rows.
+    """Index from join-key value to build rows: the rows of ``mask``
+    (None: every row) whose key is not NULL.
 
-    Group ``g`` holds the build rows of one key, in row order: the row
-    ``group_rows[g]`` when the index is ``unique`` (every key on one
-    row), else ``group_rows[group_start[g]:group_start[g + 1]]``.
+    Only when ``rows_read`` (a later stage or the projection reads the
+    alias) does it hold row ids: group ``g`` then holds the build rows of
+    one key, in row order, the row ``group_rows[g]`` when the index is
+    ``unique`` (every key on one row), else
+    ``group_rows[group_start[g]:group_start[g + 1]]``.
 
-    * **Slots** (given the probe-key column, unique keys, and dense):
+    * **Dense** (given the probe-key column, unique keys, and dense): a
+      direct-address table covering every build key and the probe
+      column's ``bounds``, into which the keys are scattered with no
+      sort, so a probe with that column's values is one gather with no
+      bounds check.  It is ``slots`` when the rows are read, where
       ``slots[k - base]`` is the group of key ``k``, -1 where no build
-      row has it.  The table covers every build key and the probe
-      column's ``bounds``, so a probe with that column's values is one
-      gather with no bounds check.  The keys are scattered into it with
-      no sort: ``group_rows`` is the build rows, and ``present`` is
-      ``slots >= 0``.
+      row has it; else the boolean ``present``, and a probe only counts.
     * **Sorted** (any other index; duplicate keys take this path): the
       build keys are sorted once into groups, and a probe
       binary-searches the distinct keys ``unique_keys``.
@@ -288,15 +295,26 @@ class HashTableIndex:
         self,
         table: ColumnTable,
         key: str,
-        rows: np.ndarray,
+        mask: np.ndarray | None = None,
         probe: Column | None = None,
+        rows_read: bool = True,
     ):
         self.table = table
         col = table.column(key)
         if col.has_nulls:
-            rows = rows[~col.null_mask[rows]]
-        key_vals = col.values[rows]
-        n = self.n_entries = self.distinct_keys = int(rows.size)
+            mask = ~col.null_mask if mask is None else mask & ~col.null_mask
+        # np.compress, like a gather at row ids, ran several times faster
+        # than ``values[mask]`` on a 2-core x86 box
+        if mask is None:
+            key_vals = col.values
+            rows = np.arange(key_vals.size) if rows_read else None
+        elif rows_read:
+            rows = np.flatnonzero(mask)
+            key_vals = col.values[rows]
+        else:
+            rows = None
+            key_vals = np.compress(mask, col.values)
+        n = self.n_entries = self.distinct_keys = int(key_vals.size)
         self.group_rows = rows
         self.unique = True
         self.unique_keys = self.group_start = self.group_counts = None
@@ -304,16 +322,25 @@ class HashTableIndex:
         cover = _cover(key_vals, probe)
         if cover is not None:
             self.base, size = cover
-            self.slots = np.full(size, -1, dtype=np.int64)
-            self.slots[key_vals - self.base] = np.arange(n)
-            self.present = self.slots >= 0
-            if np.count_nonzero(self.present) == n:
+            offsets = key_vals - self.base if self.base else key_vals
+            if rows is None:
+                self.present = np.zeros(size, dtype=bool)
+                self.present[offsets] = True
+                filled = np.count_nonzero(self.present)
+            else:
+                self.slots = np.full(size, -1, dtype=np.int64)
+                self.slots[offsets] = np.arange(n)
+                filled = np.count_nonzero(self.slots >= 0)
+            if filled == n:
                 return
             self.slots = self.present = None
         # duplicate keys, or not dense: sort the keys into groups
-        order = np.argsort(key_vals, kind="stable")
-        sorted_keys = key_vals[order]
-        self.group_rows = rows[order]
+        if rows is None:
+            sorted_keys = np.sort(key_vals)
+        else:
+            order = np.argsort(key_vals, kind="stable")
+            sorted_keys = key_vals[order]
+            self.group_rows = rows[order]
         first = np.ones(sorted_keys.size, dtype=bool)
         first[1:] = sorted_keys[1:] != sorted_keys[:-1]
         starts = np.flatnonzero(first)
@@ -328,7 +355,8 @@ class HashTableIndex:
     ) -> np.ndarray:
         """Group id per key; -1 when the key is absent or, given ``valid``,
         where ``valid`` is False.  With ``slots``, every key must be a
-        value of the probe column the index was built for."""
+        value of the probe column the index was built for.  An index with
+        ``present`` has no groups."""
         if self.slots is not None:
             groups = self.slots[keys - self.base if self.base else keys]
         elif self.distinct_keys == 0:
@@ -345,7 +373,8 @@ class HashTableIndex:
     def probe_hits(
         self, keys: np.ndarray, valid: np.ndarray | None = None
     ) -> np.ndarray:
-        """``probe_groups(keys, valid) >= 0``; with ``present`` one gather."""
+        """Whether each key has a build row (``probe_groups(keys, valid) >=
+        0``); with ``present`` one gather."""
         if self.present is None:
             return self.probe_groups(keys, valid) >= 0
         hits = self.present[keys - self.base if self.base else keys]
@@ -358,17 +387,19 @@ def build_hash(
     table: ColumnTable,
     key: str,
     residual: ex.Expr | None = None,
-    rows: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
     probe: Column | None = None,
+    rows_read: bool = True,
 ) -> HashTableIndex:
-    """Join index over ``rows``, or by default over the rows passing
-    ``residual`` (NULL keys excluded).  Given ``rows``, already filtered
-    at planning time, the residual is not evaluated again.  ``probe``, the
-    column whose values will probe the index, lets a dense index be a
-    slot table that covers all of them."""
-    if rows is None:
-        rows = eval_predicate(table, residual)
-    return HashTableIndex(table, key, rows, probe)
+    """Join index over the rows of ``mask``, or by default over the rows
+    passing ``residual``, evaluated as a planning sub-query is, by
+    ``count_star`` (NULL keys excluded).  ``probe``, the column whose
+    values will probe the index, lets a dense index be a direct-address
+    table that covers all of them; ``rows_read`` is whether anything reads
+    the rows it matches."""
+    if residual is not None:
+        _, mask = count_star(table, residual)
+    return HashTableIndex(table, key, mask, probe, rows_read)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +415,19 @@ class BuildStep:
     alias: str
     index: HashTableIndex
     probe_key: ex.ColumnRef
+
+
+def live_aliases(stages: list, projection: tuple | None) -> list[frozenset[str]]:
+    """``live[k]``: the aliases whose row ids a later stage's probe key or
+    the projection reads after stage ``k`` (stage 0 is the probe filter).
+    ``stages``, the builds in order, have an ``alias`` and a ``probe_key``."""
+    needed = frozenset(ref.table for ref in projection or ())
+    live = [needed]
+    for stage in reversed(stages):
+        needed = (needed - {stage.alias}) | {stage.probe_key.table}
+        live.append(needed)
+    live.reverse()
+    return live
 
 
 @dataclass
@@ -495,12 +539,14 @@ def probe_joins(
     steps: list[BuildStep],
     projection: tuple | None,
     workers: int = 1,
+    live: list[frozenset[str]] | None = None,
 ) -> tuple[ColumnTable | None, ExecStats]:
     """Stream the probe relation through every hash table in order.
 
     ``projection`` is a tuple of resolved column refs; None means count
-    only (no output materialization).  Output row order is the probe row
-    order regardless of ``workers``.
+    only (no output materialization).  ``live`` is
+    ``live_aliases(steps, projection)``, which the builds were made by.
+    Output row order is the probe row order regardless of ``workers``.
     """
     stats = ExecStats()
     tables = {probe_alias: probe}
@@ -508,14 +554,8 @@ def probe_joins(
         stats.build_distinct.append(step.index.distinct_keys)
         tables[step.alias] = step.index.table
 
-    # live[k]: the aliases whose row ids are read after stage k, by a
-    # later stage's probe key or by the projection
-    needed = frozenset(ref.table for ref in projection or ())
-    live = [needed]
-    for step in reversed(steps):
-        needed = (needed - {step.alias}) | {step.probe_key.table}
-        live.append(needed)
-    live.reverse()
+    if live is None:
+        live = live_aliases(steps, projection)
 
     n = probe.row_count
     if workers <= 1 or n < 2 * workers:

@@ -2,11 +2,12 @@
 
 Instead of estimating predicate selectivities from synopses, the planner
 runs a generated COUNT sub-query at planning time per filtered,
-non-empty build table, and pushes every counted selection down: the row
-ids of the sub-query's mask stand for a temp table, which the build
-indexes in place of the filtered base table, so no filter runs twice.
-The paper pushes down only selective filters because its temp table is
-a copy; here it is the ids the count already found.
+non-empty build table, and pushes every counted selection down: the
+sub-query's boolean mask is the temp table, which the build indexes in
+place of the filtered base table, so no filter runs twice.  The paper
+pushes down only selective filters because its temp table is a copy;
+here it is the mask the count already made, and planning makes no row
+ids.
 
 Every arm orders the left-deep joins by one cost model: each stage keeps
 ``sel`` of the probe stream, and the builds go in ascending ``sel`` (rank
@@ -59,7 +60,7 @@ class EscDecision:
     predicate: ex.Expr
     exact_count: int
     row_count: int
-    pushed_down: bool  # always true: row ids replace the scan
+    pushed_down: bool  # always true: the mask replaces the scan
     subquery_ms: float
     materialize_ms: float
 
@@ -67,10 +68,10 @@ class EscDecision:
 @dataclass
 class PlanBuild:
     """One build of the pipeline.  A pushed-down build (a table arm
-    ``esc`` counted) indexes its base table at ``rows``, the temp table, and
-    has no residual; any other build filters its base table by
-    ``residual``.  ``input_rows`` is what the build reads: the temp's size
-    or the base table's rows."""
+    ``esc`` counted) indexes the rows of its base table in ``mask``, the
+    temp table, and has no residual; any other build filters its base
+    table by ``residual``.  ``input_rows`` is what the build reads: the
+    temp's size (the count) or the base table's rows."""
 
     alias: str
     source: str  # base table name
@@ -78,7 +79,8 @@ class PlanBuild:
     probe_key: ex.ColumnRef  # column on the probe table or an earlier build
     residual: ex.Expr | None  # fused filter; None when pushed down
     input_rows: int
-    rows: np.ndarray | None = None  # the temp's row ids when pushed down
+    # the temp when pushed down; None when it keeps every row
+    mask: np.ndarray | None = None
     # the fraction of the probe stream this stage is planned to keep, the
     # rank key of the join order; 1.0 when the arm has no selectivity
     sel: float = 1.0
@@ -130,12 +132,15 @@ def compute_exact_selectivity(
     return count, mask, (time.perf_counter() - t0) * 1000.0
 
 
-def materialize_pushdown(mask: np.ndarray) -> tuple[np.ndarray, float]:
-    """Row ids of a pushed-down selection, standing for its temp table:
-    the build indexes the base table at them, and the plan owns them."""
+def materialize_pushdown(
+    mask: np.ndarray, count: int
+) -> tuple[np.ndarray | None, float]:
+    """The temp table of a pushed-down selection that keeps ``count``
+    rows: the sub-query's ``mask`` itself, which the plan owns, or None
+    when it keeps every row.  No per-row work is done."""
     t0 = time.perf_counter()
-    rows = np.flatnonzero(mask)
-    return rows, (time.perf_counter() - t0) * 1000.0
+    temp = None if count == mask.size else mask
+    return temp, (time.perf_counter() - t0) * 1000.0
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ def plan(graph: JoinGraph, catalog: Catalog, arm: str = "esc") -> PhysicalPlan:
     probe = choose_probe(graph, row_counts)
     sel: dict[str, float] = {}
     decisions: list[EscDecision] = []
-    temps: dict[str, np.ndarray] = {}
+    temps: dict[str, tuple[np.ndarray | None, int]] = {}
     for alias in graph.tables:
         residual = graph.residual(alias)
         # the probing side is never counted or pushed down
@@ -231,7 +236,8 @@ def plan(graph: JoinGraph, catalog: Catalog, arm: str = "esc") -> PhysicalPlan:
             catalog, graph.source[alias], residual, alias
         )
         sel[alias] = count / rc
-        temps[alias], mat_ms = materialize_pushdown(mask)
+        temp, mat_ms = materialize_pushdown(mask, count)
+        temps[alias] = temp, count
         decisions.append(
             EscDecision(
                 table=alias,
@@ -247,16 +253,16 @@ def plan(graph: JoinGraph, catalog: Catalog, arm: str = "esc") -> PhysicalPlan:
     rank = {a: (sel.get(a, 1.0), row_counts[a]) for a in graph.tables if a != probe}
     builds = []
     for alias, edge in order_builds(graph, probe, rank):
-        rows = temps.get(alias)
+        mask, input_rows = temps.get(alias, (None, row_counts[alias]))
         builds.append(
             PlanBuild(
                 alias,
                 graph.source[alias],
                 edge.key_for(alias),
                 edge.left if edge.right.table == alias else edge.right,
-                graph.residual(alias) if rows is None else None,
-                row_counts[alias] if rows is None else rows.size,
-                rows,
+                None if alias in temps else graph.residual(alias),
+                input_rows,
+                mask,
                 sel.get(alias, 1.0),
             )
         )
@@ -281,15 +287,17 @@ def execute_plan(
     plan_: PhysicalPlan, catalog: Catalog, workers: int = 1
 ) -> tuple[object, int, executor.ExecStats]:
     """Run the pipeline; returns (result table or None, result count,
-    stats).  COUNT(*) plans return None for the table."""
+    stats).  COUNT(*) plans return None for the table.  A build keeps
+    row ids only when a later stage or the projection reads its alias."""
     probe_table = catalog.table(plan_.probe_source)
     tables = {plan_.probe_alias: probe_table}
+    live = executor.live_aliases(plan_.builds, plan_.projection)
     steps = []
-    for b in plan_.builds:
+    for b, alive in zip(plan_.builds, live[1:]):
         table = tables[b.alias] = catalog.table(b.source)
         probe_col = tables[b.probe_key.table].column(b.probe_key.name)
         index = executor.build_hash(
-            table, b.build_key.name, b.residual, b.rows, probe_col
+            table, b.build_key.name, b.residual, b.mask, probe_col, b.alias in alive
         )
         steps.append(executor.BuildStep(b.alias, index, b.probe_key))
     result, stats = executor.probe_joins(
@@ -299,6 +307,7 @@ def execute_plan(
         steps,
         plan_.projection,
         workers=workers,
+        live=live,
     )
     return result, stats.result_rows, stats
 
@@ -319,6 +328,7 @@ def explain_json(
     # product of sel over the builds up to and including it
     sels = [b.sel for b in plan_.builds]
     planned = list(accumulate(sels, mul, initial=plan_.probe_rows))[1:]
+    temps = {d.table for d in plan_.decisions if d.pushed_down}
     plan_json = {
         "probe": {
             "alias": plan_.probe_alias,
@@ -329,7 +339,9 @@ def explain_json(
         "builds": [
             {
                 "alias": b.alias,
-                "source": b.source if b.rows is None else f"temp(rows={b.rows.size})",
+                "source": (
+                    f"temp(rows={b.input_rows})" if b.alias in temps else b.source
+                ),
                 "rows": b.input_rows,
                 "key": str(b.build_key),
                 "probe_key": str(b.probe_key),

@@ -86,8 +86,9 @@ class TestRun:
 
     def test_temp_freed_with_result(self, engine):
         res = engine.run(PUSHDOWN_SQL.format(v=0))
-        # a pushed-down build's temp is the row-id array its plan holds
-        (temp,) = [b.rows for b in res.plan.builds if b.residual is None]
+        # a pushed-down build's temp is the sub-query's mask, which its
+        # plan holds
+        (temp,) = [b.mask for b in res.plan.builds if b.residual is None]
         ref = weakref.ref(temp)
         del temp
         gc.collect()
@@ -100,9 +101,9 @@ class TestRun:
         refs = []
 
         def spy(*args, **kwargs):
-            rows, ms = materialize_pushdown(*args, **kwargs)
-            refs.append(weakref.ref(rows))
-            return rows, ms
+            temp, ms = materialize_pushdown(*args, **kwargs)
+            refs.append(weakref.ref(temp))
+            return temp, ms
 
         monkeypatch.setattr(optimizer, "materialize_pushdown", spy)
         engine.register_udf("boom", 1, lambda a: 1 / 0)
@@ -137,13 +138,14 @@ class TestRun:
         ra = frontend.analyze(frontend.parse(sql), engine.catalog)
         first = optimizer.plan(ra, engine.catalog, engine.arm)
         assert any(d.pushed_down for d in first.decisions)
-        (temp,) = [b.rows for b in first.builds if b.residual is None]
+        (temp,) = [b.mask for b in first.builds if b.residual is None]
         second = engine.run(PUSHDOWN_SQL.format(v=1))
         assert any(d.pushed_down for d in second.plan.decisions)
         assert second.count == 3  # s_k in {1, 4, 7}
         del second
         gc.collect()
-        assert temp.tolist() == [2, 5]  # the rows of s_k 3 and 6
+        # the rows of s_k 3 and 6
+        assert temp.tolist() == [i in (2, 5) for i in range(7)]
         _, count, _ = optimizer.execute_plan(first, engine.catalog)
         assert count == 2
 
@@ -586,9 +588,12 @@ class TestConcurrentQueries:
 class TestBenchmarkBuilds:
     def test_every_build_is_one_gather(self, monkeypatch):
         """Every build of the bench queries, as ``COUNT(*)`` and as
-        ``SELECT *``, under arms ``esc`` and ``baseline``, has unique keys
-        in a slot table that covers its probe column, so each probe stage
-        is one gather from ``slots`` or ``present``."""
+        ``SELECT *``, under every arm with 1 and 2 workers, has unique
+        keys in a direct-address table that covers its probe column, so
+        each probe stage is one gather.  A build holds row ids iff its
+        alias is read: never in a ``COUNT(*)`` (every bench query is a
+        star, whose builds only count, into ``present``), and always in a
+        ``SELECT *`` (into ``slots``)."""
         built = []
         build_hash = executor.build_hash
 
@@ -600,24 +605,29 @@ class TestBenchmarkBuilds:
         runs = 0
         for which, queries in TestConcurrentQueries.SUITES.items():
             catalog = plan_quality_catalog(which, 0.01, 42)
-            for arm in ("esc", "baseline"):
-                engine = Engine(arm)
-                engine.catalog = catalog
-                for label, sql in queries:
-                    for form in (sql, sql.replace("COUNT(*)", "*", 1)):
-                        built.clear()
-                        plan = engine.run(form).plan
-                        runs += 1
-                        assert built, (label, arm, form)
-                        assert all(i.present is not None for i in built), (
-                            label, arm, form,
-                        )
-                        # bench keys hold no NULLs, so a pushed-down build
-                        # indexes exactly the rows it reports reading
-                        assert len(built) == len(plan.builds)
-                        for b, index in zip(plan.builds, built):
-                            if b.rows is not None:
-                                assert index.n_entries == b.input_rows, (
-                                    label, b.alias,
+            for arm in optimizer.ARMS:
+                for workers in (1, 2):
+                    engine = Engine(arm, workers)
+                    engine.catalog = catalog
+                    for label, sql in queries:
+                        for star in (False, True):
+                            form = sql.replace("COUNT(*)", "*", 1) if star else sql
+                            where = (label, arm, workers, form)
+                            built.clear()
+                            plan = engine.run(form).plan
+                            runs += 1
+                            assert len(built) == len(plan.builds) > 0, where
+                            for b, index in zip(plan.builds, built):
+                                table = index.slots if star else index.present
+                                assert table is not None, (where, b.alias)
+                                assert (index.group_rows is not None) == star, (
+                                    where, b.alias,
                                 )
-        assert runs == 14 * 2 * 2
+                                # bench keys hold no NULLs, so a build
+                                # without a residual indexes exactly the
+                                # rows it reports reading
+                                if b.residual is None:
+                                    assert index.n_entries == b.input_rows, (
+                                        where, b.alias,
+                                    )
+        assert runs == 14 * 2 * len(optimizer.ARMS) * 2

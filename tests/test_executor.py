@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -248,6 +249,32 @@ def _rows_of_key(idx, key):
     return _group(idx, g)
 
 
+def _check_shape(idx, rows_read, dense_unique):
+    """An index holds row ids iff they are read; a dense index with unique
+    keys is a direct-address table: ``slots`` when its rows are read,
+    else ``present``."""
+    assert (idx.group_rows is not None) == rows_read
+    assert (idx.slots is not None) == (dense_unique and rows_read)
+    assert (idx.present is not None) == (dense_unique and not rows_read)
+
+
+def _check_groups(idx, probes, valid, want):
+    """Every probe's group agrees with the ``want`` map of key to build
+    rows, or, when the index holds no row ids, with its row count; an
+    invalid position misses.  An index with ``present`` has no groups."""
+    if idx.present is not None:
+        return
+    groups = idx.probe_groups(np.asarray(probes, dtype=np.int64), valid)
+    for k, v, g in zip(probes, valid, groups.tolist()):
+        rows = want.get(k, []) if v else []
+        if idx.group_rows is not None:
+            assert _group(idx, g) == rows
+        elif g < 0 or idx.unique:
+            assert (g >= 0) == bool(rows)
+        else:
+            assert idx.group_counts[g] == len(rows)
+
+
 class TestHashIndex:
     def _oracle_map(self, keys):
         out = {}
@@ -283,9 +310,9 @@ class TestHashIndex:
 
     def test_lookup_matches_dict_oracle(self):
         """Each case with unique and with repeated build keys, and each of
-        those twice: with the probes as the probe column (a slot table
-        where dense and unique) and without a probe column (the sorted
-        path)."""
+        those twice: with the probes as the probe column (a direct-address
+        table where dense and unique) and without a probe column (the
+        sorted path); each of those with and without its rows read."""
         rng = random.Random(9)
         for pool, absent, dense in self.ORACLE_CASES:
             pool = list(pool)
@@ -299,25 +326,25 @@ class TestHashIndex:
                 probes = list(want) + absent
                 col = _int_col_table("p", k=probes).column("k")
                 valid = np.arange(len(probes)) % 3 != 0
-                for probe in (col, None):
-                    idx = build_hash(t, "k", probe=probe)
+                for probe, rows_read in itertools.product((col, None), (True, False)):
+                    idx = build_hash(t, "k", probe=probe, rows_read=rows_read)
                     assert idx.unique == (keys is pool)
-                    assert (idx.slots is not None) == (
-                        dense and probe is not None and idx.unique
+                    _check_shape(
+                        idx, rows_read, dense and probe is not None and idx.unique
                     )
                     assert idx.n_entries == sum(len(v) for v in want.values())
                     assert idx.distinct_keys == len(want)
-                    for k in probes:
-                        assert _rows_of_key(idx, k) == want.get(k, [])
+                    if rows_read:
+                        for k in probes:
+                            assert _rows_of_key(idx, k) == want.get(k, [])
                     # one vectorized call: a hit names its key's group, a
                     # miss or an invalid position is -1
-                    groups = idx.probe_groups(col.values, valid)
-                    for k, v, g in zip(probes, valid, groups.tolist()):
-                        assert _group(idx, g) == (want.get(k, []) if v else [])
-                    # the counting stage's membership test agrees with the
-                    # groups
+                    _check_groups(idx, probes, valid, want)
+                    # the counting stage's membership test
                     hits = idx.probe_hits(col.values, valid)
-                    assert hits.tolist() == (groups >= 0).tolist()
+                    assert hits.tolist() == [
+                        v and k in want for k, v in zip(probes, valid)
+                    ]
 
     # (build keys, probe-key column with None = NULL, the slot table's
     # base or None on the sorted path, unique)
@@ -347,33 +374,37 @@ class TestHashIndex:
 
     @pytest.mark.parametrize("build,probe,base,unique", WIDENED_CASES)
     def test_widened_lookup_matches_dict_oracle(self, build, probe, base, unique):
-        """A build handed its probe-key column is a slot table that covers
-        that column's bounds when its keys are unique and the density
-        bound allows; every stored probe value, NULL slots' 0 included,
-        then finds its rows by one gather."""
+        """A build handed its probe-key column is a direct-address table
+        that covers that column's bounds when its keys are unique and the
+        density bound allows, with and without its rows read; every stored
+        probe value, NULL slots' 0 included, then finds its rows by one
+        gather."""
         build, probe = list(build), list(probe)
         t = _int_col_table("t", k=build)
         col = _int_col_table("p", k=probe).column("k")
-        idx = build_hash(t, "k", probe=col)
-        assert (idx.slots is not None, idx.unique) == (base is not None, unique)
-        assert (idx.present is not None) == (base is not None)
-        if idx.slots is not None:
-            assert idx.slots.size <= _DENSE_RATIO * idx.n_entries + _DENSE_PAD
-            lo, hi = col.bounds
-            assert idx.base == base <= min(lo, *build)
-            assert max(hi, *build) == base + idx.slots.size - 1
         want = self._oracle_map(build)
         valid = ~col.null_mask
-        groups = idx.probe_groups(col.values, valid)
-        for k, g in zip(probe, groups.tolist()):
-            assert _group(idx, g) == want.get(k, [])
-        hits = idx.probe_hits(col.values, valid)
-        assert hits.tolist() == (groups >= 0).tolist()
-        if col.has_nulls:
-            # without ``valid`` a NULL slot's stored 0 finds build key 0
-            assert idx.probe_hits(col.values).tolist() == [
-                (0 if k is None else k) in want for k in probe
+        for rows_read in (True, False):
+            idx = build_hash(t, "k", probe=col, rows_read=rows_read)
+            assert idx.unique == unique
+            _check_shape(idx, rows_read, base is not None)
+            table = idx.present if idx.slots is None else idx.slots
+            if table is not None:
+                assert table.size <= _DENSE_RATIO * idx.n_entries + _DENSE_PAD
+                lo, hi = col.bounds
+                assert idx.base == base <= min(lo, *build)
+                assert max(hi, *build) == base + table.size - 1
+            stored = [0 if k is None else k for k in probe]
+            _check_groups(idx, stored, valid, want)
+            hits = idx.probe_hits(col.values, valid)
+            assert hits.tolist() == [
+                v and k in want for k, v in zip(stored, valid.tolist())
             ]
+            if col.has_nulls:
+                # without ``valid`` a NULL slot's stored 0 finds build key 0
+                assert idx.probe_hits(col.values).tolist() == [
+                    k in want for k in stored
+                ]
 
     def test_bounds_of_a_column(self):
         col = _int_col_table("p", k=[7, None, -3, 2**63 - 1]).column("k")
@@ -611,8 +642,9 @@ class TestProbeJoins:
     ):
         """Builds handed their probe-key columns cover them (l_oid's NULL
         slots store 0), and give the oracle's answers whether a stage
-        gathers from ``present`` (it only counts), from ``slots``, or takes
-        the sorted path (duplicate part keys)."""
+        gathers from ``present`` (its rows are not read, so it only
+        counts), from ``slots``, or takes the sorted path (duplicate part
+        keys).  Each projection gets builds made by its own liveness."""
         d = dict(join_data)
         if unique_parts:
             parts = join_data["parts"]
@@ -622,19 +654,11 @@ class TestProbeJoins:
             _ref("orders", "o_pid") if shape == "chain" else _ref("lines", "l_pid")
         )
 
-        def step(alias, key, probe_key):
+        def step(alias, key, probe_key, read):
             probe = d[probe_key.table].column(probe_key.name)
-            return BuildStep(alias, build_hash(d[alias], key, probe=probe), probe_key)
+            index = build_hash(d[alias], key, probe=probe, rows_read=read)
+            return BuildStep(alias, index, probe_key)
 
-        steps = [
-            step("orders", "o_id", _ref("lines", "l_oid")),
-            step("parts", "p_id", part_key),
-        ]
-        # every key set is dense, so a build is a slot table iff its keys
-        # are unique
-        assert [s.index.slots is not None for s in steps] == [True, unique_parts]
-        assert steps[1].index.unique == unique_parts
-        assert (steps[1].index.present is not None) == unique_parts
         pred = ex.And(
             (
                 ex.ColumnCompare(_ref("lines", "l_oid"), "=", _ref("orders", "o_id")),
@@ -647,8 +671,30 @@ class TestProbeJoins:
             (_ref("orders", "o_ch"), _ref("parts", "p_cls")),
         ]
         for projection in projections:
+            stages = [
+                BuildStep("orders", None, _ref("lines", "l_oid")),
+                BuildStep("parts", None, part_key),
+            ]
+            live = executor.live_aliases(stages, projection)
+            read = [s.alias in alive for s, alive in zip(stages, live[1:])]
+            # orders is read in a chain, or when projected; parts only
+            # when projected
+            assert read == [
+                shape == "chain" or projection == projections[2],
+                projection == projections[2],
+            ]
+            steps = [
+                step("orders", "o_id", stages[0].probe_key, read[0]),
+                step("parts", "p_id", part_key, read[1]),
+            ]
+            # every key set is dense, so a build is a direct-address
+            # table iff its keys are unique
+            for s, r, u in zip(steps, read, [True, unique_parts]):
+                assert s.index.unique == u
+                _check_shape(s.index, r, u)
             result, stats = probe_joins(
-                d["lines"], "lines", None, steps, projection, workers=workers
+                d["lines"], "lines", None, steps, projection,
+                workers=workers, live=live,
             )
             want_count, want_bag = oracle_join(d, pred, projection)
             assert stats.result_rows == want_count > 0

@@ -113,7 +113,8 @@ class TestPolicy:
 
     def _pushed(self, cat, sql):
         p = _plan_sql(cat, sql)
-        return {b.alias: b.input_rows for b in p.builds if b.rows is not None}
+        counted = {d.table for d in p.decisions if d.pushed_down}
+        return {b.alias: b.input_rows for b in p.builds if b.alias in counted}
 
     def test_wide_margin_qualifies(self, shop):
         sql = SHOP_SQL.replace("c_band = 3", "c_band < 8")  # keeps 0.8
@@ -125,7 +126,20 @@ class TestPolicy:
         cat.register(_int_table("cust", 0, c_id=lambda i: i, c_band=lambda i: i))
         sql = "SELECT COUNT(*) FROM fact, cust WHERE f_cid = c_id AND c_band = 3"
         p = _plan_sql(cat, sql)
-        assert p.decisions == [] and p.builds[0].rows is None
+        assert p.decisions == [] and p.builds[0].residual is not None
+
+    def test_full_count_pushes_down_without_a_temp(self, shop):
+        """A counted filter that keeps every row is pushed down with no
+        mask: the build indexes the whole base table, and EXPLAIN still
+        shows its temp's size."""
+        sql = SHOP_SQL.replace("c_band = 3", "c_band < 10")  # c_band is 0..9
+        p = _plan_sql(shop, sql)
+        (cust,) = [b for b in p.builds if b.alias == "cust"]
+        assert cust.mask is None and cust.residual is None
+        assert cust.input_rows == 2000 and cust.sel == 1.0
+        assert "Build cust=temp(rows=2000) rows=2000" in explain_text(p)
+        want = execute_plan(_plan_sql(shop, sql, "baseline"), shop)[1]
+        assert execute_plan(p, shop)[1] == want > 0
 
     def test_zero_count_qualifies(self, shop):
         sql = SHOP_SQL.replace("c_band = 3", "c_band = 10")  # c_band is 0..9
@@ -162,17 +176,22 @@ class TestPolicy:
 
 class TestMaterialize:
     def test_temp_contents_and_schema(self, shop):
-        """The temp is the base table's row ids, ascending, one per row
-        the sub-query's mask selected."""
+        """The temp is the sub-query's boolean mask itself, one slot per
+        base-table row, true where the predicate holds; a selection that
+        keeps every row has no temp."""
         pred = ex.Comparison(ex.ColumnRef("cust", "c_band"), "=", 3)
-        _, mask, _ = compute_exact_selectivity(shop, "cust", pred)
-        rows, ms = materialize_pushdown(mask)
+        count, mask, _ = compute_exact_selectivity(shop, "cust", pred)
+        temp, ms = materialize_pushdown(mask, count)
         assert ms >= 0.0
-        assert rows.dtype == np.int64 and rows.size == 200
-        assert (np.diff(rows) > 0).all()
+        assert temp is mask
+        assert temp.dtype == bool and temp.size == 2000
+        rows = np.flatnonzero(temp)
         assert rows.tolist() == oracle_select(shop.table("cust"), pred)
         ids = shop.table("cust").column("c_id").values[rows]
         assert all(v % 10 == 3 for v in ids.tolist())
+        every = ex.Comparison(ex.ColumnRef("cust", "c_band"), ">=", 0)
+        count, mask, _ = compute_exact_selectivity(shop, "cust", every)
+        assert count == 2000 and materialize_pushdown(mask, count)[0] is None
 
 
 class TestOrdering:
@@ -275,12 +294,13 @@ class TestPlanArms:
         # 400/1200 = 1/3, tiny 39/80 = 0.4875
         assert [b.alias for b in p.builds] == ["cust", "prod", "tiny"]
         assert [b.sel for b in p.builds] == [0.1, 400 / 1200, 39 / 80]
-        # a pushed-down build is its base table plus the counted row ids,
+        # a pushed-down build is its base table plus the counted mask,
         # however much its filter keeps, and however small its table
         for b in p.builds:
             d = by_table[b.alias]
             assert b.source == b.alias
-            assert d.exact_count == b.rows.size == b.input_rows
+            assert d.exact_count == np.count_nonzero(b.mask) == b.input_rows
+            assert b.mask.size == d.row_count
             assert b.residual is None
         assert [by_table[b.alias].exact_count for b in p.builds] == [200, 400, 39]
         assert p.build_card_sum == 200 + 400 + 39
@@ -289,7 +309,7 @@ class TestPlanArms:
         p = _plan_sql(shop, SHOP_SQL, "baseline")
         assert p.decisions == []
         assert [b.alias for b in p.builds] == ["tiny", "prod", "cust"]
-        assert all(b.rows is None for b in p.builds)
+        assert all(b.mask is None and b.residual is not None for b in p.builds)
         assert p.build_card_sum == 80 + 1200 + 2000
 
     def test_histogram_arm_runs_no_subqueries(self, shop):
@@ -314,7 +334,7 @@ class TestPlanArms:
 
     def test_temps_live_until_dropped(self, shop):
         p = _plan_sql(shop, SHOP_SQL)
-        temp = p.builds[0].rows  # cust's
+        temp = p.builds[0].mask  # cust's
         ref = weakref.ref(temp)
         del temp
         gc.collect()
@@ -443,7 +463,7 @@ class TestExecutePlan:
         sql = f"SELECT COUNT(*) FROM mfact, ma, mb {MICRO_WHERE}"
         p = _plan_sql(micro, sql)
         # each build reads the pushed-down rows passing its filter
-        assert all(b.rows is not None for b in p.builds)
+        assert all(b.mask is not None for b in p.builds)
         graph = fe.analyze(fe.parse(sql), micro)
         want = [
             count_star(micro.table(b.source), graph.residual(b.alias))[0]

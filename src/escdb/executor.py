@@ -4,23 +4,24 @@ Everything is vectorized over int64 column vectors.  A predicate atom
 compares stored values only, and ``_eval_mask`` is the one place that
 applies SQL's NULL rule: an atom with a NULL operand is neither true nor
 false, and only a column that holds NULLs costs a null-mask pass.
-A build takes the rows it indexes as a boolean mask, a planning
-sub-query's or its residual's (both from ``count_star``).  In the probe,
-a set of rows is an ascending int64 array of row ids, except a probe
-chunk, which is a contiguous ``slice`` of rows: predicates read column
-views over it, so no column is gathered to filter, and without a probe
-filter the probe alias's rows stay that slice until a join stage drops a
-row.  A stage compacts the row ids it carries with ``np.compress``, and
-not at all when every row hit.
-The probe pipeline is a single fused pass: probe-side predicate, every
-join-index lookup, and the output gather happen without materializing
-intermediate tuples.  Row ids are made late: after each stage only the
-aliases that a later stage probes with, or the projection reads
-(``live_aliases``, read by the builds and the probe), keep a row-id
-array, only their join indexes hold row ids, and a stage that nothing
-reads after it (every stage of a star ``COUNT(*)``) only counts its
-matches.  With ``workers`` threads, each probes one chunk, and the
-output row order is the probe row order whatever ``workers`` is.
+Predicates are evaluated over whole tables only.  A build takes the rows
+it indexes as a boolean mask, a planning sub-query's or its residual's
+(both from ``count_star``), and the probe's filter runs once per query,
+before the pipeline, into the row ids it keeps (``eval_predicate``).  In
+the probe, a set of rows is an ascending int64 array of row ids, except
+that without a probe filter a chunk of the probe is a contiguous
+``slice`` of rows, and the probe alias's rows stay that slice until a
+join stage drops a row.  A stage compacts the row ids it carries with
+``np.compress``, and not at all when every row hit.
+The probe pipeline is a single fused pass: every join-index lookup and
+the output gather happen without materializing intermediate tuples.  Row
+ids are made late: after each stage only the aliases that a later stage
+probes with, or the projection reads (``live_aliases``, read by the
+builds and the probe), keep a row-id array, only their join indexes hold
+row ids, and a stage that nothing reads after it (every stage of a star
+``COUNT(*)``) only counts its matches.  With ``workers`` threads, each
+probes one contiguous chunk of the rows the filter kept, and the output
+row order is the probe row order whatever ``workers`` is.
 A join index handed its probe-key column, whose keys are unique and,
 together with that column's ``bounds``, dense, is a direct-address
 table covering both, ``slots`` when its rows are read, else a boolean
@@ -97,13 +98,7 @@ def _compare(values: np.ndarray, op: str, const) -> np.ndarray:
     return _COMPARE[op](values, const)
 
 
-def _span(table: ColumnTable, rows: slice) -> range:
-    return range(table.row_count)[rows]
-
-
-def _eval_fncall(
-    atom: ex.FnCall, table: ColumnTable, rows: slice
-) -> tuple[np.ndarray, np.ndarray]:
+def _eval_fncall(atom: ex.FnCall, table: ColumnTable) -> tuple[np.ndarray, np.ndarray]:
     """The comparison over the UDF's results, and the rows where a result
     is NULL (None or NaN), which are unknown."""
     if atom.fn is None:
@@ -111,7 +106,7 @@ def _eval_fncall(
     # arguments as float64 (DECIMAL descaled, DATE as epoch days)
     arrays = []
     for ref in atom.args:
-        out = table.column(ref.name).values[rows].astype(np.float64)
+        out = table.column(ref.name).values.astype(np.float64)
         if ref.kind is not None and ref.kind.is_decimal:
             out = out / float(10 ** ref.kind.scale)
         arrays.append(out)
@@ -122,16 +117,17 @@ def _eval_fncall(
     try:
         results.extend(map(atom.fn, *map(memoryview, arrays)))
     except Exception as exc:
-        row = _span(table, rows)[len(results)]
-        raise ExecutionError(f"UDF {atom.name!r} failed at row {row}: {exc}") from exc
+        raise ExecutionError(
+            f"UDF {atom.name!r} failed at row {len(results)}: {exc}"
+        ) from exc
     raw = np.fromiter(results, object, len(results))
     try:
         # None becomes NaN
         results = raw.astype(np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        for i, row in enumerate(_span(table, rows)):
+        for row in range(raw.size):
             try:
-                raw[i : i + 1].astype(np.float64)
+                raw[row : row + 1].astype(np.float64)
             except OverflowError:
                 raise ExecutionError(
                     f"UDF {atom.name!r} returned a number past the float range "
@@ -139,20 +135,20 @@ def _eval_fncall(
                 ) from exc
             except (TypeError, ValueError):
                 raise ExecutionError(
-                    f"UDF {atom.name!r} returned {raw[i]!r} at row {row}, "
+                    f"UDF {atom.name!r} returned {raw[row]!r} at row {row}, "
                     "not a number"
                 ) from exc
         raise ExecutionError(f"UDF {atom.name!r}: {exc}") from exc
     return _compare(results, atom.op, atom.value), np.isnan(results)
 
 
-def _eval_atom(atom: ex.Expr, table: ColumnTable, rows: slice) -> np.ndarray:
-    """The atom over the stored values of ``rows``, NULL slots included."""
+def _eval_atom(atom: ex.Expr, table: ColumnTable) -> np.ndarray:
+    """The atom over the stored values of every row, NULL slots included."""
     if isinstance(atom, ex.ColumnCompare):
-        left = table.column(atom.left.name).values[rows]
-        return _compare(left, atom.op, table.column(atom.right.name).values[rows])
+        left = table.column(atom.left.name).values
+        return _compare(left, atom.op, table.column(atom.right.name).values)
     col = table.column(atom.col.name)
-    vals = col.values[rows]
+    vals = col.values
     if isinstance(atom, ex.Comparison):
         if isinstance(atom.value, str):
             return _apply_lut(_text_lut(col, atom.op, atom.value), vals)
@@ -167,10 +163,8 @@ def _eval_atom(atom: ex.Expr, table: ColumnTable, rows: slice) -> np.ndarray:
     raise ExecutionError(f"unknown atom {atom!r}")
 
 
-def _eval_mask(
-    pred: ex.Expr, table: ColumnTable, rows: slice, negate: bool = False
-) -> np.ndarray:
-    """Boolean mask over ``rows``: the rows where ``pred`` is true, or
+def _eval_mask(pred: ex.Expr, table: ColumnTable, negate: bool = False) -> np.ndarray:
+    """Boolean mask over the table's rows: those where ``pred`` is true, or
     with ``negate`` the rows where it is false.  NOT flips ``negate``,
     and under it AND and OR swap, so a predicate without NOT is one pass.
 
@@ -178,25 +172,25 @@ def _eval_mask(
     NULL operand, or a UDF whose result is NULL, is unknown, neither true
     nor false, so each leaf drops those rows after any negation."""
     if isinstance(pred, ex.Not):
-        return _eval_mask(pred.child, table, rows, not negate)
+        return _eval_mask(pred.child, table, not negate)
     if isinstance(pred, (ex.And, ex.Or)):
         conjunction = isinstance(pred, ex.And) != negate
-        mask = _eval_mask(pred.items[0], table, rows, negate)
+        mask = _eval_mask(pred.items[0], table, negate)
         for item in pred.items[1:]:
             if conjunction:
                 if not mask.any():
                     break
-                mask = mask & _eval_mask(item, table, rows, negate)
+                mask = mask & _eval_mask(item, table, negate)
             else:
                 if mask.all():
                     break
-                mask = mask | _eval_mask(item, table, rows, negate)
+                mask = mask | _eval_mask(item, table, negate)
         return mask
     unknown = None
     if isinstance(pred, ex.FnCall):
-        mask, unknown = _eval_fncall(pred, table, rows)
+        mask, unknown = _eval_fncall(pred, table)
     else:
-        mask = _eval_atom(pred, table, rows)
+        mask = _eval_atom(pred, table)
     if negate:
         mask = ~mask
     if unknown is not None:
@@ -204,32 +198,23 @@ def _eval_mask(
     for ref in ex.columns(pred):
         col = table.column(ref.name)
         if col.has_nulls:
-            mask &= ~col.null_mask[rows]
+            mask &= ~col.null_mask
     return mask
 
 
-def eval_predicate(
-    table: ColumnTable, pred: ex.Expr | None, rows: slice = slice(None)
-) -> np.ndarray:
-    """Ascending ids of the rows in ``rows`` (default all) that satisfy
-    ``pred``; vectorized, column at a time."""
-    span = _span(table, rows)
-    if pred is None:
-        return np.arange(span.start, span.stop, dtype=np.int64)
-    ids = np.flatnonzero(_eval_mask(pred, table, rows))
-    ids += span.start
-    return ids
+def eval_predicate(table: ColumnTable, pred: ex.Expr) -> np.ndarray:
+    """Ascending ids of the table's rows that satisfy ``pred``: the probe
+    filter's rows, worked out once per query before the probe splits
+    them among its workers."""
+    return np.flatnonzero(_eval_mask(pred, table))
 
 
-def count_star(
-    table: ColumnTable, pred: ex.Expr | None
-) -> tuple[int, np.ndarray | None]:
+def count_star(table: ColumnTable, pred: ex.Expr) -> tuple[int, np.ndarray]:
     """Rows satisfying ``pred``, and the boolean mask they were counted
-    from (None without a predicate).  No row indices are materialized, so
-    the cost depends on table size, not match count."""
-    if pred is None:
-        return table.row_count, None
-    mask = _eval_mask(pred, table, slice(None))
+    from: a planning sub-query, or a build's residual filter.  No row
+    indices are materialized, so the cost depends on table size, not
+    match count."""
+    mask = _eval_mask(pred, table)
     return int(np.count_nonzero(mask)), mask
 
 
@@ -473,28 +458,20 @@ def _row_ids(ids: np.ndarray | slice) -> np.ndarray:
 def _probe_chunk(
     tables: dict[str, ColumnTable],
     probe_alias: str,
-    probe_pred: ex.Expr | None,
     steps: list[BuildStep],
     live: list[frozenset[str]],
-    rows: slice,
+    ids: np.ndarray | slice,
 ):
-    """Run the fused pipeline over one range of probe rows; returns the
-    carried row ids per alias, which cover ``live[-1]`` (the probe
-    alias's are a ``slice`` when no filter ran and every stage kept every
-    row), and the tuples each stage produced.
+    """Run the fused pipeline over one chunk of the probe rows that passed
+    the probe filter, ``ids`` (a ``slice`` when there is no filter);
+    returns the carried row ids per alias, which cover ``live[-1]`` (the
+    probe alias's stay ``ids`` while every stage keeps every row), and the
+    tuples each stage produced.
 
     ``live[k]`` holds the aliases whose row ids are read after stage
     ``k`` (stage 0 is the probe filter); no other alias is carried."""
-    probe = tables[probe_alias]
-    if probe_pred is None:
-        span = _span(probe, rows)
-        ids = slice(span.start, span.stop)
-        size = len(span)
-    else:
-        ids = eval_predicate(probe, probe_pred, rows)
-        size = ids.size
     rows_of = {probe_alias: ids}
-    stage_out = [size]
+    stage_out = [ids.stop - ids.start if isinstance(ids, slice) else ids.size]
     for step, alive in zip(steps, live[1:]):
         index = step.index
         ref = step.probe_key
@@ -546,7 +523,10 @@ def probe_joins(
     ``projection`` is a tuple of resolved column refs; None means count
     only (no output materialization).  ``live`` is
     ``live_aliases(steps, projection)``, which the builds were made by.
-    Output row order is the probe row order regardless of ``workers``.
+    The probe filter ``probe_pred`` runs once, over the whole probe
+    table, and ``workers`` contiguous chunks of the rows it keeps run the
+    pipeline, so output row order is the probe row order regardless of
+    ``workers``.
     """
     stats = ExecStats()
     tables = {probe_alias: probe}
@@ -557,15 +537,23 @@ def probe_joins(
     if live is None:
         live = live_aliases(steps, projection)
 
-    n = probe.row_count
+    # without a filter the probe rows stay a slice, so no row ids are made
+    if probe_pred is None:
+        ids, n = None, probe.row_count
+    else:
+        ids = eval_predicate(probe, probe_pred)
+        n = ids.size
     if workers <= 1 or n < 2 * workers:
-        chunks = [slice(None)]
+        bounds = [0, n]
     else:
         bounds = np.linspace(0, n, workers + 1, dtype=np.int64).tolist()
-        chunks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    chunks = [
+        slice(lo, hi) if ids is None else ids[lo:hi]
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
-    def run(rows):
-        return _probe_chunk(tables, probe_alias, probe_pred, steps, live, rows)
+    def run(chunk):
+        return _probe_chunk(tables, probe_alias, steps, live, chunk)
 
     if len(chunks) == 1:
         fragments = [run(chunks[0])]

@@ -104,24 +104,6 @@ class TestEvalPredicate:
             got = eval_predicate(custom_nulls, pred).tolist()
             assert got == oracle_select(custom_nulls, pred), str(pred)
 
-    def test_none_pred_selects_all(self, custom_nulls):
-        rows = eval_predicate(custom_nulls, None)
-        assert rows.tolist() == list(range(custom_nulls.row_count))
-
-    def test_row_range_restricts_full_result(self, custom_nulls):
-        """Over ``slice(lo, hi)`` the result is the full result's row ids
-        in ``lo <= r < hi``, absolute, not offset from ``lo``."""
-        rng = random.Random(77)
-        gen = PredGen(custom_nulls, rng)
-        n = custom_nulls.row_count
-        for _ in range(15):
-            pred = gen.pred()
-            full = eval_predicate(custom_nulls, pred)
-            lo, hi = sorted((rng.randrange(n + 1), rng.randrange(n + 1)))
-            got = eval_predicate(custom_nulls, pred, slice(lo, hi))
-            assert got.tolist() == full[(full >= lo) & (full < hi)].tolist()
-        assert eval_predicate(custom_nulls, None, slice(5, 9)).tolist() == [5, 6, 7, 8]
-
     def test_folded_false_excludes_everything(self, custom_nulls):
         col = custom_nulls.column("a")
         pred = ex.FoldedAtom(ex.ColumnRef("data", "a", col.kind), False)
@@ -156,9 +138,6 @@ class TestCountStar:
             rows = eval_predicate(custom_nulls, pred)
             assert count == rows.size
             assert np.array_equal(np.flatnonzero(mask), rows)
-
-    def test_none_pred(self, custom_nulls):
-        assert count_star(custom_nulls, None) == (custom_nulls.row_count, None)
 
 
 class TestTextRanges:
@@ -727,9 +706,10 @@ class TestProbeJoins:
         _, stats = probe_joins(lines, "lines", None, steps, None)
         assert stats.result_rows == 2
 
-    def _same_across_workers(self, lines, probe_pred, steps, projection):
+    def _same_across_workers(self, lines, probe_pred, steps, projection, kept=None):
         """Output rows in order, per-stage tuple counts and result count
-        are the same with 1, 3 and 8 probe workers."""
+        are the same with 1, 3 and 8 probe workers.  Given ``kept``, the
+        probe filter keeps that many rows; else the result is not empty."""
         runs = []
         for w in (1, 3, 8):
             result, stats = probe_joins(
@@ -738,7 +718,11 @@ class TestProbeJoins:
             rows = [result.row(i) for i in range(result.row_count)]
             runs.append((rows, stats.probe_out, stats.result_rows))
         assert runs[0] == runs[1] == runs[2]
-        assert runs[0][2] == len(runs[0][0]) > 0  # non-degenerate scenario
+        assert runs[0][2] == len(runs[0][0])
+        if kept is None:
+            assert runs[0][2] > 0  # non-degenerate scenario
+        else:
+            assert runs[0][1][0] == kept
 
     def test_workers_preserve_order_and_rows(self, join_data):
         projection = (
@@ -746,15 +730,25 @@ class TestProbeJoins:
             _ref("orders", "o_ch"),
             _ref("parts", "p_cls"),
         )
-        probe_pred = ex.Comparison(_ref("lines", "l_qty"), ">", 5)
-        self._same_across_workers(
-            join_data["lines"], probe_pred, self._steps(join_data), projection
-        )
+        cases = [
+            (">", 5, None),
+            (">", 48, 0),  # no row reaches the pipeline
+            ("=", 47, 1),
+            (">", 45, 3),  # one chunk under 3 and 8 workers
+            (">", 40, 8),  # one chunk under 8 workers, three under 3
+        ]
+        for op, qty, kept in cases:
+            probe_pred = ex.Comparison(_ref("lines", "l_qty"), op, qty)
+            self._same_across_workers(
+                join_data["lines"], probe_pred, self._steps(join_data), projection,
+                kept,
+            )
 
     def test_pool_capped_at_cpu_count(self, join_data, monkeypatch):
-        """``workers`` sets the chunk count, and the pool runs them on at
-        most one thread per core.  A recording stand-in for the pool runs
-        the chunks in turn, so no thread is started."""
+        """``workers`` sets the chunk count, of the probe rows or of the
+        rows the probe filter keeps, and the pool runs them on at most one
+        thread per core.  A recording stand-in for the pool runs the chunks
+        in turn, so no thread is started."""
         pools = []
 
         class RecordingPool:
@@ -774,19 +768,22 @@ class TestProbeJoins:
                 self.chunks = len(chunks)
                 return map(fn, chunks)
 
+        lines = join_data["lines"]
         steps = self._steps(join_data)
         projection = (_ref("lines", "l_qty"), _ref("parts", "p_cls"))
-        want, _ = probe_joins(join_data["lines"], "lines", None, steps, projection)
         monkeypatch.setattr(executor, "ThreadPoolExecutor", RecordingPool)
-        for cores, threads in ((2, 2), (None, 1)):
-            monkeypatch.setattr(executor.os, "cpu_count", lambda: cores)
-            got, _ = probe_joins(
-                join_data["lines"], "lines", None, steps, projection, workers=8
-            )
-            assert (pools[-1].max_workers, pools[-1].chunks) == (threads, 8)
-            assert [got.row(i) for i in range(got.row_count)] == [
-                want.row(i) for i in range(want.row_count)
-            ]
+        # the filter keeps 38 of the 40 rows, at least two per chunk
+        for probe_pred in (None, ex.Comparison(_ref("lines", "l_qty"), ">", 5)):
+            want, _ = probe_joins(lines, "lines", probe_pred, steps, projection)
+            for cores, threads in ((2, 2), (None, 1)):
+                monkeypatch.setattr(executor.os, "cpu_count", lambda: cores)
+                got, _ = probe_joins(
+                    lines, "lines", probe_pred, steps, projection, workers=8
+                )
+                assert (pools[-1].max_workers, pools[-1].chunks) == (threads, 8)
+                assert [got.row(i) for i in range(got.row_count)] == [
+                    want.row(i) for i in range(want.row_count)
+                ]
 
     def test_workers_with_probe_key_from_earlier_build(self, join_data):
         steps = [

@@ -246,20 +246,46 @@ def join_queries(draw):
     return ", ".join(tables), esc, lite
 
 
+def _lite_row(row: tuple, n_tables: int) -> tuple:
+    """A sqlite3 row of ``n_tables`` ids, then each table's ``val``,
+    ``day`` and ``tag``, with ``val`` from cents and ``day`` from epoch
+    days to the strings escdb decodes them to."""
+    out = list(row)
+    for i in range(n_tables, len(row), 3):
+        val, day = row[i], row[i + 1]
+        if val is not None:
+            out[i] = format(Decimal(val).scaleb(-2), "f")
+        if day is not None:
+            out[i + 1] = (EPOCH + timedelta(days=day)).isoformat()
+    return tuple(out)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(query=join_queries())
 def test_join_matches_sqlite(join_engines, query):
-    """COUNT(*) under every arm and ``workers``, and the joined ``id``s of
-    a SELECT under one engine per ``workers``, as sqlite3 gives them."""
+    """COUNT(*) under every arm and ``workers``; and under one engine per
+    ``workers``, each joined table's ``id``, ``val``, ``when`` and ``tag``
+    from a SELECT, as sqlite3 gives them, in the same order under both."""
     engines, lite = join_engines
     tables, esc, lite_sql = query
     (want,) = lite.execute(f"SELECT COUNT(*) FROM {tables} WHERE {lite_sql}").fetchone()
     for eng in engines:
         got = eng.run(f"SELECT COUNT(*) FROM {tables} WHERE {esc}").count
         assert got == want, (eng.arm, eng.workers, esc, lite_sql)
-    ids = ", ".join(f"{name}.id" for name in tables.split(", "))
-    want_rows = sorted(lite.execute(f"SELECT {ids} FROM {tables} WHERE {lite_sql}"))
+    names = tables.split(", ")
+    # the ids first: they identify a joined row, so sorting compares no
+    # column that may be NULL
+    cols = [f"{name}.id" for name in names]
+    for name in names:
+        cols += [f"{name}.val", f"{name}.when", f"{name}.tag"]
+    lite_cols = ", ".join(cols).replace(".when", ".day")
+    want_rows = sorted(
+        _lite_row(row, len(names))
+        for row in lite.execute(f"SELECT {lite_cols} FROM {tables} WHERE {lite_sql}")
+    )
+    runs = []
     for eng in engines[:2]:
-        rows = eng.run(f"SELECT {ids} FROM {tables} WHERE {esc}").rows
-        got_rows = sorted(rows.row(i) for i in range(rows.row_count))
-        assert got_rows == want_rows, (eng.workers, esc, lite_sql)
+        rows = eng.run(f"SELECT {', '.join(cols)} FROM {tables} WHERE {esc}").rows
+        runs.append([rows.row(i) for i in range(rows.row_count)])
+        assert sorted(runs[-1]) == want_rows, (eng.workers, esc, lite_sql)
+    assert runs[0] == runs[1], (esc, lite_sql)

@@ -4,29 +4,36 @@ Everything is vectorized over int64 column vectors.  A predicate atom
 compares stored values only, and ``_eval_mask`` is the one place that
 applies SQL's NULL rule: an atom with a NULL operand is neither true nor
 false, and only a column that holds NULLs costs a null-mask pass.
-Predicates are evaluated over whole tables only.  A build takes the rows
-it indexes as a boolean mask, a planning sub-query's or its residual's
-(both from ``count_star``), and the probe's filter runs once per query,
-before the pipeline, into the row ids it keeps (``eval_predicate``).  In
-the probe, a set of rows is an ascending int64 array of row ids, except
-that without a probe filter a chunk of the probe is a contiguous
-``slice`` of rows, and the probe alias's rows stay that slice until a
-join stage drops a row.  A stage compacts the row ids it carries with
-``np.compress``, and not at all when every row hit.
+Predicates are evaluated over whole tables only, into boolean masks.  A
+build takes the rows it indexes as a planning sub-query's or its
+residual's mask (both from ``count_star``), and the probe's filter runs
+once per query, before the pipeline (``eval_predicate``).  The probe
+splits its table's rows into contiguous chunks, each with its slice of
+the filter's mask.
 The probe pipeline is a single fused pass: every join-index lookup and
 the output gather happen without materializing intermediate tuples.  Row
-ids are made late: after each stage only the aliases that a later stage
-probes with, or the projection reads (``live_aliases``, read by the
-builds and the probe), keep a row-id array, only their join indexes hold
-row ids, and a stage that nothing reads after it (every stage of a star
-``COUNT(*)``) only counts its matches.  With ``workers`` threads, each
-probes one contiguous chunk of the rows the filter kept, and the output
+ids are made late.  A direct-address first stage is one boolean pass over
+its chunk: its hits, ANDed with the filter's mask, give the chunk's first
+row ids, so the rows the filter keeps are never made into ids of their
+own.  Before a sorted first stage, whose binary search costs far more per
+key than a gather, and when there is no join, the filter's rows are made
+into ids once, over the whole table, and cut at the chunks' bounds, so
+only those are looked up.  Otherwise the probe alias's rows stay the
+chunk's ``slice`` until a join stage drops a row.  Every other set of
+rows is an ascending int64 array of row ids, which a stage compacts with
+``np.compress``, and not at all when every row hit.  After each stage
+only the aliases that a later stage probes with, or the projection reads
+(``live_aliases``, read by the builds and the probe), keep a row-id
+array, only their join indexes hold row ids, and a stage that nothing
+reads after it (every stage of a star ``COUNT(*)``) only counts its
+matches.  With ``workers`` threads, each probes one chunk, and the output
 row order is the probe row order whatever ``workers`` is.
 A join index handed its probe-key column, whose keys are unique and,
 together with that column's ``bounds``, dense, is a direct-address
-table covering both, ``slots`` when its rows are read, else a boolean
-``present``: its keys are scattered into it with no sort, and a probe
-stage is one gather with no bounds check.  Duplicate keys take the
+table covering both: a boolean ``present``, and ``slots`` next to it
+when its rows are read.  Its keys are scattered into it with no sort, a
+probe stage is one gather from ``present`` with no bounds check, and
+``slots`` is gathered only at the hits.  Duplicate keys take the
 sorted path: they are sorted once (into row groups when the rows are
 read), and the index is found by one ``np.searchsorted`` over the
 distinct keys.  A stage over a unique index never expands matches: each
@@ -120,11 +127,12 @@ def _eval_fncall(atom: ex.FnCall, table: ColumnTable) -> tuple[np.ndarray, np.nd
         raise ExecutionError(
             f"UDF {atom.name!r} failed at row {len(results)}: {exc}"
         ) from exc
-    raw = np.fromiter(results, object, len(results))
     try:
         # None becomes NaN
-        results = raw.astype(np.float64)
+        results = np.fromiter(results, np.float64, len(results))
     except (TypeError, ValueError, OverflowError) as exc:
+        # name the first row whose result is not a number
+        raw = np.fromiter(results, object, len(results))
         for row in range(raw.size):
             try:
                 raw[row : row + 1].astype(np.float64)
@@ -203,10 +211,10 @@ def _eval_mask(pred: ex.Expr, table: ColumnTable, negate: bool = False) -> np.nd
 
 
 def eval_predicate(table: ColumnTable, pred: ex.Expr) -> np.ndarray:
-    """Ascending ids of the table's rows that satisfy ``pred``: the probe
-    filter's rows, worked out once per query before the probe splits
-    them among its workers."""
-    return np.flatnonzero(_eval_mask(pred, table))
+    """Boolean mask of the table's rows that satisfy ``pred``: the probe
+    filter, worked out once per query over the whole probe table, before
+    the probe splits the table's rows among its workers."""
+    return _eval_mask(pred, table)
 
 
 def count_star(table: ColumnTable, pred: ex.Expr) -> tuple[int, np.ndarray]:
@@ -225,13 +233,13 @@ def count_star(table: ColumnTable, pred: ex.Expr) -> tuple[int, np.ndarray]:
 
 # Keys are dense when the span ``hi - lo + 1`` of the build keys and the
 # probe column's ``bounds`` is at most _DENSE_RATIO times the build rows
-# plus _DENSE_PAD.  A ``slots`` table (8 bytes per slot) then takes at most
-# 32 bytes per build row plus 1 MiB, a ``present`` table (1 byte per slot)
-# at most 4 bytes per build row plus 128 KiB, and a probe is one gather,
-# not a binary search.  The pad lets a selective build, whose few keys
-# spread over the whole key range of its table, be dense too: filling
-# 128Ki slots took 62 us on a 2-core x86 box, where a binary search cost
-# 80-130 ns per probe key.
+# plus _DENSE_PAD.  A ``present`` table (1 byte per slot) then takes at
+# most 4 bytes per build row plus 128 KiB, ``slots`` next to it (8 bytes
+# per slot) at most 32 bytes per build row plus 1 MiB more, and a probe is
+# one gather, not a binary search.  The pad lets a selective build, whose
+# few keys spread over the whole key range of its table, be dense too:
+# filling 128Ki slots took 62 us on a 2-core x86 box, where a binary search
+# cost 80-130 ns per probe key.
 _DENSE_RATIO = 4
 _DENSE_PAD = 1 << 17
 
@@ -268,9 +276,10 @@ class HashTableIndex:
       direct-address table covering every build key and the probe
       column's ``bounds``, into which the keys are scattered with no
       sort, so a probe with that column's values is one gather with no
-      bounds check.  It is ``slots`` when the rows are read, where
-      ``slots[k - base]`` is the group of key ``k``, -1 where no build
-      row has it; else the boolean ``present``, and a probe only counts.
+      bounds check.  The boolean ``present[k - base]`` says whether a
+      build row has key ``k``; when the rows are read, ``slots`` next to
+      it holds the group of key ``k``, -1 where no build row has it, and
+      a probe gathers it only at the keys ``present`` hits.
     * **Sorted** (any other index; duplicate keys take this path): the
       build keys are sorted once into groups, and a probe
       binary-searches the distinct keys ``unique_keys``.
@@ -308,17 +317,14 @@ class HashTableIndex:
         if cover is not None:
             self.base, size = cover
             offsets = key_vals - self.base if self.base else key_vals
-            if rows is None:
-                self.present = np.zeros(size, dtype=bool)
-                self.present[offsets] = True
-                filled = np.count_nonzero(self.present)
-            else:
-                self.slots = np.full(size, -1, dtype=np.int64)
-                self.slots[offsets] = np.arange(n)
-                filled = np.count_nonzero(self.slots >= 0)
-            if filled == n:
+            self.present = np.zeros(size, dtype=bool)
+            self.present[offsets] = True
+            if np.count_nonzero(self.present) == n:
+                if rows is not None:
+                    self.slots = np.full(size, -1, dtype=np.int64)
+                    self.slots[offsets] = np.arange(n)
                 return
-            self.slots = self.present = None
+            self.present = None
         # duplicate keys, or not dense: sort the keys into groups
         if rows is None:
             sorted_keys = np.sort(key_vals)
@@ -341,7 +347,7 @@ class HashTableIndex:
         """Group id per key; -1 when the key is absent or, given ``valid``,
         where ``valid`` is False.  With ``slots``, every key must be a
         value of the probe column the index was built for.  An index with
-        ``present`` has no groups."""
+        ``present`` and no ``slots`` has no groups."""
         if self.slots is not None:
             groups = self.slots[keys - self.base if self.base else keys]
         elif self.distinct_keys == 0:
@@ -461,17 +467,28 @@ def _probe_chunk(
     steps: list[BuildStep],
     live: list[frozenset[str]],
     ids: np.ndarray | slice,
+    keep: np.ndarray | None,
 ):
-    """Run the fused pipeline over one chunk of the probe rows that passed
-    the probe filter, ``ids`` (a ``slice`` when there is no filter);
-    returns the carried row ids per alias, which cover ``live[-1]`` (the
-    probe alias's stay ``ids`` while every stage keeps every row), and the
-    tuples each stage produced.
+    """Run the fused pipeline over one chunk of the probe table: the
+    contiguous ``slice`` of its rows ``ids``, of which ``keep``, the
+    chunk's slice of the probe filter's mask, marks the rows the filter
+    kept (None: every row), or, before a sorted first stage, the ids of
+    the chunk's rows that the filter kept.  Returns the carried row ids
+    per alias, which cover ``live[-1]`` (the probe alias's stay ``ids``
+    while every stage keeps every row), and the tuples each stage
+    produced.
 
-    ``live[k]`` holds the aliases whose row ids are read after stage
-    ``k`` (stage 0 is the probe filter); no other alias is carried."""
+    A direct-address first stage is fused with the filter: its hits are
+    ANDed with ``keep``, so row ids are made only from the rows that pass
+    both.  ``live[k]`` holds the aliases whose row ids are read after
+    stage ``k`` (stage 0 is the probe filter); no other alias is
+    carried."""
+    if keep is not None:
+        kept = int(np.count_nonzero(keep))
+    else:
+        kept = ids.stop - ids.start if isinstance(ids, slice) else ids.size
+    stage_out = [kept]
     rows_of = {probe_alias: ids}
-    stage_out = [ids.stop - ids.start if isinstance(ids, slice) else ids.size]
     for step, alive in zip(steps, live[1:]):
         index = step.index
         ref = step.probe_key
@@ -479,27 +496,31 @@ def _probe_chunk(
         ids = rows_of[ref.table]
         keys = col.values[ids]
         valid = ~col.null_mask[ids] if col.has_nulls else None
-        if index.unique and step.alias not in alive:
-            # a unique stage whose rows nothing reads only counts its hits
+        if keep is not None:
+            # the first stage, fused with the probe filter
+            valid = keep if valid is None else valid & keep
+            keep = None
+        read = step.alias in alive
+        if index.present is not None:
             hit = index.probe_hits(keys, valid)
-            groups = None
+            kept = int(np.count_nonzero(hit))
+            # ``slots`` is gathered only at the hits
+            matched = index.probe_groups(_compact(keys, hit, kept)) if read else None
         else:
             groups = index.probe_groups(keys, valid)
             hit = groups >= 0
-        kept = int(np.count_nonzero(hit))
-        matched = counts = None
-        if groups is not None:
-            matched = _compact(groups, hit, kept)
-            if not index.unique:
-                counts = index.group_counts[matched]
+            kept = int(np.count_nonzero(hit))
+            # a unique stage whose rows nothing reads only counts its hits
+            matched = None if index.unique and not read else _compact(groups, hit, kept)
+        counts = None if index.unique else index.group_counts[matched]
         stage_out.append(kept if counts is None else int(counts.sum()))
         carried = {}
         for alias in alive - {step.alias}:
-            rows = _compact(rows_of[alias], hit, kept)
+            ids = _compact(rows_of[alias], hit, kept)
             carried[alias] = (
-                rows if counts is None else np.repeat(_row_ids(rows), counts)
+                ids if counts is None else np.repeat(_row_ids(ids), counts)
             )
-        if step.alias in alive:
+        if read:
             carried[step.alias] = (
                 index.group_rows[matched]
                 if counts is None
@@ -524,9 +545,11 @@ def probe_joins(
     only (no output materialization).  ``live`` is
     ``live_aliases(steps, projection)``, which the builds were made by.
     The probe filter ``probe_pred`` runs once, over the whole probe
-    table, and ``workers`` contiguous chunks of the rows it keeps run the
-    pipeline, so output row order is the probe row order regardless of
-    ``workers``.
+    table, into a boolean mask, and ``workers`` contiguous chunks of the
+    table's rows run the pipeline, each with its slice of the mask, or
+    of the ids of the rows it keeps when the first stage is sorted or
+    there is none, so output row order is the probe row order regardless
+    of ``workers``.
     """
     stats = ExecStats()
     tables = {probe_alias: probe}
@@ -537,23 +560,30 @@ def probe_joins(
     if live is None:
         live = live_aliases(steps, projection)
 
-    # without a filter the probe rows stay a slice, so no row ids are made
-    if probe_pred is None:
-        ids, n = None, probe.row_count
-    else:
-        ids = eval_predicate(probe, probe_pred)
-        n = ids.size
+    mask = None if probe_pred is None else eval_predicate(probe, probe_pred)
+    n = probe.row_count
     if workers <= 1 or n < 2 * workers:
         bounds = [0, n]
     else:
         bounds = np.linspace(0, n, workers + 1, dtype=np.int64).tolist()
-    chunks = [
-        slice(lo, hi) if ids is None else ids[lo:hi]
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    if mask is None or (steps and steps[0].index.present is not None):
+        # the first stage, if any, ANDs its gather with the chunk's mask
+        chunks = [
+            (slice(lo, hi), None if mask is None else mask[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+    else:
+        # a sorted first stage, or the output, reads only the filter's
+        # rows: their ids, cut at the chunks' bounds.  Made per chunk, on
+        # the workers' threads, they cost about 3,800 minor page faults
+        # per tpch4.2 run at scale 0.1 with 2 workers on a 2-core x86
+        # box, where one array made here cost 2.
+        ids = np.flatnonzero(mask)
+        cuts = np.searchsorted(ids, bounds).tolist()
+        chunks = [(ids[lo:hi], None) for lo, hi in zip(cuts, cuts[1:])]
 
     def run(chunk):
-        return _probe_chunk(tables, probe_alias, steps, live, chunk)
+        return _probe_chunk(tables, probe_alias, steps, live, *chunk)
 
     if len(chunks) == 1:
         fragments = [run(chunks[0])]

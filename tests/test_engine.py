@@ -590,10 +590,10 @@ class TestBenchmarkBuilds:
         """Every build of the bench queries, as ``COUNT(*)`` and as
         ``SELECT *``, under every arm with 1 and 2 workers, has unique
         keys in a direct-address table that covers its probe column, so
-        each probe stage is one gather.  A build holds row ids iff its
-        alias is read: never in a ``COUNT(*)`` (every bench query is a
-        star, whose builds only count, into ``present``), and always in a
-        ``SELECT *`` (into ``slots``)."""
+        each probe stage is one gather from ``present``.  A build holds
+        row ids iff its alias is read: never in a ``COUNT(*)`` (every
+        bench query is a star, whose builds only count), and always in a
+        ``SELECT *`` (in ``slots``, next to ``present``)."""
         built = []
         build_hash = executor.build_hash
 
@@ -618,8 +618,10 @@ class TestBenchmarkBuilds:
                             runs += 1
                             assert len(built) == len(plan.builds) > 0, where
                             for b, index in zip(plan.builds, built):
-                                table = index.slots if star else index.present
-                                assert table is not None, (where, b.alias)
+                                assert index.present is not None, (where, b.alias)
+                                assert (index.slots is not None) == star, (
+                                    where, b.alias,
+                                )
                                 assert (index.group_rows is not None) == star, (
                                     where, b.alias,
                                 )

@@ -101,20 +101,20 @@ class TestEvalPredicate:
         gen = PredGen(custom_nulls, random.Random(101))
         for _ in range(60):
             pred = gen.pred()
-            got = eval_predicate(custom_nulls, pred).tolist()
+            got = np.flatnonzero(eval_predicate(custom_nulls, pred)).tolist()
             assert got == oracle_select(custom_nulls, pred), str(pred)
 
     def test_folded_false_excludes_everything(self, custom_nulls):
         col = custom_nulls.column("a")
         pred = ex.FoldedAtom(ex.ColumnRef("data", "a", col.kind), False)
-        assert eval_predicate(custom_nulls, pred).size == 0
+        assert np.flatnonzero(eval_predicate(custom_nulls, pred)).size == 0
 
     def test_folded_true_excludes_only_nulls(self, custom_nulls):
         col = custom_nulls.column("a")
         pred = ex.FoldedAtom(ex.ColumnRef("data", "a", col.kind), True)
         n_null = int(col.null_mask.sum())
         assert n_null > 0  # fixture has nulls by construction
-        assert eval_predicate(custom_nulls, pred).size == (
+        assert np.flatnonzero(eval_predicate(custom_nulls, pred)).size == (
             custom_nulls.row_count - n_null
         )
 
@@ -124,9 +124,10 @@ class TestEvalPredicate:
         col = custom_nulls.column("a")
         ref = ex.ColumnRef("data", "a", col.kind)
         atom = ex.Comparison(ref, ">=", 10**9)  # false on every non-null row
-        rows = eval_predicate(custom_nulls, ex.Not(atom))
+        rows = np.flatnonzero(eval_predicate(custom_nulls, ex.Not(atom)))
         assert rows.size == custom_nulls.row_count - int(col.null_mask.sum())
-        assert eval_predicate(custom_nulls, ex.Not(ex.Not(atom))).size == 0
+        twice = eval_predicate(custom_nulls, ex.Not(ex.Not(atom)))
+        assert np.flatnonzero(twice).size == 0
 
 
 class TestCountStar:
@@ -135,7 +136,7 @@ class TestCountStar:
         for _ in range(20):
             pred = gen.pred()
             count, mask = count_star(custom_nulls, pred)
-            rows = eval_predicate(custom_nulls, pred)
+            rows = np.flatnonzero(eval_predicate(custom_nulls, pred))
             assert count == rows.size
             assert np.array_equal(np.flatnonzero(mask), rows)
 
@@ -230,18 +231,19 @@ def _rows_of_key(idx, key):
 
 def _check_shape(idx, rows_read, dense_unique):
     """An index holds row ids iff they are read; a dense index with unique
-    keys is a direct-address table: ``slots`` when its rows are read,
-    else ``present``."""
+    keys is a direct-address table: ``present``, and ``slots`` too when
+    its rows are read."""
     assert (idx.group_rows is not None) == rows_read
+    assert (idx.present is not None) == dense_unique
     assert (idx.slots is not None) == (dense_unique and rows_read)
-    assert (idx.present is not None) == (dense_unique and not rows_read)
 
 
 def _check_groups(idx, probes, valid, want):
     """Every probe's group agrees with the ``want`` map of key to build
     rows, or, when the index holds no row ids, with its row count; an
-    invalid position misses.  An index with ``present`` has no groups."""
-    if idx.present is not None:
+    invalid position misses.  An index with ``present`` and no ``slots``
+    has no groups."""
+    if idx.present is not None and idx.slots is None:
         return
     groups = idx.probe_groups(np.asarray(probes, dtype=np.int64), valid)
     for k, v, g in zip(probes, valid, groups.tolist()):
@@ -367,9 +369,10 @@ class TestHashIndex:
             idx = build_hash(t, "k", probe=col, rows_read=rows_read)
             assert idx.unique == unique
             _check_shape(idx, rows_read, base is not None)
-            table = idx.present if idx.slots is None else idx.slots
+            table = idx.present
             if table is not None:
                 assert table.size <= _DENSE_RATIO * idx.n_entries + _DENSE_PAD
+                assert idx.slots is None or idx.slots.size == table.size
                 lo, hi = col.bounds
                 assert idx.base == base <= min(lo, *build)
                 assert max(hi, *build) == base + table.size - 1
@@ -732,10 +735,10 @@ class TestProbeJoins:
         )
         cases = [
             (">", 5, None),
-            (">", 48, 0),  # no row reaches the pipeline
+            (">", 48, 0),  # no row reaches the first stage
             ("=", 47, 1),
-            (">", 45, 3),  # one chunk under 3 and 8 workers
-            (">", 40, 8),  # one chunk under 8 workers, three under 3
+            (">", 45, 3),  # most chunks keep no row
+            (">", 40, 8),
         ]
         for op, qty, kept in cases:
             probe_pred = ex.Comparison(_ref("lines", "l_qty"), op, qty)
@@ -745,9 +748,9 @@ class TestProbeJoins:
             )
 
     def test_pool_capped_at_cpu_count(self, join_data, monkeypatch):
-        """``workers`` sets the chunk count, of the probe rows or of the
-        rows the probe filter keeps, and the pool runs them on at most one
-        thread per core.  A recording stand-in for the pool runs the chunks
+        """``workers`` sets the count of chunks of the probe table's rows,
+        with or without a probe filter, and the pool runs them on at most
+        one thread per core.  A recording stand-in for the pool runs the chunks
         in turn, so no thread is started."""
         pools = []
 
@@ -772,7 +775,7 @@ class TestProbeJoins:
         steps = self._steps(join_data)
         projection = (_ref("lines", "l_qty"), _ref("parts", "p_cls"))
         monkeypatch.setattr(executor, "ThreadPoolExecutor", RecordingPool)
-        # the filter keeps 38 of the 40 rows, at least two per chunk
+        # 40 probe rows, at least two per chunk
         for probe_pred in (None, ex.Comparison(_ref("lines", "l_qty"), ">", 5)):
             want, _ = probe_joins(lines, "lines", probe_pred, steps, projection)
             for cores, threads in ((2, 2), (None, 1)):
@@ -825,3 +828,159 @@ class TestProbeJoins:
             join_data["lines"], "lines", None, self._steps(join_data), projection
         )
         assert [c.name for c in result.columns] == ["l_qty", "lines.l_qty"]
+
+
+
+def _probe_filters(ref):
+    """No filter, then filters on ``ref`` that keep, when it holds the row
+    number, no row, one, five and every row."""
+    return [
+        None,
+        ex.Comparison(ref, "<", 0),
+        ex.Comparison(ref, "=", 17),
+        ex.Range(ref, 10, 14),
+        ex.Comparison(ref, ">=", 0),
+    ]
+
+
+class TestFusedFirstStage:
+    """The probe filter's mask against a first stage of every kind: ANDed
+    into a direct-address stage's gather (``present`` when the build's
+    rows are not read, ``slots`` next to it when they are), or made into
+    row ids before a sorted stage.  Each query runs under 1, 2 and 3
+    workers, which must give the same rows in the same order and the same
+    ``probe_out``."""
+
+    def _data(self, lo):
+        """60 probe rows whose keys, a tenth NULL, are drawn from
+        ``lo .. lo + 19`` and whose ``p_qty`` is the row number, and 12
+        build rows with distinct keys in that range, 0 among them, which
+        a NULL slot stores.  Also the probe keys and the build's ``d_val``
+        per key, as Python values."""
+        rng = random.Random(29)
+        build_keys = [0] + rng.sample([k for k in range(lo, lo + 20) if k], 11)
+        probe_keys = [
+            rng.randrange(lo, lo + 20) if rng.random() > 0.1 else None
+            for _ in range(60)
+        ]
+        assert None in probe_keys
+        lines = _int_col_table("lines", p_key=probe_keys, p_qty=list(range(60)))
+        vals = [100 + i for i in range(12)]
+        dims = _int_col_table("dims", d_key=build_keys, d_val=vals)
+        return lines, dims, probe_keys, dict(zip(build_keys, vals))
+
+    def _same_across_workers(self, lines, probe_pred, steps, projection):
+        """The result rows in order (None when counting) and
+        ``probe_out``, which 1, 2 and 3 workers must agree on."""
+        runs = []
+        for w in (1, 2, 3):
+            result, stats = probe_joins(
+                lines, "lines", probe_pred, steps, projection, workers=w
+            )
+            assert stats.result_rows == stats.probe_out[-1]
+            rows = None
+            if result is not None:
+                rows = [result.row(i) for i in range(result.row_count)]
+                assert len(rows) == stats.result_rows
+            runs.append((rows, stats.probe_out))
+        assert runs[0] == runs[1] == runs[2]
+        return runs[0]
+
+    @pytest.mark.parametrize("lo", [0, -10])
+    @pytest.mark.parametrize("kind", ["present", "slots", "sorted"])
+    @pytest.mark.parametrize("case", range(5))
+    def test_single_join_matches_ordered_oracle(self, lo, kind, case):
+        """One join whose build is unique, so the oracle is a walk over
+        the probe rows in order that keeps those passing the filter whose
+        key is a build key."""
+        lines, dims, probe_keys, val_of = self._data(lo)
+        probe_pred = _probe_filters(_ref("lines", "p_qty"))[case]
+        passing = set(
+            range(60) if probe_pred is None else oracle_select(lines, probe_pred)
+        )
+        assert len(passing) == [60, 0, 1, 5, 60][case]
+        rows_read = kind != "present"
+        probe = None if kind == "sorted" else lines.column("p_key")
+        index = build_hash(dims, "d_key", probe=probe, rows_read=rows_read)
+        _check_shape(index, rows_read, kind != "sorted")
+        if kind != "sorted":
+            # negative keys base the table below 0
+            assert (index.base < 0) == (lo < 0)
+        steps = [BuildStep("dims", index, _ref("lines", "p_key"))]
+        projection = (_ref("lines", "p_qty"),)
+        if rows_read:
+            projection += (_ref("dims", "d_val"),)
+        want = [
+            (qty, val_of[key])[: len(projection)]
+            for qty, key in enumerate(probe_keys)
+            if qty in passing and key in val_of
+        ]
+        if case == 0:
+            assert want  # non-degenerate scenario
+        probe_out = [len(passing), len(want)]
+        got = self._same_across_workers(lines, probe_pred, steps, projection)
+        assert got == (want, probe_out)
+        got = self._same_across_workers(lines, probe_pred, steps, None)
+        assert got == (None, probe_out)
+
+    @pytest.mark.parametrize("shape", ["star", "chain"])
+    @pytest.mark.parametrize("case", range(5))
+    def test_two_covered_stages_match_join_oracle(self, join_data, shape, case):
+        """A fused first stage and a second one, both direct-address, over
+        join_data, whose ``l_oid`` has NULLs; the parts build is read, the
+        orders build only in a chain."""
+        d = dict(join_data)
+        parts = join_data["parts"]
+        first = np.arange(parts.row_count - 1)  # all but the duplicate key
+        d["parts"] = ColumnTable("parts", [c.take(first) for c in parts.columns])
+        probe_pred = _probe_filters(_ref("lines", "l_qty"))[case]
+        part_key = (
+            _ref("orders", "o_pid") if shape == "chain" else _ref("lines", "l_pid")
+        )
+        projection = (_ref("lines", "l_qty"), _ref("parts", "p_cls"))
+        stages = [
+            BuildStep("orders", None, _ref("lines", "l_oid")),
+            BuildStep("parts", None, part_key),
+        ]
+        live = executor.live_aliases(stages, projection)
+        steps = []
+        for stage, alive, key in zip(stages, live[1:], ("o_id", "p_id")):
+            ref = stage.probe_key
+            read = stage.alias in alive
+            index = build_hash(
+                d[stage.alias], key, probe=d[ref.table].column(ref.name),
+                rows_read=read,
+            )
+            _check_shape(index, read, True)
+            steps.append(BuildStep(stage.alias, index, ref))
+        pred = ex.And(
+            (
+                ex.ColumnCompare(_ref("lines", "l_oid"), "=", _ref("orders", "o_id")),
+                ex.ColumnCompare(part_key, "=", _ref("parts", "p_id")),
+            )
+            + (() if probe_pred is None else (probe_pred,))
+        )
+        want_count, want_bag = oracle_join(d, pred, projection)
+        if case == 0:
+            assert want_count > 0  # non-degenerate scenario
+        rows, probe_out = self._same_across_workers(
+            d["lines"], probe_pred, steps, projection
+        )
+        assert probe_out[0] == oracle_count(d["lines"], probe_pred)
+        assert probe_out[-1] == len(rows) == want_count
+        assert table_multiset(
+            probe_joins(d["lines"], "lines", probe_pred, steps, projection)[0]
+        ) == want_bag
+        got = self._same_across_workers(d["lines"], probe_pred, steps, None)
+        assert got == (None, probe_out)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_filtered_select_without_builds(self, case):
+        """A single-table ``SELECT``: the filter's rows, in row order."""
+        lines, _, probe_keys, _ = self._data(0)
+        probe_pred = _probe_filters(_ref("lines", "p_qty"))[case]
+        ids = range(60) if probe_pred is None else oracle_select(lines, probe_pred)
+        want = [(i, probe_keys[i]) for i in ids]
+        projection = (_ref("lines", "p_qty"), _ref("lines", "p_key"))
+        got = self._same_across_workers(lines, probe_pred, [], projection)
+        assert got == (want, [len(want)])

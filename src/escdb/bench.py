@@ -463,8 +463,8 @@ def _timed_cells(cells: list[tuple[str, str, Engine, str]], reps: int) -> list[d
     ]
 
 
-def _overhead_engine(tables: dict[str, ColumnTable], workers: int) -> Engine:
-    engine = Engine(workers=workers)
+def _overhead_engine(tables: dict[str, ColumnTable]) -> Engine:
+    engine = Engine()
     for t in tables.values():
         engine.catalog.register(t)
     return engine
@@ -482,7 +482,7 @@ _SCALE_TABLES = (
 
 
 def overhead_suite_scale(
-    scales=(0.001, 0.01, 0.05), seed: int = 42, reps: int = 5, workers: int = 1
+    scales=(0.001, 0.01, 0.05), seed: int = 42, reps: int = 5
 ) -> BenchReport:
     """3 scales x 3 joined tables, sub-query and push-down overhead per
     cell."""
@@ -490,7 +490,7 @@ def overhead_suite_scale(
     cells = []
     for scale in scales:
         tables = generate(GenSpec("tpch_subset", scale, seed))
-        engine = _overhead_engine(tables, workers)
+        engine = _overhead_engine(tables)
         for table, join, pred in _SCALE_TABLES:
             sql = f"SELECT COUNT(*) FROM lineitem, {table} WHERE {join} AND {pred}"
             cells.append((f"scale={scale} table={table}", "esc", engine, sql))
@@ -503,7 +503,6 @@ def overhead_suite_selectivity(
     scale: float = 0.01,
     seed: int = 42,
     reps: int = 5,
-    workers: int = 1,
 ) -> BenchReport:
     """Six selectivity points on the orders key domain, fixed scale.
 
@@ -512,7 +511,7 @@ def overhead_suite_selectivity(
     """
     report = BenchReport("overhead-selectivity", "tpch_subset", scale, seed)
     tables = generate(GenSpec("tpch_subset", scale, seed))
-    engine = _overhead_engine(tables, workers)
+    engine = _overhead_engine(tables)
     n = tables["orders"].row_count
     cells = []
     for f in fractions:
@@ -527,7 +526,7 @@ def overhead_suite_selectivity(
 
 
 def overhead_suite_attributes(
-    scale: float = 0.01, seed: int = 42, reps: int = 5, workers: int = 1
+    scale: float = 0.01, seed: int = 42, reps: int = 5
 ) -> BenchReport:
     """1..4-attribute equality conjunctions on orders.
 
@@ -538,7 +537,7 @@ def overhead_suite_attributes(
     """
     report = BenchReport("overhead-attributes", "tpch_subset", scale, seed)
     tables = generate(GenSpec("tpch_subset", scale, seed))
-    engine = _overhead_engine(tables, workers)
+    engine = _overhead_engine(tables)
     orders = tables["orders"]
     row = orders.row(orders.row_count // 3)
     vals = dict(zip([c.name for c in orders.columns], row))
@@ -705,7 +704,6 @@ def plan_quality_suite(
     scale: float = 0.01,
     seed: int = 42,
     reps: int = 5,
-    workers: int = 1,
 ) -> BenchReport:
     """The ``baseline`` arm vs the ``esc`` arm per query, one engine per
     arm over one shared catalog."""
@@ -716,7 +714,7 @@ def plan_quality_suite(
     catalog = plan_quality_catalog(which, scale, seed)
     engines = {}
     for arm in ("baseline", "esc"):
-        engines[arm] = Engine(arm, workers)
+        engines[arm] = Engine(arm)
         engines[arm].catalog = catalog
     report = BenchReport(which, benchmark, scale, seed)
     for label, sql in queries:

@@ -44,13 +44,6 @@ def _add_query_flags(p: argparse.ArgumentParser):
         "none, or histogram estimates (default: esc)",
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="probe pipeline worker threads (default: 1)",
-    )
-    p.add_argument(
         "--explain", action="store_true", help="print the plan before results"
     )
     p.add_argument(
@@ -98,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", metavar="PATH", help="write the JSON report here")
     p.add_argument("--output", choices=("text", "json"), default="text")
 
@@ -109,10 +101,7 @@ def _engine_from_args(args) -> Engine:
     """The engine the flags configure, with no table loaded yet; every bad
     flag, ``--load`` specs included, is a usage error before a file is
     opened."""
-    try:
-        engine = Engine(arm=args.arm, workers=args.workers)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    engine = Engine(arm=args.arm)
     for item in args.load:
         if item.count(":") < 2:
             raise UsageError(
@@ -248,11 +237,11 @@ def cmd_repl(args, stdin=None, stdout=None) -> int:
 
 
 def cmd_bench(args) -> int:
-    for flag, least in (("reps", 1), ("workers", 1), ("seed", 0)):
+    for flag, least in (("reps", 1), ("seed", 0)):
         value = getattr(args, flag)
         if value < least:
             raise UsageError(f"--{flag} must be at least {least}, got {value}")
-    kwargs = dict(seed=args.seed, reps=args.reps, workers=args.workers)
+    kwargs = dict(seed=args.seed, reps=args.reps)
     if args.scale is not None:
         if args.suite == "overhead-scale":
             raise UsageError("--scale does not apply to overhead-scale")

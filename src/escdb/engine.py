@@ -32,13 +32,10 @@ class QueryResult:
 
 
 class Engine:
-    def __init__(self, arm: str = "esc", workers: int = 1):
+    def __init__(self, arm: str = "esc"):
         optimizer.check_arm(arm)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.catalog = Catalog()
         self.arm = arm
-        self.workers = workers
 
     # -- data ------------------------------------------------------------
 
@@ -62,9 +59,7 @@ class Engine:
         graph = frontend.analyze(ast, self.catalog)
         t0 = time.perf_counter()
         plan = optimizer.plan(graph, self.catalog, self.arm)
-        rows, count, stats = optimizer.execute_plan(
-            plan, self.catalog, workers=self.workers
-        )
+        rows, count, stats = optimizer.execute_plan(plan, self.catalog)
         elapsed = (time.perf_counter() - t0) * 1000.0
         return QueryResult(
             count=count,

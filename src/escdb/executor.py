@@ -26,8 +26,9 @@ only the aliases that a later stage probes with, or the projection reads
 (``live_aliases``, read by the builds and the probe), keep a row-id
 array, only their join indexes hold row ids, and a stage that nothing
 reads after it (every stage of a star ``COUNT(*)``) only counts its
-matches.  With ``workers`` threads, each probes one chunk, and the output
-row order is the probe row order whatever ``workers`` is.
+matches.  The probe works out its count of chunks from its table's size
+(``_chunk_count``), runs two or more on one thread each, and its output
+row order is the probe row order whatever that count is.
 A join index handed its probe-key column, whose keys are unique and,
 together with that column's ``bounds``, dense, is a direct-address
 table covering both: a boolean ``present``, and ``slots`` next to it
@@ -213,7 +214,7 @@ def _eval_mask(pred: ex.Expr, table: ColumnTable, negate: bool = False) -> np.nd
 def eval_predicate(table: ColumnTable, pred: ex.Expr) -> np.ndarray:
     """Boolean mask of the table's rows that satisfy ``pred``: the probe
     filter, worked out once per query over the whole probe table, before
-    the probe splits the table's rows among its workers."""
+    the probe splits the table's rows into chunks."""
     return _eval_mask(pred, table)
 
 
@@ -364,10 +365,10 @@ class HashTableIndex:
     def probe_hits(
         self, keys: np.ndarray, valid: np.ndarray | None = None
     ) -> np.ndarray:
-        """Whether each key has a build row (``probe_groups(keys, valid) >=
-        0``); with ``present`` one gather."""
-        if self.present is None:
-            return self.probe_groups(keys, valid) >= 0
+        """Whether each key has a build row, False where ``valid`` is
+        False: one gather from ``present``, which the index must have.
+        Every key must be a value of the probe column the index was built
+        for."""
         hits = self.present[keys - self.base if self.base else keys]
         if valid is not None:
             hits &= valid
@@ -530,13 +531,29 @@ def _probe_chunk(
     return rows_of, stage_out
 
 
+# The probe takes one chunk per _CHUNK_ROWS table rows, at most one per
+# core.  On a 2-core x86 box, summed over the bench queries, two chunks
+# ran 15-38% slower than one at 299k-450k probe rows, and 24-25% faster
+# on tpch4's 599k and 1.2M (ssb's 600k: no difference).  Chunks of 300k
+# would leave tpch4's 599k in one.
+_CHUNK_ROWS = 250_000
+
+
+def _chunk_count(rows: int) -> int:
+    """How many chunks a probe of ``rows`` table rows splits them into."""
+    # a probe too small for two chunks does not ask for the cores: with
+    # np.linspace for the bounds, that took 35 us of a 0.55 ms
+    # tpch-correlated query on a 2-core x86 box
+    chunks = rows // _CHUNK_ROWS
+    return 1 if chunks < 2 else min(os.cpu_count() or 1, chunks)
+
+
 def probe_joins(
     probe: ColumnTable,
     probe_alias: str,
     probe_pred: ex.Expr | None,
     steps: list[BuildStep],
     projection: tuple | None,
-    workers: int = 1,
     live: list[frozenset[str]] | None = None,
 ) -> tuple[ColumnTable | None, ExecStats]:
     """Stream the probe relation through every hash table in order.
@@ -545,11 +562,11 @@ def probe_joins(
     only (no output materialization).  ``live`` is
     ``live_aliases(steps, projection)``, which the builds were made by.
     The probe filter ``probe_pred`` runs once, over the whole probe
-    table, into a boolean mask, and ``workers`` contiguous chunks of the
-    table's rows run the pipeline, each with its slice of the mask, or
-    of the ids of the rows it keeps when the first stage is sorted or
-    there is none, so output row order is the probe row order regardless
-    of ``workers``.
+    table, into a boolean mask, and ``_chunk_count`` contiguous chunks of
+    the table's rows run the pipeline, two or more on one thread each,
+    each with its slice of the mask, or of the ids of the rows it keeps
+    when the first stage is sorted or there is none, so output row order
+    is the probe row order whatever the count of chunks.
     """
     stats = ExecStats()
     tables = {probe_alias: probe}
@@ -562,10 +579,8 @@ def probe_joins(
 
     mask = None if probe_pred is None else eval_predicate(probe, probe_pred)
     n = probe.row_count
-    if workers <= 1 or n < 2 * workers:
-        bounds = [0, n]
-    else:
-        bounds = np.linspace(0, n, workers + 1, dtype=np.int64).tolist()
+    k = _chunk_count(n)
+    bounds = [n * i // k for i in range(k + 1)]
     if mask is None or (steps and steps[0].index.present is not None):
         # the first stage, if any, ANDs its gather with the chunk's mask
         chunks = [
@@ -575,9 +590,9 @@ def probe_joins(
     else:
         # a sorted first stage, or the output, reads only the filter's
         # rows: their ids, cut at the chunks' bounds.  Made per chunk, on
-        # the workers' threads, they cost about 3,800 minor page faults
-        # per tpch4.2 run at scale 0.1 with 2 workers on a 2-core x86
-        # box, where one array made here cost 2.
+        # the chunks' threads, they cost about 3,800 minor page faults
+        # per tpch4.2 run at scale 0.1 in 2 chunks on a 2-core x86 box,
+        # where one array made here cost 2.
         ids = np.flatnonzero(mask)
         cuts = np.searchsorted(ids, bounds).tolist()
         chunks = [(ids[lo:hi], None) for lo, hi in zip(cuts, cuts[1:])]
@@ -588,9 +603,7 @@ def probe_joins(
     if len(chunks) == 1:
         fragments = [run(chunks[0])]
     else:
-        # ``workers`` chunks on at most one thread per core
-        threads = min(len(chunks), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             fragments = list(pool.map(run, chunks))
 
     stats.probe_out = [sum(stage) for stage in zip(*(f[1] for f in fragments))]

@@ -284,7 +284,7 @@ def plan(graph: JoinGraph, catalog: Catalog, arm: str = "esc") -> PhysicalPlan:
 
 
 def execute_plan(
-    plan_: PhysicalPlan, catalog: Catalog, workers: int = 1
+    plan_: PhysicalPlan, catalog: Catalog
 ) -> tuple[object, int, executor.ExecStats]:
     """Run the pipeline; returns (result table or None, result count,
     stats).  COUNT(*) plans return None for the table.  A build keeps
@@ -306,7 +306,6 @@ def execute_plan(
         plan_.probe_pred,
         steps,
         plan_.projection,
-        workers=workers,
         live=live,
     )
     return result, stats.result_rows, stats

@@ -1,5 +1,6 @@
 import pytest
 
+from escdb import executor
 from escdb.bench import GenSpec, generate
 from escdb.catalog import Catalog
 
@@ -26,3 +27,20 @@ def make_catalog(*tables) -> Catalog:
 @pytest.fixture()
 def tpch_catalog(tpch_small):
     return make_catalog(*tpch_small.values())
+
+
+def chunk_setter(mp: pytest.MonkeyPatch):
+    """``set_chunks(n)``: from then on, until ``mp`` is undone, every probe
+    splits its table's rows into ``n`` chunks, one thread each, whatever
+    the table's size and the count of cores."""
+
+    def set_chunks(n: int):
+        mp.setattr(executor, "_chunk_count", lambda rows: n)
+
+    return set_chunks
+
+
+@pytest.fixture()
+def set_chunks(monkeypatch):
+    """Sets the probe's chunk count for the test; see ``chunk_setter``."""
+    return chunk_setter(monkeypatch)

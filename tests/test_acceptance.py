@@ -172,7 +172,7 @@ def test_criterion_7_esc_counts_every_filtered_build(tpch_catalog):
     assert execute_plan(p, cat)[1] == 0
 
 
-def test_criterion_8_runs_are_deterministic():
+def test_criterion_8_runs_are_deterministic(set_chunks):
     # (a) same spec, byte-identical tables
     for benchmark in ("tpch_subset", "ssb_subset"):
         spec = GenSpec(benchmark, 0.001, 42)
@@ -189,7 +189,7 @@ def test_criterion_8_runs_are_deterministic():
         texts.append(re.sub(r"time_ms=\S+", "time_ms=*", explain_text(p)))
     assert texts[0] == texts[1]
 
-    # (c) worker count changes neither content nor row order
+    # (c) the probe's count of chunks changes neither content nor row order
     cat = make_catalog(*generate(GenSpec("tpch_subset", 0.001, 42)).values())
     sql = (
         "SELECT o_orderkey, p_brand FROM lineitem, orders, part "
@@ -198,8 +198,9 @@ def test_criterion_8_runs_are_deterministic():
     )
     p = plan(fe.analyze(fe.parse(sql), cat), cat)
     results = []
-    for workers in (1, 8):
-        result, count, _ = execute_plan(p, cat, workers=workers)
+    for chunks in (1, 8):
+        set_chunks(chunks)
+        result, count, _ = execute_plan(p, cat)
         assert count > 0
         results.append(result)
     one, eight = results

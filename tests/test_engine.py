@@ -149,11 +149,6 @@ class TestRun:
         _, count, _ = optimizer.execute_plan(first, engine.catalog)
         assert count == 2
 
-    @pytest.mark.parametrize("workers", [0, -4])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            Engine(workers=workers)
-
     def test_analysis_errors_propagate(self, engine):
         with pytest.raises(UnknownColumn):
             engine.run("SELECT nope FROM big")
@@ -163,13 +158,16 @@ class TestRun:
         res = engine.run("SELECT COUNT(*) FROM big WHERE double(b_k) >= 12")
         assert res.count == 14  # b_k == 6
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_udf_error_names_table_row_under_workers(self, tmp_path, workers):
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_udf_error_names_table_row_under_workers(
+        self, tmp_path, chunks, set_chunks
+    ):
         """The failing row is counted from the table's first row, not from
-        the start of the worker's chunk."""
+        the start of a chunk."""
+        set_chunks(chunks)
         csv = tmp_path / "f.csv"
         csv.write_text("".join(f"{i}\n" for i in range(100)))
-        eng = Engine(workers=workers)
+        eng = Engine()
         eng.load_csv_file(str(csv), "f", "f_id:int64")
 
         def fails_on_80(x):
@@ -181,14 +179,15 @@ class TestRun:
         with pytest.raises(ExecutionError, match="failed at row 80: "):
             eng.run("SELECT COUNT(*) FROM f WHERE fails_on_80(f_id) >= 0")
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_failing_udf_called_once_per_row(self, tmp_path, workers):
-        """The probe's filter runs once, in row order, under any
-        ``workers``, and reporting the failing row calls no row's UDF a
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    def test_failing_udf_called_once_per_row(self, tmp_path, chunks, set_chunks):
+        """The probe's filter runs once, in row order, whatever the count
+        of chunks, and reporting the failing row calls no row's UDF a
         second time."""
+        set_chunks(chunks)
         csv = tmp_path / "f.csv"
         csv.write_text("".join(f"{i}\n" for i in range(100)))
-        eng = Engine(workers=workers)
+        eng = Engine()
         eng.load_csv_file(str(csv), "f", "f_id:int64")
         calls = []
 
@@ -358,9 +357,10 @@ class TestUdfNullResults:
         rows = lite.execute(f"SELECT a FROM t WHERE {pred} ORDER BY a").fetchall()
         assert got.tolist() == [a for (a,) in rows]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_non_numeric_result_names_the_row(self, workers):
-        eng = Engine(workers=workers)
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_non_numeric_result_names_the_row(self, chunks, set_chunks):
+        set_chunks(chunks)
+        eng = Engine()
         schema = [("a", KIND_INT64)]
         rows = [(i,) for i in range(10)]
         eng.catalog.register(load_rows("t", schema, rows))
@@ -402,9 +402,10 @@ class TestUdfPastFloatRange:
         (want,) = lite.execute(sql).fetchone()
         assert eng.run(sql).count == want
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_result_past_float_range_names_the_row(self, workers):
-        eng = Engine(workers=workers)
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_result_past_float_range_names_the_row(self, chunks, set_chunks):
+        set_chunks(chunks)
+        eng = Engine()
         rows = [(i,) for i in range(10)]
         eng.catalog.register(load_rows("t", [("a", KIND_INT64)], rows))
         eng.register_udf("g", 1, lambda a: 10**400 if a == 7 else a)
@@ -482,17 +483,15 @@ class TestProbeEdgeCases:
     @pytest.fixture(scope="class")
     def engines(self):
         lite = sqlite3.connect(":memory:")
-        engines = {w: Engine(workers=w) for w in (1, 2)}
+        eng = Engine()
         for name, rows in self._rows().items():
             cols = self.SCHEMAS[name].split()
             schema = [(c, KIND_INT64) for c in cols]
-            table = load_rows(name, schema, rows)
-            for eng in engines.values():
-                eng.catalog.register(table)
+            eng.catalog.register(load_rows(name, schema, rows))
             lite.execute(f"CREATE TABLE {name} ({', '.join(cols)})")
             marks = ", ".join("?" * len(cols))
             lite.executemany(f"INSERT INTO {name} VALUES ({marks})", rows)
-        yield engines, lite
+        yield eng, lite
         lite.close()
 
     QUERIES = {
@@ -507,20 +506,21 @@ class TestProbeEdgeCases:
         ),
     }
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunks", [1, 2])
     @pytest.mark.parametrize("form", ["count", "select"])
     @pytest.mark.parametrize("case", list(QUERIES))
-    def test_matches_sqlite(self, engines, case, form, workers):
-        engines, lite = engines
+    def test_matches_sqlite(self, engines, case, form, chunks, set_chunks):
+        eng, lite = engines
+        set_chunks(chunks)
         cols, tables, where = self.QUERIES[case]
         tail = f"FROM {tables}" + (f" WHERE {where}" if where else "")
         if form == "count":
             (want,) = lite.execute(f"SELECT COUNT(*) {tail}").fetchone()
-            res = engines[workers].run(f"SELECT COUNT(*) {tail}")
+            res = eng.run(f"SELECT COUNT(*) {tail}")
             assert res.count == want > 0
         else:
             want = sorted(lite.execute(f"SELECT {cols} {tail}").fetchall())
-            res = engines[workers].run(f"SELECT {cols} {tail}")
+            res = eng.run(f"SELECT {cols} {tail}")
             got = sorted(res.rows.row(i) for i in range(res.rows.row_count))
             assert got == want and res.count == len(want) > 0
         assert res.plan.probe_alias == "f"
@@ -539,14 +539,14 @@ class TestConcurrentQueries:
     SUITES = {"tpch4": tpch4_queries(), "ssb": ssb_queries()}
 
     @classmethod
-    def _engines(cls, workers):
+    def _engines(cls):
         """One engine per (suite, arm); the arms of a suite share one
         freshly made catalog, so its histograms are not built yet."""
         engines = {}
         for which in cls.SUITES:
             catalog = plan_quality_catalog(which, 0.01, 42)
             for arm in cls.ARMS:
-                engines[which, arm] = Engine(arm, workers)
+                engines[which, arm] = Engine(arm)
                 engines[which, arm].catalog = catalog
         return engines
 
@@ -556,7 +556,7 @@ class TestConcurrentQueries:
             return result.count
         return result.count, result_digest(result.rows)
 
-    def test_four_threads_match_serial(self):
+    def test_four_threads_match_serial(self, set_chunks):
         tasks = [
             (which, arm, sql)
             for which, queries in self.SUITES.items()
@@ -564,10 +564,12 @@ class TestConcurrentQueries:
             for sql in (count_sql, count_sql.replace("COUNT(*)", "*", 1))
             for arm in self.ARMS
         ]
-        serial = self._engines(workers=1)
+        set_chunks(1)
+        serial = self._engines()
         want = {t: self._answer(serial[t[:2]].run(t[2])) for t in tasks}
 
-        shared = self._engines(workers=2)
+        set_chunks(2)
+        shared = self._engines()
         runs = tasks * 2
         random.Random(7).shuffle(runs)
         interval = sys.getswitchinterval()
@@ -586,11 +588,11 @@ class TestConcurrentQueries:
 
 
 class TestBenchmarkBuilds:
-    def test_every_build_is_one_gather(self, monkeypatch):
+    def test_every_build_is_one_gather(self, monkeypatch, set_chunks):
         """Every build of the bench queries, as ``COUNT(*)`` and as
-        ``SELECT *``, under every arm with 1 and 2 workers, has unique
-        keys in a direct-address table that covers its probe column, so
-        each probe stage is one gather from ``present``.  A build holds
+        ``SELECT *``, under every arm with the probe in 1 and 2 chunks, has
+        unique keys in a direct-address table that covers its probe column,
+        so each probe stage is one gather from ``present``.  A build holds
         row ids iff its alias is read: never in a ``COUNT(*)`` (every
         bench query is a star, whose builds only count), and always in a
         ``SELECT *`` (in ``slots``, next to ``present``)."""
@@ -606,13 +608,14 @@ class TestBenchmarkBuilds:
         for which, queries in TestConcurrentQueries.SUITES.items():
             catalog = plan_quality_catalog(which, 0.01, 42)
             for arm in optimizer.ARMS:
-                for workers in (1, 2):
-                    engine = Engine(arm, workers)
+                for chunks in (1, 2):
+                    set_chunks(chunks)
+                    engine = Engine(arm)
                     engine.catalog = catalog
                     for label, sql in queries:
                         for star in (False, True):
                             form = sql.replace("COUNT(*)", "*", 1) if star else sql
-                            where = (label, arm, workers, form)
+                            where = (label, arm, chunks, form)
                             built.clear()
                             plan = engine.run(form).plan
                             runs += 1

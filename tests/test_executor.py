@@ -8,6 +8,7 @@ from escdb import executor
 from escdb import expr as ex
 from escdb.errors import ExecutionError
 from escdb.executor import (
+    _CHUNK_ROWS,
     _DENSE_PAD,
     _DENSE_RATIO,
     BuildStep,
@@ -238,6 +239,14 @@ def _check_shape(idx, rows_read, dense_unique):
     assert (idx.slots is not None) == (dense_unique and rows_read)
 
 
+def _hits(idx, keys, valid=None):
+    """Whether each key has a build row: ``probe_hits`` on an index with
+    ``present``, ``probe_groups(...) >= 0`` on a sorted one."""
+    if idx.present is None:
+        return idx.probe_groups(keys, valid) >= 0
+    return idx.probe_hits(keys, valid)
+
+
 def _check_groups(idx, probes, valid, want):
     """Every probe's group agrees with the ``want`` map of key to build
     rows, or, when the index holds no row ids, with its row count; an
@@ -322,7 +331,7 @@ class TestHashIndex:
                     # miss or an invalid position is -1
                     _check_groups(idx, probes, valid, want)
                     # the counting stage's membership test
-                    hits = idx.probe_hits(col.values, valid)
+                    hits = _hits(idx, col.values, valid)
                     assert hits.tolist() == [
                         v and k in want for k, v in zip(probes, valid)
                     ]
@@ -378,13 +387,13 @@ class TestHashIndex:
                 assert max(hi, *build) == base + table.size - 1
             stored = [0 if k is None else k for k in probe]
             _check_groups(idx, stored, valid, want)
-            hits = idx.probe_hits(col.values, valid)
+            hits = _hits(idx, col.values, valid)
             assert hits.tolist() == [
                 v and k in want for k, v in zip(stored, valid.tolist())
             ]
             if col.has_nulls:
                 # without ``valid`` a NULL slot's stored 0 finds build key 0
-                assert idx.probe_hits(col.values).tolist() == [
+                assert _hits(idx, col.values).tolist() == [
                     k in want for k in stored
                 ]
 
@@ -418,7 +427,7 @@ class TestHashIndex:
             valid = np.arange(len(probes)) % 2 == 0
             got = idx.probe_groups(keys, valid).tolist()
             assert got == [g if v else -1 for g, v in zip(want, valid)]
-            assert idx.probe_hits(keys, valid).tolist() == [g >= 0 for g in got]
+            assert _hits(idx, keys, valid).tolist() == [g >= 0 for g in got]
 
     def test_probe_groups_vectorized(self):
         keys = [5, 5, 7, None, 9]
@@ -514,6 +523,35 @@ def join_data():
             l_qty=cols(lines, "l_qty"),
         ),
     }
+
+
+@pytest.fixture()
+def recording_pools(monkeypatch):
+    """The pools the probe makes, in order, each a stand-in for
+    ``ThreadPoolExecutor`` that records its thread count and how many
+    chunks it was handed, and runs them in turn, so no thread is
+    started."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.chunks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            self.chunks = len(chunks)
+            return map(fn, chunks)
+
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", RecordingPool)
+    return pools
 
 
 def _ref(t, c):
@@ -616,17 +654,18 @@ class TestProbeJoins:
         assert want > 0
         assert stats.result_rows == want
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunks", [1, 2])
     @pytest.mark.parametrize("shape", ["star", "chain"])
     @pytest.mark.parametrize("unique_parts", [True, False])
     def test_covered_builds_match_oracle(
-        self, join_data, shape, unique_parts, workers
+        self, join_data, shape, unique_parts, chunks, set_chunks
     ):
         """Builds handed their probe-key columns cover them (l_oid's NULL
         slots store 0), and give the oracle's answers whether a stage
         gathers from ``present`` (its rows are not read, so it only
         counts), from ``slots``, or takes the sorted path (duplicate part
         keys).  Each projection gets builds made by its own liveness."""
+        set_chunks(chunks)
         d = dict(join_data)
         if unique_parts:
             parts = join_data["parts"]
@@ -675,8 +714,7 @@ class TestProbeJoins:
                 assert s.index.unique == u
                 _check_shape(s.index, r, u)
             result, stats = probe_joins(
-                d["lines"], "lines", None, steps, projection,
-                workers=workers, live=live,
+                d["lines"], "lines", None, steps, projection, live=live
             )
             want_count, want_bag = oracle_join(d, pred, projection)
             assert stats.result_rows == want_count > 0
@@ -709,15 +747,17 @@ class TestProbeJoins:
         _, stats = probe_joins(lines, "lines", None, steps, None)
         assert stats.result_rows == 2
 
-    def _same_across_workers(self, lines, probe_pred, steps, projection, kept=None):
+    def _same_across_chunks(
+        self, set_chunks, lines, probe_pred, steps, projection, kept=None
+    ):
         """Output rows in order, per-stage tuple counts and result count
-        are the same with 1, 3 and 8 probe workers.  Given ``kept``, the
-        probe filter keeps that many rows; else the result is not empty."""
+        are the same with the probe in 1, 3 and 8 chunks.  Given ``kept``,
+        the probe filter keeps that many rows; else the result is not
+        empty."""
         runs = []
-        for w in (1, 3, 8):
-            result, stats = probe_joins(
-                lines, "lines", probe_pred, steps, projection, workers=w
-            )
+        for n in (1, 3, 8):
+            set_chunks(n)
+            result, stats = probe_joins(lines, "lines", probe_pred, steps, projection)
             rows = [result.row(i) for i in range(result.row_count)]
             runs.append((rows, stats.probe_out, stats.result_rows))
         assert runs[0] == runs[1] == runs[2]
@@ -727,7 +767,7 @@ class TestProbeJoins:
         else:
             assert runs[0][1][0] == kept
 
-    def test_workers_preserve_order_and_rows(self, join_data):
+    def test_workers_preserve_order_and_rows(self, join_data, set_chunks):
         projection = (
             _ref("lines", "l_qty"),
             _ref("orders", "o_ch"),
@@ -742,53 +782,50 @@ class TestProbeJoins:
         ]
         for op, qty, kept in cases:
             probe_pred = ex.Comparison(_ref("lines", "l_qty"), op, qty)
-            self._same_across_workers(
-                join_data["lines"], probe_pred, self._steps(join_data), projection,
-                kept,
+            self._same_across_chunks(
+                set_chunks, join_data["lines"], probe_pred, self._steps(join_data),
+                projection, kept,
             )
 
-    def test_pool_capped_at_cpu_count(self, join_data, monkeypatch):
-        """``workers`` sets the count of chunks of the probe table's rows,
-        with or without a probe filter, and the pool runs them on at most
-        one thread per core.  A recording stand-in for the pool runs the chunks
-        in turn, so no thread is started."""
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                self.chunks = 0
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                chunks = list(chunks)
-                self.chunks = len(chunks)
-                return map(fn, chunks)
-
+    def test_pool_capped_at_cpu_count(self, join_data, recording_pools, set_chunks):
+        """The probe splits its table's rows into ``_chunk_count`` chunks,
+        with or without a probe filter, and the pool runs them on one
+        thread per chunk; one chunk runs with no pool."""
+        pools = recording_pools
         lines = join_data["lines"]
         steps = self._steps(join_data)
         projection = (_ref("lines", "l_qty"), _ref("parts", "p_cls"))
-        monkeypatch.setattr(executor, "ThreadPoolExecutor", RecordingPool)
         # 40 probe rows, at least two per chunk
         for probe_pred in (None, ex.Comparison(_ref("lines", "l_qty"), ">", 5)):
+            set_chunks(1)
+            made = len(pools)
             want, _ = probe_joins(lines, "lines", probe_pred, steps, projection)
-            for cores, threads in ((2, 2), (None, 1)):
-                monkeypatch.setattr(executor.os, "cpu_count", lambda: cores)
-                got, _ = probe_joins(
-                    lines, "lines", probe_pred, steps, projection, workers=8
-                )
-                assert (pools[-1].max_workers, pools[-1].chunks) == (threads, 8)
+            assert len(pools) == made
+            for n in (2, 8):
+                set_chunks(n)
+                got, _ = probe_joins(lines, "lines", probe_pred, steps, projection)
+                assert (pools[-1].max_workers, pools[-1].chunks) == (n, n)
                 assert [got.row(i) for i in range(got.row_count)] == [
                     want.row(i) for i in range(want.row_count)
                 ]
 
-    def test_workers_with_probe_key_from_earlier_build(self, join_data):
+    def test_small_probe_makes_no_pool(
+        self, join_data, monkeypatch, recording_pools
+    ):
+        """A probe below ``_CHUNK_ROWS`` rows is one chunk, run with no
+        pool, however many cores there are."""
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: 64)
+        lines = join_data["lines"]
+        assert lines.row_count < _CHUNK_ROWS
+        steps = self._steps(join_data)
+        projection = (_ref("lines", "l_qty"), _ref("parts", "p_cls"))
+        for probe_pred in (None, ex.Comparison(_ref("lines", "l_qty"), ">", 5)):
+            for proj in (None, projection):
+                _, stats = probe_joins(lines, "lines", probe_pred, steps, proj)
+                assert stats.result_rows > 0
+        assert recording_pools == []
+
+    def test_workers_with_probe_key_from_earlier_build(self, join_data, set_chunks):
         steps = [
             BuildStep(
                 "orders", build_hash(join_data["orders"], "o_id"),
@@ -800,14 +837,19 @@ class TestProbeJoins:
             ),
         ]
         projection = (_ref("lines", "l_oid"), _ref("parts", "p_cls"))
-        self._same_across_workers(join_data["lines"], None, steps, projection)
+        self._same_across_chunks(
+            set_chunks, join_data["lines"], None, steps, projection
+        )
 
-    def test_workers_with_negated_nullable_probe_predicate(self, join_data):
+    def test_workers_with_negated_nullable_probe_predicate(
+        self, join_data, set_chunks
+    ):
         # l_oid is NULL on about a tenth of the lines; NOT leaves those out
         probe_pred = ex.Not(ex.Comparison(_ref("lines", "l_oid"), "<", 8))
         projection = (_ref("lines", "l_oid"), _ref("orders", "o_ch"))
-        self._same_across_workers(
-            join_data["lines"], probe_pred, self._steps(join_data), projection
+        self._same_across_chunks(
+            set_chunks, join_data["lines"], probe_pred, self._steps(join_data),
+            projection,
         )
 
     def test_stats_shape(self, join_data):
@@ -831,6 +873,26 @@ class TestProbeJoins:
 
 
 
+class TestChunkCount:
+    """The probe's own chunk count: one chunk per ``_CHUNK_ROWS`` table
+    rows, at most one per core, at least one."""
+
+    @pytest.mark.parametrize(
+        "rows,cores,want",
+        [
+            (0, 2, 1),
+            (_CHUNK_ROWS - 1, 2, 1),
+            (2 * _CHUNK_ROWS, 2, 2),
+            (2 * _CHUNK_ROWS, 1, 1),
+            (2 * _CHUNK_ROWS, None, 1),
+            (64 * _CHUNK_ROWS, 2, 2),
+        ],
+    )
+    def test_count_from_rows_and_cores(self, monkeypatch, rows, cores, want):
+        monkeypatch.setattr(executor.os, "cpu_count", lambda: cores)
+        assert executor._chunk_count(rows) == want
+
+
 def _probe_filters(ref):
     """No filter, then filters on ``ref`` that keep, when it holds the row
     number, no row, one, five and every row."""
@@ -847,9 +909,9 @@ class TestFusedFirstStage:
     """The probe filter's mask against a first stage of every kind: ANDed
     into a direct-address stage's gather (``present`` when the build's
     rows are not read, ``slots`` next to it when they are), or made into
-    row ids before a sorted stage.  Each query runs under 1, 2 and 3
-    workers, which must give the same rows in the same order and the same
-    ``probe_out``."""
+    row ids before a sorted stage.  Each query runs with the probe in 1, 2
+    and 3 chunks, which must give the same rows in the same order and the
+    same ``probe_out``."""
 
     def _data(self, lo):
         """60 probe rows whose keys, a tenth NULL, are drawn from
@@ -869,14 +931,13 @@ class TestFusedFirstStage:
         dims = _int_col_table("dims", d_key=build_keys, d_val=vals)
         return lines, dims, probe_keys, dict(zip(build_keys, vals))
 
-    def _same_across_workers(self, lines, probe_pred, steps, projection):
+    def _same_across_chunks(self, set_chunks, lines, probe_pred, steps, projection):
         """The result rows in order (None when counting) and
-        ``probe_out``, which 1, 2 and 3 workers must agree on."""
+        ``probe_out``, which 1, 2 and 3 chunks must agree on."""
         runs = []
-        for w in (1, 2, 3):
-            result, stats = probe_joins(
-                lines, "lines", probe_pred, steps, projection, workers=w
-            )
+        for n in (1, 2, 3):
+            set_chunks(n)
+            result, stats = probe_joins(lines, "lines", probe_pred, steps, projection)
             assert stats.result_rows == stats.probe_out[-1]
             rows = None
             if result is not None:
@@ -889,7 +950,7 @@ class TestFusedFirstStage:
     @pytest.mark.parametrize("lo", [0, -10])
     @pytest.mark.parametrize("kind", ["present", "slots", "sorted"])
     @pytest.mark.parametrize("case", range(5))
-    def test_single_join_matches_ordered_oracle(self, lo, kind, case):
+    def test_single_join_matches_ordered_oracle(self, lo, kind, case, set_chunks):
         """One join whose build is unique, so the oracle is a walk over
         the probe rows in order that keeps those passing the filter whose
         key is a build key."""
@@ -918,14 +979,18 @@ class TestFusedFirstStage:
         if case == 0:
             assert want  # non-degenerate scenario
         probe_out = [len(passing), len(want)]
-        got = self._same_across_workers(lines, probe_pred, steps, projection)
+        got = self._same_across_chunks(
+            set_chunks, lines, probe_pred, steps, projection
+        )
         assert got == (want, probe_out)
-        got = self._same_across_workers(lines, probe_pred, steps, None)
+        got = self._same_across_chunks(set_chunks, lines, probe_pred, steps, None)
         assert got == (None, probe_out)
 
     @pytest.mark.parametrize("shape", ["star", "chain"])
     @pytest.mark.parametrize("case", range(5))
-    def test_two_covered_stages_match_join_oracle(self, join_data, shape, case):
+    def test_two_covered_stages_match_join_oracle(
+        self, join_data, shape, case, set_chunks
+    ):
         """A fused first stage and a second one, both direct-address, over
         join_data, whose ``l_oid`` has NULLs; the parts build is read, the
         orders build only in a chain."""
@@ -963,24 +1028,26 @@ class TestFusedFirstStage:
         want_count, want_bag = oracle_join(d, pred, projection)
         if case == 0:
             assert want_count > 0  # non-degenerate scenario
-        rows, probe_out = self._same_across_workers(
-            d["lines"], probe_pred, steps, projection
+        rows, probe_out = self._same_across_chunks(
+            set_chunks, d["lines"], probe_pred, steps, projection
         )
         assert probe_out[0] == oracle_count(d["lines"], probe_pred)
         assert probe_out[-1] == len(rows) == want_count
         assert table_multiset(
             probe_joins(d["lines"], "lines", probe_pred, steps, projection)[0]
         ) == want_bag
-        got = self._same_across_workers(d["lines"], probe_pred, steps, None)
+        got = self._same_across_chunks(
+            set_chunks, d["lines"], probe_pred, steps, None
+        )
         assert got == (None, probe_out)
 
     @pytest.mark.parametrize("case", range(5))
-    def test_filtered_select_without_builds(self, case):
+    def test_filtered_select_without_builds(self, case, set_chunks):
         """A single-table ``SELECT``: the filter's rows, in row order."""
         lines, _, probe_keys, _ = self._data(0)
         probe_pred = _probe_filters(_ref("lines", "p_qty"))[case]
         ids = range(60) if probe_pred is None else oracle_select(lines, probe_pred)
         want = [(i, probe_keys[i]) for i in ids]
         projection = (_ref("lines", "p_qty"), _ref("lines", "p_key"))
-        got = self._same_across_workers(lines, probe_pred, [], projection)
+        got = self._same_across_chunks(set_chunks, lines, probe_pred, [], projection)
         assert got == (want, [len(want)])

@@ -6,8 +6,8 @@
 each build's ``input_rows``, each ESC decision's ``(table, count,
 pushdown)``, the distinct keys of each built index, the tuples each probe
 stage produced, the result count, and for ``SELECT *`` a SHA-256 of the
-result in row order.  Every plan runs with one and with two probe
-workers, and both runs must match the same pins.  ``explain_golden.txt``
+result in row order.  Every plan runs with its probe in one chunk and in
+two, and both runs must match the same pins.  ``explain_golden.txt``
 holds each of those plans' ``explain_text``, byte for byte, with
 ``time_ms`` masked.
 
@@ -55,10 +55,10 @@ def bench_plans():
                     yield f"{label}/{form}/{arm}", catalog, plan(graph, catalog, arm)
 
 
-def plan_pins(workers: int = 1) -> dict:
+def plan_pins() -> dict:
     pins = {}
     for key, catalog, p in bench_plans():
-        result, count, stats = execute_plan(p, catalog, workers=workers)
+        result, count, stats = execute_plan(p, catalog)
         pin = {
             "builds": [[b.alias, int(b.input_rows)] for b in p.builds],
             "decisions": [
@@ -92,13 +92,16 @@ def _assert_pins(got: dict):
     assert not changed, {key: (want[key], got[key]) for key in changed}
 
 
-def test_plans_match_golden():
+def test_plans_match_golden(set_chunks):
+    set_chunks(1)
     _assert_pins(plan_pins())
 
 
-def test_two_workers_match_golden():
-    """Chunked probing changes no stage count and no output row or order."""
-    _assert_pins(plan_pins(workers=2))
+def test_two_workers_match_golden(set_chunks):
+    """Chunked probing, two chunks on two threads, changes no stage count
+    and no output row or order."""
+    set_chunks(2)
+    _assert_pins(plan_pins())
 
 
 def test_explain_text_matches_golden():

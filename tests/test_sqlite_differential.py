@@ -12,6 +12,7 @@ chain shapes with a residual per table.
 
 import dataclasses
 import importlib
+import itertools
 from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
@@ -24,6 +25,8 @@ from escdb.bench import GenSpec, generate
 from escdb.engine import Engine
 from escdb.optimizer import ARMS
 from escdb.storage import ColumnTable
+
+from conftest import chunk_setter
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OPS = ("=", "<", "<=", ">", ">=", "<>")
@@ -201,7 +204,7 @@ JOIN_KEYS = ("id", "a", "b")
 
 @pytest.fixture(scope="module")
 def join_engines():
-    """An engine per arm and ``workers`` 1 and 2, and the sqlite3 copy."""
+    """An engine per arm, and the sqlite3 copy."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         workloads = importlib.import_module("workloads")
@@ -214,11 +217,10 @@ def join_engines():
     )
     engines = []
     for arm in ARMS:
-        for workers in (1, 2):
-            eng = Engine(arm=arm, workers=workers)
-            for name, t in tables.items():
-                eng.catalog.register(_renamed(t, name, lite=False))
-            engines.append(eng)
+        eng = Engine(arm=arm)
+        for name, t in tables.items():
+            eng.catalog.register(_renamed(t, name, lite=False))
+        engines.append(eng)
     yield engines, lite
     lite.close()
 
@@ -263,29 +265,38 @@ def _lite_row(row: tuple, n_tables: int) -> tuple:
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(query=join_queries())
 def test_join_matches_sqlite(join_engines, query):
-    """COUNT(*) under every arm and ``workers``; and under one engine per
-    ``workers``, each joined table's ``id``, ``val``, ``when`` and ``tag``
-    from a SELECT, as sqlite3 gives them, in the same order under both."""
+    """COUNT(*) under every arm with the probe in 1 and 2 chunks; and under
+    the first arm in 1 and 2 chunks, each joined table's ``id``, ``val``,
+    ``when`` and ``tag`` from a SELECT, as sqlite3 gives them, in the same
+    order under both.  Hypothesis runs many examples per function-scoped
+    fixture, so the chunk count is set through a MonkeyPatch of its own."""
     engines, lite = join_engines
     tables, esc, lite_sql = query
     (want,) = lite.execute(f"SELECT COUNT(*) FROM {tables} WHERE {lite_sql}").fetchone()
-    for eng in engines:
-        got = eng.run(f"SELECT COUNT(*) FROM {tables} WHERE {esc}").count
-        assert got == want, (eng.arm, eng.workers, esc, lite_sql)
-    names = tables.split(", ")
-    # the ids first: they identify a joined row, so sorting compares no
-    # column that may be NULL
-    cols = [f"{name}.id" for name in names]
-    for name in names:
-        cols += [f"{name}.val", f"{name}.when", f"{name}.tag"]
-    lite_cols = ", ".join(cols).replace(".when", ".day")
-    want_rows = sorted(
-        _lite_row(row, len(names))
-        for row in lite.execute(f"SELECT {lite_cols} FROM {tables} WHERE {lite_sql}")
-    )
-    runs = []
-    for eng in engines[:2]:
-        rows = eng.run(f"SELECT {', '.join(cols)} FROM {tables} WHERE {esc}").rows
-        runs.append([rows.row(i) for i in range(rows.row_count)])
-        assert sorted(runs[-1]) == want_rows, (eng.workers, esc, lite_sql)
-    assert runs[0] == runs[1], (esc, lite_sql)
+    with pytest.MonkeyPatch.context() as mp:
+        set_chunks = chunk_setter(mp)
+        for chunks, eng in itertools.product((1, 2), engines):
+            set_chunks(chunks)
+            got = eng.run(f"SELECT COUNT(*) FROM {tables} WHERE {esc}").count
+            assert got == want, (eng.arm, chunks, esc, lite_sql)
+        names = tables.split(", ")
+        # the ids first: they identify a joined row, so sorting compares no
+        # column that may be NULL
+        cols = [f"{name}.id" for name in names]
+        for name in names:
+            cols += [f"{name}.val", f"{name}.when", f"{name}.tag"]
+        lite_cols = ", ".join(cols).replace(".when", ".day")
+        want_rows = sorted(
+            _lite_row(row, len(names))
+            for row in lite.execute(
+                f"SELECT {lite_cols} FROM {tables} WHERE {lite_sql}"
+            )
+        )
+        runs = []
+        for chunks in (1, 2):
+            set_chunks(chunks)
+            sql = f"SELECT {', '.join(cols)} FROM {tables} WHERE {esc}"
+            rows = engines[0].run(sql).rows
+            runs.append([rows.row(i) for i in range(rows.row_count)])
+            assert sorted(runs[-1]) == want_rows, (chunks, esc, lite_sql)
+        assert runs[0] == runs[1], (esc, lite_sql)

@@ -75,12 +75,17 @@ class GenSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
+# the most rows a generated table may have; a larger scale is a usage
+# error, reported before any array is allocated
+MAX_TABLE_ROWS = 2**31
+
+
 def _scaled(base: int, scale: float, what: str) -> int:
     rows = base * scale
-    if rows >= 2**63:
+    if rows > MAX_TABLE_ROWS:
         raise ScaleOutOfRange(
             f"scale {scale} yields {rows:g} rows for {what} "
-            "(more than int64 holds)"
+            f"(at most {MAX_TABLE_ROWS} allowed)"
         )
     n = round(rows)
     if n < 1:
@@ -118,10 +123,10 @@ def _decimals(name, cents, nulls=None):
     return Column(name, decimal(15, 2), c.values, c.null_mask)
 
 
-def _texts(name, codes, vocab, nulls=None):
-    d = Dictionary()
-    d.encode_all(vocab)
-    c = _ints(name, codes, nulls)
+def _texts(name, indices, vocab, nulls=None):
+    """A TEXT column whose row ``i`` holds ``vocab[indices[i]]``."""
+    d = Dictionary(vocab)
+    c = _ints(name, d.codes(vocab)[indices], nulls)
     return Column(name, KIND_TEXT, c.values, c.null_mask, d)
 
 
@@ -146,6 +151,7 @@ def generate(spec: GenSpec) -> dict[str, ColumnTable]:
 
 def _gen_tpch(spec: GenSpec) -> dict[str, ColumnTable]:
     orders_n = _scaled(1_500_000, spec.scale, "orders")
+    _scaled(7 * 1_500_000, spec.scale, "lineitem")  # at most 7 lines per order
     part_n = _scaled(200_000, spec.scale, "part")
     supp_n = _scaled(10_000, spec.scale, "supplier")
 
@@ -223,6 +229,7 @@ def _gen_ssb(spec: GenSpec) -> dict[str, ColumnTable]:
     cust_n = _scaled(30_000, spec.scale, "customer")
     supp_n = _scaled(2_000, spec.scale, "supplier")
     part_n = _scaled(200_000, spec.scale, "part")
+    lo_n = _scaled(6_000_000, spec.scale, "lineorder")
 
     days = np.arange(SSB_DAYS, dtype=np.int64) + DAY_1992
     d64 = days.astype("datetime64[D]")
@@ -287,7 +294,7 @@ def _gen_ssb(spec: GenSpec) -> dict[str, ColumnTable]:
 
     dims_total = SSB_DAYS + cust_n + supp_n + part_n
     # fact must carry >= 95% of all rows even when the fixed date dim dominates
-    lo_n = max(_scaled(6_000_000, spec.scale, "lineorder"), 19 * dims_total)
+    lo_n = max(lo_n, 19 * dims_total)
     g = _rng(spec.seed, 14)
     lineorder = ColumnTable(
         "lineorder",

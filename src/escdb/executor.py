@@ -1,7 +1,9 @@
 """Columnar execution: filtered scans, COUNT, hash-join build and probe.
 
 Everything is vectorized over int64 column vectors.  A predicate atom
-compares stored values only, and ``_eval_mask`` is the one place that
+compares stored values only, TEXT codes included (a code is its string's
+rank in the column's dictionary, and the analyzer resolves every TEXT
+constant to a code bound), and ``_eval_mask`` is the one place that
 applies SQL's NULL rule: an atom with a NULL operand is neither true nor
 false, and only a column that holds NULLs costs a null-mask pass.
 Predicates are evaluated over whole tables only, into boolean masks.  A
@@ -43,7 +45,6 @@ hit is one build row.  A probe key column without NULLs skips the null mask.
 
 from __future__ import annotations
 
-import bisect
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -58,36 +59,6 @@ from .storage import Column, ColumnTable
 # ---------------------------------------------------------------------------
 # Predicate evaluation
 # ---------------------------------------------------------------------------
-
-
-def _text_lut(col: Column, op: str, value: str) -> np.ndarray:
-    """Boolean lookup table over dictionary codes for a TEXT range
-    comparison, which compares strings, not codes (the analyzer turns
-    ``=`` and ``<>`` into codes).  ``value`` is found by binary search
-    among the sorted strings, and the table is an integer compare of each
-    code's rank."""
-    sorted_strings, rank = col.dictionary.ranked()
-    # the ranks of the strings below ``value`` are < below, and those of
-    # the strings up to it < upto
-    below = bisect.bisect_left(sorted_strings, value)
-    upto = bisect.bisect_right(sorted_strings, value, below)
-    if op == "<":
-        return rank < below
-    if op == "<=":
-        return rank < upto
-    if op == ">":
-        return rank >= upto
-    if op == ">=":
-        return rank >= below
-    raise ExecutionError(f"unknown comparison operator {op!r}")
-
-
-def _apply_lut(lut: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    # an all-NULL TEXT column has an empty dictionary, and its codes (all
-    # 0) index nothing
-    if lut.size == 0:
-        return np.zeros(codes.shape, dtype=bool)
-    return lut[codes]
 
 
 _COMPARE = {
@@ -156,16 +127,10 @@ def _eval_atom(atom: ex.Expr, table: ColumnTable) -> np.ndarray:
     if isinstance(atom, ex.ColumnCompare):
         left = table.column(atom.left.name).values
         return _compare(left, atom.op, table.column(atom.right.name).values)
-    col = table.column(atom.col.name)
-    vals = col.values
+    vals = table.column(atom.col.name).values
     if isinstance(atom, ex.Comparison):
-        if isinstance(atom.value, str):
-            return _apply_lut(_text_lut(col, atom.op, atom.value), vals)
         return _compare(vals, atom.op, atom.value)
     if isinstance(atom, ex.Range):
-        if isinstance(atom.lo, str):
-            lut = _text_lut(col, ">=", atom.lo) & _text_lut(col, "<=", atom.hi)
-            return _apply_lut(lut, vals)
         return (vals >= atom.lo) & (vals <= atom.hi)
     if isinstance(atom, ex.FoldedAtom):
         return np.full(vals.size, atom.result)

@@ -6,7 +6,9 @@ every constant is the literal (``frontend.AstConst``).  The analyzer
 rewrites them into *resolved* form: every ColumnRef carries its table
 alias and kind, and constants are normalized to the column's storage
 representation (DECIMAL constants rescaled to the column scale, DATE
-literals to epoch days, TEXT ``=``/``<>`` constants to dictionary codes).
+literals to epoch days, TEXT constants to dictionary codes: a code is its
+string's rank, so a TEXT range bound becomes the rank of the bound), so a
+resolved atom compares integers only.
 Atoms that can be decided at analysis time collapse to FoldedAtom, which
 keeps its column anchor so predicate classification still knows which
 table it belongs to.

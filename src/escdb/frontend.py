@@ -49,6 +49,7 @@ from .storage import (
     TEXT,
     ColumnKind,
     ColumnTable,
+    Dictionary,
     date_to_days,
 )
 
@@ -476,8 +477,9 @@ class _Scope:
         alias, column = hits[0]
         return ex.ColumnRef(alias, col.name, kind=column.kind)
 
-    def table_of(self, alias: str) -> ColumnTable:
-        return self.by_alias[alias]
+    def dictionary(self, col: ex.ColumnRef) -> Dictionary:
+        """The dictionary of the resolved TEXT column ``col``."""
+        return self.by_alias[col.table].column(col.name).dictionary
 
 
 def _number_value(const: AstConst) -> int | Fraction:
@@ -518,11 +520,6 @@ def _const_for_column(col: ex.ColumnRef, const: AstConst):
     return value * 10**kind.scale if kind.scale else value
 
 
-def _text_code(col: ex.ColumnRef, text: str, scope: _Scope) -> int | None:
-    dictionary = scope.table_of(col.table).column(col.name).dictionary
-    return dictionary.lookup(text)
-
-
 def _analyze_column_compare(node: ex.ColumnCompare, scope: _Scope) -> ex.Expr:
     left = scope.resolve(node.left)
     right = scope.resolve(node.right)
@@ -542,14 +539,20 @@ def _analyze_compare(node: ex.Comparison, scope: _Scope) -> ex.Expr:
     left = scope.resolve(node.col)
     value = _const_for_column(left, node.value)
     if left.kind.name == TEXT:
+        dictionary = scope.dictionary(left)
         if node.op in ("=", "<>"):
-            code = _text_code(left, value, scope)
+            code = dictionary.lookup(value)
             if code is None:
                 # constant absent from the dictionary: = never holds,
                 # <> holds for every non-NULL row
                 return ex.FoldedAtom(left, node.op == "<>")
             return ex.Comparison(left, node.op, code)
-        return ex.Comparison(left, node.op, value)  # string payload, decoded compare
+        # codes are ranks: the strings below ``value`` (<, >=) or up to it
+        # (<=, >) are those whose code is below the bound's rank
+        op = "<" if node.op in ("<", "<=") else ">="
+        return ex.Comparison(
+            left, op, dictionary.rank(value, upto=node.op in ("<=", ">"))
+        )
     if isinstance(value, Fraction) and value.denominator != 1:
         # every stored value is an integer: none equals a fractional
         # literal, and a bound rounds inward to the nearest integer
@@ -594,7 +597,11 @@ def _analyze_between(node: ex.Range, scope: _Scope) -> ex.Expr:
     col = scope.resolve(node.col)
     lo = _const_for_column(col, node.lo)
     hi = _const_for_column(col, node.hi)
-    if col.kind.name != TEXT:
+    if col.kind.name == TEXT:
+        # the codes of the strings from ``lo`` up to ``hi``
+        dictionary = scope.dictionary(col)
+        lo, hi = dictionary.rank(lo), dictionary.rank(hi, upto=True) - 1
+    else:
         # integer storage: the bounds round inward
         lo, hi = math.ceil(lo), math.floor(hi)
     if lo > hi:

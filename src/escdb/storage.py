@@ -2,8 +2,10 @@
 
 All column kinds are backed by dense ``int64`` vectors plus a null mask:
 DECIMAL(p, s) is stored as the value scaled by 10**s, DATE as days since
-1970-01-01, and TEXT as codes into a per-column dictionary.  Tables are
-immutable once built.
+1970-01-01, and TEXT as codes into a per-column dictionary of the
+column's sorted distinct strings: a code is its string's rank, so TEXT
+values compare as their codes do.  Tables and dictionaries are immutable
+once built.
 
 CSV loads and dumps go a column at a time.  ``load_csv`` converts each
 column with one operation per kind.  A column with a cell in another form,
@@ -15,13 +17,14 @@ column.  ``dump_csv`` decodes each column to strings once.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import re
 from dataclasses import dataclass
 from datetime import date as _date
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -153,40 +156,35 @@ def format_decimal(scaled: int, scale: int) -> str:
 
 
 class Dictionary:
-    """Bijection between distinct strings and codes 0..D-1.
+    """The sorted distinct strings of one TEXT column.  A string's code is
+    its rank among them, so codes order as their strings do, and every
+    TEXT comparison is an integer compare of codes.  Built once, from the
+    column's strings, and never changed."""
 
-    Codes are handed out in order of first appearance and never change,
-    and strings are only ever added, so the sort order that ``ranked``
-    returns is still right for the codes it covers and is rebuilt only
-    when the dictionary has grown.
-    """
-
-    def __init__(self):
-        self._code_of: dict[str, int] = {}
-        self._strings: list[str] = []
-        # (size, sorted strings, rank per code) as of ``size`` strings: one
-        # tuple, so a query racing a rebuild reads one consistent version
-        self._ranked: tuple[int, list[str], np.ndarray] = (
-            0, [], np.empty(0, dtype=np.int64)
-        )
+    def __init__(self, strings: Iterable[str] = ()):
+        self._strings = sorted(set(strings))
+        self._code_of = {s: code for code, s in enumerate(self._strings)}
 
     def __len__(self):
         return len(self._strings)
 
-    def encode_all(self, strings: Sequence[str]) -> np.ndarray:
-        """Codes for ``strings``, inserting the new ones: they get the next
-        codes in order of first appearance."""
-        new = [s for s in dict.fromkeys(strings) if s not in self._code_of]
-        first = len(self._strings)
-        self._code_of.update(zip(new, range(first, first + len(new))))
-        self._strings.extend(new)
+    def codes(self, strings: Sequence[str]) -> np.ndarray:
+        """The code of each of ``strings``, which must all be present."""
         return np.fromiter(
             map(self._code_of.__getitem__, strings), np.int64, len(strings)
         )
 
     def lookup(self, s: str) -> int | None:
-        """Code for ``s`` if already present, else None (never inserts)."""
+        """Code for ``s`` if present, else None."""
         return self._code_of.get(s)
+
+    def rank(self, s: str, upto: bool = False) -> int:
+        """How many strings sort below ``s``, or with ``upto`` at or below
+        it: the least code of a string at or above ``s`` (above, with
+        ``upto``), present or not."""
+        if upto:
+            return bisect.bisect_right(self._strings, s)
+        return bisect.bisect_left(self._strings, s)
 
     def decode(self, code: int) -> str:
         return self._strings[code]
@@ -194,28 +192,16 @@ class Dictionary:
     def strings(self) -> list[str]:
         return list(self._strings)
 
-    def ranked(self) -> tuple[list[str], np.ndarray]:
-        """The strings in sorted order, and each code's position in it:
-        ``sorted_strings[rank[code]] == decode(code)``."""
-        size, sorted_strings, rank = self._ranked
-        if size != len(self._strings):
-            strings = list(self._strings)
-            order = sorted(range(len(strings)), key=strings.__getitem__)
-            sorted_strings = [strings[i] for i in order]
-            rank = np.empty(len(strings), dtype=np.int64)
-            rank[order] = np.arange(len(strings))
-            self._ranked = (len(strings), sorted_strings, rank)
-        return sorted_strings, rank
-
 
 @dataclass
 class Column:
     """One typed column: values vector + null mask (True = NULL).
 
     ``values`` at null positions are 0 and must not be interpreted.  They
-    must be 0 because the executor indexes a TEXT column's lookup table
-    with the stored codes, NULL slots included, before it drops the NULL
-    rows; code 0 is in range whenever the dictionary is not empty.
+    are 0 so that ``bounds``, which covers them, spans only the real
+    values and 0: a direct-address join index covers its probe column's
+    ``bounds`` and is gathered at every probe row, NULL slots included,
+    before the NULL rows are dropped.
     """
 
     name: str
@@ -344,7 +330,10 @@ def _convert_column(cells: list[str], kind: ColumnKind) -> np.ndarray | None:
         return np.empty(0, dtype=np.int64)
     if kind.name == INT64:
         # int() strips what _parse_cell's strip() strips, except \x1c-\x1f:
-        # there it raises, and the column goes per cell
+        # there it raises, and the column goes per cell.  It also reads
+        # ``_`` digit grouping, which _parse_cell rejects.
+        if "_" in "".join(cells):
+            return None
         return np.fromiter(map(int, cells), np.int64, len(cells))
     if kind.name == DATE:
         if _column_text(_ISO_DATE, cells) is None:
@@ -366,6 +355,8 @@ def _parse_cell(cell: str, kind: ColumnKind) -> int:
         value = parse_decimal_scaled(cell, kind.scale)
     else:
         try:
+            if "_" in cell:  # int() reads 1_000 as 1000
+                raise ValueError
             value = int(cell.strip())
         except ValueError:
             raise TypeMismatch(f"expected INT64 value, got {cell!r}") from None
@@ -388,8 +379,10 @@ def _load_column(col: Column, cells: Sequence[str | None]) -> Column:
     if None in cells:
         nulls = np.array([c is None for c in cells], dtype=bool)
         present = [c for c in cells if c is not None]
+    dictionary = None
     if col.kind.is_text:
-        values = col.dictionary.encode_all(present)
+        dictionary = Dictionary(present)
+        values = dictionary.codes(present)
     else:
         try:
             values = _convert_column(present, col.kind)
@@ -405,7 +398,7 @@ def _load_column(col: Column, cells: Sequence[str | None]) -> Column:
                     full[rix] = _parse_cell(cell, col.kind)
                 except TypeMismatch as exc:
                     raise _BadCell(rix, str(exc)) from None
-    return Column(col.name, col.kind, full, nulls, col.dictionary)
+    return Column(col.name, col.kind, full, nulls, dictionary)
 
 
 def _load_columns(

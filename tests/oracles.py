@@ -8,12 +8,13 @@ containers themselves.  Semantics mirrored deliberately:
 * AND/OR/NOT are SQL's three-valued connectives over True/False/None,
   written out per value (the engine derives them from a negated pass),
   and a row qualifies only where the predicate is True,
-* TEXT equality/ranges compare decoded strings (the engine compares
-  dictionary codes / uses lookup tables — bijection makes them agree),
+* TEXT atoms compare decoded strings, each bound a stored code decoded
+  (the engine compares the codes: they agree only because a code is its
+  string's rank in the column's dictionary),
 * UDFs receive float arguments: DECIMAL descaled by 10**-scale, DATE as
   epoch days, and a result of None or NaN is NULL.
 
-``append_rows`` is the per-cell reference for ``load_csv``, and
+``load_cells`` is the per-cell reference for ``load_csv``, and
 ``load_rows`` builds the tables the tests run on.
 """
 
@@ -58,73 +59,82 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def _convert_cell(raw, kind: ColumnKind, dictionary: Dictionary) -> tuple[int, bool]:
-    """Convert one text cell (None for NULL) to (int64 value, is_null)."""
+def _convert_cell(raw, kind: ColumnKind, code_of: dict | None) -> tuple[int, bool]:
+    """Convert one text cell (None for NULL) to (int64 value, is_null);
+    ``code_of`` maps a TEXT column's strings to their codes."""
     if raw is None:
         return 0, True
     if kind.is_text:
-        return int(dictionary.encode_all([raw])[0]), False
+        return code_of[raw], False
     if kind.name == DATE:
         return date_to_days(raw), False
     if kind.is_decimal:
         return parse_decimal_scaled(raw, kind.scale), False
     try:
+        if "_" in raw:  # int() reads 1_000 as 1000; the loader does not
+            raise ValueError
         return int(raw.strip()), False
     except ValueError:
         raise TypeMismatch(f"expected INT64 value, got {raw!r}") from None
 
 
-def append_rows(table: ColumnTable, rows, first_row_number: int = 1) -> ColumnTable:
-    """Return a new table with the text ``rows`` appended, one cell at a
+def load_cells(name: str, schema, rows, first_row_number: int = 1) -> ColumnTable:
+    """A table of the text ``rows`` (None for NULL), built one cell at a
     time.  Strings parse per the column kind, and a DECIMAL may hold at
-    most ``precision`` digits.  Raises TypeMismatch at the first bad cell
-    in row-major order, citing its row (``first_row_number`` labels the
-    first row) and column; precision is checked after every cell converted,
-    column by column."""
+    most ``precision`` digits.  A TEXT column's code for a string is its
+    rank among the column's sorted distinct strings.  Raises TypeMismatch
+    at the first bad cell in row-major order, citing its row
+    (``first_row_number`` labels the first row) and column; precision is
+    checked after every cell converted, column by column."""
     rows = list(rows)
-    fresh = []
-    for col in table.columns:
-        values = np.empty(len(rows), dtype=np.int64)
-        nulls = np.zeros(len(rows), dtype=bool)
-        fresh.append((values, nulls))
+    columns = []
+    for cix, (cname, kind) in enumerate(schema):
+        strings = code_of = None
+        if kind.is_text:
+            strings = sorted({row[cix] for row in rows if row[cix] is not None})
+            code_of = {s: code for code, s in enumerate(strings)}
+        columns.append((cname, kind, strings, code_of))
+    values = [np.empty(len(rows), dtype=np.int64) for _ in schema]
+    nulls = [np.zeros(len(rows), dtype=bool) for _ in schema]
     for rix, row in enumerate(rows):
-        for cix, col in enumerate(table.columns):
+        for cix, (cname, kind, _, code_of) in enumerate(columns):
             try:
-                value, is_null = _convert_cell(row[cix], col.kind, col.dictionary)
+                value, is_null = _convert_cell(row[cix], kind, code_of)
                 if not _INT64_MIN <= value <= _INT64_MAX:
                     raise TypeMismatch(
-                        f"{col.kind} value {row[cix]!r} does not fit in int64"
+                        f"{kind} value {row[cix]!r} does not fit in int64"
                     )
             except TypeMismatch as exc:
                 raise TypeMismatch(
-                    f"table {table.name!r}: row {first_row_number + rix}, "
-                    f"column {col.name!r}: {exc}"
+                    f"table {name!r}: row {first_row_number + rix}, "
+                    f"column {cname!r}: {exc}"
                 ) from None
-            fresh[cix][0][rix] = value
-            fresh[cix][1][rix] = is_null
-    for cix, col in enumerate(table.columns):
-        if col.kind.is_decimal:
-            limit = 10**col.kind.precision  # NULL cells hold 0
-            values = fresh[cix][0]
-            bad = np.flatnonzero((values >= limit) | (values <= -limit))
+            values[cix][rix] = value
+            nulls[cix][rix] = is_null
+    for cix, (cname, kind, _, _) in enumerate(columns):
+        if kind.is_decimal:
+            limit = 10**kind.precision  # NULL cells hold 0
+            bad = np.flatnonzero((values[cix] >= limit) | (values[cix] <= -limit))
             if bad.size:
                 rix = int(bad[0])
                 raise TypeMismatch(
-                    f"table {table.name!r}: row {first_row_number + rix}, "
-                    f"column {col.name!r}: {col.kind} value {rows[rix][cix]!r} "
-                    f"has more than {col.kind.precision} digits"
+                    f"table {name!r}: row {first_row_number + rix}, "
+                    f"column {cname!r}: {kind} value {rows[rix][cix]!r} "
+                    f"has more than {kind.precision} digits"
                 )
-    merged = [
-        Column(
-            c.name,
-            c.kind,
-            np.concatenate([c.values, fresh[i][0]]),
-            np.concatenate([c.null_mask, fresh[i][1]]),
-            c.dictionary,
-        )
-        for i, c in enumerate(table.columns)
-    ]
-    return ColumnTable(table.name, merged)
+    return ColumnTable(
+        name,
+        [
+            Column(
+                cname,
+                kind,
+                values[cix],
+                nulls[cix],
+                None if strings is None else Dictionary(strings),
+            )
+            for cix, (cname, kind, strings, _) in enumerate(columns)
+        ],
+    )
 
 
 class _Col:
@@ -185,21 +195,16 @@ def _atom(pred, cols, i) -> bool | None:
         c = cols[pred.col.name]
         if c.nulls[i]:
             return None
-        if isinstance(pred.value, str):
-            return _OPS[pred.op](c.text(i), pred.value)
         if c.strs is not None:
-            # = / <> against a dictionary code; compare as strings
             return _OPS[pred.op](c.text(i), c.dict.decode(pred.value))
         return _OPS[pred.op](c.vals[i], pred.value)
     if isinstance(pred, ex.Range):
         c = cols[pred.col.name]
         if c.nulls[i]:
             return None
-        if isinstance(pred.lo, str):
-            v = c.text(i)
-        else:
-            v = c.vals[i]
-        return pred.lo <= v <= pred.hi
+        if c.strs is not None:
+            return c.dict.decode(pred.lo) <= c.text(i) <= c.dict.decode(pred.hi)
+        return pred.lo <= c.vals[i] <= pred.hi
     if isinstance(pred, ex.ColumnCompare):
         a = cols[pred.left.name]
         b = cols[pred.right.name]

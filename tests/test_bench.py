@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from escdb import bench
 from escdb.bench import (
     BenchReport,
     GenSpec,
@@ -112,9 +113,36 @@ class TestGenerator:
             GenSpec("tpch_subset", scale, 42)
 
     def test_scale_past_int64_rejected(self):
-        assert _scaled(1, 2.0**63 - 1024, "t") == 2**63 - 1024
-        with pytest.raises(ScaleOutOfRange, match="more than int64 holds"):
+        with pytest.raises(ScaleOutOfRange, match="at most 2147483648 allowed"):
             _scaled(1, 2.0**63, "t")
+
+    def test_scale_past_row_bound_rejected(self):
+        assert _scaled(1, 2.0**31, "t") == 2**31
+        with pytest.raises(ScaleOutOfRange):
+            _scaled(1, 2.0**31 + 1, "t")
+        with pytest.raises(
+            ScaleOutOfRange,
+            match=r"^scale 10000.0 yields 1.5e\+10 rows for orders "
+            r"\(at most 2147483648 allowed\)$",
+        ):
+            _scaled(1_500_000, 1e4, "orders")
+
+    @pytest.mark.parametrize("family, bound, table", [
+        # 1,500 orders of at most 7 lines; 6,000 lineorder rows
+        ("tpch_subset", 10_000, "lineitem"),
+        ("ssb_subset", 5_000, "lineorder"),
+    ])
+    def test_row_bound_checked_before_generating(
+        self, monkeypatch, family, bound, table
+    ):
+        monkeypatch.setattr(bench, "MAX_TABLE_ROWS", bound)
+
+        def no_rng(*args):
+            raise AssertionError("a generator ran")
+
+        monkeypatch.setattr(bench, "_rng", no_rng)
+        with pytest.raises(ScaleOutOfRange, match=f"rows for {table} "):
+            generate(GenSpec(family, 0.001, 42))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):

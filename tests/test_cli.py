@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from escdb import bench as bench_mod
 from escdb.cli import main
 from escdb.frontend import split_statements
 
@@ -581,8 +582,17 @@ class TestBench:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error [engine]: scale {float(scale)} yields ")
-        assert err.endswith("(more than int64 holds)\n")
+        assert err.endswith(" allowed)\n")
         assert err.count("\n") == 1
+
+    def test_scale_past_row_bound_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench_mod, "MAX_TABLE_ROWS", 100)
+        rc = main(["bench", "tpch4", "--scale", "0.002", "--reps", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error [engine]: scale 0.002 yields 3000 rows for orders "
+            "(at most 100 allowed)\n"
+        )
 
     def test_scale_for_overhead_scale_is_usage_error(self, capsys):
         rc = main(["bench", "overhead-scale", "--scale", "0.5", "--reps", "1"])

@@ -417,9 +417,10 @@ class TestUdfPastFloatRange:
 
 
 class TestAllNullText:
-    """A TEXT column holding only NULLs has an empty dictionary, so its
-    lookup tables are empty too; every comparison on it is unknown, plain
-    or under NOT, as in stdlib sqlite3."""
+    """A TEXT column holding only NULLs has an empty dictionary, so each
+    comparison on it is an integer compare against a bound of rank 0, or
+    folds, over NULL slots only; every one is unknown, plain or under
+    NOT, as in stdlib sqlite3."""
 
     PREDICATES = [
         "s < 'm'",

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from escdb import executor
 from escdb import expr as ex
+from escdb.catalog import Catalog
+from escdb.frontend import analyze, parse
 from escdb.errors import ExecutionError
 from escdb.executor import (
     _CHUNK_ROWS,
@@ -19,7 +22,7 @@ from escdb.executor import (
     probe_joins,
 )
 from escdb.executor import _compact, _row_ids
-from escdb.storage import KIND_INT64, KIND_TEXT, Column, ColumnTable
+from escdb.storage import KIND_INT64, KIND_TEXT, ColumnTable, dump_csv, load_csv
 
 from oracles import (
     load_rows,
@@ -73,10 +76,13 @@ class PredGen:
         col = self.rng.choice(self.cols)
         ref = self._ref(col)
         if col.kind.is_text:
-            if r < 0.6:
+            # stored codes as bounds: the oracle compares their strings
+            if r < 0.45:
                 return ex.Comparison(ref, "=", self._stored(col))
-            word = col.dictionary.decode(self._stored(col))
-            return ex.Comparison(ref, self.rng.choice(self.OPS[:4]), word)
+            if r < 0.75:
+                return ex.Comparison(ref, self.rng.choice(self.OPS), self._stored(col))
+            lo, hi = sorted((self._stored(col), self._stored(col)))
+            return ex.Range(ref, lo, hi)
         if r < 0.4:
             return ex.Comparison(ref, "=", self._stored(col))
         if r < 0.8:
@@ -104,6 +110,17 @@ class TestEvalPredicate:
             pred = gen.pred()
             got = np.flatnonzero(eval_predicate(custom_nulls, pred)).tolist()
             assert got == oracle_select(custom_nulls, pred), str(pred)
+
+    def test_matches_oracle_on_a_loaded_table(self, custom_nulls):
+        # the loader makes each TEXT dictionary from the cells, which come
+        # in no sorted order, so the oracle's string compares check that
+        # the codes are ranks
+        table = load_csv(dump_csv(custom_nulls), "data", custom_nulls.schema)
+        gen = PredGen(table, random.Random(202))
+        for _ in range(60):
+            pred = gen.pred()
+            got = np.flatnonzero(eval_predicate(table, pred)).tolist()
+            assert got == oracle_select(table, pred), str(pred)
 
     def test_folded_false_excludes_everything(self, custom_nulls):
         col = custom_nulls.column("a")
@@ -143,48 +160,52 @@ class TestCountStar:
 
 
 class TestTextRanges:
-    """TEXT ranges compare decoded strings, by each code's rank among the
-    dictionary's sorted strings."""
+    """TEXT comparisons written in SQL, analyzed into code bounds and
+    counted, against Python's compare of the strings with the literal
+    bounds: the codes, ranks in the column's dictionary, must order as
+    the strings do."""
 
     WORDS = ["pine", "", "oak", "Oak", "alder", "oak2", "elm", "zzz", "\u00e9"]
-    BOUNDS = ["", "a", "oak", "oak1", "Oak", "pine", "zzzz", "\u00e9", "\u00fc"]
-    REF = ex.ColumnRef("t", "tag", KIND_TEXT)
+    # '', case, non-ASCII, bounds absent from WORDS, and bounds below and
+    # above every word
+    BOUNDS = ["", "!", "a", "oak", "oak1", "Oak", "pine", "zzzz", "\u00e9",
+              "\u00e9z", "\u00fc"]
+    COMPARE = {
+        "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    }
 
-    def _table(self):
-        rng = random.Random(5)
-        rows = [
-            [i, None if rng.random() < 0.2 else rng.choice(self.WORDS)]
-            for i in range(300)
-        ]
-        return load_rows("t", [("id", KIND_INT64), ("tag", KIND_TEXT)], rows)
-
-    def _check(self, table):
-        for lo in self.BOUNDS:
-            preds = [ex.Comparison(self.REF, op, lo) for op in ("<", "<=", ">", ">=")]
-            preds += [ex.Range(self.REF, lo, hi) for hi in self.BOUNDS]
-            for pred in preds:
-                for p in (pred, ex.Not(pred)):
-                    assert count_star(table, p)[0] == oracle_count(table, p), str(p)
+    @staticmethod
+    def _quote(s):
+        return "'" + s.replace("'", "''") + "'"
 
     def test_match_oracle(self):
-        self._check(self._table())
-
-    def test_match_oracle_after_dictionary_grows(self):
-        table = self._table()
-        self._check(table)  # ranks the dictionary as loaded
-        tag = table.column("tag")
-        new = ["oak1", "a", "zz", "Pine", "oak"]
-        codes = tag.dictionary.encode_all(new)
-        self._check(table)
-        # a table whose codes include the new strings, sharing the dictionary
-        grown = ColumnTable(
-            "t",
-            [
-                Column("id", KIND_INT64, np.arange(len(new)), np.zeros(len(new), bool)),
-                Column("tag", KIND_TEXT, codes, np.zeros(len(new), bool), tag.dictionary),
-            ],
+        rng = random.Random(5)
+        tags = [None if rng.random() < 0.2 else rng.choice(self.WORDS) for _ in range(300)]
+        table = load_rows(
+            "t", [("id", KIND_INT64), ("tag", KIND_TEXT)], list(enumerate(tags))
         )
-        self._check(grown)
+        catalog = Catalog()
+        catalog.register(table)
+        for lo in self.BOUNDS:
+            cases = [
+                (f"tag {op} {self._quote(lo)}", lambda s, f=f, lo=lo: f(s, lo))
+                for op, f in self.COMPARE.items()
+            ]
+            cases += [
+                (
+                    f"tag BETWEEN {self._quote(lo)} AND {self._quote(hi)}",
+                    lambda s, lo=lo, hi=hi: lo <= s <= hi,
+                )
+                for hi in self.BOUNDS
+            ]
+            for where, holds in cases:
+                for negate in (False, True):
+                    sql = f"SELECT COUNT(*) FROM t WHERE {'NOT ' * negate}({where})"
+                    pred = analyze(parse(sql), catalog).residual("t")
+                    # a NULL tag is unknown, under NOT as well
+                    want = sum(s is not None and holds(s) != negate for s in tags)
+                    assert count_star(table, pred)[0] == want, sql
 
 
 class TestCompact:

@@ -271,6 +271,9 @@ class TestLexerProperties:
             assert fe.split_statements(script) == want[:-1] + [last]
 
 
+TAG = ex.ColumnRef("items", "tag")
+
+
 class TestAnalyze:
     def _graph(self, catalog, sql):
         return fe.analyze(fe.parse(sql), catalog)
@@ -335,7 +338,7 @@ class TestAnalyze:
     def test_text_equality_becomes_code(self, catalog):
         p = self._pred(catalog, "SELECT * FROM items WHERE tag = 'oak'")
         assert isinstance(p, ex.Comparison) and p.op == "="
-        assert p.value == 0  # 'oak' was first encoded
+        assert p.value == 1  # the rank of 'oak' in ['elm', 'oak']
 
     def test_text_absent_constant_folds(self, catalog):
         p = self._pred(catalog, "SELECT * FROM items WHERE tag = 'missing'")
@@ -343,9 +346,22 @@ class TestAnalyze:
         p = self._pred(catalog, "SELECT * FROM items WHERE tag <> 'missing'")
         assert p == ex.FoldedAtom(ex.ColumnRef("items", "tag"), True)
 
-    def test_text_range_keeps_string_payload(self, catalog):
-        p = self._pred(catalog, "SELECT * FROM items WHERE tag < 'pine'")
-        assert isinstance(p, ex.Comparison) and p.value == "pine"
+    @pytest.mark.parametrize("where, want", [
+        # the dictionary is ['elm', 'oak']: a bound becomes the count of
+        # strings below it, or up to it
+        ("tag < 'oak'", ex.Comparison(TAG, "<", 1)),
+        ("tag <= 'oak'", ex.Comparison(TAG, "<", 2)),
+        ("tag > 'oak'", ex.Comparison(TAG, ">=", 2)),
+        ("tag >= 'oak'", ex.Comparison(TAG, ">=", 1)),
+        ("tag < 'pine'", ex.Comparison(TAG, "<", 2)),
+        ("tag > 'ash'", ex.Comparison(TAG, ">=", 0)),
+        ("tag BETWEEN 'elm' AND 'oak'", ex.Range(TAG, 0, 1)),
+        ("tag BETWEEN 'ash' AND 'fir'", ex.Range(TAG, 0, 0)),
+        ("tag BETWEEN 'fir' AND 'nut'", ex.FoldedAtom(TAG, False)),
+        ("tag BETWEEN 'oak' AND 'elm'", ex.FoldedAtom(TAG, False)),
+    ])
+    def test_text_range_becomes_rank_bound(self, catalog, where, want):
+        assert self._pred(catalog, f"SELECT * FROM items WHERE {where}") == want
 
     def test_between_empty_folds_false(self, catalog):
         p = self._pred(catalog, "SELECT * FROM items WHERE qty BETWEEN 9 AND 2")

@@ -31,7 +31,7 @@ from escdb.storage import (
     parse_kind,
 )
 
-from oracles import append_rows
+from oracles import load_cells
 
 
 class TestKinds:
@@ -103,31 +103,31 @@ class TestScalars:
 
 class TestDictionary:
     def test_bijection(self):
-        d = Dictionary()
         words = ["oak", "elm", "oak", "fir", "elm"]
-        codes = d.encode_all(words).tolist()
-        assert codes == [0, 1, 0, 2, 1]
+        d = Dictionary(words)
+        codes = d.codes(words).tolist()
+        assert codes == [2, 0, 2, 1, 0]
         assert [d.decode(c) for c in codes] == words
         assert len(d) == 3
-        assert d.encode_all(["fir", "ash"]).tolist() == [2, 3]
+
+    def test_codes_are_ranks(self):
+        d = Dictionary(["oak", "elm", "Oak", "", "\u00e9", "z", "oak"])
+        assert d.strings() == ["", "Oak", "elm", "oak", "z", "\u00e9"]
+        assert d.codes(d.strings()).tolist() == list(range(len(d)))
+
+    @pytest.mark.parametrize("bound, below, upto", [
+        ("", 0, 0), ("a", 0, 0), ("elm", 0, 1), ("fir", 1, 1),
+        ("oak", 1, 2), ("Pine", 0, 0), ("zz", 2, 2),
+    ])
+    def test_rank_counts_strings_below_or_up_to_bound(self, bound, below, upto):
+        d = Dictionary(["oak", "elm"])
+        assert d.rank(bound) == below
+        assert d.rank(bound, upto=True) == upto
 
     def test_lookup_never_inserts(self):
-        d = Dictionary()
-        d.encode_all(["oak"])
+        d = Dictionary(["oak"])
         assert d.lookup("elm") is None
         assert len(d) == 1
-
-    def test_ranked_sorts_and_follows_growth(self):
-        d = Dictionary()
-        d.encode_all(["oak", "elm", "Oak", ""])
-        sorted_strings, rank = d.ranked()
-        assert sorted_strings == ["", "Oak", "elm", "oak"]
-        assert rank.tolist() == [3, 2, 1, 0]
-        assert d.ranked()[1] is rank  # unchanged dictionary: not rebuilt
-        d.encode_all(["fir", "oak"])
-        sorted_strings, rank = d.ranked()
-        assert sorted_strings == ["", "Oak", "elm", "fir", "oak"]
-        assert [sorted_strings[r] for r in rank] == [d.decode(c) for c in range(5)]
 
 
 class TestTableBuild:
@@ -166,6 +166,27 @@ class TestTableBuild:
         b = Column("b", KIND_INT64, np.zeros(3, np.int64), np.zeros(3, bool))
         with pytest.raises(LengthMismatch):
             ColumnTable("t", [a, b])
+
+    def test_text_codes_are_ranks(self):
+        t = load_csv("pine\n\\N\noak\nelm\noak\n", "t", [("tag", KIND_TEXT)])
+        col = t.column("tag")
+        assert col.dictionary.strings() == ["elm", "oak", "pine"]
+        assert col.values.tolist() == [2, 0, 1, 0, 1]
+        assert col.null_mask.tolist() == [False, True, False, False, False]
+
+    @pytest.mark.parametrize("cells", [
+        ["7", "1_000"],
+        ["7", " 1_0 ", "x"],
+        ["7", "1_000", str(2**63)],
+    ])
+    def test_int64_digit_grouping_rejected(self, cells):
+        with pytest.raises(
+            CsvError,
+            match=f"^table 't': row 2, column 'n': expected INT64 value, "
+            f"got {cells[1]!r}$",
+        ):
+            load_csv("".join(f"a,{c}\n" for c in cells), "t",
+                     [("s", KIND_TEXT), ("n", KIND_INT64)])
 
     def test_text_take_shares_dictionary(self):
         t = load_csv("oak\nelm\noak\n", "t", [("tag", KIND_TEXT)])
@@ -433,9 +454,7 @@ def _load_per_cell(text, name, schema, has_header=False):
             )
         rows.append([None if cell == NULL_TOKEN else cell for cell in record])
     try:
-        return append_rows(
-            ColumnTable.empty(name, schema), rows, 2 if has_header else 1
-        )
+        return load_cells(name, schema, rows, 2 if has_header else 1)
     except TypeMismatch as exc:
         raise CsvError(str(exc)) from exc
 
@@ -477,5 +496,6 @@ class TestColumnarLoad:
         for t in [*tpch_small.values(), custom_nulls]:
             dumped = dump_csv(t)
             assert dumped == _dump_per_cell(t)
-            # the generator's dictionaries need not be in first-appearance order
+            # a generator's dictionary may hold strings that no row uses,
+            # so reloaded codes may differ, but not the dump
             assert dump_csv(load_csv(dumped, t.name, t.schema)) == dumped
